@@ -10,6 +10,7 @@ from .errors import (
     DomainError,
     GridTooCoarse,
     InvalidOrder,
+    InvariantError,
     NonNormalizable,
     NotConstrained,
     PoleAtNode,

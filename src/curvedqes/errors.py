@@ -37,6 +37,10 @@ class GridTooCoarse(RuntimeError):
     """Eigenvalue error estimate exceeds the requested tolerance."""
 
 
+class InvariantError(RuntimeError):
+    """A closed-form identity that holds for every valid input failed: a bug, not bad input."""
+
+
 class NonNormalizable(ValueError):
     """The squared wavefunction integral does not converge."""
 

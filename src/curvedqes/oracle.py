@@ -12,6 +12,14 @@ exceeds a large threshold; past that point the eigenfunctions carry
 essentially no mass, while keeping the wall out of the matrix preserves the
 eigensolver's absolute accuracy.
 
+Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
+QUADPACK): each refinement round evaluates the wavefunction once, as one
+array over every open panel, against a relative error target, so small norms
+keep their digits. Node search scans for sign changes with array operations
+and polishes each bracketed root with brentq. A caller that needs several of
+these for one wavefunction, as run_verification does, computes its decay
+radius and squared norm once and passes them in.
+
 Everything here is deliberately independent of the closed-form route: the
 matrix only sees eval_potential, and the quadrature/node utilities only see
 pointwise wavefunction values.
@@ -24,7 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
@@ -223,44 +230,130 @@ def _decay_radius(psi: WavefunctionForm, drop: float = 1e-13) -> float:
     return float(r[int(np.argmax(below))])
 
 
-def quadrature_norm(psi: WavefunctionForm) -> float:
-    """Integral of |psi|^2 dr over the open domain, by adaptive quadrature."""
+# Gauss-Kronrod 7/15 pair on [-1, 1], as in QUADPACK's qk15: the Kronrod
+# nodes from the outermost to the centre with their weights, and the 7-point
+# Gauss weights, which sit on every other node.
+_XK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+])
+_GK_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
+_GK_KRONROD = np.concatenate([_WK[:-1], _WK[::-1]])
+_GK_GAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
+
+NORM_EPSREL = 1.49e-8
+OVERLAP_EPSREL = 1e-10
+OVERLAP_EPSABS = 1e-13  # the overlap of orthogonal states is ~0: an absolute floor
+START_PANELS = 16
+MAX_SPLITS = 2000
+
+
+def _gauss_kronrod(fun, a: float, b: float, epsrel: float, epsabs: float = 0.0) -> float:
+    """Integral of a vectorised fun over [a, b] by adaptive Gauss-Kronrod 7/15 panels.
+
+    The START_PANELS equal panels are refined in rounds. Each round
+    evaluates fun once, on the 15 nodes of every open panel, and
+    estimates each panel's error as QUADPACK's qk15 does. A panel is closed
+    when its error fits its share of the budget max(epsabs, epsrel |I|),
+    in proportion to its width; every other panel is bisected. Once
+    MAX_SPLITS bisections are spent the current estimate is returned.
+    A non-finite estimate is returned as soon as it appears.
+    """
+    edges = np.linspace(a, b, START_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    closed = 0.0
+    splits = 0
+    eps = np.finfo(float).eps
+    while True:
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fx = fun((mid[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(-1, _GK_NODES.size)
+        kron = fx @ _GK_KRONROD
+        total = closed + float(np.sum(half * kron))
+        if not math.isfinite(total):
+            return total
+        with np.errstate(divide="ignore", invalid="ignore"):
+            resasc = half * (np.abs(fx - 0.5 * kron[:, None]) @ _GK_KRONROD)
+            err = np.abs(half * (kron - fx @ _GK_GAUSS))
+            err = np.where((resasc != 0.0) & (err != 0.0),
+                           resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
+        err = np.maximum(err, 50.0 * eps * half * (np.abs(fx) @ _GK_KRONROD))
+        budget = max(epsabs, epsrel * abs(total))
+        open_ = err > budget * (hi - lo) / (b - a)
+        n_open = int(np.count_nonzero(open_))
+        if n_open == 0 or splits + n_open > MAX_SPLITS:
+            return total
+        closed += float(np.sum(half[~open_] * kron[~open_]))
+        splits += n_open
+        lo, mid, hi = lo[open_], mid[open_], hi[open_]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
+def quadrature_norm(psi: WavefunctionForm, decay_radius: float | None = None) -> float:
+    """Integral of |psi|^2 dr over the open domain, by adaptive quadrature.
+
+    decay_radius, when given, is _decay_radius(psi) computed by the caller.
+    """
     lam = float(psi.lam)
-    hi = _decay_radius(psi)
-    value = quad(lambda r: float(psi.value(r)) ** 2, 0.0, hi, limit=300, full_output=1)[0]
+    hi = _decay_radius(psi) if decay_radius is None else decay_radius
+
+    def squared(r):
+        return psi.value(r) ** 2
+
+    value = _gauss_kronrod(squared, 0.0, hi, NORM_EPSREL)
     if not math.isfinite(value) or value <= 0.0:
         raise NonNormalizable(f"squared norm evaluated to {value}")
     if lam > 0:
         # the tail beyond the cutoff must be negligible, not just small
-        tail = quad(lambda r: float(psi.value(r)) ** 2, hi, 2.0 * hi, limit=100, full_output=1)[0]
+        tail = _gauss_kronrod(squared, hi, 2.0 * hi, NORM_EPSREL)
         if tail > 1e-10 * value:
             raise NonNormalizable("tail integral does not decay")
     return value
 
 
-def overlap(psi_a: WavefunctionForm, psi_b: WavefunctionForm) -> float:
-    """Normalized inner product <a, b> / (||a|| ||b||)."""
-    na = math.sqrt(quadrature_norm(psi_a))
-    nb = math.sqrt(quadrature_norm(psi_b))
-    lam = float(psi_a.lam)
-    if lam < 0:
-        hi = (1.0 - 1e-9) / math.sqrt(-lam)
-    else:
-        hi = max(_decay_radius(psi_a), _decay_radius(psi_b))
-    val = quad(
-        lambda r: float(psi_a.value(r)) * float(psi_b.value(r)) / (na * nb),
-        0.0,
-        hi,
-        limit=300,
-        epsabs=1e-13,
-        epsrel=1e-10,
-        full_output=1,
-    )[0]
-    return val
+def overlap(
+    psi_a: WavefunctionForm,
+    psi_b: WavefunctionForm,
+    norms: tuple | None = None,
+    decay_radii: tuple | None = None,
+) -> float:
+    """Normalized inner product <a, b> / (||a|| ||b||).
+
+    norms and decay_radii, when given, are the squared norms and decay radii
+    of (psi_a, psi_b) computed by the caller.
+    """
+    if decay_radii is None:
+        decay_radii = (_decay_radius(psi_a), _decay_radius(psi_b))
+    if norms is None:
+        norms = tuple(quadrature_norm(p, h) for p, h in zip((psi_a, psi_b), decay_radii))
+    scale = math.sqrt(norms[0]) * math.sqrt(norms[1])
+
+    def product(r):
+        return psi_a.value(r) * psi_b.value(r) / scale
+
+    return _gauss_kronrod(product, 0.0, max(decay_radii), OVERLAP_EPSREL, OVERLAP_EPSABS)
 
 
-def find_nodes(psi: WavefunctionForm, n_points: int = 4001, window=None) -> list:
-    """Interior zeros of psi, located by bisection after a sign-change scan."""
+def find_nodes(
+    psi: WavefunctionForm, n_points: int = 4001, window=None, decay_radius: float | None = None
+) -> list:
+    """Interior zeros of psi, located by bisection after a sign-change scan.
+
+    decay_radius, when given, is _decay_radius(psi) computed by the caller;
+    it closes the default window for lambda > 0.
+    """
     lam = float(psi.lam)
     if window is not None:
         lo, hi = window
@@ -269,18 +362,18 @@ def find_nodes(psi: WavefunctionForm, n_points: int = 4001, window=None) -> list
         lo, hi = 1e-6 * rmax, (1.0 - 1e-9) * rmax
     else:
         lo = 1e-6 / math.sqrt(lam)
-        hi = _decay_radius(psi)
+        hi = _decay_radius(psi) if decay_radius is None else decay_radius
     grid = np.linspace(lo, hi, n_points)
     vals = psi.value(grid)
     floor = 1e-13 * np.max(np.abs(vals))
-    keep = np.abs(vals) > floor
-    idx = np.flatnonzero(keep)
-    roots = []
-    for i, j in zip(idx[:-1], idx[1:]):
-        if np.sign(vals[i]) != np.sign(vals[j]):
-            root = brentq(lambda r: float(psi.value(r)), grid[i], grid[j], xtol=1e-13, rtol=1e-15)
-            roots.append(float(root))
-    return roots
+    idx = np.flatnonzero(np.abs(vals) > floor)
+    signs = np.sign(vals[idx])
+    brackets = np.flatnonzero(signs[:-1] != signs[1:])
+    return [
+        float(brentq(lambda r: float(psi.value(r)), grid[idx[i]], grid[idx[i + 1]],
+                     xtol=1e-13, rtol=1e-15))
+        for i in brackets
+    ]
 
 
 def count_nodes(psi: WavefunctionForm, n_points: int = 4001, window=None) -> int:

@@ -21,6 +21,7 @@ kept unnormalized; quadrature norms live in the spectral oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import Callable
@@ -126,52 +127,74 @@ class WavefunctionForm:
         pref = tuple(self.prefactor) or (1,)
         object.__setattr__(self, "prefactor", pref)
 
+    @cached_property
+    def _floats(self):
+        """(lam, a, b, exp_r2, exp_finv, prefactor) converted to floats once per form."""
+        return (
+            float(self.lam),
+            float(self.r_power),
+            float(self.f_power),
+            tuple(float(c) for c in self.exp_r2),
+            tuple(float(d) for d in self.exp_finv),
+            tuple(float(c) for c in self.prefactor),
+        )
+
+    def _value_pieces(self, r):
+        """Return (P, log-magnitude S) on a float array: all that psi itself needs."""
+        r = np.asarray(r, dtype=float)
+        lam, a, b, exp_r2, exp_finv, prefactor = self._floats
+        r2 = r * r
+        f2 = 1.0 + lam * r2
+        t = lam * r2
+        u = abs(lam) * r2
+
+        S = a * np.log(r) + 0.5 * b * np.log(f2)
+        for j, c in enumerate(exp_r2, start=1):
+            S = S + c * t ** j
+        for k, d in enumerate(exp_finv, start=1):
+            S = S + d * f2 ** (-k)
+        P = np.zeros_like(r)
+        for s, c in enumerate(prefactor):
+            P = P + c * u ** s
+        return P, S
+
     def _pieces(self, r):
         """Return (P, P', P'', S', S'', log-magnitude S) on a float array."""
+        P, S = self._value_pieces(r)
         r = np.asarray(r, dtype=float)
-        lam = float(self.lam)
+        lam, a, b, exp_r2, exp_finv, prefactor = self._floats
         alam = abs(lam)
         r2 = r * r
         f2 = 1.0 + lam * r2
         t = lam * r2
         u = alam * r2
 
-        a, b = float(self.r_power), float(self.f_power)
-        S = a * np.log(r) + 0.5 * b * np.log(f2)
         S1 = a / r + b * lam * r / f2
         S2 = -a / r2 + b * lam * (1.0 / f2 - 2.0 * lam * r2 / (f2 * f2))
-        for j, cj in enumerate(self.exp_r2, start=1):
-            c = float(cj)
-            S = S + c * t ** j
+        for j, c in enumerate(exp_r2, start=1):
             S1 = S1 + 2.0 * lam * j * c * r * t ** (j - 1)
             curv = t ** (j - 1)
             if j > 1:
                 curv = curv + 2.0 * lam * r2 * (j - 1) * t ** (j - 2)
             S2 = S2 + 2.0 * lam * j * c * curv
-        for k, dk in enumerate(self.exp_finv, start=1):
-            d = float(dk)
+        for k, d in enumerate(exp_finv, start=1):
             fm = f2 ** (-k - 1)
-            S = S + d * f2 ** (-k)
             S1 = S1 - 2.0 * k * lam * d * r * fm
             S2 = S2 - 2.0 * k * lam * d * (fm - (2.0 * k + 2.0) * lam * r2 * f2 ** (-k - 2))
 
-        P = np.zeros_like(r)
         P1 = np.zeros_like(r)
         P2 = np.zeros_like(r)
-        for s, ps in enumerate(self.prefactor):
-            c = float(ps)
-            P = P + c * u ** s
-            if s >= 1:
-                P1 = P1 + 2.0 * alam * c * s * u ** (s - 1) * r
-                curv = u ** (s - 1)
-                if s > 1:
-                    curv = curv + 2.0 * alam * r2 * (s - 1) * u ** (s - 2)
-                P2 = P2 + 2.0 * alam * c * s * curv
+        for s, c in enumerate(prefactor[1:], start=1):
+            P1 = P1 + 2.0 * alam * c * s * u ** (s - 1) * r
+            curv = u ** (s - 1)
+            if s > 1:
+                curv = curv + 2.0 * alam * r2 * (s - 1) * u ** (s - 2)
+            P2 = P2 + 2.0 * alam * c * s * curv
         return P, P1, P2, S1, S2, S
 
     def value(self, r):
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            P, _, _, _, _, S = self._pieces(r)
+            P, S = self._value_pieces(r)
             out = P * np.exp(S)
         return float(out) if out.ndim == 0 else out
 
@@ -292,16 +315,22 @@ def apply_raising(w: Superpotential, psi: WavefunctionForm) -> WavefunctionForm:
     )
 
 
+def w_plus_poles(w_plus: Superpotential, r) -> np.ndarray:
+    """Mask of the points where W+ vanishes against its term magnitudes (poles of W-)."""
+    rr = np.asarray(r, dtype=float)
+    scale = np.maximum(w_plus.magnitude(rr), 1e-30)
+    return np.abs(w_plus.value(rr)) <= 1e-12 * scale
+
+
 def w_minus_from_w_plus(w_plus: Superpotential, delta_e) -> Callable:
     """The compatibility partner W-(r) = (f W+' - delta_e) / W+ as a callable."""
 
     def w_minus(r):
         rr = np.asarray(r, dtype=float)
+        if np.any(w_plus_poles(w_plus, rr)):
+            raise PoleAtNode("W+ vanishes at the evaluation point (node of psi1)")
         f = np.sqrt(1.0 + float(w_plus.lam) * rr * rr)
         val = w_plus.value(rr)
-        scale = np.maximum(w_plus.magnitude(rr), 1e-30)
-        if np.any(np.abs(val) <= 1e-12 * scale):
-            raise PoleAtNode("W+ vanishes at the evaluation point (node of psi1)")
         out = (f * w_plus.derivative(rr) - float(delta_e)) / val
         return float(out) if out.ndim == 0 else out
 

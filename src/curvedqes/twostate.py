@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidOrder, SignMismatch, UnsupportedOrder
+from .errors import InvalidOrder, InvariantError, SignMismatch, UnsupportedOrder
 from .exactmath import HALF, Scalar, canonical, exact_div, exact_sqrt, is_exact
 from .potentials import Family, PotentialSpec, reduced_spec, spec_to_dict
 from .susy import (
@@ -540,9 +540,13 @@ def general_two_state(family, m: int, L, B2m, lam) -> TwoStateSolution:
         )
     delta = e1 - e0
     if is_exact(delta, pair.delta_e):
-        assert delta == pair.delta_e
+        consistent = delta == pair.delta_e
     else:
-        assert math.isclose(float(delta), float(pair.delta_e), rel_tol=1e-12)
+        consistent = math.isclose(float(delta), float(pair.delta_e), rel_tol=1e-12)
+    if not consistent:
+        raise InvariantError(
+            f"E1 - E0 = {delta} differs from the generating-pair delta_e = {pair.delta_e}"
+        )
     psi0 = wavefunction_from_superpotential(w)
     psi0_partner = wavefunction_from_superpotential(w_prime)
     psi1 = apply_raising(w, psi0_partner)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 
 from curvedqes import (
     GridTooCoarse,
@@ -154,6 +155,38 @@ def test_count_nodes_ground_and_excited():
         assert abs(nodes[0] - node_location(sol)) < 1e-8
 
 
+def _find_nodes_by_pair_loop(psi, grid):
+    """Reference: the per-pair sign-change scan that find_nodes vectorises."""
+    vals = psi.value(grid)
+    floor = 1e-13 * np.max(np.abs(vals))
+    idx = np.flatnonzero(np.abs(vals) > floor)
+    roots = []
+    for i, j in zip(idx[:-1], idx[1:]):
+        if np.sign(vals[i]) != np.sign(vals[j]):
+            root = brentq(lambda r: float(psi.value(r)), grid[i], grid[j], xtol=1e-13, rtol=1e-15)
+            roots.append(float(root))
+    return roots
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 12])
+def test_find_nodes_matches_pair_loop(fam, lam, m):
+    sol = general_two_state(fam, m, 1, 4, lam)
+    window = (1e-6, 4.0) if lam > 0 else (1e-6, 1.0 - 1e-9)
+    grid = np.linspace(*window, 4001)
+    for psi in (sol.psi0, sol.psi1):
+        assert find_nodes(psi, window=window) == _find_nodes_by_pair_loop(psi, grid)
+
+
+def test_find_nodes_several_roots_match_pair_loop():
+    # P(u) = (u - 0.1)(u - 0.3)(u - 0.6) on the lambda = -1 domain: three nodes
+    psi = WavefunctionForm(1, 1, exp_finv=(-0.5,), prefactor=(-0.018, 0.27, -1.0, 1.0), lam=-1)
+    nodes = find_nodes(psi)
+    assert nodes == pytest.approx(np.sqrt([0.1, 0.3, 0.6]), abs=1e-12)
+    window = (1e-6, 1.0 - 1e-9)
+    assert nodes == _find_nodes_by_pair_loop(psi, np.linspace(*window, 4001))
+
+
 def test_count_sign_changes_synthetic_profile():
     x = np.linspace(0, 1, 2001)[1:-1]
     assert count_sign_changes(np.sin(3 * math.pi * x)) == 2
@@ -170,6 +203,17 @@ def test_quadrature_norm_family1_converges():
         vals.append(simpson(sol.psi0.value(r) ** 2, x=r))
     assert abs(vals[0] - vals[1]) / vals[1] < 1e-10
     assert norm == pytest.approx(vals[1], rel=1e-9)
+
+
+def test_quadrature_norm_is_relative_for_small_norms():
+    # family 2 norms at m = 60 are ~1e-9, below an absolute 1.49e-8 target;
+    # reference: composite Simpson on 400k points over the whole box
+    sol = general_two_state(2, 60, 2, 1, -1)
+    r = np.linspace(0.0, 1.0 - 1e-9, 400001)
+    for psi in (sol.psi0, sol.psi1):
+        ref = simpson(psi.value(r) ** 2, x=r)
+        assert 1e-10 < ref < 1e-7
+        assert quadrature_norm(psi) == pytest.approx(ref, rel=1e-9)
 
 
 def test_quadrature_norm_family2_wall_suppression():

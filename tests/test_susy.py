@@ -23,6 +23,7 @@ from curvedqes import (
     w_minus_from_w_plus,
     wavefunction_from_superpotential,
 )
+from curvedqes.susy import w_plus_poles
 
 
 def test_zero_superpotential():
@@ -174,6 +175,7 @@ def test_w_minus_identities():
         assert wm(r) == pytest.approx(expected, rel=1e-12, abs=1e-12)
     with pytest.raises(PoleAtNode):
         wm(sol.r0)
+    assert w_plus_poles(sol.pair.w_plus, [0.3, sol.r0, 1.7]).tolist() == [False, True, False]
 
     sol2 = general_two_state(2, 1, 1, 1, -1)
     wm2 = w_minus_from_w_plus(sol2.pair.w_plus, sol2.delta_e)
@@ -207,3 +209,14 @@ def test_wavefunction_value_matches_explicit_formula():
     f2 = 1 - r * r
     explicit2 = (-5 + 14 * r * r - 7 * r**4) * r**2 / np.sqrt(f2) * np.exp(-0.5 / f2)
     assert np.allclose(psi2.value(r), explicit2, rtol=1e-13)
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
+@pytest.mark.parametrize("m", [1, 8, 30, 60])
+def test_value_equals_derivatives_value_bit_for_bit(fam, lam, m):
+    # value() builds only P and S; it must round exactly as the full evaluation
+    sol = general_two_state(fam, m, 1, 4, lam)
+    r = np.geomspace(1e-3, 3.0 if lam > 0 else 1.0 - 1e-6, 500)
+    for psi in (sol.psi0, sol.psi1):
+        assert np.array_equal(psi.value(r), psi.derivatives(r)[0], equal_nan=True)
+        assert psi.value(r[250]) == psi.derivatives(r[250])[0]

@@ -1,11 +1,19 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import curvedqes
 from curvedqes import (
+    GeneratingPair,
     InvalidOrder,
+    InvariantError,
     SignMismatch,
     UnsupportedOrder,
     compatibility,
@@ -304,3 +312,47 @@ def test_solution_serialization_keys():
     assert set(doc["psi1"]) == {"a", "b", "exp_r2", "exp_finv", "prefactor"}
     assert doc["E0"] == -4.5 and doc["E1"] == 37.5
     assert doc["spec"]["family"] == 2
+
+
+def _shift_pair_delta(monkeypatch, offset):
+    """Make generating_pair report a delta_e that disagrees with E1 - E0."""
+    from curvedqes import twostate
+
+    real = twostate.generating_pair
+
+    def shifted(*args):
+        pair = real(*args)
+        return GeneratingPair(pair.w_plus, pair.w_minus, pair.delta_e + offset)
+
+    monkeypatch.setattr(twostate, "generating_pair", shifted)
+
+
+@pytest.mark.parametrize("B2m", [4, 2.0])  # exact lane, float lane
+def test_energy_gap_invariant_raises_typed_error(monkeypatch, B2m):
+    _shift_pair_delta(monkeypatch, 1)
+    with pytest.raises(InvariantError):
+        general_two_state(1, 2, 1, B2m, 1)
+
+
+def test_energy_gap_invariant_survives_optimize_flag():
+    code = textwrap.dedent(
+        """
+        from curvedqes import GeneratingPair, InvariantError, twostate
+
+        real = twostate.generating_pair
+        twostate.generating_pair = lambda *a: GeneratingPair(
+            real(*a).w_plus, real(*a).w_minus, real(*a).delta_e + 1
+        )
+        try:
+            twostate.general_two_state(2, 3, 0, 4, -1)
+        except InvariantError:
+            print("optimized" if not __debug__ else "debug", "raised")
+        """
+    )
+    src = str(pathlib.Path(curvedqes.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "optimized raised"

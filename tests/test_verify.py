@@ -1,10 +1,15 @@
 import numpy as np
+import pytest
 
 from curvedqes import (
+    PoleAtNode,
     eval_potential,
     general_two_state,
+    oracle,
     riccati_apply,
     run_verification,
+    verify,
+    w_minus_from_w_plus,
 )
 
 
@@ -49,3 +54,50 @@ def test_perturbed_coefficient_breaks_riccati():
     v = eval_potential(spoiled, r)
     res = np.abs(riccati_apply(sol.w, "minus", r) + float(sol.E0) - v) / (1 + np.abs(v))
     assert res.max() > 1e-3
+
+
+def test_decay_radii_and_norms_computed_once(monkeypatch):
+    counts = {"_decay_radius": 0, "quadrature_norm": 0}
+
+    def counted(name):
+        original = getattr(oracle, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        wrapper = counted(name)
+        monkeypatch.setattr(oracle, name, wrapper)
+        monkeypatch.setattr(verify, name, wrapper)
+    report = run_verification(1, 1, 1, 1, 1)
+    assert report.passed
+    assert counts["_decay_radius"] <= 2
+    assert counts["quadrature_norm"] == 2
+
+
+def _w_minus_identity_by_loop(sol):
+    """Reference: the scalar loop that the vectorised w_minus_identity check replaces."""
+    r = verify._check_grid(sol)
+    wm = sol.pair.w_minus
+    wm_fun = w_minus_from_w_plus(sol.pair.w_plus, float(sol.pair.delta_e))
+    vals = []
+    for ri in r[:: max(1, len(r) // 100)]:
+        try:
+            wm_i = wm.value(float(ri))
+            vals.append(abs(wm_fun(float(ri)) - wm_i) / (1.0 + abs(wm_i)))
+        except PoleAtNode:
+            continue
+    return max(vals)
+
+
+@pytest.mark.parametrize(
+    "config", [(1, 1, 1, 1, 1), (1, 8, 2, 2, 1), (2, 2, 0, 4, -1), (2, 8, 1, 3, -1)]
+)
+def test_w_minus_identity_matches_scalar_loop(config):
+    report = run_verification(*config)
+    value = next(c.value for c in report.checks if c.name == "w_minus_identity")
+    # array and scalar evaluation may round differently in the last bits
+    assert value == pytest.approx(_w_minus_identity_by_loop(general_two_state(*config)), abs=1e-13)
