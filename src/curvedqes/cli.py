@@ -72,7 +72,8 @@ def _add_model_args(parser, require_family=True):
 
 
 def _add_grid_args(parser):
-    parser.add_argument("--grid", type=int, default=20000, help="grid points (default 20000)")
+    parser.add_argument("--grid", type=int, default=20000,
+                        help="largest grid points (default 20000)")
     parser.add_argument("--tol", type=float, default=1e-6, help="relative tolerance")
 
 

@@ -10,7 +10,10 @@ symmetric tridiagonal matrix whose lowest eigenvalues are found by
 bisection/inverse iteration.  The grid is cut where the potential wall
 exceeds a large threshold; past that point the eigenfunctions carry
 essentially no mass, while keeping the wall out of the matrix preserves the
-eigensolver's absolute accuracy.
+eigensolver's absolute accuracy. Given a tolerance, the solver climbs a
+ladder of nested grids (halvings of the largest one) and stops at the
+smallest that certifies it, sharing solves and potential samples between
+the levels.
 
 Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
 QUADPACK): each refinement round evaluates the wavefunction once, as one
@@ -41,6 +44,7 @@ from .potentials import PotentialSpec, eval_potential
 from .susy import WavefunctionForm
 
 WALL_CUTOFF = 1.0e6
+LADDER_FLOOR = 1000  # the grid ladder starts at its smallest level at or above this
 
 
 @dataclass(frozen=True)
@@ -108,10 +112,45 @@ def default_arc_cutoff(spec: PotentialSpec, wall: float = WALL_CUTOFF) -> float:
     return limit
 
 
-def _tridiag_lowest(spec: PotentialSpec, k: int, n: int, x_max: float, vectors: bool):
+def _nested(coarse: int, fine: int) -> bool:
+    """True when fine = coarse * 2^s for some s >= 1."""
+    q, rem = divmod(fine, coarse)
+    return rem == 0 and q > 1 and q & (q - 1) == 0
+
+
+def _interior_potential(spec: PotentialSpec, n: int, x_max: float, samples: dict) -> np.ndarray:
+    """Potential at the n - 1 interior points h j (h = x_max / n) of an n-interval grid.
+
+    samples maps interval counts to arrays this function returned before, and
+    gains this one. A cached grid nested with this one by a power of two
+    lends its values: x_max / (2^s n) * 2^s j == x_max / n * j in floating
+    point, so they equal fresh samples bit for bit. A grid twice as fine
+    holds every point at its even j; a coarser one leaves only the new points
+    to evaluate.
+    """
+    if 2 * n in samples:
+        v = samples[2 * n][1::2]
+    else:
+        h = x_max / n
+        j = np.arange(1, n)
+        coarser = [c for c in samples if _nested(c, n)]
+        if coarser:
+            s = n // max(coarser)
+            new = j % s != 0
+            v = np.empty(n - 1)
+            v[~new] = samples[n // s]
+            v[new] = _potential_on_arc(spec, h * j[new])
+        else:
+            v = _potential_on_arc(spec, h * j)
+    samples[n] = v
+    return v
+
+
+def _tridiag_lowest(
+    spec: PotentialSpec, k: int, n: int, x_max: float, vectors: bool, samples: dict
+):
     h = x_max / n
-    x = h * np.arange(1, n)
-    v = _potential_on_arc(spec, x)
+    v = _interior_potential(spec, n, x_max, samples)
     diag = 2.0 / (h * h) + v
     off = np.full(n - 2, -1.0 / (h * h))
     if vectors:
@@ -131,35 +170,74 @@ def lowest_eigenvalues(
 ) -> SpectrumEstimate:
     """Lowest k eigenvalues of the deformed Schrodinger operator for spec.
 
-    A second-order finite difference in the arc coordinate is solved at
-    grid_points and grid_points/2; the difference of the two runs provides
-    the per-level Richardson error estimate and a Richardson-extrapolated
-    value.  `eigenvalues` holds the plain fine-grid values.
+    A second-order finite difference in the arc coordinate is solved at a
+    level N and at N/2; the difference of the two runs provides the
+    per-level Richardson error estimate and a Richardson-extrapolated value.
+    `eigenvalues` holds the plain values at N, and `grid_points` records N.
 
-    Raises GridTooCoarse when rtol is given and any relative error estimate
-    exceeds it; warns with TruncationWarning when an eigenvector keeps
+    Without rtol, N is grid_points. With rtol, grid_points is the largest
+    grid the solver may use: it walks the levels grid_points / 2^j upwards
+    from the smallest one >= LADDER_FLOOR and stops at the first whose
+    relative error estimate |E(N) - E(N/2)| / 3 / max(1, |E|) certifies
+    rtol. A level that does not certify is followed by the smallest higher
+    level at which second-order convergence predicts it will, and at least
+    the next one. No level is solved twice (a level serves as the next
+    one's N/2 run), each potential sample is evaluated once and shared by
+    the nested grids, and eigenvectors are computed only at levels that can
+    be accepted.
+
+    Raises GridTooCoarse when rtol is given and an estimate still exceeds it
+    at grid_points; warns with TruncationWarning when an eigenvector keeps
     non-negligible mass near the grid cut.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if grid_points < 200:
         raise ValueError("grid_points must be >= 200")
+    if rtol is not None and not (math.isfinite(rtol) and rtol > 0):
+        raise ValueError(f"rtol must be a finite number > 0, got {rtol}")
     x_cut = float(x_max) if x_max is not None else default_arc_cutoff(spec)
-    w_fine, vecs = _tridiag_lowest(spec, k, grid_points, x_cut, vectors=return_vectors)
-    w_half, _ = _tridiag_lowest(spec, k, grid_points // 2, x_cut, vectors=False)
-    richardson = np.abs(w_fine - w_half)
-    extrapolated = w_fine + (w_fine - w_half) / 3.0
-    if rtol is not None:
+    samples: dict = {}
+    solved: dict = {}
+
+    def solve(n, vectors):
+        if n not in solved:
+            solved[n] = _tridiag_lowest(spec, k, n, x_cut, vectors, samples)
+        return solved[n]
+
+    # ascending levels: grid_points / 2^j down to the smallest >= LADDER_FLOOR
+    levels = [grid_points]
+    while rtol is not None and levels[0] // 2 >= LADDER_FLOOR:
+        levels.insert(0, levels[0] // 2)
+    at = 0
+    while True:
+        n = levels[at]
+        # the fine solve first, so that the half grid strides its samples
+        w_fine, vecs = solve(n, return_vectors)
+        w_half, _ = solve(n // 2, False)
+        richardson = np.abs(w_fine - w_half)
+        if rtol is None:
+            break
         # |E(N) - E(N/2)| ~ 3 x the fine-grid error for a second-order scheme
         rel = richardson / 3.0 / np.maximum(1.0, np.abs(w_fine))
-        if np.any(rel > rtol):
-            raise GridTooCoarse(
-                f"relative eigenvalue error estimate {rel.max():.3e} exceeds rtol={rtol:.3e}"
-            )
+        if n == grid_points:
+            if np.any(rel > rtol):
+                raise GridTooCoarse(
+                    f"relative eigenvalue error estimate {rel.max():.3e} exceeds rtol={rtol:.3e}"
+                )
+            break
+        if np.all(rel <= rtol):
+            break
+        worst = rel.max()
+        at = next(
+            (j for j in range(at + 1, len(levels)) if worst * (n / levels[j]) ** 2 <= rtol),
+            len(levels) - 1,
+        )
+    extrapolated = w_fine + (w_fine - w_half) / 3.0
     lam = float(spec.lam)
     truncated = lam > 0 or x_cut < math.pi / (2.0 * math.sqrt(-lam)) * (1.0 - 1e-12)
     if vecs is not None and truncated:
-        edge = max(3, grid_points // 100)
+        edge = max(3, n // 100)
         for i in range(vecs.shape[1]):
             mass = float(np.sum(vecs[-edge:, i] ** 2))
             if mass > 1e-12:
@@ -169,7 +247,7 @@ def lowest_eigenvalues(
                     stacklevel=2,
                 )
     return SpectrumEstimate(
-        grid_points=grid_points,
+        grid_points=n,
         x_max=x_cut,
         eigenvalues=tuple(float(v) for v in w_fine),
         richardson_error=tuple(float(v) for v in richardson),
@@ -186,17 +264,24 @@ def _radial_window(lam: float, margin: float = 1e-4):
 
 
 def schrodinger_residual(
-    spec: PotentialSpec, psi: WavefunctionForm, energy: float, n_points: int = 2000
+    spec: PotentialSpec,
+    psi: WavefunctionForm,
+    energy: float,
+    n_points: int = 2000,
+    x_max: float | None = None,
 ) -> float:
     """Max scaled residual of the eigenvalue equation over a geometric grid.
 
     The residual |pi^2 psi + (V - E) psi| / (1 + |E| |psi|) is evaluated with
     fully analytic derivatives of the closed form, after peak normalization.
+    x_max, when given, is default_arc_cutoff(spec) computed by the caller; it
+    closes the grid for lambda > 0.
     """
     lam = float(spec.lam)
     lo, hi = _radial_window(lam)
     if hi is None:
-        hi = radius_from_arc(Deformation(lam), default_arc_cutoff(spec))
+        x_cut = default_arc_cutoff(spec) if x_max is None else x_max
+        hi = radius_from_arc(Deformation(lam), x_cut)
     r = np.geomspace(lo, hi, n_points)
     psi_v, dpsi, d2psi = psi.derivatives(r)
     peak = np.max(np.abs(psi_v))

@@ -69,6 +69,8 @@ class VerificationReport:
     oracle_E0: float
     oracle_E1: float
     oracle_error: tuple
+    grid_points: int
+    x_max: float
     norm_psi0: float
     norm_psi1: float
     checks: list = field(default_factory=list)
@@ -90,6 +92,8 @@ class VerificationReport:
                 "E0": self.oracle_E0,
                 "E1": self.oracle_E1,
                 "richardson_error": list(self.oracle_error),
+                "grid_points": self.grid_points,
+                "x_max": self.x_max,
             },
             "norms": {"psi0": self.norm_psi0, "psi1": self.norm_psi1},
             "checks": [
@@ -111,7 +115,8 @@ class VerificationReport:
         lines = [
             f"config {self.config_id}",
             f"  closed form: E0 = {self.closed_E0:.12g}   E1 = {self.closed_E1:.12g}",
-            f"  oracle:      E0 = {self.oracle_E0:.12g}   E1 = {self.oracle_E1:.12g}",
+            f"  oracle:      E0 = {self.oracle_E0:.12g}   E1 = {self.oracle_E1:.12g}"
+            f"   N = {self.grid_points}",
             f"  norms:       |psi0|^2 = {self.norm_psi0:.6g}   |psi1|^2 = {self.norm_psi1:.6g}",
             f"  {'check':<20} {'value':>12} {'threshold':>12}  status",
         ]
@@ -149,8 +154,9 @@ def run_verification(
 ) -> VerificationReport:
     """Build the closed-form solution and run every check against the oracle.
 
-    rtol, when given, is forwarded to the eigenvalue solver and raises
-    GridTooCoarse if the grid cannot certify that accuracy.
+    rtol, when given, is forwarded to the eigenvalue solver, which then uses
+    the smallest grid up to grid_points that certifies it and raises
+    GridTooCoarse if even grid_points cannot.
     """
     sol = general_two_state(family, m, L, B2m, lam)
     checks: list[CheckResult] = []
@@ -194,8 +200,8 @@ def run_verification(
     add("oracle_E0", rel0)
     add("oracle_E1", rel1)
 
-    add("residual_psi0", schrodinger_residual(sol.spec, sol.psi0, e0f))
-    add("residual_psi1", schrodinger_residual(sol.spec, sol.psi1, e1f))
+    add("residual_psi0", schrodinger_residual(sol.spec, sol.psi0, e0f, x_max=est.x_max))
+    add("residual_psi1", schrodinger_residual(sol.spec, sol.psi1, e1f, x_max=est.x_max))
 
     # each decay radius and norm is computed once and shared by every check
     hi0 = _decay_radius(sol.psi0)
@@ -230,6 +236,8 @@ def run_verification(
         oracle_E0=est.eigenvalues[0],
         oracle_E1=est.eigenvalues[1],
         oracle_error=est.richardson_error[:2],
+        grid_points=est.grid_points,
+        x_max=est.x_max,
         norm_psi0=norm0,
         norm_psi1=norm1,
         checks=checks,

@@ -101,6 +101,18 @@ def test_spectrum_grid_too_coarse_exit_code(capsys):
     assert "GridTooCoarse:" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-6"])
+def test_verify_rejects_tol_that_cannot_gate(capsys, tol):
+    code, out, err = run_cli(
+        ["verify", "--family", "2", "--m", "1", "--L", "1", "--lambda", "-1", "--B", "1",
+         f"--tol={tol}"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("ValueError: rtol must be a finite number > 0")
+    assert out == ""
+
+
 def test_sweep_command(capsys):
     code, out, _ = run_cli(
         ["sweep", "--family", "1", "--lambda", "1", "--m-max", "2",

@@ -1,24 +1,30 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from curvedqes import (
+    Deformation,
     GridTooCoarse,
     NonNormalizable,
     TruncationWarning,
     WavefunctionForm,
     count_nodes,
     count_sign_changes,
+    eval_potential,
     find_nodes,
     general_two_state,
     lowest_eigenvalues,
     node_location,
+    oracle,
     oscillator_from_beta,
     overlap,
     quadrature_norm,
+    radius_from_arc,
     schrodinger_residual,
 )
 
@@ -59,6 +65,110 @@ def test_grid_validation():
         lowest_eigenvalues(BOX, k=0)
     with pytest.raises(ValueError):
         lowest_eigenvalues(BOX, k=1, grid_points=100)
+
+
+def test_rtol_must_be_finite_and_positive():
+    # a NaN rtol would turn the GridTooCoarse gate off: rel > nan is never true
+    for rtol in (float("nan"), float("inf"), 0.0, -1e-6):
+        with pytest.raises(ValueError, match="rtol"):
+            lowest_eigenvalues(BOX, k=1, rtol=rtol, return_vectors=False)
+
+
+def _fresh_potential(spec, n, x_max):
+    """The potential at the interior points of an n-interval arc grid, in one call."""
+    r = radius_from_arc(Deformation(float(spec.lam)), x_max / n * np.arange(1, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return eval_potential(spec, r)
+
+
+def _two_solves(spec, k, n, vectors):
+    """Reference: the fixed two-solve oracle (N and N/2, each with its own potential)."""
+    x_max = oracle.default_arc_cutoff(spec)
+    out = []
+    for size, want in ((n, vectors), (n // 2, False)):
+        h = x_max / size
+        v = _fresh_potential(spec, size, x_max)
+        diag = 2.0 / (h * h) + v
+        off = np.full(size - 2, -1.0 / (h * h))
+        out.append(eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                                    eigvals_only=not want))
+    (w_fine, vecs), w_half = out
+    return w_fine, w_half, vecs
+
+
+SPECS = {
+    "box": BOX,
+    "family1": general_two_state(1, 4, 0, 1, 1).spec,
+    "family2": general_two_state(2, 4, 0, 1, -1).spec,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_without_rtol_one_level_bit_identical_to_two_solves(name):
+    spec = SPECS[name]
+    est = lowest_eigenvalues(spec, k=2)
+    w_fine, w_half, vecs = _two_solves(spec, 2, 20000, vectors=True)
+    assert est.grid_points == 20000
+    assert est.eigenvalues == tuple(float(v) for v in w_fine)
+    assert est.richardson_error == tuple(float(v) for v in np.abs(w_fine - w_half))
+    assert est.extrapolated == tuple(float(v) for v in w_fine + (w_fine - w_half) / 3.0)
+    assert np.array_equal(est.eigenvectors, vecs)
+
+
+@pytest.mark.parametrize("name", ["family1", "family2"])
+def test_refined_and_halved_potentials_equal_fresh_samples(name):
+    spec = SPECS[name]
+    x_max = oracle.default_arc_cutoff(spec)
+    samples = {}
+    oracle._interior_potential(spec, 1250, x_max, samples)
+    # refined by one level, by two levels, then halved and quartered
+    for n in (2500, 10000, 5000, 625):
+        v = oracle._interior_potential(spec, n, x_max, samples)
+        assert np.array_equal(v, _fresh_potential(spec, n, x_max))
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    original = oracle._tridiag_lowest
+
+    def counted(spec, k, n, x_max, vectors, samples):
+        calls.append((n, vectors))
+        return original(spec, k, n, x_max, vectors, samples)
+
+    monkeypatch.setattr(oracle, "_tridiag_lowest", counted)
+    return calls
+
+
+@pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
+def test_rtol_stops_at_a_smaller_certified_grid(config, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=1e-6)
+    assert est.grid_points < 20000
+    rel = np.array(est.richardson_error) / 3.0 / np.maximum(1.0, np.abs(est.eigenvalues))
+    assert np.all(rel <= 1e-6)
+    assert est.eigenvectors.shape == (est.grid_points - 1, 2)
+    # no grid is solved twice, and no half grid computes eigenvectors
+    sizes = [n for n, _ in calls]
+    assert len(sizes) == len(set(sizes))
+    assert (est.grid_points, True) in calls and (est.grid_points // 2, False) in calls
+
+
+def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
+    # four levels at rtol=1e-5 need 2500 points, one step up from the first level
+    calls = _count_solves(monkeypatch)
+    spec = general_two_state(2, 2, 1, 1, -1).spec
+    est = lowest_eigenvalues(spec, k=4, rtol=1e-5)
+    assert est.grid_points == 2500
+    assert calls == [(1250, True), (625, False), (2500, True)]
+    direct = lowest_eigenvalues(spec, k=4, grid_points=2500, return_vectors=False)
+    assert est.eigenvalues == direct.eigenvalues
+    assert est.richardson_error == direct.richardson_error
+
+
+def test_ladder_does_not_hide_the_known_grid_failure():
+    sol = general_two_state(1, 1, Fraction(1, 2), 4, 1)
+    with pytest.raises(GridTooCoarse, match="exceeds rtol=1.000e-06"):
+        lowest_eigenvalues(sol.spec, k=2, rtol=1e-6)
 
 
 def test_truncation_warning_when_cut_too_short():

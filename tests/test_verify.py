@@ -78,6 +78,32 @@ def test_decay_radii_and_norms_computed_once(monkeypatch):
     assert counts["quadrature_norm"] == 2
 
 
+def test_arc_cutoff_computed_once(monkeypatch):
+    calls = []
+    original = oracle.default_arc_cutoff
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "default_arc_cutoff", counted)
+    report = run_verification(1, 1, 1, 1, 1, rtol=1e-6)
+    assert report.passed
+    assert len(calls) == 1
+
+
+def test_report_records_the_certified_grid():
+    report = run_verification(2, 4, 0, 1, -1, rtol=1e-6)
+    est = oracle.lowest_eigenvalues(general_two_state(2, 4, 0, 1, -1).spec, k=2, rtol=1e-6)
+    assert report.grid_points == est.grid_points < 20000
+    assert report.x_max == est.x_max
+    block = report.to_dict()["oracle"]
+    assert (block["grid_points"], block["x_max"]) == (report.grid_points, report.x_max)
+    assert f"N = {report.grid_points}" in report.format_table()
+    # without rtol the single level is grid_points itself
+    assert run_verification(2, 1, 1, 1, -1, grid_points=4000).grid_points == 4000
+
+
 def _w_minus_identity_by_loop(sol):
     """Reference: the scalar loop that the vectorised w_minus_identity check replaces."""
     r = verify._check_grid(sol)
