@@ -143,6 +143,10 @@ def cmd_sweep(args) -> int:
                 sol = general_two_state(args.family, m, L, B, args.lam)
                 rows.append((m, float(L), float(B), float(sol.E0), float(sol.E1),
                              float(sol.delta_e), sol.r0))
+    if args.format == "json":
+        keys = ("m", "L", "B2m", "E0", "E1", "delta_e", "r0")
+        _emit(json.dumps([dict(zip(keys, row)) for row in rows], indent=2), args.out)
+        return 0
     lines = ["m,L,B2m,E0,E1,delta_e,r0"]
     for row in rows:
         lines.append(f"{row[0]}," + ",".join(_fmt(v) for v in row[1:]))
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figures", help="export the four reference curves as CSV")
-    _add_output_args(p)
+    p.add_argument("--out", type=Path, default=None, help="output directory (default figures)")
     p.set_defaults(func=cmd_figures)
 
     return parser

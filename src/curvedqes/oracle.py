@@ -13,7 +13,11 @@ essentially no mass, while keeping the wall out of the matrix preserves the
 eigensolver's absolute accuracy. Given a tolerance, the solver climbs a
 ladder of nested grids (halvings of the largest one) and stops at the
 smallest that certifies it, sharing solves and potential samples between
-the levels.
+the levels. Only the ladder's coarsest solve is bisected; every other level
+is polished by inverse iteration from the values the coarser levels predict,
+and certified by Sturm counts and residual bounds (Parlett, The Symmetric
+Eigenvalue Problem, ch. 4 and 10), falling back to bisection when the
+certificate fails.
 
 Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
 QUADPACK): each refinement round evaluates the wavefunction once, as one
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dpttrf, dstebz
 from scipy.optimize import brentq
 
 from .errors import GridTooCoarse, NonNormalizable, TruncationWarning
@@ -45,6 +50,8 @@ from .susy import WavefunctionForm
 
 WALL_CUTOFF = 1.0e6
 LADDER_FLOOR = 1000  # the grid ladder starts at its smallest level at or above this
+POLISH_STEPS = 3  # inverse-iteration steps per polished eigenpair
+POLISH_RESIDUAL = 1e-6  # largest accepted ||T x - E x||, as a fraction of the guesses' gap
 
 
 @dataclass(frozen=True)
@@ -56,12 +63,14 @@ class SpectrumEstimate:
     eigenvalues: tuple
     richardson_error: tuple
     extrapolated: tuple
+    method: str  # how the level at grid_points was solved: "bisection" or "inverse_iteration"
     eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
             "grid_points": self.grid_points,
             "x_max": self.x_max,
+            "method": self.method,
             "eigenvalues": list(self.eigenvalues),
             "richardson_error": list(self.richardson_error),
             "extrapolated": list(self.extrapolated),
@@ -122,12 +131,14 @@ def _interior_potential(spec: PotentialSpec, n: int, x_max: float, samples: dict
     """Potential at the n - 1 interior points h j (h = x_max / n) of an n-interval grid.
 
     samples maps interval counts to arrays this function returned before, and
-    gains this one. A cached grid nested with this one by a power of two
-    lends its values: x_max / (2^s n) * 2^s j == x_max / n * j in floating
-    point, so they equal fresh samples bit for bit. A grid twice as fine
-    holds every point at its even j; a coarser one leaves only the new points
-    to evaluate.
+    gains this one; a grid already there is returned as it is. A cached grid
+    nested with this one by a power of two lends its values:
+    x_max / (2^s n) * 2^s j == x_max / n * j in floating point, so they equal
+    fresh samples bit for bit. A grid twice as fine holds every point at its
+    even j; a coarser one leaves only the new points to evaluate.
     """
+    if n in samples:
+        return samples[n]
     if 2 * n in samples:
         v = samples[2 * n][1::2]
     else:
@@ -146,18 +157,87 @@ def _interior_potential(spec: PotentialSpec, n: int, x_max: float, samples: dict
     return v
 
 
+def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess):
+    """The lowest len(guess) eigenpairs of T = tridiag(off, diag, off), or None.
+
+    guess holds increasing estimates p_0 < ... < p_{k-1} of the lowest k
+    eigenvalues. With g their smallest gap (max(1, |p_0|) for k = 1), the
+    window is (lo, hi] = (p_0 - g/2, p_{k-1} + g/2]. The pairs are certified
+    when T - lo I is positive definite (no eigenvalue <= lo), a Sturm count
+    finds exactly k eigenvalues in the window, and each inverse-iteration
+    vector x_i with Rayleigh quotient E_i has a residual r_i = ||T x_i - E_i
+    x_i|| <= POLISH_RESIDUAL g with [E_i - r_i, E_i + r_i] inside the window
+    and apart from its neighbours: each such interval then holds exactly
+    one eigenvalue of T, the i-th. None is returned when any check fails.
+
+    E_i is the Rayleigh quotient in difference form, sum (x_{j+1} - x_j)^2 / h^2
+    (x_0 = x_N = 0) + sum v_j x_j^2, which does not cancel against the
+    2/h^2 diagonal.
+    """
+    p = np.asarray(guess, dtype=float)
+    k = p.size
+    g = float(np.min(np.diff(p))) if k > 1 else max(1.0, abs(float(p[0])))
+    if not (np.all(np.isfinite(p)) and g > 0.0):
+        return None
+    lo, hi = float(p[0]) - g / 2.0, float(p[-1]) + g / 2.0
+    if dpttrf(diag - lo, off)[2] != 0:
+        return None
+    # a tolerance as wide as the window: Sturm counts, nothing to refine
+    if dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")[0] != k:
+        return None
+    # a ramp, not ones: ones is orthogonal to every odd mode of a symmetric well
+    start = np.linspace(1.0, 2.0, diag.size)
+    vecs = np.empty((k, diag.size))  # one row per vector, returned transposed
+    w = np.empty(k)
+    res = np.empty(k)
+    for i in range(k):
+        shifted = diag - p[i]
+        x = start
+        for _ in range(POLISH_STEPS):
+            x, info = dgtsv(off, shifted, off, x)[3:]
+            if info != 0:
+                return None
+            x -= (vecs[:i] @ x) @ vecs[:i]
+            x /= np.linalg.norm(x)
+        dx = np.diff(x)
+        w[i] = (dx @ dx + x[0] ** 2 + x[-1] ** 2) / (h * h) + (v * x) @ x
+        tx = (diag - w[i]) * x
+        tx[:-1] += off * x[1:]
+        tx[1:] += off * x[:-1]
+        res[i] = np.linalg.norm(tx)
+        vecs[i] = x
+    ok = (
+        np.all(res <= POLISH_RESIDUAL * g)
+        and np.all(w - res > lo)
+        and np.all(w + res <= hi)
+        and np.all(np.diff(w) > res[:-1] + res[1:])
+    )
+    return (w, vecs.T) if ok else None
+
+
 def _tridiag_lowest(
-    spec: PotentialSpec, k: int, n: int, x_max: float, vectors: bool, samples: dict
+    spec: PotentialSpec, k: int, n: int, x_max: float, vectors: bool, samples: dict,
+    guess=None,
 ):
+    """Lowest k eigenvalues at n intervals, with eigenvectors if asked, and the method used.
+
+    With a guess the level is polished (_polish); without one, or when the
+    polish is not certified, it is bisected.
+    """
     h = x_max / n
     v = _interior_potential(spec, n, x_max, samples)
     diag = 2.0 / (h * h) + v
     off = np.full(n - 2, -1.0 / (h * h))
+    if guess is not None:
+        polished = _polish(diag, off, v, h, guess)
+        if polished is not None:
+            w, vecs = polished
+            return w, (vecs if vectors else None), "inverse_iteration"
     if vectors:
         w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-        return w, vecs
+        return w, vecs, "bisection"
     w = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-    return w, None
+    return w, None, "bisection"
 
 
 def lowest_eigenvalues(
@@ -184,7 +264,12 @@ def lowest_eigenvalues(
     the next one. No level is solved twice (a level serves as the next
     one's N/2 run), each potential sample is evaluated once and shared by
     the nested grids, and eigenvectors are computed only at levels that can
-    be accepted.
+    be accepted. Only the first level's N/2 run is bisected. Every other
+    level is polished (_polish) from a guess: the second-order prediction
+    E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair solved so
+    far, or the N/2 values for the first level. A level whose polish is not
+    certified is bisected instead; `method` records how the returned level
+    was solved. Without rtol both runs are bisected.
 
     Raises GridTooCoarse when rtol is given and an estimate still exceeds it
     at grid_points; warns with TruncationWarning when an eigenvector keeps
@@ -200,9 +285,22 @@ def lowest_eigenvalues(
     samples: dict = {}
     solved: dict = {}
 
+    def guess(n):
+        """E(n) predicted from the finest solved pair (N, N/2), else the nearest coarser level."""
+        pairs = [m for m in solved if m // 2 in solved]
+        if pairs:
+            m = max(pairs)
+            w, w_half = solved[m][0], solved[m // 2][0]
+            # second order: E(n) = E* - (E(N) - E(N/2)) / 3 (N/n)^2
+            return w + (w - w_half) / 3.0 * (1.0 - (m / n) ** 2)
+        return solved[max(c for c in solved if c < n)][0]
+
     def solve(n, vectors):
         if n not in solved:
-            solved[n] = _tridiag_lowest(spec, k, n, x_cut, vectors, samples)
+            polish = rtol is not None and bool(solved)
+            solved[n] = _tridiag_lowest(
+                spec, k, n, x_cut, vectors, samples, guess(n) if polish else None
+            )
         return solved[n]
 
     # ascending levels: grid_points / 2^j down to the smallest >= LADDER_FLOOR
@@ -210,11 +308,16 @@ def lowest_eigenvalues(
     while rtol is not None and levels[0] // 2 >= LADDER_FLOOR:
         levels.insert(0, levels[0] // 2)
     at = 0
+    if rtol is not None:
+        # sample the first fine grid so that its half grid strides the samples,
+        # then bisect that half grid: the one solve with no guess to polish
+        _interior_potential(spec, levels[0], x_cut, samples)
+        solve(levels[0] // 2, False)
     while True:
         n = levels[at]
         # the fine solve first, so that the half grid strides its samples
-        w_fine, vecs = solve(n, return_vectors)
-        w_half, _ = solve(n // 2, False)
+        w_fine, vecs, method = solve(n, return_vectors)
+        w_half = solve(n // 2, False)[0]
         richardson = np.abs(w_fine - w_half)
         if rtol is None:
             break
@@ -252,6 +355,7 @@ def lowest_eigenvalues(
         eigenvalues=tuple(float(v) for v in w_fine),
         richardson_error=tuple(float(v) for v in richardson),
         extrapolated=tuple(float(v) for v in extrapolated),
+        method=method,
         eigenvectors=vecs,
     )
 

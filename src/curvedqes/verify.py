@@ -71,6 +71,7 @@ class VerificationReport:
     oracle_error: tuple
     grid_points: int
     x_max: float
+    oracle_method: str  # how the level at grid_points was solved (SpectrumEstimate.method)
     norm_psi0: float
     norm_psi1: float
     checks: list = field(default_factory=list)
@@ -94,6 +95,7 @@ class VerificationReport:
                 "richardson_error": list(self.oracle_error),
                 "grid_points": self.grid_points,
                 "x_max": self.x_max,
+                "method": self.oracle_method,
             },
             "norms": {"psi0": self.norm_psi0, "psi1": self.norm_psi1},
             "checks": [
@@ -238,6 +240,7 @@ def run_verification(
         oracle_error=est.richardson_error[:2],
         grid_points=est.grid_points,
         x_max=est.x_max,
+        oracle_method=est.method,
         norm_psi0=norm0,
         norm_psi1=norm1,
         checks=checks,

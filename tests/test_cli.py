@@ -125,6 +125,42 @@ def test_sweep_command(capsys):
     assert len(lines) == 1 + 2 * 2 * 1
 
 
+def test_sweep_json_matches_csv(capsys):
+    args = ["sweep", "--family", "2", "--lambda", "-1", "--m-max", "2",
+            "--L-list", "0,1/2", "--B-list", "1,4"]
+    code, csv_out, _ = run_cli(args, capsys)
+    assert code == 0
+    code, json_out, _ = run_cli(args + ["--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(json_out)
+    header, *lines = csv_out.strip().splitlines()
+    assert len(rows) == len(lines) == 2 * 2 * 2
+    keys = header.split(",")
+    for row, line in zip(rows, lines):
+        assert list(row) == keys
+        assert [float(v) for v in line.split(",")] == [float(row[key]) for key in keys]
+
+
+def test_figures_rejects_format(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["figures", "--format", "json", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_spectrum_json_names_the_method(capsys):
+    code, out, _ = run_cli(
+        ["spectrum", "--family", "2", "--m", "1", "--L", "1", "--lambda", "-1", "--B", "1",
+         "--k", "2", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "inverse_iteration"
+    assert doc["grid_points"] < 20000
+
+
 def test_invalid_order_exit_code(capsys):
     code, _, err = run_cli(
         ["verify", "--family", "1", "--m", "0", "--L", "0", "--lambda", "1", "--B", "1"],

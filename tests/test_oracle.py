@@ -127,13 +127,102 @@ def test_refined_and_halved_potentials_equal_fresh_samples(name):
         assert np.array_equal(v, _fresh_potential(spec, n, x_max))
 
 
+EPS = np.finfo(float).eps
+
+
+def _matrix(spec, n, x_max):
+    """Diagonal and off-diagonal of the oracle's n-interval matrix."""
+    h = x_max / n
+    return 2.0 / (h * h) + _fresh_potential(spec, n, x_max), np.full(n - 2, -1.0 / (h * h))
+
+
+def _norm1(spec, n, x_max):
+    diag, off = _matrix(spec, n, x_max)
+    return float(np.max(np.abs(diag)) + 2.0 * abs(off[0]))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_polish_matches_tight_bisection(name):
+    spec, k, n = SPECS[name], 3, 2500
+    x_max = oracle.default_arc_cutoff(spec)
+    diag, off = _matrix(spec, n // 2, x_max)
+    guess = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
+    w, vecs, method = oracle._tridiag_lowest(spec, k, n, x_max, True, {}, guess)
+    assert method == "inverse_iteration"
+    diag, off = _matrix(spec, n, x_max)
+    ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True,
+                           tol=1e-14)
+    assert np.all(np.abs(w - ref) <= 4 * EPS * _norm1(spec, n, x_max))
+    assert vecs.shape == (n - 1, k)
+    assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-12)
+    for i in range(k):
+        assert count_sign_changes(vecs[:, i]) == i
+
+
+@pytest.mark.parametrize(
+    "pick", ["skips_E0", "skips_E1", "not_increasing", "window_holds_E2", "far_from_E1"]
+)
+def test_polish_falls_back_to_bisection(pick):
+    spec, n = SPECS["family1"], 2500
+    x_max = oracle.default_arc_cutoff(spec)
+    diag, off = _matrix(spec, n, x_max)
+    e = eigh_tridiagonal(diag, off, select="i", select_range=(0, 2), eigvals_only=True)
+    guess = {
+        "skips_E0": [e[1], e[2]],
+        # inverse iteration converges to E0 and E2: only the Sturm count objects
+        "skips_E1": [e[0], e[2]],
+        "not_increasing": [e[1], e[0]],
+        # the window reaches past p_1 by half of p_1 - p_0, beyond E2
+        "window_holds_E2": [e[0], (e[1] + e[2]) / 2],
+        # the counts pass, but 3 steps leave a residual far above the bound
+        "far_from_E1": [e[0], e[1] + (e[2] - e[1]) / 10],
+    }[pick]
+    assert oracle._polish(diag, off, _fresh_potential(spec, n, x_max), x_max / n, guess) is None
+    w, vecs, method = oracle._tridiag_lowest(spec, 2, n, x_max, True, {}, guess)
+    ref_w, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+    assert method == "bisection"
+    assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
+
+
+@pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
+def test_ladder_bisects_only_its_first_half_grid(config, monkeypatch):
+    rows = []
+    original = oracle.eigh_tridiagonal
+
+    def counted(d, e, **kwargs):
+        rows.append(d.size)
+        return original(d, e, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
+    est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=1e-6)
+    assert rows == [624]
+    assert est.method == "inverse_iteration"
+
+
+@pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
+def test_ladder_evaluates_each_potential_sample_once(config, monkeypatch):
+    spec = general_two_state(*config).spec
+    x_max = oracle.default_arc_cutoff(spec)
+    points = []
+    original = oracle._potential_on_arc
+
+    def counted(spec, x):
+        points.append(x.size)
+        return original(spec, x)
+
+    monkeypatch.setattr(oracle, "_potential_on_arc", counted)
+    est = lowest_eigenvalues(spec, k=2, x_max=x_max, rtol=1e-6)
+    # every level is nested in the finest one solved, the certified level
+    assert sum(points) == est.grid_points - 1
+
+
 def _count_solves(monkeypatch):
     calls = []
     original = oracle._tridiag_lowest
 
-    def counted(spec, k, n, x_max, vectors, samples):
+    def counted(spec, k, n, x_max, vectors, samples, guess=None):
         calls.append((n, vectors))
-        return original(spec, k, n, x_max, vectors, samples)
+        return original(spec, k, n, x_max, vectors, samples, guess)
 
     monkeypatch.setattr(oracle, "_tridiag_lowest", counted)
     return calls
@@ -159,10 +248,12 @@ def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
     spec = general_two_state(2, 2, 1, 1, -1).spec
     est = lowest_eigenvalues(spec, k=4, rtol=1e-5)
     assert est.grid_points == 2500
-    assert calls == [(1250, True), (625, False), (2500, True)]
+    assert calls == [(625, False), (1250, True), (2500, True)]
     direct = lowest_eigenvalues(spec, k=4, grid_points=2500, return_vectors=False)
-    assert est.eigenvalues == direct.eigenvalues
-    assert est.richardson_error == direct.richardson_error
+    # polished levels against bisected ones: bisection's own accuracy, eps ||T||_1
+    bound = EPS * _norm1(spec, 2500, est.x_max)
+    assert np.all(np.abs(np.subtract(est.eigenvalues, direct.eigenvalues)) <= 4 * bound)
+    assert np.all(np.abs(np.subtract(est.richardson_error, direct.richardson_error)) <= 8 * bound)
 
 
 def test_ladder_does_not_hide_the_known_grid_failure():

@@ -104,6 +104,22 @@ def test_report_records_the_certified_grid():
     assert run_verification(2, 1, 1, 1, -1, grid_points=4000).grid_points == 4000
 
 
+def test_report_says_how_the_certified_level_was_solved():
+    report = run_verification(2, 4, 0, 1, -1, rtol=1e-6)
+    assert report.oracle_method == report.to_dict()["oracle"]["method"] == "inverse_iteration"
+    assert "inverse_iteration" not in report.format_table()
+    # without rtol both levels are bisected
+    assert run_verification(2, 1, 1, 1, -1, grid_points=4000).oracle_method == "bisection"
+
+
+def test_report_shows_a_polish_fallback(monkeypatch):
+    polished = run_verification(2, 4, 0, 1, -1, rtol=1e-6)
+    monkeypatch.setattr(oracle, "_polish", lambda *args: None)
+    report = run_verification(2, 4, 0, 1, -1, rtol=1e-6)
+    assert report.to_dict()["oracle"]["method"] == "bisection"
+    assert report.passed and report.grid_points == polished.grid_points
+
+
 def _w_minus_identity_by_loop(sol):
     """Reference: the scalar loop that the vectorised w_minus_identity check replaces."""
     r = verify._check_grid(sol)
