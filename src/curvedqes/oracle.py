@@ -14,10 +14,11 @@ eigensolver's absolute accuracy. Given a tolerance, the solver climbs a
 ladder of nested grids (halvings of the largest one) and stops at the
 smallest that certifies it, sharing solves and potential samples between
 the levels. Only the ladder's coarsest solve is bisected; every other level
-is polished by inverse iteration from the values the coarser levels predict,
-and certified by Sturm counts and residual bounds (Parlett, The Symmetric
+is polished by inverse iteration, shifted to the values the coarser levels
+predict and started from the eigenvectors of the nearest nested level, and
+certified by Sturm counts and residual bounds (Parlett, The Symmetric
 Eigenvalue Problem, ch. 4 and 10), falling back to bisection when the
-certificate fails.
+certificate fails. A warm-started pair certifies after one step.
 
 Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
 QUADPACK): each refinement round evaluates the wavefunction once, as one
@@ -50,7 +51,7 @@ from .susy import WavefunctionForm
 
 WALL_CUTOFF = 1.0e6
 LADDER_FLOOR = 1000  # the grid ladder starts at its smallest level at or above this
-POLISH_STEPS = 3  # inverse-iteration steps per polished eigenpair
+POLISH_STEPS = 3  # most inverse-iteration steps per polished eigenpair
 POLISH_RESIDUAL = 1e-6  # largest accepted ||T x - E x||, as a fraction of the guesses' gap
 
 
@@ -157,7 +158,28 @@ def _interior_potential(spec: PotentialSpec, n: int, x_max: float, samples: dict
     return v
 
 
-def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess):
+def _transfer(vecs: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Grid vectors (one per column) on m intervals, moved onto the nested n-interval grid.
+
+    A finer grid is restricted, with stride m / n, to the points the two
+    share, as _interior_potential strides its samples; a coarser one is
+    prolonged by linear interpolation between its points and the zero
+    Dirichlet ends, so the shared points keep their values bit for bit.
+    """
+    if m > n:
+        s = m // n
+        return vecs[s - 1::s]
+    s = n // m
+    # one row per vector, the grid innermost: numpy loops over long axes, not over k
+    ends = np.zeros((vecs.shape[1], 1, m + 1))
+    ends[:, 0, 1:-1] = vecs.T
+    # fine point s i + j lies a fraction j / s of the way from coarse point i to i + 1
+    frac = (np.arange(s) / s)[:, None]
+    fine = ends[:, :, :-1] * (1.0 - frac) + ends[:, :, 1:] * frac  # (vector, j, i)
+    return fine.transpose(0, 2, 1).reshape(-1, n)[:, 1:].T
+
+
+def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, start=None):
     """The lowest len(guess) eigenpairs of T = tridiag(off, diag, off), or None.
 
     guess holds increasing estimates p_0 < ... < p_{k-1} of the lowest k
@@ -169,6 +191,13 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess):
     x_i|| <= POLISH_RESIDUAL g with [E_i - r_i, E_i + r_i] inside the window
     and apart from its neighbours: each such interval then holds exactly
     one eigenvalue of T, the i-th. None is returned when any check fails.
+
+    start, an (N - 1, k) array, holds the vectors pair i starts from: the
+    eigenvectors of a nested grid make one step enough. Without it every
+    pair starts from a ramp. Each pair takes up to POLISH_STEPS steps,
+    shifted to p_i and orthogonalised against the earlier vectors, and stops
+    at the first whose residual is within the bound. A poor start costs steps
+    or a None, never a wrong pair: the checks above decide.
 
     E_i is the Rayleigh quotient in difference form, sum (x_{j+1} - x_j)^2 / h^2
     (x_0 = x_N = 0) + sum v_j x_j^2, which does not cancel against the
@@ -185,29 +214,35 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess):
     # a tolerance as wide as the window: Sturm counts, nothing to refine
     if dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")[0] != k:
         return None
-    # a ramp, not ones: ones is orthogonal to every odd mode of a symmetric well
-    start = np.linspace(1.0, 2.0, diag.size)
+    bound = POLISH_RESIDUAL * g
     vecs = np.empty((k, diag.size))  # one row per vector, returned transposed
     w = np.empty(k)
     res = np.empty(k)
     for i in range(k):
         shifted = diag - p[i]
-        x = start
+        # a ramp, not ones: ones is orthogonal to every odd mode of a symmetric well
+        x = np.linspace(1.0, 2.0, diag.size) if start is None else start[:, i]
         for _ in range(POLISH_STEPS):
             x, info = dgtsv(off, shifted, off, x)[3:]
             if info != 0:
                 return None
             x -= (vecs[:i] @ x) @ vecs[:i]
-            x /= np.linalg.norm(x)
-        dx = np.diff(x)
-        w[i] = (dx @ dx + x[0] ** 2 + x[-1] ** 2) / (h * h) + (v * x) @ x
-        tx = (diag - w[i]) * x
-        tx[:-1] += off * x[1:]
-        tx[1:] += off * x[:-1]
-        res[i] = np.linalg.norm(tx)
+            norm = np.linalg.norm(x)
+            # a zero start leaves nothing to normalise, a non-finite one nothing to certify
+            if not 0.0 < norm < math.inf:
+                return None
+            x /= norm
+            dx = np.diff(x)
+            w[i] = (dx @ dx + x[0] ** 2 + x[-1] ** 2) / (h * h) + (v * x) @ x
+            tx = (diag - w[i]) * x
+            tx[:-1] += off * x[1:]
+            tx[1:] += off * x[:-1]
+            res[i] = np.linalg.norm(tx)
+            if res[i] <= bound:
+                break
         vecs[i] = x
     ok = (
-        np.all(res <= POLISH_RESIDUAL * g)
+        np.all(res <= bound)
         and np.all(w - res > lo)
         and np.all(w + res <= hi)
         and np.all(np.diff(w) > res[:-1] + res[1:])
@@ -217,22 +252,24 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess):
 
 def _tridiag_lowest(
     spec: PotentialSpec, k: int, n: int, x_max: float, vectors: bool, samples: dict,
-    guess=None,
+    guess=None, start=None,
 ):
-    """Lowest k eigenvalues at n intervals, with eigenvectors if asked, and the method used.
+    """Lowest k eigenvalues at n intervals, eigenvectors or None, and the method used.
 
-    With a guess the level is polished (_polish); without one, or when the
-    polish is not certified, it is bisected.
+    With a guess the level is polished (_polish, from start when given);
+    without one, or when the polish is not certified, it is bisected, with
+    eigenvectors only if asked. A polished level returns its eigenvectors
+    either way: the polish computes them.
     """
     h = x_max / n
     v = _interior_potential(spec, n, x_max, samples)
     diag = 2.0 / (h * h) + v
     off = np.full(n - 2, -1.0 / (h * h))
     if guess is not None:
-        polished = _polish(diag, off, v, h, guess)
+        polished = _polish(diag, off, v, h, guess, start)
         if polished is not None:
             w, vecs = polished
-            return w, (vecs if vectors else None), "inverse_iteration"
+            return w, vecs, "inverse_iteration"
     if vectors:
         w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
         return w, vecs, "bisection"
@@ -267,9 +304,13 @@ def lowest_eigenvalues(
     be accepted. Only the first level's N/2 run is bisected. Every other
     level is polished (_polish) from a guess: the second-order prediction
     E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair solved so
-    far, or the N/2 values for the first level. A level whose polish is not
-    certified is bisected instead; `method` records how the returned level
-    was solved. Without rtol both runs are bisected.
+    far, or the N/2 values for the first level. Its inverse iteration starts
+    from the eigenvectors of the nearest solved level nested with it,
+    restricted from a finer level or linearly prolonged from a coarser one,
+    and stops once the pair certifies; the first level, with only the
+    vector-less bisection below it, starts from a ramp. A level whose polish
+    is not certified is bisected instead; `method` records how the returned
+    level was solved. Without rtol both runs are bisected.
 
     Raises GridTooCoarse when rtol is given and an estimate still exceeds it
     at grid_points; warns with TruncationWarning when an eigenvector keeps
@@ -295,12 +336,26 @@ def lowest_eigenvalues(
             return w + (w - w_half) / 3.0 * (1.0 - (m / n) ** 2)
         return solved[max(c for c in solved if c < n)][0]
 
+    def start(n):
+        """The eigenvectors of the nearest level that has them, moved onto grid n.
+
+        Every ladder level is grid_points / 2^j, so any two are nested.
+        """
+        held = [m for m in solved if solved[m][1] is not None]
+        if not held:
+            return None
+        # the nearest level, a finer one on a tie: restriction only drops points
+        m = min(held, key=lambda m: (max(m, n) // min(m, n), m < n))
+        return _transfer(solved[m][1], m, n)
+
     def solve(n, vectors):
         if n not in solved:
-            polish = rtol is not None and bool(solved)
-            solved[n] = _tridiag_lowest(
-                spec, k, n, x_cut, vectors, samples, guess(n) if polish else None
-            )
+            if rtol is not None and solved:
+                solved[n] = _tridiag_lowest(
+                    spec, k, n, x_cut, vectors, samples, guess(n), start=start(n)
+                )
+            else:
+                solved[n] = _tridiag_lowest(spec, k, n, x_cut, vectors, samples)
         return solved[n]
 
     # ascending levels: grid_points / 2^j down to the smallest >= LADDER_FLOOR
@@ -336,6 +391,8 @@ def lowest_eigenvalues(
             (j for j in range(at + 1, len(levels)) if worst * (n / levels[j]) ** 2 <= rtol),
             len(levels) - 1,
         )
+    if not return_vectors:
+        vecs = None  # a polished level holds them anyway
     extrapolated = w_fine + (w_fine - w_half) / 3.0
     lam = float(spec.lam)
     truncated = lam > 0 or x_cut < math.pi / (2.0 * math.sqrt(-lam)) * (1.0 - 1e-12)

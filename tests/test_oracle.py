@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +201,65 @@ def test_ladder_bisects_only_its_first_half_grid(config, monkeypatch):
 
 
 @pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
+def test_ladder_warm_starts_every_level_after_the_first(config, monkeypatch):
+    steps = Counter()  # inverse-iteration steps by interval count, in solve order
+    original = oracle.dgtsv
+
+    def counted(dl, d, du, b, **kwargs):
+        steps[d.size + 1] += 1
+        return original(dl, d, du, b, **kwargs)
+
+    monkeypatch.setattr(oracle, "dgtsv", counted)
+    k = 2
+    est = lowest_eigenvalues(general_two_state(*config).spec, k=k, rtol=1e-6)
+    first, *later = steps
+    # the first polished level has only the bisected half grid below it: a ramp start
+    assert first == 1250 and steps[first] <= 2 * k
+    assert later and all(steps[n] == k for n in later)
+    assert est.method == "inverse_iteration"
+
+
+@pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
+def test_ladder_starts_from_the_nearest_solved_level(config, monkeypatch):
+    polished = []  # (intervals, start, vectors) of every polish, in order
+    original = oracle._polish
+
+    def recorded(diag, off, v, h, guess, start=None):
+        out = original(diag, off, v, h, guess, start)
+        polished.append((diag.size + 1, start, out[1]))
+        return out
+
+    monkeypatch.setattr(oracle, "_polish", recorded)
+    lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=1e-6)
+    (n0, start0, vecs0), (n1, start1, vecs1), (n2, start2, _) = polished
+    assert start0 is None
+    # the jump up prolongs the first level: its points are kept bit for bit
+    s = n1 // n0
+    assert s > 1 and np.array_equal(start1[s - 1::s], vecs0)
+    # the half grid after it restricts the level just solved
+    assert n2 == n1 // 2 and np.array_equal(start2, vecs1[1::2])
+
+
+def test_ladder_without_vectors_returns_none():
+    # polished levels hold their vectors for the next level's start, but do not return them
+    est = lowest_eigenvalues(SPECS["family1"], k=2, rtol=1e-6, return_vectors=False)
+    assert est.method == "inverse_iteration"
+    assert est.eigenvectors is None
+
+
+def test_prolonging_by_two_averages_neighbours():
+    spec, n = SPECS["family1"], 1250
+    diag, off = _matrix(spec, n, oracle.default_arc_cutoff(spec))
+    vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))[1]
+    fine = oracle._transfer(vecs, n, 2 * n)
+    assert fine.shape == (2 * n - 1, 2)
+    assert np.array_equal(fine[1::2], vecs)
+    ends = np.vstack([np.zeros(2), vecs, np.zeros(2)])  # zero Dirichlet ends
+    assert np.array_equal(fine[::2], (ends[:-1] + ends[1:]) / 2)
+    assert np.array_equal(oracle._transfer(fine, 2 * n, n), vecs)
+
+
+@pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
 def test_ladder_evaluates_each_potential_sample_once(config, monkeypatch):
     spec = general_two_state(*config).spec
     x_max = oracle.default_arc_cutoff(spec)
@@ -220,9 +280,9 @@ def _count_solves(monkeypatch):
     calls = []
     original = oracle._tridiag_lowest
 
-    def counted(spec, k, n, x_max, vectors, samples, guess=None):
-        calls.append((n, vectors))
-        return original(spec, k, n, x_max, vectors, samples, guess)
+    def counted(*args, **kwargs):
+        calls.append((args[2], args[4]))  # (n, vectors)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "_tridiag_lowest", counted)
     return calls

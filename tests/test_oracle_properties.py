@@ -1,4 +1,5 @@
-"""Property-based tests of the oracle over the advertised input space."""
+"""Property-based tests of the oracle: over the advertised input space, and over
+the start blocks its inverse-iteration polish may be handed."""
 
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from curvedqes import (  # noqa: E402
     eval_potential,
     general_two_state,
     lowest_eigenvalues,
+    oracle,
     radius_from_arc,
 )
 
@@ -46,3 +48,56 @@ def test_ladder_certifies_or_raises_and_matches_bisection(family, m, L, B2m):
     ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1), eigvals_only=True)
     norm1 = np.max(np.abs(diag)) + 2.0 / (h * h)
     assert np.all(np.abs(w - ref) <= 4 * EPS * norm1)
+
+
+SPEC = general_two_state(1, 4, 0, 1, 1).spec
+X_MAX = oracle.default_arc_cutoff(SPEC)
+N = 2500
+
+
+def _matrix(n):
+    """Diagonal, off-diagonal, potential and step of SPEC's n-interval matrix."""
+    h = X_MAX / n
+    v = oracle._interior_potential(SPEC, n, X_MAX, {})
+    return 2.0 / (h * h) + v, np.full(n - 2, -1.0 / (h * h)), v, h
+
+
+def _polish_certifies_or_falls_back(k, start):
+    """A polish from start either matches a tight bisection or returns None and
+    leaves the level to the plain bisection, bit for bit."""
+    half, half_off = _matrix(N // 2)[:2]
+    guess = eigh_tridiagonal(half, half_off, select="i", select_range=(0, k - 1), eigvals_only=True)
+    diag, off, v, h = _matrix(N)
+    polished = oracle._polish(diag, off, v, h, guess, start)
+    if polished is None:
+        w, vecs, method = oracle._tridiag_lowest(SPEC, k, N, X_MAX, True, {}, guess, start=start)
+        ref_w, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+        assert method == "bisection"
+        assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
+    else:
+        ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True,
+                               tol=1e-14)
+        norm1 = np.max(np.abs(diag)) + 2.0 * abs(off[0])
+        assert np.all(np.abs(polished[0] - ref) <= 4 * EPS * norm1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", ["swapped", "one_vector_twice", "zeros"])
+def test_bad_start_certifies_or_falls_back(bad):
+    # the warm start the ladder would give: the N/2 eigenvectors, prolonged
+    diag, off = _matrix(N // 2)[:2]
+    good = oracle._transfer(eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))[1], N // 2, N)
+    start = {
+        "swapped": good[:, ::-1],
+        "one_vector_twice": good[:, [0, 0, 2]],
+        "zeros": np.zeros_like(good),
+    }[bad]
+    _polish_certifies_or_falls_back(3, start)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=25, deadline=5000, derandomize=True, database=None)
+@given(k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_random_start_certifies_or_falls_back(k, seed):
+    start = np.random.default_rng(seed).standard_normal((N - 1, k))
+    _polish_certifies_or_falls_back(k, start)
