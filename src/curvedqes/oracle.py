@@ -254,12 +254,10 @@ def _tridiag_lowest(
     spec: PotentialSpec, k: int, n: int, x_max: float, vectors: bool, samples: dict,
     guess=None, start=None,
 ):
-    """Lowest k eigenvalues at n intervals, eigenvectors or None, and the method used.
+    """Lowest k eigenvalues at n intervals, with eigenvectors if asked, and the method used.
 
     With a guess the level is polished (_polish, from start when given);
-    without one, or when the polish is not certified, it is bisected, with
-    eigenvectors only if asked. A polished level returns its eigenvectors
-    either way: the polish computes them.
+    without one, or when the polish is not certified, it is bisected.
     """
     h = x_max / n
     v = _interior_potential(spec, n, x_max, samples)
@@ -269,7 +267,7 @@ def _tridiag_lowest(
         polished = _polish(diag, off, v, h, guess, start)
         if polished is not None:
             w, vecs = polished
-            return w, vecs, "inverse_iteration"
+            return w, (vecs if vectors else None), "inverse_iteration"
     if vectors:
         w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
         return w, vecs, "bisection"
@@ -304,13 +302,14 @@ def lowest_eigenvalues(
     be accepted. Only the first level's N/2 run is bisected. Every other
     level is polished (_polish) from a guess: the second-order prediction
     E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair solved so
-    far, or the N/2 values for the first level. Its inverse iteration starts
-    from the eigenvectors of the nearest solved level nested with it,
-    restricted from a finer level or linearly prolonged from a coarser one,
-    and stops once the pair certifies; the first level, with only the
-    vector-less bisection below it, starts from a ramp. A level whose polish
-    is not certified is bisected instead; `method` records how the returned
-    level was solved. Without rtol both runs are bisected.
+    far, or the N/2 values for the first level. Every fine level computes
+    its eigenvectors, returned or not, and each polish starts from those of
+    the nearest fine level, restricted from a finer level or linearly
+    prolonged from a coarser one, and stops once the pair certifies; the
+    first level, with only the vector-less bisection below it, starts from a
+    ramp. A level whose polish is not certified is bisected instead; `method`
+    records how the returned level was solved. Without rtol both runs are
+    bisected.
 
     Raises GridTooCoarse when rtol is given and an estimate still exceeds it
     at grid_points; warns with TruncationWarning when an eigenvector keeps
@@ -358,6 +357,8 @@ def lowest_eigenvalues(
                 solved[n] = _tridiag_lowest(spec, k, n, x_cut, vectors, samples)
         return solved[n]
 
+    # the ladder keeps each fine level's eigenvectors to start the next polish from
+    fine_vectors = return_vectors or rtol is not None
     # ascending levels: grid_points / 2^j down to the smallest >= LADDER_FLOOR
     levels = [grid_points]
     while rtol is not None and levels[0] // 2 >= LADDER_FLOOR:
@@ -371,7 +372,7 @@ def lowest_eigenvalues(
     while True:
         n = levels[at]
         # the fine solve first, so that the half grid strides its samples
-        w_fine, vecs, method = solve(n, return_vectors)
+        w_fine, vecs, method = solve(n, fine_vectors)
         w_half = solve(n // 2, False)[0]
         richardson = np.abs(w_fine - w_half)
         if rtol is None:
@@ -392,7 +393,7 @@ def lowest_eigenvalues(
             len(levels) - 1,
         )
     if not return_vectors:
-        vecs = None  # a polished level holds them anyway
+        vecs = None  # computed only to start the next level's polish
     extrapolated = w_fine + (w_fine - w_half) / 3.0
     lam = float(spec.lam)
     truncated = lam > 0 or x_cut < math.pi / (2.0 * math.sqrt(-lam)) * (1.0 - 1e-12)

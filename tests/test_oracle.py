@@ -200,7 +200,8 @@ def test_ladder_bisects_only_its_first_half_grid(config, monkeypatch):
     assert est.method == "inverse_iteration"
 
 
-@pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
+# at L = 1/2 a ramp start needs a second step at the later levels; a warm one does not
+@pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1), (1, 4, Fraction(1, 2), 1, 1)])
 def test_ladder_warm_starts_every_level_after_the_first(config, monkeypatch):
     steps = Counter()  # inverse-iteration steps by interval count, in solve order
     original = oracle.dgtsv
@@ -240,9 +241,23 @@ def test_ladder_starts_from_the_nearest_solved_level(config, monkeypatch):
     assert n2 == n1 // 2 and np.array_equal(start2, vecs1[1::2])
 
 
-def test_ladder_without_vectors_returns_none():
-    # polished levels hold their vectors for the next level's start, but do not return them
-    est = lowest_eigenvalues(SPECS["family1"], k=2, rtol=1e-6, return_vectors=False)
+def test_ladder_without_vectors_still_warm_starts(monkeypatch):
+    # fine levels compute their vectors for the next level's start, but do not return them
+    spec = general_two_state(1, 4, Fraction(1, 2), 1, 1).spec
+    steps = []  # intervals of every inverse-iteration step
+    original = oracle.dgtsv
+
+    def counted(dl, d, du, b, **kwargs):
+        steps.append(d.size + 1)
+        return original(dl, d, du, b, **kwargs)
+
+    monkeypatch.setattr(oracle, "dgtsv", counted)
+    returned = lowest_eigenvalues(spec, k=2, rtol=1e-6)
+    with_vectors = steps.copy()
+    steps.clear()
+    est = lowest_eigenvalues(spec, k=2, rtol=1e-6, return_vectors=False)
+    assert steps == with_vectors
+    assert est.eigenvalues == returned.eigenvalues
     assert est.method == "inverse_iteration"
     assert est.eigenvectors is None
 
