@@ -10,6 +10,7 @@ from .errors import (
     DomainError,
     GridTooCoarse,
     InvalidOrder,
+    InvalidParameter,
     InvariantError,
     NonNormalizable,
     NotConstrained,
@@ -24,7 +25,6 @@ from .geometry import (
     RadialReduction,
     arc_coordinate,
     deformation_factor,
-    domain_max,
     radius_from_arc,
     reduce_radial,
 )

@@ -21,10 +21,10 @@ from .errors import (
     DomainError,
     GridTooCoarse,
     InvalidOrder,
+    InvalidParameter,
     NonNormalizable,
     NotConstrained,
     SignMismatch,
-    UnsupportedOrder,
     UnsupportedTerm,
 )
 from .oracle import lowest_eigenvalues
@@ -37,12 +37,11 @@ _USER_ERRORS = (
     DegenerateCurvature,
     SignMismatch,
     InvalidOrder,
-    UnsupportedOrder,
+    InvalidParameter,
     NotConstrained,
     UnsupportedTerm,
     NonNormalizable,
     GridTooCoarse,
-    ValueError,
 )
 
 

@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+potentials.validate_model rejects a bad QES model input with DegenerateCurvature,
+SignMismatch, InvalidOrder or InvalidParameter. InvariantError marks a bug, never bad
+input; the CLI exits 2 on every ValueError subclass here and on GridTooCoarse.
+"""
 
 
 class DomainError(ValueError):
@@ -11,6 +16,10 @@ class DegenerateCurvature(ValueError):
 
 class SignMismatch(ValueError):
     """The sign of lambda is incompatible with the requested potential family."""
+
+
+class InvalidParameter(ValueError):
+    """Family not 1 or 2, L, B_2m or lambda not finite, L < 0, B_2m <= 0, or a bad setting."""
 
 
 class InvalidOrder(ValueError):

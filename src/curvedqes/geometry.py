@@ -62,11 +62,6 @@ def deformation_factor(deformation: Deformation, r):
     return float(out) if np.isscalar(r) or out.ndim == 0 else out
 
 
-def domain_max(deformation: Deformation) -> float:
-    """Upper end of the radial domain: inf for lambda > 0, 1/sqrt(|lambda|) otherwise."""
-    return deformation.domain_max
-
-
 def arc_coordinate(deformation: Deformation, r):
     """Arc-length coordinate x(r) = integral_0^r dr'/f(r'), in closed form."""
     arr = _check_radius(deformation, r)

@@ -44,7 +44,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dpttrf, dstebz
 from scipy.optimize import brentq
 
-from .errors import GridTooCoarse, NonNormalizable, TruncationWarning
+from .errors import GridTooCoarse, InvalidParameter, NonNormalizable, TruncationWarning
 from .geometry import Deformation, radius_from_arc
 from .potentials import PotentialSpec, eval_potential
 from .susy import WavefunctionForm
@@ -316,11 +316,11 @@ def lowest_eigenvalues(
     non-negligible mass near the grid cut.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidParameter("k must be >= 1")
     if grid_points < 200:
-        raise ValueError("grid_points must be >= 200")
+        raise InvalidParameter("grid_points must be >= 200")
     if rtol is not None and not (math.isfinite(rtol) and rtol > 0):
-        raise ValueError(f"rtol must be a finite number > 0, got {rtol}")
+        raise InvalidParameter(f"rtol must be a finite number > 0, got {rtol}")
     x_cut = float(x_max) if x_max is not None else default_arc_cutoff(spec)
     samples: dict = {}
     solved: dict = {}

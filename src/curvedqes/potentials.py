@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from enum import IntEnum
 import numpy as np
 
-from .errors import DomainError, DegenerateCurvature, SignMismatch, InvalidOrder
+from .errors import DegenerateCurvature, DomainError, InvalidOrder, InvalidParameter, SignMismatch
 from .exactmath import QUARTER, Scalar, canonical, exact_div, exact_sqrt
+
+MAX_ORDER = 60  # binomial growth bound for the prefactor expansion
 
 
 class Family(IntEnum):
@@ -31,9 +34,43 @@ class Family(IntEnum):
     FAMILY2 = 2
 
 
+def validate_model(family, m, L, B2m, lam) -> Family:
+    """Check one QES model input and return its Family; every rule on it is raised here.
+
+    family in {1, 2}, L, B_2m and lambda finite as floats (a float() overflow is
+    not finite), B_2m > 0 and L >= 0, else InvalidParameter; m an int, not a
+    bool, in [1, MAX_ORDER], else InvalidOrder; lambda != 0, else
+    DegenerateCurvature; lambda > 0 for family 1 and < 0 for family 2, else
+    SignMismatch. Values are only checked, never converted.
+    """
+    if family not in (Family.FAMILY1, Family.FAMILY2):
+        raise InvalidParameter(f"the QES construction needs family 1 or 2, got {family}")
+    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= MAX_ORDER:
+        raise InvalidOrder(f"order m must be an integer in [1, {MAX_ORDER}], got {m}")
+    for name, value in (("lambda", lam), ("B_2m", B2m), ("L", L)):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int or Fraction beyond the double range
+            finite = False
+        if not finite:
+            raise InvalidParameter(f"{name} must be finite as a float, got {reprlib.repr(value)}")
+    if lam == 0:
+        raise DegenerateCurvature("lambda = 0 is not supported")
+    fam = Family(family)
+    if fam is Family.FAMILY1 and lam < 0:
+        raise SignMismatch("family 1 requires lambda > 0")
+    if fam is Family.FAMILY2 and lam > 0:
+        raise SignMismatch("family 2 requires lambda < 0")
+    if B2m <= 0:
+        raise InvalidParameter(f"B_2m = {B2m} must be positive")
+    if L < 0:
+        raise InvalidParameter(f"L = {L} must be >= 0")
+    return fam
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Coefficient data for one potential; immutable and thread-safe."""
+    """Coefficient data for one potential; immutable, thread-safe, checked by validate_model."""
 
     family: Family
     L: Scalar
@@ -46,24 +83,17 @@ class PotentialSpec:
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "B", tuple(self.B))
-        if self.lam == 0:
-            raise DegenerateCurvature("lambda = 0 is not supported")
-        if self.L < 0:
-            raise ValueError(f"L = {self.L} < 0 is outside the supported range")
         if self.family is Family.BASE:
             if self.B or self.m is not None:
-                raise ValueError("base oscillator takes no extension coefficients")
+                raise InvalidParameter("base oscillator takes no extension coefficients")
+            if self.lam == 0:
+                raise DegenerateCurvature("lambda = 0 is not supported")
             return
-        if self.m is None or self.m < 1:
-            raise InvalidOrder(f"extension order m = {self.m} must be >= 1")
-        if len(self.B) != 2 * self.m:
-            raise ValueError(f"expected {2 * self.m} tail coefficients, got {len(self.B)}")
-        if self.B[-1] <= 0:
-            raise ValueError(f"B_2m = {self.B[-1]} must be positive")
-        if self.family is Family.FAMILY1 and self.lam < 0:
-            raise SignMismatch("family 1 requires lambda > 0")
-        if self.family is Family.FAMILY2 and self.lam > 0:
-            raise SignMismatch("family 2 requires lambda < 0")
+        if self.m is None or not self.B or len(self.B) != 2 * self.m:
+            raise InvalidParameter(
+                f"order m = {self.m} takes 2m >= 2 tail coefficients, got {len(self.B)}"
+            )
+        validate_model(self.family, self.m, self.L, self.B[-1], self.lam)
 
     @property
     def domain_max(self) -> float:
@@ -95,44 +125,29 @@ def eval_potential(spec: PotentialSpec, r):
 
 def family1_coefficients(m: int, L: Scalar, B2m: Scalar):
     """Reduced coefficient set (A, B_1..B_2m) of the order-m family-1 QES potential."""
-    if m < 1:
-        raise InvalidOrder(f"m = {m} must be >= 1")
-    if B2m <= 0:
-        raise ValueError(f"B_2m = {B2m} must be positive")
-    s = exact_sqrt(B2m)
-    A = canonical((2 * m + 1) * (2 * m - 1) * QUARTER)
-    low = -B2m - (2 * L + 1) * s
-    B = [canonical(b) for b in [low] * (m - 1) + [-B2m - (2 * L + 4 * m + 3) * s] + [B2m] * m]
-    return A, B
+    spec = reduced_spec(Family.FAMILY1, m, L, B2m, 1)  # the set does not depend on lambda
+    return spec.A, list(spec.B)
 
 
 def family2_coefficients(m: int, L: Scalar, B2m: Scalar):
     """Reduced coefficient set (A, B_1..B_2m) of the order-m family-2 QES potential."""
-    if m < 1:
-        raise InvalidOrder(f"m = {m} must be >= 1")
-    if B2m <= 0:
-        raise ValueError(f"B_2m = {B2m} must be positive")
-    s = exact_sqrt(B2m)
-    A = canonical(-B2m - (2 * L + 1) * s + (2 * m + 1) * (2 * m + 3) * QUARTER)
-    low = -B2m - (2 * L + 1) * s
-    B = [canonical(b) for b in [low] * (m - 1) + [B2m - 2 * (2 * m + 1) * s] + [B2m] * m]
-    return A, B
+    spec = reduced_spec(Family.FAMILY2, m, L, B2m, -1)  # the set does not depend on lambda
+    return spec.A, list(spec.B)
 
 
 def reduced_spec(family: int, m: int, L: Scalar, B2m: Scalar, lam: Scalar) -> PotentialSpec:
     """Build the reduced QES PotentialSpec for the given family and order."""
-    fam = Family(family)
+    fam = validate_model(family, m, L, B2m, lam)
+    s = exact_sqrt(B2m)
+    low = -B2m - (2 * L + 1) * s
     if fam is Family.FAMILY1:
-        if lam <= 0:
-            raise SignMismatch("family 1 requires lambda > 0")
-        A, B = family1_coefficients(m, L, B2m)
-    elif fam is Family.FAMILY2:
-        if lam >= 0:
-            raise SignMismatch("family 2 requires lambda < 0")
-        A, B = family2_coefficients(m, L, B2m)
+        A = (2 * m + 1) * (2 * m - 1) * QUARTER
+        top = -B2m - (2 * L + 4 * m + 3) * s
     else:
-        raise ValueError("reduced_spec applies to the extension families only")
-    return PotentialSpec(family=fam, m=m, L=L, A=A, B=tuple(B), lam=lam)
+        A = low + (2 * m + 1) * (2 * m + 3) * QUARTER
+        top = B2m - 2 * (2 * m + 1) * s
+    B = tuple(canonical(b) for b in [low] * (m - 1) + [top] + [B2m] * m)
+    return PotentialSpec(family=fam, m=m, L=L, A=canonical(A), B=B, lam=lam)
 
 
 @dataclass(frozen=True)

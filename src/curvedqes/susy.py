@@ -110,6 +110,49 @@ def riccati_apply(w: Superpotential, sign: str, r):
     return float(out) if out.ndim == 0 else out
 
 
+R_INV2 = "r^-2"  # basis key of r^-2 in riccati_expand and potential_expand
+
+
+def riccati_expand(w: Superpotential, sign: str) -> dict:
+    """W^2 - f W' (sign="minus") or W^2 + f W' (sign="plus") in the basis {r^-2, f^(2n)}.
+
+    Keys are R_INV2 and the integer n of f^(2n); only nonzero coefficients are
+    kept, exact for int/Fraction input. Each product is some c r^(2a) f^(2n),
+    a in {-1, 0, 1}, reduced by r^2 = (f^2 - 1)/lam and
+    r^-2 f^(2n) = r^-2 + lam (sum_{0<=i<n} f^(2i) - sum_{n<=i<0} f^(2i)).
+    """
+    if sign not in (MINUS, PLUS):
+        raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
+    lam, pm = w.lam, (1 if sign == PLUS else -1)
+    prods = [((t.r_exp + u.r_exp) // 2, (t.f_exp + u.f_exp) // 2, t.coeff * u.coeff)
+             for t in w.terms for u in w.terms]
+    for t in w.terms:  # f d/dr [c r^p f^q] = c p r^(p-1) f^(q+1) + c q lam r^(p+1) f^(q-1)
+        prods.append(((t.r_exp - 1) // 2, (t.f_exp + 1) // 2, pm * t.r_exp * t.coeff))
+        prods.append(((t.r_exp + 1) // 2, (t.f_exp - 1) // 2, pm * t.f_exp * lam * t.coeff))
+    out: dict = {}
+    for a, n, c in prods:
+        if a == 1:
+            parts = [(n + 1, exact_div(c, lam)), (n, -exact_div(c, lam))]
+        elif a == 0:
+            parts = [(n, c)]
+        else:
+            parts = [(R_INV2, c)] + [(i, c * lam) for i in range(n)]
+            parts += [(i, -c * lam) for i in range(n, 0)]
+        for key, v in parts:
+            out[key] = out.get(key, 0) + v
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def potential_expand(spec: PotentialSpec) -> dict:
+    """V, shift included, in riccati_expand's basis, keyed in the order r^-2, f^0,
+    f^-2, then the power of each B_k: f^(2k) in family 1, f^(-2k-2) in family 2."""
+    lam, fam2 = spec.lam, spec.family is Family.FAMILY2
+    out = {R_INV2: spec.L * (spec.L + 1), 0: lam * spec.A + spec.shift, -1: -lam * spec.A}
+    for k, b in enumerate(spec.B, start=1):
+        out[-k - 1 if fam2 else k] = -lam * b if fam2 else lam * b
+    return out
+
+
 @dataclass(frozen=True)
 class WavefunctionForm:
     """Closed-form eigenfunction P(|lam| r^2) * r^a * f^b * exp(...), unnormalized."""

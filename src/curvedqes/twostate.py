@@ -25,18 +25,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidOrder, InvariantError, SignMismatch, UnsupportedOrder
+from .errors import InvalidParameter, InvariantError, UnsupportedOrder
 from .exactmath import HALF, Scalar, canonical, exact_div, exact_sqrt, is_exact
-from .potentials import Family, PotentialSpec, reduced_spec, spec_to_dict
+from .potentials import (  # noqa: F401  MAX_ORDER is re-exported here
+    MAX_ORDER,
+    Family,
+    PotentialSpec,
+    reduced_spec,
+    spec_to_dict,
+    validate_model,
+)
 from .susy import (
+    MINUS,
     GeneratingPair,
     Superpotential,
     WavefunctionForm,
     apply_raising,
+    potential_expand,
+    riccati_expand,
     wavefunction_from_superpotential,
 )
-
-MAX_ORDER = 60  # binomial growth bound for the prefactor expansion
 
 
 @dataclass(frozen=True)
@@ -65,31 +73,24 @@ class CdsiStepResult:
     constraints: tuple
 
     def superpotential(self) -> Superpotential:
-        p = self.params
-        if self.family is Family.FAMILY1:
-            exps = (1, 3)
-        else:
-            exps = (-3, -5)
-        terms = [(p.xi, -1, 1), (p.eta, 1, -1), (p.zeta, 1, exps[0])]
-        if p.sigma is not None:
-            terms.append((p.sigma, 1, exps[1]))
-        return Superpotential(tuple(terms), self.lam)
+        return _ansatz(self.family, self.params, self.lam)
 
     def max_constraint_residual(self) -> float:
         return max(abs(float(v)) for _, v in self.constraints)
 
 
-def _validate_family_order(family, m, lam, allowed=None):
-    fam = Family(family)
-    if fam is Family.BASE:
-        raise ValueError("the QES construction applies to the extension families")
-    if allowed is not None and m not in allowed:
-        raise UnsupportedOrder(f"explicit step systems cover m in {allowed}, got m={m}")
-    if fam is Family.FAMILY1 and lam <= 0:
-        raise SignMismatch("family 1 requires lambda > 0")
-    if fam is Family.FAMILY2 and lam >= 0:
-        raise SignMismatch("family 2 requires lambda < 0")
-    return fam
+def _ansatz(family: Family, p: AnsatzParams, lam) -> Superpotential:
+    """The step ansatz xi f/r + eta r/f + zeta r f^q1 (+ sigma r f^q2) of the family."""
+    exps = (1, 3) if family is Family.FAMILY1 else (-3, -5)
+    terms = [(p.xi, -1, 1), (p.eta, 1, -1), (p.zeta, 1, exps[0])]
+    if p.sigma is not None:
+        terms.append((p.sigma, 1, exps[1]))
+    return Superpotential(tuple(terms), lam)
+
+
+def _step_order(m) -> None:
+    if m not in (1, 2):
+        raise UnsupportedOrder(f"explicit step systems cover m in (1, 2), got m={m}")
 
 
 def solve_first_step(family, m: int, L, A, B: Sequence, lam) -> CdsiStepResult:
@@ -98,12 +99,11 @@ def solve_first_step(family, m: int, L, A, B: Sequence, lam) -> CdsiStepResult:
     The constraint residuals vanish exactly when (A, B) satisfies the
     first-step conditions of the chosen family.
     """
-    fam = _validate_family_order(family, m, lam, allowed=(1, 2))
+    _step_order(m)
     B = tuple(B)
     if len(B) != 2 * m:
-        raise ValueError(f"expected {2 * m} tail coefficients, got {len(B)}")
-    if B[-1] <= 0:
-        raise ValueError("B_2m must be positive")
+        raise InvalidParameter(f"expected {2 * m} tail coefficients, got {len(B)}")
+    fam = validate_model(family, m, L, B[-1], lam)
     if fam is Family.FAMILY1:
         params, e0, cons = _family1_step1(m, L, A, B, lam)
     else:
@@ -113,10 +113,10 @@ def solve_first_step(family, m: int, L, A, B: Sequence, lam) -> CdsiStepResult:
 
 def solve_second_step(family, m: int, first: CdsiStepResult) -> CdsiStepResult:
     """Repeat the match on the partner potential; constraints change."""
-    fam = _validate_family_order(family, m, first.lam, allowed=(1, 2))
-    if first.step != 1 or fam is not first.family or m != first.m:
+    _step_order(m)
+    if first.step != 1 or family != first.family or m != first.m:
         raise ValueError("second step must continue the matching first step")
-    L, A, B, lam = first.L, first.A, first.B, first.lam
+    fam, L, A, B, lam = first.family, first.L, first.A, first.B, first.lam
     if fam is Family.FAMILY1:
         params, e0, cons = _family1_step2(m, L, A, B, lam, first.params)
     else:
@@ -126,8 +126,8 @@ def solve_second_step(family, m: int, first: CdsiStepResult) -> CdsiStepResult:
 
 def compatibility(family, m: int, L, B2m, lam) -> PotentialSpec:
     """Reduced spec on which both step constraint sets hold simultaneously."""
-    _validate_family_order(family, m, lam, allowed=(1, 2))
-    return reduced_spec(int(Family(family)), m, L, B2m, lam)
+    _step_order(m)
+    return reduced_spec(family, m, L, B2m, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,7 @@ def _family1_step1(m, L, A, B, lam):
         cons = (("A", A - eta_ratio * (eta_ratio + 1)),)
         return AnsatzParams(xi, eta, zeta), e0, cons
     B1, B2, B3, B4 = B
-    s = exact_sqrt(B4)
-    core = B2 + HALF * B3 + Fraction(3, 4) * B4 - exact_div(B3 * B3, 4 * B4)
+    s, q, core, wide = _order2_blocks(B2, B3, B4)
     xi = -L - 1
     sigma = lam * s
     zeta = lam * exact_div(B3 + B4, 2 * s)
@@ -161,14 +160,7 @@ def _family1_step1(m, L, A, B, lam):
         exact_div(lam, 2 * B4) * (core * (B3 + B4) + 16 * B4)
         + exact_div(lam, 2 * s)
         * (3 * B2 + Fraction(13, 2) * B3 + Fraction(29, 4) * B4 - exact_div(3 * B3 * B3, 4 * B4))
-        + lam
-        * L
-        * (
-            exact_div(
-                B2 + Fraction(3, 2) * B3 + Fraction(7, 4) * B4 - exact_div(B3 * B3, 4 * B4), s
-            )
-            + 7
-        )
+        + lam * L * (exact_div(wide, s) + 7)
         + lam * L * L
     )
     cons = (
@@ -193,8 +185,7 @@ def _family1_step2(m, L, A, B, lam, first: AnsatzParams):
         cons = (("A", A - ((d + L + 6) * (d + L + 7) - 8)),)
         return AnsatzParams(xi, eta, first.zeta), e0, cons
     B1, B2, B3, B4 = B
-    s = exact_sqrt(B4)
-    core = B2 + HALF * B3 + Fraction(3, 4) * B4 - exact_div(B3 * B3, 4 * B4)
+    s, q, core, wide = _order2_blocks(B2, B3, B4)
     xi = -L - 2
     eta = first.eta + 5 * lam
     e0 = (
@@ -207,14 +198,7 @@ def _family1_step2(m, L, A, B, lam, first: AnsatzParams):
             - exact_div(7 * B3 * B3, 4 * B4)
             + 4 * s
         )
-        + lam
-        * L
-        * (
-            exact_div(
-                B2 + Fraction(3, 2) * B3 + Fraction(7, 4) * B4 - exact_div(B3 * B3, 4 * B4), s
-            )
-            + 19
-        )
+        + lam * L * (exact_div(wide, s) + 19)
         + lam * L * L
     )
     cons = (
@@ -251,9 +235,8 @@ def _family2_step1(m, L, A, B, lam):
         )
         return AnsatzParams(xi, eta, zeta), e0, cons
     B1, B2, B3, B4 = B
-    s = exact_sqrt(B4)
-    core = B2 + HALF * B3 + Fraction(3, 4) * B4 - exact_div(B3 * B3, 4 * B4)
-    alt = B2 - Fraction(3, 2) * B3 - Fraction(5, 4) * B4 - exact_div(B3 * B3, 4 * B4)
+    s, q, core, wide = _order2_blocks(B2, B3, B4)
+    alt = B2 - Fraction(3, 2) * B3 - Fraction(5, 4) * B4 - q
     xi = -L - 1
     sigma = al * s
     zeta = al * exact_div(B3 + B4, 2 * s)
@@ -262,14 +245,7 @@ def _family2_step1(m, L, A, B, lam):
         exact_div(al, 2 * B4) * (core * (B3 + B4) + 17 * B4)
         + exact_div(al, 2 * s)
         * (3 * B2 + Fraction(13, 2) * B3 + Fraction(29, 4) * B4 - exact_div(3 * B3 * B3, 4 * B4))
-        + al
-        * L
-        * (
-            exact_div(
-                B2 + Fraction(3, 2) * B3 + Fraction(7, 4) * B4 - exact_div(B3 * B3, 4 * B4), s
-            )
-            + 7
-        )
+        + al * L * (exact_div(wide, s) + 7)
         + al * L * L
     )
     cons = (
@@ -314,10 +290,9 @@ def _family2_step2(m, L, A, B, lam, first: AnsatzParams):
         )
         return AnsatzParams(xi, eta, first.zeta), e0, cons
     B1, B2, B3, B4 = B
-    s = exact_sqrt(B4)
-    core = B2 + HALF * B3 + Fraction(3, 4) * B4 - exact_div(B3 * B3, 4 * B4)
-    alt = B2 - Fraction(3, 2) * B3 - Fraction(5, 4) * B4 - exact_div(B3 * B3, 4 * B4)
-    mid = B2 - HALF * B3 - Fraction(1, 4) * B4 - exact_div(B3 * B3, 4 * B4)
+    s, q, core, wide = _order2_blocks(B2, B3, B4)
+    alt = B2 - Fraction(3, 2) * B3 - Fraction(5, 4) * B4 - q
+    mid = B2 - HALF * B3 - Fraction(1, 4) * B4 - q
     xi = -L - 2
     eta = first.eta + 5 * al
     e0 = (
@@ -330,14 +305,7 @@ def _family2_step2(m, L, A, B, lam, first: AnsatzParams):
             - exact_div(7 * B3 * B3, 4 * B4)
             + 18 * s
         )
-        + exact_div(al * L, s)
-        * (
-            B2
-            + Fraction(3, 2) * B3
-            + Fraction(7, 4) * B4
-            - exact_div(B3 * B3, 4 * B4)
-            + 19 * s
-        )
+        + exact_div(al * L, s) * (wide + 19 * s)
         + al * L * L
     )
     cons = (
@@ -357,6 +325,14 @@ def _family2_step2(m, L, A, B, lam, first: AnsatzParams):
     return AnsatzParams(xi, eta, first.zeta, first.sigma), e0, cons
 
 
+def _order2_blocks(B2, B3, B4):
+    """sqrt(B4), q = B3^2/(4 B4) and the two polynomial blocks of every order-2 step formula."""
+    s, q = exact_sqrt(B4), exact_div(B3 * B3, 4 * B4)
+    core = B2 + HALF * B3 + Fraction(3, 4) * B4 - q
+    wide = B2 + Fraction(3, 2) * B3 + Fraction(7, 4) * B4 - q
+    return s, q, core, wide
+
+
 def _b1_core(B2, B3, B4):
     """Shared polynomial block of every order-2 B1 constraint."""
     return -exact_div(B3 * B3 * (B3 - B4), 8 * B4 * B4) + exact_div(
@@ -371,48 +347,18 @@ def _b1_core(B2, B3, B4):
 def riccati_system_residuals(family, m: int, params: AnsatzParams, L, A, B, E0, lam) -> dict:
     """Residuals of the polynomial system obtained by matching W^2 - f W' to V - E0.
 
-    All residuals vanish identically when (params, E0) solve the step system
-    for the potential data (L, A, B).
+    Each is riccati_expand(W) minus potential_expand(V - E0) at one basis element:
+    r^-2 is keyed "L", f^0 "E0", f^-2 "A", and the power of B_k "Bk"; any other
+    nonzero one "f^2n". All vanish identically when (params, E0) solve the step
+    system for the potential data (L, A, B).
     """
     fam = Family(family)
-    x, e, z, sg = params.xi, params.eta, params.zeta, params.sigma
-    res = {"L": x * (x + 1) - L * (L + 1)}
-    if fam is Family.FAMILY1:
-        res["A"] = lam * A - exact_div(e * (e + lam), lam)
-        res["E0"] = exact_div(e, lam) * (e - 2 * z) + 2 * x * e + z + lam * x * x - lam * A + E0
-        if m == 1:
-            res["B1"] = z * (2 * (x - 1) + exact_div(2 * e - z, lam)) - lam * B[0]
-            res["B2"] = exact_div(z * z, lam) - lam * B[1]
-        else:
-            res["B1"] = (
-                z * (2 * (x - 1) + exact_div(2 * e - z, lam))
-                - sg * (exact_div(2 * e, lam) - 3)
-                - lam * B[0]
-            )
-            res["B2"] = (
-                exact_div(z * z, lam) + 2 * sg * (x + exact_div(e - z, lam) - 2) - lam * B[1]
-            )
-            res["B3"] = exact_div(sg, lam) * (2 * z - sg) - lam * B[2]
-            res["B4"] = exact_div(sg * sg, lam) - lam * B[3]
-        return res
-    res["E0"] = lam * x * x + 2 * x * e + exact_div(e * e, lam) - lam * A + E0
-    res["A"] = (
-        2 * x * z - exact_div(e * e, lam) + exact_div(2 * e * z, lam) - e + 2 * z + lam * A
-    )
-    if m == 1:
-        res["B1"] = exact_div(z * z - 2 * e * z, lam) - 3 * z + lam * B[0]
-        res["B2"] = exact_div(z * z, lam) - lam * B[1]
-    else:
-        res["B1"] = (
-            2 * x * sg
-            + exact_div(2 * e * sg + z * z - 2 * e * z, lam)
-            - 3 * z
-            + 4 * sg
-            + lam * B[0]
-        )
-        res["B2"] = exact_div(2 * z * sg - 2 * e * sg - z * z, lam) - 5 * sg + lam * B[1]
-        res["B3"] = exact_div(sg * sg - 2 * z * sg, lam) + lam * B[2]
-        res["B4"] = exact_div(sg * sg, lam) - lam * B[3]
+    spec = PotentialSpec(family=fam, m=m, L=L, A=A, B=tuple(B), lam=lam, shift=-E0)
+    ansatz = riccati_expand(_ansatz(fam, params, lam), MINUS)
+    names = ["L", "E0", "A"] + [f"B{k}" for k in range(1, 2 * m + 1)]
+    target = potential_expand(spec).items()
+    res = {name: ansatz.pop(key, 0) - c for name, (key, c) in zip(names, target)}
+    res.update((f"f^{2 * n}", c) for n, c in ansatz.items())
     return res
 
 
@@ -470,7 +416,7 @@ class TwoStateSolution:
 
 def generating_pair(family, m: int, L, B2m, lam) -> GeneratingPair:
     """The (W+, W-) pair and level spacing for the order-m family member."""
-    fam = _validate_order_general(family, m, lam, B2m)
+    fam = validate_model(family, m, L, B2m, lam)
     s = exact_sqrt(B2m)
     if fam is Family.FAMILY1:
         w_plus = Superpotential(
@@ -486,30 +432,24 @@ def generating_pair(family, m: int, L, B2m, lam) -> GeneratingPair:
         w_minus = Superpotential(((-1, -1, -1), ((2 * m + 2) * al, 1, -1)), lam)
         delta_e = (2 * m + 2) * al * (2 * L + 3 + 2 * s)
     if not delta_e > 0:
-        raise ValueError("level spacing E1 - E0 must be positive")
+        raise InvariantError(f"level spacing E1 - E0 = {delta_e} must be positive")
     return GeneratingPair(w_plus, w_minus, delta_e)
 
 
-def _validate_order_general(family, m, lam, B2m):
-    fam = Family(family)
-    if fam is Family.BASE:
-        raise ValueError("the QES construction applies to the extension families")
-    if not isinstance(m, int) or m < 1 or m > MAX_ORDER:
-        raise InvalidOrder(f"order m must be an integer in [1, {MAX_ORDER}], got {m}")
-    if fam is Family.FAMILY1 and lam <= 0:
-        raise SignMismatch("family 1 requires lambda > 0")
-    if fam is Family.FAMILY2 and lam >= 0:
-        raise SignMismatch("family 2 requires lambda < 0")
-    if B2m <= 0:
-        raise ValueError("B_2m must be positive")
-    return fam
-
-
 def general_two_state(family, m: int, L, B2m, lam) -> TwoStateSolution:
-    """Complete order-m solution: spec, superpotentials, energies, eigenstates, node."""
-    fam = _validate_order_general(family, m, lam, B2m)
-    if L < 0:
-        raise ValueError("L must be >= 0")
+    """Complete order-m solution: spec, superpotentials, energies, eigenstates, node.
+
+    Raises what validate_model raises, and InvalidParameter when a float-lane
+    quantity leaves the double range.
+    """
+    fam = validate_model(family, m, L, B2m, lam)
+    try:
+        return _two_state(fam, m, L, B2m, lam)
+    except (OverflowError, ZeroDivisionError) as exc:  # out of range, or 0 by underflow
+        raise InvalidParameter(f"the input leaves the double range: {exc}") from exc
+
+
+def _two_state(fam: Family, m: int, L, B2m, lam) -> TwoStateSolution:
     s = exact_sqrt(B2m)
     pair = generating_pair(fam, m, L, B2m, lam)
     spec = reduced_spec(int(fam), m, L, B2m, lam)
@@ -517,12 +457,7 @@ def general_two_state(family, m: int, L, B2m, lam) -> TwoStateSolution:
         e0 = -lam * ((2 * m + 2) * s + 3 * m + Fraction(5, 2) + (2 * m + 3) * L + L * L)
         e1 = lam * ((2 * m - 2) * s + 3 * m - Fraction(5, 2) + (2 * m - 3) * L - L * L)
         tail = [(lam * s, 1, 2 * i + 1) for i in range(m)]
-        w = Superpotential(
-            tuple([(-(L + 1), -1, 1), (-(2 * m + 1) * lam * HALF, 1, -1)] + tail), lam
-        )
-        w_prime = Superpotential(
-            tuple([(-(L + 2), -1, 1), ((2 * m + 1) * lam * HALF, 1, -1)] + tail), lam
-        )
+        eta, eta_prime = -(2 * m + 1) * lam * HALF, (2 * m + 1) * lam * HALF
     else:
         al = abs(lam)
         e0 = al * (
@@ -532,17 +467,18 @@ def general_two_state(family, m: int, L, B2m, lam) -> TwoStateSolution:
             2 * B2m + 2 * (m + 3) * s + 3 * m + Fraction(11, 2) + L * (4 * s + 2 * m + 5) + L * L
         )
         tail = [(al * s, 1, -(2 * i + 1)) for i in range(1, m + 1)]
-        w = Superpotential(
-            tuple([(-(L + 1), -1, 1), (al * (s - m - HALF), 1, -1)] + tail), lam
-        )
-        w_prime = Superpotential(
-            tuple([(-(L + 2), -1, 1), (al * (s + m + HALF), 1, -1)] + tail), lam
-        )
+        eta, eta_prime = al * (s - m - HALF), al * (s + m + HALF)
+    w = Superpotential(tuple([(-(L + 1), -1, 1), (eta, 1, -1)] + tail), lam)
+    w_prime = Superpotential(tuple([(-(L + 2), -1, 1), (eta_prime, 1, -1)] + tail), lam)
     delta = e1 - e0
     if is_exact(delta, pair.delta_e):
         consistent = delta == pair.delta_e
+    elif not math.isfinite(delta):
+        raise OverflowError(f"E1 - E0 = {delta}")
     else:
-        consistent = math.isclose(float(delta), float(pair.delta_e), rel_tol=1e-12)
+        # E0 and E1 each carry rounding of a few ulps of |E|, which E1 - E0 keeps
+        tol = 2**12 * math.ulp(max(abs(e0), abs(e1)))
+        consistent = math.isclose(float(delta), float(pair.delta_e), rel_tol=1e-12, abs_tol=tol)
     if not consistent:
         raise InvariantError(
             f"E1 - E0 = {delta} differs from the generating-pair delta_e = {pair.delta_e}"
@@ -551,6 +487,8 @@ def general_two_state(family, m: int, L, B2m, lam) -> TwoStateSolution:
     psi0_partner = wavefunction_from_superpotential(w_prime)
     psi1 = apply_raising(w, psi0_partner)
     r0 = _node_radius(int(fam), m, L, B2m, lam)
+    if not math.isfinite(r0):
+        raise OverflowError(f"r0 = {r0}")
     return TwoStateSolution(
         family=fam,
         m=m,

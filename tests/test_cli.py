@@ -109,7 +109,21 @@ def test_verify_rejects_tol_that_cannot_gate(capsys, tol):
         capsys,
     )
     assert code == 2
-    assert err.startswith("ValueError: rtol must be a finite number > 0")
+    assert err.startswith("InvalidParameter: rtol must be a finite number > 0")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag,value,name",
+    [("--lambda", "inf", "lambda"), ("--B", "inf", "B_2m"), ("--B", "nan", "B_2m"),
+     ("--L", "1e400", "L")],
+)
+def test_solve_rejects_non_finite_input(capsys, flag, value, name):
+    args = {"--family": "1", "--m": "1", "--L": "1", "--lambda": "1", "--B": "1", flag: value}
+    code, out, err = run_cli(["solve"] + [x for kv in args.items() for x in kv], capsys)
+    assert code == 2
+    assert err.startswith(f"InvalidParameter: {name} must be finite")
+    assert err.count("\n") == 1
     assert out == ""
 
 

@@ -9,7 +9,6 @@ from curvedqes import (
     DomainError,
     arc_coordinate,
     deformation_factor,
-    domain_max,
     radius_from_arc,
     reduce_radial,
 )
@@ -36,8 +35,8 @@ def test_deformation_factor_domain_errors():
 
 
 def test_domain_max():
-    assert domain_max(Deformation(1.0)) == math.inf
-    assert domain_max(Deformation(-4.0)) == 0.5
+    assert Deformation(1.0).domain_max == math.inf
+    assert Deformation(-4.0).domain_max == 0.5
     with pytest.raises(DegenerateCurvature):
         Deformation(0.0)
 
@@ -54,7 +53,7 @@ def test_arc_coordinate_limits():
 @pytest.mark.parametrize("lam", [1.0, 0.25, -1.0, -4.0])
 def test_arc_round_trip(lam):
     defo = Deformation(lam)
-    hi = 5.0 if lam > 0 else domain_max(defo) * (1 - 1e-9)
+    hi = 5.0 if lam > 0 else defo.domain_max * (1 - 1e-9)
     for r in np.linspace(1e-6, hi, 57):
         if r <= 0:
             continue
@@ -80,7 +79,7 @@ def test_arc_derivative_matches_finite_differences(lam):
 @pytest.mark.parametrize("lam", [2.0, 1.0, -1.0, -0.5])
 def test_factor_identity(lam):
     defo = Deformation(lam)
-    hi = 10.0 if lam > 0 else domain_max(defo) * (1 - 1e-6)
+    hi = 10.0 if lam > 0 else defo.domain_max * (1 - 1e-6)
     r = np.linspace(1e-5, hi, 400)
     f = deformation_factor(defo, r)
     assert np.all(np.abs(f * f - lam * r * r - 1.0) <= 1e-14 * (1.0 + np.abs(lam * r * r)))

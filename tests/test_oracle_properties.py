@@ -1,6 +1,8 @@
 """Property-based tests of the oracle: over the advertised input space, and over
-the start blocks its inverse-iteration polish may be handed."""
+the start blocks its inverse-iteration polish may be handed; and of the model
+input validation in front of it."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from curvedqes import (  # noqa: E402
     oracle,
     radius_from_arc,
 )
+from curvedqes.cli import _USER_ERRORS  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -101,3 +104,28 @@ def test_bad_start_certifies_or_falls_back(bad):
 def test_random_start_certifies_or_falls_back(k, seed):
     start = np.random.default_rng(seed).standard_normal((N - 1, k))
     _polish_certifies_or_falls_back(k, start)
+
+
+# exact and float scalars, with 0, negatives, +-inf and nan each drawn often
+SCALARS = st.one_of(
+    st.sampled_from([0, 0.0, -1, math.inf, -math.inf, math.nan]), st.fractions(), st.floats()
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from([0, 1, 2]),
+    m=st.one_of(st.integers(-1, 62), st.just(True)),
+    L=SCALARS,
+    B2m=SCALARS,
+    lam=SCALARS,
+)
+def test_model_input_constructs_or_raises_a_user_error(family, m, L, B2m, lam):
+    # anything but a user error (InvariantError, OverflowError, a bare
+    # ValueError) propagates and fails the test
+    try:
+        sol = general_two_state(family, m, L, B2m, lam)
+    except _USER_ERRORS:
+        return
+    for value in (sol.E0, sol.E1, sol.r0):
+        assert not isinstance(value, float) or math.isfinite(value)

@@ -23,7 +23,7 @@ from curvedqes import (
     w_minus_from_w_plus,
     wavefunction_from_superpotential,
 )
-from curvedqes.susy import w_plus_poles
+from curvedqes.susy import potential_expand, riccati_expand, w_plus_poles
 
 
 def test_zero_superpotential():
@@ -90,6 +90,18 @@ def test_partner_potential_identity(fam, lam, m):
     lhs = riccati_apply(sol.w, "plus", r)
     rhs = eval_potential(partner, r) + float(R)
     assert np.max(np.abs(lhs - rhs) / (1 + np.abs(rhs))) < 1e-12
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_partner_shift_matches_exact_riccati_expansion(fam, lam, m):
+    for L in (0, F(1, 2), 1):
+        for B2m in (1, 4, F(9, 4)):
+            sol = general_two_state(fam, m, L, B2m, lam)
+            partner, R = partner_shift(sol.spec)
+            expected = potential_expand(partner)
+            expected[0] += R
+            assert riccati_expand(sol.w, "plus") == {k: c for k, c in expected.items() if c != 0}
 
 
 def test_partner_shift_rejects_unconstrained():

@@ -290,6 +290,11 @@ def test_order_validation():
         general_two_state(1, 1, 0, 0, 1)
 
 
+def test_bool_order_is_rejected():
+    with pytest.raises(InvalidOrder):
+        general_two_state(1, True, 0, 1, 1)
+
+
 def test_generating_pair_identity_scaled():
     for fam, lam in ((1, 1), (2, -1)):
         for m in (1, 2, 3, 4):
