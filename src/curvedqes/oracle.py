@@ -10,10 +10,10 @@ symmetric tridiagonal matrix whose lowest eigenvalues are found by
 bisection/inverse iteration.  The grid is cut where the potential wall
 exceeds a large threshold; past that point the eigenfunctions carry
 essentially no mass, while keeping the wall out of the matrix preserves the
-eigensolver's absolute accuracy. Given a tolerance, the solver climbs a
-ladder of nested grids (halvings of the largest one) and stops at the
-smallest that certifies it, sharing solves and potential samples between
-the levels. Only the ladder's coarsest solve is bisected; every other level
+eigensolver's absolute accuracy. The solver climbs a ladder of nested grids
+(halvings of the largest one), sharing solves and potential samples between
+the levels: up to the largest, or, given a tolerance, to the smallest that
+certifies it. Only the ladder's coarsest solve is bisected; every other level
 is polished by inverse iteration, shifted to the values the coarser levels
 predict and started from the eigenvectors of the nearest nested level, and
 certified by Sturm counts and residual bounds (Parlett, The Symmetric
@@ -290,26 +290,28 @@ def lowest_eigenvalues(
     per-level Richardson error estimate and a Richardson-extrapolated value.
     `eigenvalues` holds the plain values at N, and `grid_points` records N.
 
-    Without rtol, N is grid_points. With rtol, grid_points is the largest
-    grid the solver may use: it walks the levels grid_points / 2^j upwards
-    from the smallest one >= LADDER_FLOOR and stops at the first whose
-    relative error estimate |E(N) - E(N/2)| / 3 / max(1, |E|) certifies
-    rtol. A level that does not certify is followed by the smallest higher
-    level at which second-order convergence predicts it will, and at least
-    the next one. No level is solved twice (a level serves as the next
-    one's N/2 run), each potential sample is evaluated once and shared by
-    the nested grids, and eigenvectors are computed only at levels that can
-    be accepted. Only the first level's N/2 run is bisected. Every other
-    level is polished (_polish) from a guess: the second-order prediction
+    The solver walks the levels grid_points / 2^j upwards from the smallest
+    one >= LADDER_FLOOR. Without rtol it visits every level and returns at
+    N = grid_points. With rtol, grid_points is the largest grid it may use:
+    it stops at the first level whose relative error estimate
+    |E(N) - E(N/2)| / 3 / max(1, |E|) certifies rtol, and a level that does
+    not certify is followed by the smallest higher level at which
+    second-order convergence predicts it will, and at least the next one.
+    No level is solved twice (a level serves as the next one's N/2 run),
+    each potential sample is evaluated once and shared by the nested grids,
+    and eigenvectors are computed only at levels that can be returned.
+    Only the first level's N/2 run is bisected. Every other level is
+    polished (_polish) from a guess: the second-order prediction
     E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair solved so
     far, or the N/2 values for the first level. Every fine level computes
     its eigenvectors, returned or not, and each polish starts from those of
-    the nearest fine level, restricted from a finer level or linearly
-    prolonged from a coarser one, and stops once the pair certifies; the
-    first level, with only the vector-less bisection below it, starts from a
-    ramp. A level whose polish is not certified is bisected instead; `method`
-    records how the returned level was solved. Without rtol both runs are
-    bisected.
+    the nearest nested fine level, restricted from a finer level or linearly
+    prolonged from a coarser one, and stops once the pair certifies. A level
+    with no nested fine level below or above it starts from a ramp: the
+    first level, with only the vector-less bisection below it, and an odd
+    level, which halves to a grid it is not nested with (4001 to 2000).
+    A level whose polish is not certified is bisected instead; `method`
+    records how the returned level was solved.
 
     Raises GridTooCoarse when rtol is given and an estimate still exceeds it
     at grid_points; warns with TruncationWarning when an eigenvector keeps
@@ -336,11 +338,11 @@ def lowest_eigenvalues(
         return solved[max(c for c in solved if c < n)][0]
 
     def start(n):
-        """The eigenvectors of the nearest level that has them, moved onto grid n.
+        """The eigenvectors of the nearest level nested with n that has them, moved onto n.
 
-        Every ladder level is grid_points / 2^j, so any two are nested.
+        An odd level halves to a grid that is not nested with it: 4001 to 2000.
         """
-        held = [m for m in solved if solved[m][1] is not None]
+        held = [m for m in solved if solved[m][1] is not None and _nested(min(m, n), max(m, n))]
         if not held:
             return None
         # the nearest level, a finer one on a tie: restriction only drops points
@@ -349,49 +351,44 @@ def lowest_eigenvalues(
 
     def solve(n, vectors):
         if n not in solved:
-            if rtol is not None and solved:
-                solved[n] = _tridiag_lowest(
-                    spec, k, n, x_cut, vectors, samples, guess(n), start=start(n)
-                )
-            else:
-                solved[n] = _tridiag_lowest(spec, k, n, x_cut, vectors, samples)
+            solved[n] = _tridiag_lowest(spec, k, n, x_cut, vectors, samples, guess(n), start(n))
         return solved[n]
 
-    # the ladder keeps each fine level's eigenvectors to start the next polish from
-    fine_vectors = return_vectors or rtol is not None
     # ascending levels: grid_points / 2^j down to the smallest >= LADDER_FLOOR
     levels = [grid_points]
-    while rtol is not None and levels[0] // 2 >= LADDER_FLOOR:
+    while levels[0] // 2 >= LADDER_FLOOR:
         levels.insert(0, levels[0] // 2)
+    # sample the first fine grid so that its half grid strides the samples,
+    # then bisect that half grid: the one solve with no guess to polish
+    _interior_potential(spec, levels[0], x_cut, samples)
+    half = levels[0] // 2
+    solved[half] = _tridiag_lowest(spec, k, half, x_cut, False, samples)
     at = 0
-    if rtol is not None:
-        # sample the first fine grid so that its half grid strides the samples,
-        # then bisect that half grid: the one solve with no guess to polish
-        _interior_potential(spec, levels[0], x_cut, samples)
-        solve(levels[0] // 2, False)
     while True:
         n = levels[at]
-        # the fine solve first, so that the half grid strides its samples
-        w_fine, vecs, method = solve(n, fine_vectors)
+        # the fine solve first, so that the half grid strides its samples; every
+        # fine level keeps its eigenvectors to start the next polish from
+        w_fine, vecs, method = solve(n, True)
         w_half = solve(n // 2, False)[0]
         richardson = np.abs(w_fine - w_half)
-        if rtol is None:
-            break
         # |E(N) - E(N/2)| ~ 3 x the fine-grid error for a second-order scheme
         rel = richardson / 3.0 / np.maximum(1.0, np.abs(w_fine))
         if n == grid_points:
-            if np.any(rel > rtol):
+            if rtol is not None and np.any(rel > rtol):
                 raise GridTooCoarse(
                     f"relative eigenvalue error estimate {rel.max():.3e} exceeds rtol={rtol:.3e}"
                 )
             break
-        if np.all(rel <= rtol):
+        if rtol is None:
+            at += 1  # every level up to grid_points
+        elif np.all(rel <= rtol):
             break
-        worst = rel.max()
-        at = next(
-            (j for j in range(at + 1, len(levels)) if worst * (n / levels[j]) ** 2 <= rtol),
-            len(levels) - 1,
-        )
+        else:
+            worst = rel.max()
+            at = next(
+                (j for j in range(at + 1, len(levels)) if worst * (n / levels[j]) ** 2 <= rtol),
+                len(levels) - 1,
+            )
     if not return_vectors:
         vecs = None  # computed only to start the next level's polish
     extrapolated = w_fine + (w_fine - w_half) / 3.0
@@ -437,7 +434,8 @@ def schrodinger_residual(
     The residual |pi^2 psi + (V - E) psi| / (1 + |E| |psi|) is evaluated with
     fully analytic derivatives of the closed form, after peak normalization.
     x_max, when given, is default_arc_cutoff(spec) computed by the caller; it
-    closes the grid for lambda > 0.
+    closes the grid for lambda > 0. Raises NonNormalizable when psi vanishes
+    on the whole grid.
     """
     lam = float(spec.lam)
     lo, hi = _radial_window(lam)
@@ -448,7 +446,7 @@ def schrodinger_residual(
     psi_v, dpsi, d2psi = psi.derivatives(r)
     peak = np.max(np.abs(psi_v))
     if peak == 0.0:
-        raise ValueError("wavefunction vanishes on the whole grid")
+        raise NonNormalizable("wavefunction vanishes on the whole grid")
     psi_v, dpsi, d2psi = psi_v / peak, dpsi / peak, d2psi / peak
     f2 = 1.0 + lam * r * r
     kinetic = -f2 * d2psi - 2.0 * lam * r * dpsi - lam * (2.0 + lam * r * r) / (4.0 * f2) * psi_v
@@ -468,7 +466,7 @@ def _decay_radius(psi: WavefunctionForm, drop: float = 1e-13) -> float:
     g = np.abs(psi.value(r)) * np.sqrt(r)  # sqrt weight distinguishes 1/sqrt(r) tails
     peak = float(np.max(g))
     if peak == 0.0:
-        raise ValueError("wavefunction vanishes on the probe grid")
+        raise NonNormalizable("wavefunction vanishes on the probe grid")
     # suffix maxima: the cut must leave nothing behind, an interior node is not a tail
     suffix = np.maximum.accumulate(g[::-1])[::-1]
     below = suffix <= drop * peak

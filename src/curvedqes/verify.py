@@ -156,9 +156,9 @@ def run_verification(
 ) -> VerificationReport:
     """Build the closed-form solution and run every check against the oracle.
 
-    rtol, when given, is forwarded to the eigenvalue solver, which then uses
-    the smallest grid up to grid_points that certifies it and raises
-    GridTooCoarse if even grid_points cannot.
+    The eigenvalue solver climbs its grid ladder up to grid_points. rtol,
+    when given, is forwarded to it, and it then stops at the smallest grid
+    that certifies rtol and raises GridTooCoarse if even grid_points cannot.
     """
     sol = general_two_state(family, m, L, B2m, lam)
     checks: list[CheckResult] = []

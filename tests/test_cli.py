@@ -175,6 +175,20 @@ def test_spectrum_json_names_the_method(capsys):
     assert doc["grid_points"] < 20000
 
 
+@pytest.mark.parametrize("grid, tol", [("4001", "2e-6"), ("2501", "4e-6")])
+def test_verify_on_an_odd_grid(capsys, grid, tol):
+    # an odd --grid halves to a level it is not nested with; the ladder still reaches it
+    args = ["verify", "--family", "2", "--m", "1", "--L", "1", "--lambda", "-1", "--B", "1",
+            "--grid", grid]
+    code, out, err = run_cli(args + ["--tol", tol], capsys)
+    assert code == 0
+    assert f"N = {grid}" in out
+    # at the default --tol the estimate at N = grid exceeds 1e-6: a typed error, not a crash
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("GridTooCoarse:") and len(err.splitlines()) == 1
+
+
 def test_invalid_order_exit_code(capsys):
     code, _, err = run_cli(
         ["verify", "--family", "1", "--m", "0", "--L", "0", "--lambda", "1", "--B", "1"],

@@ -82,38 +82,11 @@ def _fresh_potential(spec, n, x_max):
         return eval_potential(spec, r)
 
 
-def _two_solves(spec, k, n, vectors):
-    """Reference: the fixed two-solve oracle (N and N/2, each with its own potential)."""
-    x_max = oracle.default_arc_cutoff(spec)
-    out = []
-    for size, want in ((n, vectors), (n // 2, False)):
-        h = x_max / size
-        v = _fresh_potential(spec, size, x_max)
-        diag = 2.0 / (h * h) + v
-        off = np.full(size - 2, -1.0 / (h * h))
-        out.append(eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                                    eigvals_only=not want))
-    (w_fine, vecs), w_half = out
-    return w_fine, w_half, vecs
-
-
 SPECS = {
     "box": BOX,
     "family1": general_two_state(1, 4, 0, 1, 1).spec,
     "family2": general_two_state(2, 4, 0, 1, -1).spec,
 }
-
-
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_without_rtol_one_level_bit_identical_to_two_solves(name):
-    spec = SPECS[name]
-    est = lowest_eigenvalues(spec, k=2)
-    w_fine, w_half, vecs = _two_solves(spec, 2, 20000, vectors=True)
-    assert est.grid_points == 20000
-    assert est.eigenvalues == tuple(float(v) for v in w_fine)
-    assert est.richardson_error == tuple(float(v) for v in np.abs(w_fine - w_half))
-    assert est.extrapolated == tuple(float(v) for v in w_fine + (w_fine - w_half) / 3.0)
-    assert np.array_equal(est.eigenvectors, vecs)
 
 
 @pytest.mark.parametrize("name", ["family1", "family2"])
@@ -140,6 +113,40 @@ def _matrix(spec, n, x_max):
 def _norm1(spec, n, x_max):
     diag, off = _matrix(spec, n, x_max)
     return float(np.max(np.abs(diag)) + 2.0 * abs(off[0]))
+
+
+def _tight_bisection(spec, k, n, x_max):
+    diag, off = _matrix(spec, n, x_max)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True,
+                            tol=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_without_rtol_polishes_every_level_up_to_grid_points(name):
+    spec, k, n = SPECS[name], 2, 20000
+    est = lowest_eigenvalues(spec, k=k)
+    assert est.grid_points == n
+    assert est.method == "inverse_iteration"
+    w = np.array(est.eigenvalues)
+    w_half = w - 3.0 * (np.array(est.extrapolated) - w)  # extrapolated = w + (w - w_half) / 3
+    for size, values in ((n, w), (n // 2, w_half)):
+        ref = _tight_bisection(spec, k, size, est.x_max)
+        assert np.all(np.abs(values - ref) <= 4 * EPS * _norm1(spec, size, est.x_max))
+    assert est.eigenvectors.shape == (n - 1, k)
+    for i in range(k):
+        assert count_sign_changes(est.eigenvectors[:, i]) == i
+
+
+# an odd grid_points halves to a level it is not nested with: 4001 to 2000, 2501 to 1250;
+# with these rtols the ladder climbs to grid_points and certifies there
+@pytest.mark.parametrize("grid, rtol", [(4001, None), (4001, 2e-6), (2501, None), (2501, 4e-6)])
+def test_odd_grid_points_are_solved_without_a_nested_start(grid, rtol):
+    spec, k = general_two_state(2, 1, 1, 1, -1).spec, 2
+    est = lowest_eigenvalues(spec, k=k, grid_points=grid, rtol=rtol)
+    assert est.grid_points == grid
+    assert est.eigenvectors.shape == (grid - 1, k)
+    error = np.abs(np.array(est.eigenvalues) - _tight_bisection(spec, k, grid, est.x_max))
+    assert np.all(error <= 4 * EPS * _norm1(spec, grid, est.x_max))
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -195,9 +202,12 @@ def test_ladder_bisects_only_its_first_half_grid(config, monkeypatch):
         return original(d, e, **kwargs)
 
     monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
-    est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=1e-6)
-    assert rows == [624]
-    assert est.method == "inverse_iteration"
+    # with or without rtol: the ladder is the only solve path
+    for rtol in (1e-6, None):
+        rows.clear()
+        est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=rtol)
+        assert rows == [624]
+        assert est.method == "inverse_iteration"
 
 
 # at L = 1/2 a ramp start needs a second step at the later levels; a warm one does not
@@ -325,7 +335,7 @@ def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
     assert est.grid_points == 2500
     assert calls == [(625, False), (1250, True), (2500, True)]
     direct = lowest_eigenvalues(spec, k=4, grid_points=2500, return_vectors=False)
-    # polished levels against bisected ones: bisection's own accuracy, eps ||T||_1
+    # the same level reached without rtol from grid_points=2500: within eps ||T||_1
     bound = EPS * _norm1(spec, 2500, est.x_max)
     assert np.all(np.abs(np.subtract(est.eigenvalues, direct.eigenvalues)) <= 4 * bound)
     assert np.all(np.abs(np.subtract(est.richardson_error, direct.richardson_error)) <= 8 * bound)
@@ -497,6 +507,14 @@ def test_quadrature_norm_family2_wall_suppression():
     # essential suppression at the wall: psi -> 0 as r -> 1
     assert abs(sol.psi0.value(1 - 1e-9)) < 1e-30
     assert quadrature_norm(sol.psi0) > 0
+
+
+def test_vanishing_wavefunction_is_not_normalizable():
+    psi = WavefunctionForm(0, 0, prefactor=(0,), lam=1)
+    with pytest.raises(NonNormalizable, match="vanishes"):
+        oracle._decay_radius(psi)
+    with pytest.raises(NonNormalizable, match="vanishes"):
+        schrodinger_residual(general_two_state(1, 1, 1, 1, 1).spec, psi, 1.0)
 
 
 def test_non_normalizable_rejected():

@@ -108,8 +108,8 @@ def test_report_says_how_the_certified_level_was_solved():
     report = run_verification(2, 4, 0, 1, -1, rtol=1e-6)
     assert report.oracle_method == report.to_dict()["oracle"]["method"] == "inverse_iteration"
     assert "inverse_iteration" not in report.format_table()
-    # without rtol both levels are bisected
-    assert run_verification(2, 1, 1, 1, -1, grid_points=4000).oracle_method == "bisection"
+    # without rtol every level up to grid_points is polished too
+    assert run_verification(2, 1, 1, 1, -1, grid_points=4000).oracle_method == "inverse_iteration"
 
 
 def test_report_shows_a_polish_fallback(monkeypatch):
