@@ -298,8 +298,7 @@ def lowest_eigenvalues(
     not certify is followed by the smallest higher level at which
     second-order convergence predicts it will, and at least the next one.
     No level is solved twice (a level serves as the next one's N/2 run),
-    each potential sample is evaluated once and shared by the nested grids,
-    and eigenvectors are computed only at levels that can be returned.
+    and each potential sample is evaluated once and shared by the nested grids.
     Only the first level's N/2 run is bisected. Every other level is
     polished (_polish) from a guess: the second-order prediction
     E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair solved so

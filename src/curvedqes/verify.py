@@ -151,7 +151,6 @@ def run_verification(
     B2m,
     lam,
     grid_points: int = 20000,
-    k: int = 2,
     rtol: float | None = None,
 ) -> VerificationReport:
     """Build the closed-form solution and run every check against the oracle.
@@ -196,7 +195,7 @@ def run_verification(
 
     # compare against the Richardson-extrapolated values: extrapolation removes
     # the O(h^2) grid bias but cannot mask a genuine disagreement
-    est = lowest_eigenvalues(sol.spec, k=max(k, 2), grid_points=grid_points, rtol=rtol)
+    est = lowest_eigenvalues(sol.spec, k=2, grid_points=grid_points, rtol=rtol)
     rel0 = abs(est.extrapolated[0] - e0f) / max(1e-30, abs(e0f))
     rel1 = abs(est.extrapolated[1] - e1f) / max(1e-30, abs(e1f))
     add("oracle_E0", rel0)

@@ -334,11 +334,12 @@ def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
     est = lowest_eigenvalues(spec, k=4, rtol=1e-5)
     assert est.grid_points == 2500
     assert calls == [(625, False), (1250, True), (2500, True)]
-    direct = lowest_eigenvalues(spec, k=4, grid_points=2500, return_vectors=False)
-    # the same level reached without rtol from grid_points=2500: within eps ||T||_1
+    # the levels 2500 and 1250 agree with tight bisections of the same grids within eps ||T||_1
+    fine = _tight_bisection(spec, 4, 2500, est.x_max)
+    half = _tight_bisection(spec, 4, 1250, est.x_max)
     bound = EPS * _norm1(spec, 2500, est.x_max)
-    assert np.all(np.abs(np.subtract(est.eigenvalues, direct.eigenvalues)) <= 4 * bound)
-    assert np.all(np.abs(np.subtract(est.richardson_error, direct.richardson_error)) <= 8 * bound)
+    assert np.all(np.abs(np.subtract(est.eigenvalues, fine)) <= 4 * bound)
+    assert np.all(np.abs(np.subtract(est.richardson_error, np.abs(fine - half))) <= 8 * bound)
 
 
 def test_ladder_does_not_hide_the_known_grid_failure():

@@ -361,3 +361,44 @@ def test_energy_gap_invariant_survives_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "optimized raised"
+
+
+# Off the constraint surface at L = 1/2, A = 11/5, per (family, m): B, then for step 1 and
+# step 2 the constraints, (xi, eta, zeta, sigma) and the ground energy at |lam| = 1. The
+# constraints do not depend on lam; every parameter but xi and the energy scale with |lam|.
+OFF_SURFACE = {
+    (1, 2): ((F(5, 7), F(2, 3), F(-1, 2), 9), (
+        ((F(-91521269, 3732480), F(568511, 36288)), (F(-3, 2), F(4055, 864), F(17, 12), 3),
+         F(147247, 5184)),
+        ((F(-413706869, 3732480), F(798335, 36288)), (F(-5, 2), F(8375, 864), F(17, 12), 3),
+         F(438103, 5184)),
+    )),
+    (2, 2): ((F(5, 7), F(2, 3), F(-1, 2), 9), (
+        ((F(15429691, 3732480), F(568511, 36288)), (F(-3, 2), F(3191, 864), F(17, 12), 3),
+         F(149839, 5184)),
+        ((F(-127199429, 3732480), F(798335, 36288)), (F(-5, 2), F(7511, 864), F(17, 12), 3),
+         F(461431, 5184)),
+    )),
+    (1, 1): ((F(-7, 3), 4), (
+        ((F(-6641, 720),), (F(-3, 2), F(35, 12), 2, None), F(229, 12)),
+        ((F(-32081, 720),), (F(-5, 2), F(71, 12), 2, None), F(211, 4)),
+    )),
+    (2, 1): ((F(-7, 3), 4), (
+        ((F(7279, 720),), (F(-3, 2), F(23, 12), 2, None), F(235, 12)),
+        ((F(3199, 720),), (F(-5, 2), F(59, 12), 2, None), F(229, 4)),
+    )),
+}
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 1), (1, F(1, 3)), (2, -1), (2, F(-2, 5))])
+@pytest.mark.parametrize("m", [1, 2])
+def test_step_values_off_the_constraint_surface(fam, lam, m):
+    B, expected = OFF_SURFACE[fam, m]
+    s1 = solve_first_step(fam, m, F(1, 2), F(11, 5), B, lam)
+    s2 = solve_second_step(fam, m, s1)
+    for step, (cons, (xi, eta, zeta, sigma), e0) in zip((s1, s2), expected):
+        assert step.constraints == tuple(zip(("A", "B1"), cons))
+        p = step.params
+        assert (p.xi, p.eta, p.zeta) == (xi, abs(lam) * eta, abs(lam) * zeta)
+        assert p.sigma == (None if sigma is None else abs(lam) * sigma)
+        assert step.ground_energy == abs(lam) * e0
