@@ -3,11 +3,13 @@
 Two routes produce the same closed-form data:
 
 * the explicit step systems for orders m = 1, 2: a superpotential ansatz is
-  matched against the potential through the Riccati equation, which fixes the
-  ansatz parameters and the ground-state energy and leaves constraint
-  conditions among the potential coefficients; repeating the match on the
-  partner gives a second constraint set, and compatibility of the two sets
-  pins the coefficients down to the reduced QES form;
+  matched against the potential through the Riccati equation, solved by one
+  elimination in the exact {r^-2, f^2n} basis of susy.riccati_expand and
+  susy.potential_expand, which fixes the ansatz parameters and the
+  ground-state energy and leaves constraint conditions among the potential
+  coefficients; repeating the match on the partner gives a second constraint
+  set, and compatibility of the two sets pins the coefficients down to the
+  reduced QES form;
 
 * the generating-function route, valid for every order m >= 1: a pair
   (W+, W-) satisfying f W+' = W+ W- + (E1 - E0) yields both superpotentials
@@ -37,6 +39,7 @@ from .potentials import (  # noqa: F401  MAX_ORDER is re-exported here
 )
 from .susy import (
     MINUS,
+    PLUS,
     GeneratingPair,
     Superpotential,
     WavefunctionForm,
@@ -104,10 +107,7 @@ def solve_first_step(family, m: int, L, A, B: Sequence, lam) -> CdsiStepResult:
     if len(B) != 2 * m:
         raise InvalidParameter(f"expected {2 * m} tail coefficients, got {len(B)}")
     fam = validate_model(family, m, L, B[-1], lam)
-    if fam is Family.FAMILY1:
-        params, e0, cons = _family1_step1(m, L, A, B, lam)
-    else:
-        params, e0, cons = _family2_step1(m, L, A, B, lam)
+    params, e0, cons = _match(fam, m, L, A, B, lam)
     return CdsiStepResult(fam, m, 1, L, A, B, lam, params, e0, cons)
 
 
@@ -117,10 +117,7 @@ def solve_second_step(family, m: int, first: CdsiStepResult) -> CdsiStepResult:
     if first.step != 1 or family != first.family or m != first.m:
         raise ValueError("second step must continue the matching first step")
     fam, L, A, B, lam = first.family, first.L, first.A, first.B, first.lam
-    if fam is Family.FAMILY1:
-        params, e0, cons = _family1_step2(m, L, A, B, lam, first.params)
-    else:
-        params, e0, cons = _family2_step2(m, L, A, B, lam, first.params)
+    params, e0, cons = _match(fam, m, L, A, B, lam, first.params)
     return CdsiStepResult(fam, m, 2, L, A, B, lam, params, e0, cons)
 
 
@@ -130,214 +127,52 @@ def compatibility(family, m: int, L, B2m, lam) -> PotentialSpec:
     return reduced_spec(family, m, L, B2m, lam)
 
 
-# ---------------------------------------------------------------------------
-# explicit step systems, m = 1 and 2
+def _match(fam: Family, m: int, L, A, B: tuple, lam, first: AnsatzParams | None = None):
+    """Solve one step system in riccati_expand's basis; return (params, E0, constraints).
+
+    Step 1 matches W^2 - f W' = V - E0. Step 2 (first = step 1's parameters)
+    matches the partner W1^2 + f W1' = V - E0(step 1) + 2 f W1', so its target
+    is V + 2 f W1' and its E0 is the first excited energy of V. lam sets only
+    the scale: the system is solved at lam = +-1, and the tail coefficients and
+    E0 are multiplied by |lam| at the end. The target is built with A = 0, as
+    A enters it only as lam A (1 - f^-2). The r^-2 key fixes xi = -L - step
+    and the B_2m key the outermost tail coefficient, sqrt(B_2m); each inner one
+    enters the key of the next lower B_k linearly and is solved there,
+    outermost first. E0 is read off f^0 + f^-2, and each constraint is the
+    given A or (m = 2) B1 minus the value the match needs at its key.
+    """
+    step, scale, unit = (1 if first is None else 2), abs(lam), (1 if lam > 0 else -1)
+    target = potential_expand(PotentialSpec(family=fam, m=m, L=L, A=0, B=B, lam=unit))
+    keys = list(target)[3:]  # the basis keys of B_1..B_2m
+    if first is not None:
+        w1 = _ansatz(fam, _rescale(first, lambda v: exact_div(v, scale)), unit)
+        plus, minus = riccati_expand(w1, PLUS), riccati_expand(w1, MINUS)
+        for key in plus.keys() | minus.keys():  # 2 f W1' = (W1^2 + f W1') - (W1^2 - f W1')
+            target[key] = target.get(key, 0) + (plus.get(key, 0) - minus.get(key, 0))
+
+    def expand(tail):
+        return riccati_expand(_ansatz(fam, AnsatzParams(-L - step, *tail), unit), MINUS)
+
+    outer = exact_sqrt(B[-1])
+    tail = [0] * m + [outer]  # eta, zeta(, sigma)
+    for i in reversed(range(m)):
+        # tail[i] enters its key linearly, next to terms of the order of outer^2:
+        # probing it at outer rather than 1 keeps the float-lane slope from cancelling
+        key = keys[m - 1 + i]
+        at0, at1 = (expand(tail[:i] + [u] + tail[i + 1:]).get(key, 0) for u in (0, outer))
+        tail[i] = outer * exact_div(target[key] - at0, at1 - at0)
+    a = expand(tail)
+    e0 = (target[0] + target[-1]) - (a.get(0, 0) + a.get(-1, 0))
+    cons = [("A", A - exact_div(a.get(-1, 0) - target[-1], -unit))]  # A enters f^-2 as -lam A
+    if m == 2:  # at |lam| = 1, B1 enters its key as B1 in both families
+        cons.append(("B1", target[keys[0]] - a.get(keys[0], 0)))
+    params = _rescale(AnsatzParams(-L - step, *tail), lambda v: scale * v)
+    return params, scale * e0, tuple(cons)
 
 
-def _family1_step1(m, L, A, B, lam):
-    if m == 1:
-        B1, B2 = B
-        s = exact_sqrt(B2)
-        xi = -L - 1
-        zeta = lam * s
-        eta_ratio = exact_div(B1, 2 * s) + HALF * s + L + 2
-        eta = lam * eta_ratio
-        e0 = (
-            lam * (B1 + B2 + exact_div(3 * B1, 2 * s) + Fraction(9, 2) * s + 5)
-            + lam * L * (exact_div(B1, s) + 3 * s + 5)
-            + lam * L * L
-        )
-        cons = (("A", A - eta_ratio * (eta_ratio + 1)),)
-        return AnsatzParams(xi, eta, zeta), e0, cons
-    B1, B2, B3, B4 = B
-    s, q, core, wide = _order2_blocks(B2, B3, B4)
-    xi = -L - 1
-    sigma = lam * s
-    zeta = lam * exact_div(B3 + B4, 2 * s)
-    eta_ratio = exact_div(core, 2 * s) + L + 3
-    eta = lam * eta_ratio
-    e0 = (
-        exact_div(lam, 2 * B4) * (core * (B3 + B4) + 16 * B4)
-        + exact_div(lam, 2 * s)
-        * (3 * B2 + Fraction(13, 2) * B3 + Fraction(29, 4) * B4 - exact_div(3 * B3 * B3, 4 * B4))
-        + lam * L * (exact_div(wide, s) + 7)
-        + lam * L * L
-    )
-    cons = (
-        ("A", A - (exact_div(core, 2 * s) + L + 3) * (exact_div(core, 2 * s) + L + 4)),
-        ("B1", B1 - (_b1_core(B2, B3, B4) + exact_div(B3 - 2 * B4, s) - 2 * L * s)),
-    )
-    return AnsatzParams(xi, eta, zeta, sigma), e0, cons
-
-
-def _family1_step2(m, L, A, B, lam, first: AnsatzParams):
-    if m == 1:
-        B1, B2 = B
-        s = exact_sqrt(B2)
-        xi = -L - 2
-        eta = first.eta + 3 * lam
-        e0 = (
-            lam * (B1 + B2 + exact_div(7 * B1, 2 * s) + Fraction(21, 2) * s + 25)
-            + lam * L * (exact_div(B1, s) + 3 * s + 13)
-            + lam * L * L
-        )
-        d = exact_div(B1, 2 * s) + HALF * s
-        cons = (("A", A - ((d + L + 6) * (d + L + 7) - 8)),)
-        return AnsatzParams(xi, eta, first.zeta), e0, cons
-    B1, B2, B3, B4 = B
-    s, q, core, wide = _order2_blocks(B2, B3, B4)
-    xi = -L - 2
-    eta = first.eta + 5 * lam
-    e0 = (
-        exact_div(lam, 2 * B4) * (core * (B3 + B4) + 80 * B4)
-        + exact_div(lam, 2 * s)
-        * (
-            7 * B2
-            + Fraction(33, 2) * B3
-            + Fraction(73, 4) * B4
-            - exact_div(7 * B3 * B3, 4 * B4)
-            + 4 * s
-        )
-        + lam * L * (exact_div(wide, s) + 19)
-        + lam * L * L
-    )
-    cons = (
-        ("A", A - ((exact_div(core, 2 * s) + L + 9) * (exact_div(core, 2 * s) + L + 10) - 12)),
-        ("B1", B1 - (_b1_core(B2, B3, B4) + exact_div(3 * B3 - 4 * B4, s) - 2 * L * s)),
-    )
-    return AnsatzParams(xi, eta, first.zeta, first.sigma), e0, cons
-
-
-def _family2_step1(m, L, A, B, lam):
-    al = abs(lam)
-    if m == 1:
-        B1, B2 = B
-        s = exact_sqrt(B2)
-        xi = -L - 1
-        zeta = al * s
-        eta_ratio = exact_div(B1, 2 * s) + HALF * s + Fraction(3, 2)  # eta / |lambda|
-        eta = al * eta_ratio
-        e0 = (
-            al * (B1 + B2 + exact_div(3 * B1, 2 * s) + Fraction(9, 2) * s + Fraction(11, 2))
-            + al * L * (exact_div(B1, s) + 3 * s + 5)
-            + al * L * L
-        )
-        cons = (
-            (
-                "A",
-                A
-                - (
-                    (exact_div(B1, 2 * s) + HALF * s + Fraction(3, 2))
-                    * (exact_div(B1, 2 * s) - Fraction(3, 2) * s + HALF)
-                    - 2 * L * s
-                ),
-            ),
-        )
-        return AnsatzParams(xi, eta, zeta), e0, cons
-    B1, B2, B3, B4 = B
-    s, q, core, wide = _order2_blocks(B2, B3, B4)
-    alt = B2 - Fraction(3, 2) * B3 - Fraction(5, 4) * B4 - q
-    xi = -L - 1
-    sigma = al * s
-    zeta = al * exact_div(B3 + B4, 2 * s)
-    eta = al * (exact_div(core, 2 * s) + Fraction(5, 2))
-    e0 = (
-        exact_div(al, 2 * B4) * (core * (B3 + B4) + 17 * B4)
-        + exact_div(al, 2 * s)
-        * (3 * B2 + Fraction(13, 2) * B3 + Fraction(29, 4) * B4 - exact_div(3 * B3 * B3, 4 * B4))
-        + al * L * (exact_div(wide, s) + 7)
-        + al * L * L
-    )
-    cons = (
-        (
-            "A",
-            A
-            - (
-                (exact_div(core, 2 * s) + Fraction(5, 2)) * (exact_div(alt, 2 * s) + Fraction(3, 2))
-                - exact_div(L * (B3 + B4), s)
-            ),
-        ),
-        ("B1", B1 - (_b1_core(B2, B3, B4) + exact_div(B3 - 2 * B4, s) - 2 * L * s)),
-    )
-    return AnsatzParams(xi, eta, zeta, sigma), e0, cons
-
-
-def _family2_step2(m, L, A, B, lam, first: AnsatzParams):
-    al = abs(lam)
-    if m == 1:
-        B1, B2 = B
-        s = exact_sqrt(B2)
-        xi = -L - 2
-        eta = first.eta + 3 * al
-        e0 = (
-            al * (B1 + B2 + exact_div(7 * B1, 2 * s) + Fraction(21, 2) * s + Fraction(59, 2))
-            + al * L * (exact_div(B1, s) + 3 * s + 13)
-            + al * L * L
-        )
-        cons = (
-            (
-                "A",
-                A
-                - (
-                    (exact_div(B1, 2 * s) + HALF * s + Fraction(9, 2))
-                    * (exact_div(B1, 2 * s) - Fraction(3, 2) * s + Fraction(7, 2))
-                    - exact_div(B1, s)
-                    + s
-                    - 3
-                    - 2 * L * s
-                ),
-            ),
-        )
-        return AnsatzParams(xi, eta, first.zeta), e0, cons
-    B1, B2, B3, B4 = B
-    s, q, core, wide = _order2_blocks(B2, B3, B4)
-    alt = B2 - Fraction(3, 2) * B3 - Fraction(5, 4) * B4 - q
-    mid = B2 - HALF * B3 - Fraction(1, 4) * B4 - q
-    xi = -L - 2
-    eta = first.eta + 5 * al
-    e0 = (
-        exact_div(al, 2 * B4) * (core * (B3 + B4) + 75 * B4)
-        + exact_div(al, 2 * s)
-        * (
-            7 * B2
-            + Fraction(33, 2) * B3
-            + Fraction(73, 4) * B4
-            - exact_div(7 * B3 * B3, 4 * B4)
-            + 18 * s
-        )
-        + exact_div(al * L, s) * (wide + 19 * s)
-        + al * L * L
-    )
-    cons = (
-        (
-            "A",
-            A
-            - (
-                (exact_div(core, 2 * s) + Fraction(15, 2))
-                * (exact_div(alt, 2 * s) + Fraction(13, 2))
-                - exact_div(mid, s)
-                - 5
-                - exact_div(L * (B3 + B4), s)
-            ),
-        ),
-        ("B1", B1 - (_b1_core(B2, B3, B4) + exact_div(3 * B3 - 4 * B4, s) - 2 * L * s)),
-    )
-    return AnsatzParams(xi, eta, first.zeta, first.sigma), e0, cons
-
-
-def _order2_blocks(B2, B3, B4):
-    """sqrt(B4), q = B3^2/(4 B4) and the two polynomial blocks of every order-2 step formula."""
-    s, q = exact_sqrt(B4), exact_div(B3 * B3, 4 * B4)
-    core = B2 + HALF * B3 + Fraction(3, 4) * B4 - q
-    wide = B2 + Fraction(3, 2) * B3 + Fraction(7, 4) * B4 - q
-    return s, q, core, wide
-
-
-def _b1_core(B2, B3, B4):
-    """Shared polynomial block of every order-2 B1 constraint."""
-    return -exact_div(B3 * B3 * (B3 - B4), 8 * B4 * B4) + exact_div(
-        2 * B2 * (B3 - B4) - Fraction(3, 2) * B3 * B4 - Fraction(5, 2) * B4 * B4, 4 * B4
-    )
+def _rescale(p: AnsatzParams, scale) -> AnsatzParams:
+    """p with every tail coefficient (all but xi) mapped through scale."""
+    return AnsatzParams(p.xi, *(v if v is None else scale(v) for v in (p.eta, p.zeta, p.sigma)))
 
 
 # ---------------------------------------------------------------------------
