@@ -170,9 +170,9 @@ def _match(fam: Family, m: int, L, A, B: tuple, lam, first: AnsatzParams | None 
     return params, scale * e0, tuple(cons)
 
 
-def _rescale(p: AnsatzParams, scale) -> AnsatzParams:
-    """p with every tail coefficient (all but xi) mapped through scale."""
-    return AnsatzParams(p.xi, *(v if v is None else scale(v) for v in (p.eta, p.zeta, p.sigma)))
+def _rescale(p: AnsatzParams, op) -> AnsatzParams:
+    """p with every tail coefficient (all but xi) mapped through op."""
+    return AnsatzParams(p.xi, *(v if v is None else op(v) for v in (p.eta, p.zeta, p.sigma)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,13 @@ def _block(heading, lang):
     return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
 
 
-def _library_example():
-    return _block("## Library example", "python")
-
-
 def _cli_commands():
     lines = _block("## CLI", "sh").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("curvedqes ")]
 
 
 def test_library_example_runs_as_documented(capsys):
-    exec(compile(_library_example(), "README.md", "exec"), {})
+    exec(compile(_block("## Library example", "python"), "README.md", "exec"), {})
     out = capsys.readouterr().out.splitlines()
     # the values its comments promise
     assert out[:2] == ["-9/2 75/2", "(-4, -9, 1, 1)"]
