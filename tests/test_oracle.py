@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from curvedqes import (
     overlap,
     quadrature_norm,
     radius_from_arc,
+    reduced_spec,
     schrodinger_residual,
 )
 
@@ -352,6 +354,27 @@ def test_truncation_warning_when_cut_too_short():
     sol = general_two_state(1, 1, 1, 1, 1)
     with pytest.warns(TruncationWarning):
         lowest_eigenvalues(sol.spec, k=2, grid_points=2000, x_max=0.8)
+
+
+# default_arc_cutoff on each of its branches, as float.hex and TruncationWarning count
+ARC_CUTOFFS = {
+    "lam<0, full box": (oscillator_from_beta(0, -1), "0x1.921fb54442d18p+0", 0),
+    "lam<0, wall": (oscillator_from_beta(3, -1), "0x1.9180229ce4144p+0", 0),
+    "lam>0, first span": (reduced_spec(1, 8, 0, 1, 1), "0x1.f3263a2748624p-1", 0),
+    "lam>0, second span": (reduced_spec(1, 2, 0, 1, 1), "0x1.347460e5e0ff6p+1", 0),
+    "lam>0, third span": (reduced_spec(1, 1, 0, 1, 1), "0x1.098600969b100p+2", 0),
+    "lam>0, fallback": (oscillator_from_beta(2, 1), "0x1.0000000000000p+6", 1),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(ARC_CUTOFFS))
+def test_default_arc_cutoff_is_pinned_on_every_branch(branch):
+    spec, hex_value, n_warnings = ARC_CUTOFFS[branch]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x_cut = oracle.default_arc_cutoff(spec)
+    assert x_cut.hex() == hex_value
+    assert sum(issubclass(w.category, TruncationWarning) for w in caught) == n_warnings
 
 
 def test_weakly_confining_potential_warns_but_solves():

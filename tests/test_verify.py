@@ -43,6 +43,13 @@ def test_report_serialization():
     assert "overall: pass" in table
 
 
+@pytest.mark.parametrize("config", [(1, 2, 0, 4, 1), (2, 2, 0, 4, -1)])
+def test_every_report_carries_every_check(config):
+    report = run_verification(*config, rtol=1e-6)
+    assert [c.name for c in report.checks] == list(verify.TOLERANCES)
+    assert [c["name"] for c in report.to_dict()["checks"]] == list(verify.TOLERANCES)
+
+
 def test_perturbed_coefficient_breaks_riccati():
     # the same superpotential checked against a potential with B1 off by 1%
     sol = general_two_state(1, 1, 1, 1, 1)
