@@ -22,7 +22,6 @@ from .errors import (
 )
 from .geometry import (
     Deformation,
-    RadialReduction,
     arc_coordinate,
     deformation_factor,
     radius_from_arc,
@@ -30,11 +29,8 @@ from .geometry import (
 )
 from .potentials import (
     Family,
-    OscillatorSpec,
     PotentialSpec,
     eval_potential,
-    family1_coefficients,
-    family2_coefficients,
     oscillator_from_beta,
     reduced_spec,
     spec_from_dict,
@@ -70,7 +66,6 @@ from .twostate import (
 )
 from .oracle import (
     SpectrumEstimate,
-    count_nodes,
     count_sign_changes,
     find_nodes,
     lowest_eigenvalues,

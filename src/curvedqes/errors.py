@@ -19,7 +19,7 @@ class SignMismatch(ValueError):
 
 
 class InvalidParameter(ValueError):
-    """Family not 1 or 2, L, B_2m or lambda not finite, L < 0, B_2m <= 0, or a bad setting."""
+    """Family not 1 or 2, a non-finite model coefficient, L < 0, B_2m <= 0, or a bad setting."""
 
 
 class InvalidOrder(ValueError):

@@ -90,41 +90,19 @@ def radius_from_arc(deformation: Deformation, x):
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class RadialReduction:
-    """Map from d-dimensional quantum numbers to the effective radial problem."""
-
-    d: int
-    l: int
-    lam: float
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("space dimension d must be >= 2")
-        if self.l < 0:
-            raise ValueError("angular momentum l must be >= 0")
-
-    @property
-    def effective_l(self):
-        """Effective angular momentum L = l + (d - 3)/2."""
-        num = 2 * self.l + self.d - 3
-        return num // 2 if num % 2 == 0 else num / 2
-
-    @property
-    def energy_shift(self):
-        """Constant lambda*(d-1)^2/4 subtracted from the curved-space energy."""
-        return exact_div(self.lam * (self.d - 1) ** 2, 4)
-
-
 def reduce_radial(d: int, l: int, lam, curved_energy):
     """Return (L, E): effective angular momentum and reduced energy.
 
     L = l + (d-3)/2 and E = curved_energy - lambda*(d-1)^2/4.  A warning is
     emitted when L < 0 (d=2, l=0): downstream solvers require L >= 0.
     """
-    red = RadialReduction(d, l, lam)
-    L = red.effective_l
-    E = curved_energy - red.energy_shift
+    if d < 2:
+        raise ValueError("space dimension d must be >= 2")
+    if l < 0:
+        raise ValueError("angular momentum l must be >= 0")
+    num = 2 * l + d - 3
+    L = num // 2 if num % 2 == 0 else num / 2
+    E = curved_energy - exact_div(lam * (d - 1) ** 2, 4)
     if L < 0:
         warnings.warn(
             f"effective angular momentum L={L} < 0; the QES solvers require L >= 0",

@@ -65,7 +65,7 @@ class SpectrumEstimate:
     richardson_error: tuple
     extrapolated: tuple
     method: str  # how the level at grid_points was solved: "bisection" or "inverse_iteration"
-    eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(repr=False, compare=False)  # one column per eigenvalue
 
     def to_dict(self) -> dict:
         return {
@@ -85,41 +85,37 @@ def _potential_on_arc(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
         return eval_potential(spec, r)
 
 
-def default_arc_cutoff(spec: PotentialSpec, wall: float = WALL_CUTOFF) -> float:
-    """Arc coordinate where the potential wall passes `wall`, or the full box."""
+def default_arc_cutoff(spec: PotentialSpec) -> float:
+    """Arc coordinate where the potential wall passes WALL_CUTOFF, or the full box.
+
+    lambda > 0 scans (0, 2^j / sqrt(lambda)], j = 1..6, in turn, then warns
+    with TruncationWarning and cuts at 64 / sqrt(lambda).
+    """
     lam = float(spec.lam)
     if lam < 0:
-        box = math.pi / (2.0 * math.sqrt(-lam))
+        cut = Deformation(lam).arc_max
         # stay clear of the end: sin(x) must not round up to the domain edge
-        xs = np.linspace(box * 1e-6, box * (1.0 - 1e-7), 20001)
+        spans = [(cut * 1e-6, cut * (1.0 - 1e-7))]
+    else:
+        sl = math.sqrt(lam)
+        cut = 64.0 / sl
+        spans = [(2.0 ** j / sl * 1e-6, 2.0 ** j / sl) for j in range(1, 7)]
+    for lo, hi in spans:
+        xs = np.linspace(lo, hi, 20001)
         v = _potential_on_arc(spec, xs)
         i0 = int(np.nanargmin(v))
         tail = v[i0:]
-        bad = ~np.isfinite(tail) | (tail >= wall)
-        if not np.any(bad):
-            return box
-        return float(xs[i0 + int(np.argmax(bad))])
-    sl = math.sqrt(lam)
-    hi = 2.0 / sl
-    limit = 64.0 / sl
-    while True:
-        xs = np.linspace(hi * 1e-6, hi, 20001)
-        v = _potential_on_arc(spec, xs)
-        i0 = int(np.nanargmin(v))
-        tail = v[i0:]
-        bad = ~np.isfinite(tail) | (tail >= wall)
+        bad = ~np.isfinite(tail) | (tail >= WALL_CUTOFF)
         if np.any(bad):
             return float(xs[i0 + int(np.argmax(bad))])
-        if hi >= limit:
-            break
-        hi = min(2.0 * hi, limit)
-    warnings.warn(
-        "potential never reached the wall cutoff; weakly confining tails may "
-        "need an explicit x_max",
-        TruncationWarning,
-        stacklevel=2,
-    )
-    return limit
+    if lam > 0:
+        warnings.warn(
+            "potential never reached the wall cutoff; weakly confining tails may "
+            "need an explicit x_max",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    return cut
 
 
 def _nested(coarse: int, fine: int) -> bool:
@@ -281,14 +277,14 @@ def lowest_eigenvalues(
     grid_points: int = 20000,
     x_max: float | None = None,
     rtol: float | None = None,
-    return_vectors: bool = True,
 ) -> SpectrumEstimate:
     """Lowest k eigenvalues of the deformed Schrodinger operator for spec.
 
     A second-order finite difference in the arc coordinate is solved at a
     level N and at N/2; the difference of the two runs provides the
     per-level Richardson error estimate and a Richardson-extrapolated value.
-    `eigenvalues` holds the plain values at N, and `grid_points` records N.
+    `eigenvalues` holds the plain values at N, `eigenvectors` their grid
+    vectors (one column each), and `grid_points` records N.
 
     The solver walks the levels grid_points / 2^j upwards from the smallest
     one >= LADDER_FLOOR. Without rtol it visits every level and returns at
@@ -303,7 +299,7 @@ def lowest_eigenvalues(
     polished (_polish) from a guess: the second-order prediction
     E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair solved so
     far, or the N/2 values for the first level. Every fine level computes
-    its eigenvectors, returned or not, and each polish starts from those of
+    its eigenvectors, and each polish starts from those of
     the nearest nested fine level, restricted from a finer level or linearly
     prolonged from a coarser one, and stops once the pair certifies. A level
     with no nested fine level below or above it starts from a ramp: the
@@ -388,12 +384,8 @@ def lowest_eigenvalues(
                 (j for j in range(at + 1, len(levels)) if worst * (n / levels[j]) ** 2 <= rtol),
                 len(levels) - 1,
             )
-    if not return_vectors:
-        vecs = None  # computed only to start the next level's polish
     extrapolated = w_fine + (w_fine - w_half) / 3.0
-    lam = float(spec.lam)
-    truncated = lam > 0 or x_cut < math.pi / (2.0 * math.sqrt(-lam)) * (1.0 - 1e-12)
-    if vecs is not None and truncated:
+    if x_cut < Deformation(float(spec.lam)).arc_max * (1.0 - 1e-12):  # the cut leaves domain out
         edge = max(3, n // 100)
         for i in range(vecs.shape[1]):
             mass = float(np.sum(vecs[-edge:, i] ** 2))
@@ -414,21 +406,13 @@ def lowest_eigenvalues(
     )
 
 
-def _radial_window(lam: float, margin: float = 1e-4):
-    if lam < 0:
-        rmax = 1.0 / math.sqrt(-lam)
-        return margin * rmax, (1.0 - 1e-9) * rmax
-    return margin / math.sqrt(lam), None
-
-
 def schrodinger_residual(
     spec: PotentialSpec,
     psi: WavefunctionForm,
     energy: float,
-    n_points: int = 2000,
     x_max: float | None = None,
 ) -> float:
-    """Max scaled residual of the eigenvalue equation over a geometric grid.
+    """Max scaled residual of the eigenvalue equation over a 2000-point geometric grid.
 
     The residual |pi^2 psi + (V - E) psi| / (1 + |E| |psi|) is evaluated with
     fully analytic derivatives of the closed form, after peak normalization.
@@ -437,11 +421,14 @@ def schrodinger_residual(
     on the whole grid.
     """
     lam = float(spec.lam)
-    lo, hi = _radial_window(lam)
-    if hi is None:
+    if lam < 0:
+        rmax = 1.0 / math.sqrt(-lam)
+        lo, hi = 1e-4 * rmax, (1.0 - 1e-9) * rmax
+    else:
+        lo = 1e-4 / math.sqrt(lam)
         x_cut = default_arc_cutoff(spec) if x_max is None else x_max
         hi = radius_from_arc(Deformation(lam), x_cut)
-    r = np.geomspace(lo, hi, n_points)
+    r = np.geomspace(lo, hi, 2000)
     psi_v, dpsi, d2psi = psi.derivatives(r)
     peak = np.max(np.abs(psi_v))
     if peak == 0.0:
@@ -455,8 +442,8 @@ def schrodinger_residual(
     return float(np.nanmax(res))
 
 
-def _decay_radius(psi: WavefunctionForm, drop: float = 1e-13) -> float:
-    """Radius past the peak where |psi| has fallen by `drop`; NonNormalizable if never."""
+def _decay_radius(psi: WavefunctionForm) -> float:
+    """Radius past the peak where |psi| has fallen by 1e-13; NonNormalizable if never."""
     lam = float(psi.lam)
     if lam < 0:
         return (1.0 - 1e-9) / math.sqrt(-lam)
@@ -468,7 +455,7 @@ def _decay_radius(psi: WavefunctionForm, drop: float = 1e-13) -> float:
         raise NonNormalizable("wavefunction vanishes on the probe grid")
     # suffix maxima: the cut must leave nothing behind, an interior node is not a tail
     suffix = np.maximum.accumulate(g[::-1])[::-1]
-    below = suffix <= drop * peak
+    below = suffix <= 1e-13 * peak
     if not np.any(below):
         raise NonNormalizable("no decaying tail found on (0, inf)")
     return float(r[int(np.argmax(below))])
@@ -590,10 +577,8 @@ def overlap(
     return _gauss_kronrod(product, 0.0, max(decay_radii), OVERLAP_EPSREL, OVERLAP_EPSABS)
 
 
-def find_nodes(
-    psi: WavefunctionForm, n_points: int = 4001, window=None, decay_radius: float | None = None
-) -> list:
-    """Interior zeros of psi, located by bisection after a sign-change scan.
+def find_nodes(psi: WavefunctionForm, window=None, decay_radius: float | None = None) -> list:
+    """Interior zeros of psi, located by bisection after a 4001-point sign-change scan.
 
     decay_radius, when given, is _decay_radius(psi) computed by the caller;
     it closes the default window for lambda > 0.
@@ -607,7 +592,7 @@ def find_nodes(
     else:
         lo = 1e-6 / math.sqrt(lam)
         hi = _decay_radius(psi) if decay_radius is None else decay_radius
-    grid = np.linspace(lo, hi, n_points)
+    grid = np.linspace(lo, hi, 4001)
     vals = psi.value(grid)
     floor = 1e-13 * np.max(np.abs(vals))
     idx = np.flatnonzero(np.abs(vals) > floor)
@@ -618,11 +603,6 @@ def find_nodes(
                      xtol=1e-13, rtol=1e-15))
         for i in brackets
     ]
-
-
-def count_nodes(psi: WavefunctionForm, n_points: int = 4001, window=None) -> int:
-    """Number of interior sign changes of psi on the open domain."""
-    return len(find_nodes(psi, n_points=n_points, window=window))
 
 
 def count_sign_changes(values, rel_floor: float = 1e-9) -> int:

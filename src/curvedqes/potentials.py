@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 import numpy as np
 
-from .errors import DegenerateCurvature, DomainError, InvalidOrder, InvalidParameter, SignMismatch
+from .errors import DegenerateCurvature, InvalidOrder, InvalidParameter, SignMismatch
 from .exactmath import QUARTER, Scalar, canonical, exact_div, exact_sqrt
+from .geometry import Deformation, _check_radius
 
 MAX_ORDER = 60  # binomial growth bound for the prefactor expansion
 
@@ -32,6 +33,16 @@ class Family(IntEnum):
     BASE = 0
     FAMILY1 = 1
     FAMILY2 = 2
+
+
+def require_finite(name: str, value) -> None:
+    """Raise InvalidParameter unless value is finite as a float (a float() overflow is not)."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int or Fraction beyond the double range
+        finite = False
+    if not finite:
+        raise InvalidParameter(f"{name} must be finite as a float, got {reprlib.repr(value)}")
 
 
 def validate_model(family, m, L, B2m, lam) -> Family:
@@ -48,12 +59,7 @@ def validate_model(family, m, L, B2m, lam) -> Family:
     if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= MAX_ORDER:
         raise InvalidOrder(f"order m must be an integer in [1, {MAX_ORDER}], got {m}")
     for name, value in (("lambda", lam), ("B_2m", B2m), ("L", L)):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int or Fraction beyond the double range
-            finite = False
-        if not finite:
-            raise InvalidParameter(f"{name} must be finite as a float, got {reprlib.repr(value)}")
+        require_finite(name, value)
     if lam == 0:
         raise DegenerateCurvature("lambda = 0 is not supported")
     fam = Family(family)
@@ -95,21 +101,11 @@ class PotentialSpec:
             )
         validate_model(self.family, self.m, self.L, self.B[-1], self.lam)
 
-    @property
-    def domain_max(self) -> float:
-        if self.lam > 0:
-            return math.inf
-        return 1.0 / math.sqrt(-float(self.lam))
-
 
 def eval_potential(spec: PotentialSpec, r):
     """Evaluate the potential at radius r (scalar or array)."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= spec.domain_max):
-        raise DomainError(
-            f"radius outside the open domain (0, {spec.domain_max}) for lambda={spec.lam}"
-        )
     lam = float(spec.lam)
+    arr = _check_radius(Deformation(lam), r)
     L = float(spec.L)
     A = float(spec.A)
     f2 = 1.0 + lam * arr * arr
@@ -121,18 +117,6 @@ def eval_potential(spec: PotentialSpec, r):
         for k, Bk in enumerate(spec.B, start=1):
             v = v - lam * float(Bk) / f2 ** (k + 1)
     return float(v) if np.isscalar(r) or v.ndim == 0 else v
-
-
-def family1_coefficients(m: int, L: Scalar, B2m: Scalar):
-    """Reduced coefficient set (A, B_1..B_2m) of the order-m family-1 QES potential."""
-    spec = reduced_spec(Family.FAMILY1, m, L, B2m, 1)  # the set does not depend on lambda
-    return spec.A, list(spec.B)
-
-
-def family2_coefficients(m: int, L: Scalar, B2m: Scalar):
-    """Reduced coefficient set (A, B_1..B_2m) of the order-m family-2 QES potential."""
-    spec = reduced_spec(Family.FAMILY2, m, L, B2m, -1)  # the set does not depend on lambda
-    return spec.A, list(spec.B)
 
 
 def reduced_spec(family: int, m: int, L: Scalar, B2m: Scalar, lam: Scalar) -> PotentialSpec:
@@ -150,27 +134,12 @@ def reduced_spec(family: int, m: int, L: Scalar, B2m: Scalar, lam: Scalar) -> Po
     return PotentialSpec(family=fam, m=m, L=L, A=canonical(A), B=B, lam=lam)
 
 
-@dataclass(frozen=True)
-class OscillatorSpec:
-    """Base oscillator with strength beta on a space of curvature -lambda."""
-
-    beta: Scalar
-    lam: Scalar
-
-    def __post_init__(self):
-        if self.lam == 0:
-            raise DegenerateCurvature("lambda = 0 is not supported")
-
-    @property
-    def A(self) -> Scalar:
-        ratio = exact_div(self.beta, self.lam)
-        return ratio * (ratio + 1)
-
-
 def oscillator_from_beta(beta: Scalar, lam: Scalar, L: Scalar = 0) -> PotentialSpec:
     """Base-oscillator spec with A = (beta/lambda)(beta/lambda + 1)."""
-    osc = OscillatorSpec(beta, lam)
-    return PotentialSpec(family=Family.BASE, L=L, A=osc.A, lam=lam)
+    if lam == 0:
+        raise DegenerateCurvature("lambda = 0 is not supported")
+    ratio = exact_div(beta, lam)
+    return PotentialSpec(family=Family.BASE, L=L, A=ratio * (ratio + 1), lam=lam)
 
 
 def spec_to_dict(spec: PotentialSpec) -> dict:

@@ -30,12 +30,7 @@ import numpy as np
 
 from .errors import NotConstrained, PoleAtNode, UnsupportedTerm
 from .exactmath import HALF, QUARTER, Scalar, exact_div, exact_sqrt, is_exact
-from .potentials import (
-    Family,
-    PotentialSpec,
-    family1_coefficients,
-    family2_coefficients,
-)
+from .potentials import Family, PotentialSpec, reduced_spec
 
 MINUS = "minus"
 PLUS = "plus"
@@ -397,10 +392,9 @@ def partner_shift(spec: PotentialSpec):
     if spec.family is Family.BASE or spec.m is None:
         raise NotConstrained("partner shift applies to reduced QES specs only")
     m, L, lam, B2m = spec.m, spec.L, spec.lam, spec.B[-1]
-    builder = family1_coefficients if spec.family is Family.FAMILY1 else family2_coefficients
-    exp_A, exp_B = builder(m, L, B2m)
-    if not _coeffs_match(spec.A, exp_A) or not all(
-        _coeffs_match(b, e) for b, e in zip(spec.B, exp_B)
+    expected = reduced_spec(spec.family, m, L, B2m, lam)
+    if not _coeffs_match(spec.A, expected.A) or not all(
+        _coeffs_match(b, e) for b, e in zip(spec.B, expected.B)
     ):
         raise NotConstrained("coefficients are not in the reduced QES form")
     s = exact_sqrt(B2m)

@@ -29,11 +29,11 @@ from typing import Sequence
 
 from .errors import InvalidParameter, InvariantError, UnsupportedOrder
 from .exactmath import HALF, Scalar, canonical, exact_div, exact_sqrt, is_exact
-from .potentials import (  # noqa: F401  MAX_ORDER is re-exported here
-    MAX_ORDER,
+from .potentials import (
     Family,
     PotentialSpec,
     reduced_spec,
+    require_finite,
     spec_to_dict,
     validate_model,
 )
@@ -100,13 +100,17 @@ def solve_first_step(family, m: int, L, A, B: Sequence, lam) -> CdsiStepResult:
     """Match the order-m ansatz against V(r) - E0; return parameters and constraints.
 
     The constraint residuals vanish exactly when (A, B) satisfies the
-    first-step conditions of the chosen family.
+    first-step conditions of the chosen family. Raises what validate_model
+    raises, and InvalidParameter for a non-finite A or B_1..B_{2m-1}.
     """
     _step_order(m)
     B = tuple(B)
     if len(B) != 2 * m:
         raise InvalidParameter(f"expected {2 * m} tail coefficients, got {len(B)}")
     fam = validate_model(family, m, L, B[-1], lam)
+    require_finite("A", A)
+    for k, b in enumerate(B[:-1], start=1):
+        require_finite(f"B_{k}", b)
     params, e0, cons = _match(fam, m, L, A, B, lam)
     return CdsiStepResult(fam, m, 1, L, A, B, lam, params, e0, cons)
 
@@ -115,7 +119,7 @@ def solve_second_step(family, m: int, first: CdsiStepResult) -> CdsiStepResult:
     """Repeat the match on the partner potential; constraints change."""
     _step_order(m)
     if first.step != 1 or family != first.family or m != first.m:
-        raise ValueError("second step must continue the matching first step")
+        raise InvalidParameter("second step must continue the matching first step")
     fam, L, A, B, lam = first.family, first.L, first.A, first.B, first.lam
     params, e0, cons = _match(fam, m, L, A, B, lam, first.params)
     return CdsiStepResult(fam, m, 2, L, A, B, lam, params, e0, cons)

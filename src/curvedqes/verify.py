@@ -27,7 +27,7 @@ from .oracle import (
 )
 from .potentials import eval_potential
 from .susy import partner_shift, riccati_apply, w_minus_from_w_plus, w_plus_poles
-from .twostate import TwoStateSolution, general_two_state, node_location
+from .twostate import TwoStateSolution, general_two_state
 
 TOLERANCES = {
     "riccati_v1": 1e-10,
@@ -211,19 +211,14 @@ def run_verification(
     nodes1 = find_nodes(sol.psi1, decay_radius=hi1)
     add("nodes_psi0", len(nodes0))
     add("nodes_psi1", abs(len(nodes1) - 1))
-    r0 = node_location(sol)
-    add("node_location", abs(nodes1[0] - r0) if len(nodes1) == 1 else math.inf)
+    add("node_location", abs(nodes1[0] - sol.r0) if len(nodes1) == 1 else math.inf)
 
     norm0 = quadrature_norm(sol.psi0, hi0)
     norm1 = quadrature_norm(sol.psi1, hi1)
     add("orthogonality", abs(overlap(sol.psi0, sol.psi1, (norm0, norm1), (hi0, hi1))))
 
-    if est.eigenvectors is not None:
-        bad = 0
-        for i in range(min(2, est.eigenvectors.shape[1])):
-            if count_sign_changes(est.eigenvectors[:, i]) != i:
-                bad += 1
-        add("oracle_node_counts", bad)
+    bad = sum(count_sign_changes(est.eigenvectors[:, i]) != i for i in range(2))
+    add("oracle_node_counts", bad)
 
     return VerificationReport(
         config_id=f"family{int(sol.family)}-m{sol.m}-L{float(L):g}-B{float(B2m):g}-lam{float(lam):g}",

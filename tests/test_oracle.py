@@ -15,7 +15,6 @@ from curvedqes import (
     NonNormalizable,
     TruncationWarning,
     WavefunctionForm,
-    count_nodes,
     count_sign_changes,
     eval_potential,
     find_nodes,
@@ -44,7 +43,7 @@ def test_box_spectrum():
 def test_box_convergence_is_second_order():
     errs = []
     for n in (2000, 4000, 8000):
-        est = lowest_eigenvalues(BOX, k=1, grid_points=n, return_vectors=False)
+        est = lowest_eigenvalues(BOX, k=1, grid_points=n)
         errs.append(abs(est.eigenvalues[0] - 4.0))
     for i in (0, 1):
         ratio = errs[i] / errs[i + 1]
@@ -52,15 +51,15 @@ def test_box_convergence_is_second_order():
 
 
 def test_richardson_error_tracks_grid():
-    est_a = lowest_eigenvalues(BOX, k=1, grid_points=4000, return_vectors=False)
-    est_b = lowest_eigenvalues(BOX, k=1, grid_points=8000, return_vectors=False)
+    est_a = lowest_eigenvalues(BOX, k=1, grid_points=4000)
+    est_b = lowest_eigenvalues(BOX, k=1, grid_points=8000)
     ratio = est_a.richardson_error[0] / est_b.richardson_error[0]
     assert 2.5 < ratio < 6.0
 
 
 def test_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
-        lowest_eigenvalues(BOX, k=3, grid_points=2000, rtol=1e-12, return_vectors=False)
+        lowest_eigenvalues(BOX, k=3, grid_points=2000, rtol=1e-12)
 
 
 def test_grid_validation():
@@ -74,7 +73,7 @@ def test_rtol_must_be_finite_and_positive():
     # a NaN rtol would turn the GridTooCoarse gate off: rel > nan is never true
     for rtol in (float("nan"), float("inf"), 0.0, -1e-6):
         with pytest.raises(ValueError, match="rtol"):
-            lowest_eigenvalues(BOX, k=1, rtol=rtol, return_vectors=False)
+            lowest_eigenvalues(BOX, k=1, rtol=rtol)
 
 
 def _fresh_potential(spec, n, x_max):
@@ -253,27 +252,6 @@ def test_ladder_starts_from_the_nearest_solved_level(config, monkeypatch):
     assert n2 == n1 // 2 and np.array_equal(start2, vecs1[1::2])
 
 
-def test_ladder_without_vectors_still_warm_starts(monkeypatch):
-    # fine levels compute their vectors for the next level's start, but do not return them
-    spec = general_two_state(1, 4, Fraction(1, 2), 1, 1).spec
-    steps = []  # intervals of every inverse-iteration step
-    original = oracle.dgtsv
-
-    def counted(dl, d, du, b, **kwargs):
-        steps.append(d.size + 1)
-        return original(dl, d, du, b, **kwargs)
-
-    monkeypatch.setattr(oracle, "dgtsv", counted)
-    returned = lowest_eigenvalues(spec, k=2, rtol=1e-6)
-    with_vectors = steps.copy()
-    steps.clear()
-    est = lowest_eigenvalues(spec, k=2, rtol=1e-6, return_vectors=False)
-    assert steps == with_vectors
-    assert est.eigenvalues == returned.eigenvalues
-    assert est.method == "inverse_iteration"
-    assert est.eigenvectors is None
-
-
 def test_prolonging_by_two_averages_neighbours():
     spec, n = SPECS["family1"], 1250
     diag, off = _matrix(spec, n, oracle.default_arc_cutoff(spec))
@@ -408,11 +386,11 @@ def test_oracle_tracks_curvature_scale():
     # E scales linearly in lambda, the domain scales as 1/sqrt(|lambda|)
     sol = general_two_state(1, 1, 1, 1, 4)
     assert (sol.E0, sol.E1) == (-62, -6)
-    est = lowest_eigenvalues(sol.spec, k=2, grid_points=20000, return_vectors=False)
+    est = lowest_eigenvalues(sol.spec, k=2, grid_points=20000)
     assert abs(est.eigenvalues[0] + 62) / 62 < 1e-6
     sol2 = general_two_state(2, 1, 0, 4, -4)
     assert (sol2.E0, sol2.E1) == (18, 130)
-    est2 = lowest_eigenvalues(sol2.spec, k=2, grid_points=20000, return_vectors=False)
+    est2 = lowest_eigenvalues(sol2.spec, k=2, grid_points=20000)
     assert est2.x_max < math.pi / 4  # quarter box, cut at the wall
     assert abs(est2.eigenvalues[0] - 18) / 18 < 1e-6
     assert abs(est2.eigenvalues[1] - 130) / 130 < 1e-6
@@ -427,7 +405,7 @@ def test_half_integer_angular_momentum():
     assert schrodinger_residual(sol.spec, sol.psi0, float(sol.E0)) < 1e-9
     nodes = find_nodes(sol.psi1)
     assert len(nodes) == 1 and abs(nodes[0] - math.sqrt(2.0)) < 1e-10
-    est = lowest_eigenvalues(sol.spec, k=2, grid_points=20000, return_vectors=False)
+    est = lowest_eigenvalues(sol.spec, k=2, grid_points=20000)
     for level, exact in ((0, -12.25), (1, -0.25)):
         assert abs(est.extrapolated[level] - exact) / abs(exact) < 1e-6
 
@@ -438,7 +416,7 @@ def test_half_integer_angular_momentum():
 def test_oracle_matrix_all_orders(fam, lam, m, L, B2m):
     # Richardson-extrapolated lowest two levels against the closed forms
     sol = general_two_state(fam, m, L, B2m, lam)
-    est = lowest_eigenvalues(sol.spec, k=2, grid_points=12000, return_vectors=False)
+    est = lowest_eigenvalues(sol.spec, k=2, grid_points=12000)
     assert est.eigenvalues[0] < est.eigenvalues[1]
     for level, exact in ((0, float(sol.E0)), (1, float(sol.E1))):
         assert abs(est.extrapolated[level] - exact) / abs(exact) < 1e-6
@@ -459,7 +437,7 @@ def test_schrodinger_residual_detects_wrong_energy():
 def test_count_nodes_ground_and_excited():
     for fam, lam in ((1, 1), (2, -1)):
         sol = general_two_state(fam, 2, 1, 4, lam)
-        assert count_nodes(sol.psi0) == 0
+        assert len(find_nodes(sol.psi0)) == 0
         nodes = find_nodes(sol.psi1)
         assert len(nodes) == 1
         assert abs(nodes[0] - node_location(sol)) < 1e-8

@@ -37,7 +37,7 @@ EPS = np.finfo(float).eps
 def test_ladder_certifies_or_raises_and_matches_bisection(family, m, L, B2m):
     spec = general_two_state(family, m, L, B2m, 1 if family == 1 else -1).spec
     try:
-        est = lowest_eigenvalues(spec, k=2, rtol=1e-6, return_vectors=False)
+        est = lowest_eigenvalues(spec, k=2, rtol=1e-6)
     except GridTooCoarse:
         return
     w = np.array(est.eigenvalues)

@@ -11,8 +11,6 @@ from curvedqes import (
     PotentialSpec,
     SignMismatch,
     eval_potential,
-    family1_coefficients,
-    family2_coefficients,
     oscillator_from_beta,
     reduced_spec,
     spec_from_json,
@@ -49,21 +47,30 @@ def test_family2_wall_blows_up():
 
 
 def test_family1_coefficients_examples():
-    A, B = family1_coefficients(1, 1, 1)
-    assert A == F(3, 4) and B == [-10, 1]
-    A, B = family1_coefficients(2, 1, 1)
-    assert A == F(15, 4) and B == [-4, -14, 1, 1]
-    A, B = family1_coefficients(3, 0, 4)
-    assert A == F(35, 4) and B == [-6, -6, -34, 4, 4, 4]
+    spec = reduced_spec(1, 1, 1, 1, 1)
+    assert spec.A == F(3, 4) and spec.B == (-10, 1)
+    spec = reduced_spec(1, 2, 1, 1, 1)
+    assert spec.A == F(15, 4) and spec.B == (-4, -14, 1, 1)
+    spec = reduced_spec(1, 3, 0, 4, 1)
+    assert spec.A == F(35, 4) and spec.B == (-6, -6, -34, 4, 4, 4)
 
 
 def test_family2_coefficients_examples():
-    A, B = family2_coefficients(1, 1, 4)
-    assert A == F(-25, 4) and B == [-8, 4]
-    A, B = family2_coefficients(2, 0, 9)
-    assert A == F(-13, 4) and B == [-12, -21, 9, 9]
-    A, B = family2_coefficients(3, 0, 1)
-    assert A == F(55, 4) and B == [-2, -2, -13, 1, 1, 1]
+    spec = reduced_spec(2, 1, 1, 4, -1)
+    assert spec.A == F(-25, 4) and spec.B == (-8, 4)
+    spec = reduced_spec(2, 2, 0, 9, -1)
+    assert spec.A == F(-13, 4) and spec.B == (-12, -21, 9, 9)
+    spec = reduced_spec(2, 3, 0, 1, -1)
+    assert spec.A == F(55, 4) and spec.B == (-2, -2, -13, 1, 1, 1)
+
+
+def test_coefficients_do_not_depend_on_lambda():
+    for family, lams in ((1, (1, F(1, 3), 4, 2.5)), (2, (-1, F(-1, 3), -4, -2.5))):
+        for m in (1, 2, 5):
+            unit = reduced_spec(family, m, 1, 4, lams[0])
+            for lam in lams[1:]:
+                spec = reduced_spec(family, m, 1, 4, lam)
+                assert (spec.A, spec.B) == (unit.A, unit.B)
 
 
 @pytest.mark.parametrize("L", range(10))
@@ -71,28 +78,27 @@ def test_family2_coefficients_examples():
 def test_family1_order1_matches_two_step_reduction(L, root):
     # independent reference: B1 = -B2 - sqrt(B2)(2L+7), A = 3/4
     B2 = root * root
-    A, B = family1_coefficients(1, L, B2)
-    assert A == F(3, 4)
-    assert B[0] == -B2 - root * (2 * L + 7)
-    assert B[1] == B2
+    spec = reduced_spec(1, 1, L, B2, 1)
+    assert spec.A == F(3, 4)
+    assert spec.B == (-B2 - root * (2 * L + 7), B2)
 
 
 @pytest.mark.parametrize("L", range(4))
 @pytest.mark.parametrize("root", range(1, 4))
 def test_order2_match_two_step_reduction(L, root):
     B4 = root * root
-    A, B = family1_coefficients(2, L, B4)
-    assert B == [-B4 - root * (2 * L + 1), -B4 - root * (2 * L + 11), B4, B4]
-    assert A == F(15, 4)
+    spec = reduced_spec(1, 2, L, B4, 1)
+    assert spec.B == (-B4 - root * (2 * L + 1), -B4 - root * (2 * L + 11), B4, B4)
+    assert spec.A == F(15, 4)
 
     B2 = B4
-    A2, Bb = family2_coefficients(1, L, B2)
-    assert Bb == [B2 - 6 * root, B2]
-    assert A2 == -B2 - (2 * L + 1) * root + F(15, 4)
+    spec = reduced_spec(2, 1, L, B2, -1)
+    assert spec.B == (B2 - 6 * root, B2)
+    assert spec.A == -B2 - (2 * L + 1) * root + F(15, 4)
 
-    A2, Bb = family2_coefficients(2, L, B4)
-    assert Bb == [-B4 - root * (2 * L + 1), B4 - 10 * root, B4, B4]
-    assert A2 == -B4 - (2 * L + 1) * root + F(35, 4)
+    spec = reduced_spec(2, 2, L, B4, -1)
+    assert spec.B == (-B4 - root * (2 * L + 1), B4 - 10 * root, B4, B4)
+    assert spec.A == -B4 - (2 * L + 1) * root + F(35, 4)
 
 
 def test_family1_small_r_centrifugal_dominance():
@@ -108,9 +114,9 @@ def test_validation_rules():
     with pytest.raises(SignMismatch):
         reduced_spec(2, 1, 0, 1, 1)
     with pytest.raises(ValueError):
-        family1_coefficients(1, 0, 0)
+        reduced_spec(1, 1, 0, 0, 1)
     with pytest.raises(ValueError):
-        family2_coefficients(1, 0, -1)
+        reduced_spec(2, 1, 0, -1, -1)
     with pytest.raises(ValueError):
         PotentialSpec(family=Family.FAMILY1, m=1, L=-1, A=1, B=(1, 1), lam=1)
     with pytest.raises(ValueError):

@@ -11,20 +11,21 @@ import pytest
 
 import curvedqes
 from curvedqes import (
+    Deformation,
     GeneratingPair,
     InvalidOrder,
+    InvalidParameter,
     InvariantError,
     SignMismatch,
     UnsupportedOrder,
     compatibility,
     eval_potential,
     riccati_apply,
-    family1_coefficients,
-    family2_coefficients,
     find_nodes,
     general_two_state,
     generating_pair,
     node_location,
+    reduced_spec,
     riccati_system_residuals,
     solve_first_step,
     solve_second_step,
@@ -60,8 +61,9 @@ def test_first_step_family1_m1_ground_energy_is_figure_value():
 
 
 def test_first_step_family2_m2_parameters():
-    A, B = family2_coefficients(2, 1, 4)
-    step = solve_first_step(2, 2, 1, A, B, -1)
+    spec = reduced_spec(2, 2, 1, 4, -1)
+    B = spec.B
+    step = solve_first_step(2, 2, 1, spec.A, B, -1)
     assert step.params.xi == -2
     assert step.params.sigma == 2  # |lam| sqrt(B4)
     # zeta = |lam| (B3 + B4) / (2 sqrt(B4))
@@ -71,16 +73,16 @@ def test_first_step_family2_m2_parameters():
 
 def test_second_step_eta_shifts():
     for fam, lam, shift_m1, shift_m2 in ((1, 1, 3, 3), (2, -1, 3, 3)):
-        A, B = (family1_coefficients if fam == 1 else family2_coefficients)(1, 1, 4)
-        s1 = solve_first_step(fam, 1, 1, A, B, lam)
+        spec = reduced_spec(fam, 1, 1, 4, lam)
+        s1 = solve_first_step(fam, 1, 1, spec.A, spec.B, lam)
         s2 = solve_second_step(fam, 1, s1)
         assert s2.params.eta - s1.params.eta == shift_m1 * abs(lam)
         assert s2.params.xi == s1.params.xi - 1
         assert s2.params.zeta == s1.params.zeta
 
     for fam, lam in ((1, 1), (2, -1)):
-        A, B = (family1_coefficients if fam == 1 else family2_coefficients)(2, 0, 9)
-        s1 = solve_first_step(fam, 2, 0, A, B, lam)
+        spec = reduced_spec(fam, 2, 0, 9, lam)
+        s1 = solve_first_step(fam, 2, 0, spec.A, spec.B, lam)
         s2 = solve_second_step(fam, 2, s1)
         assert s2.params.eta - s1.params.eta == 5 * abs(lam)
         assert s2.params.sigma == s1.params.sigma
@@ -130,12 +132,8 @@ def test_compatibility_examples():
 def test_compatibility_matches_general_coefficients():
     for L in range(4):
         for B2m in SQUARES:
-            spec = compatibility(1, 2, L, B2m, 1)
-            A, B = family1_coefficients(2, L, B2m)
-            assert spec.A == A and spec.B == tuple(B)
-            spec = compatibility(2, 1, L, B2m, -1)
-            A, B = family2_coefficients(1, L, B2m)
-            assert spec.A == A and spec.B == tuple(B)
+            assert compatibility(1, 2, L, B2m, 1) == reduced_spec(1, 2, L, B2m, 1)
+            assert compatibility(2, 1, L, B2m, -1) == reduced_spec(2, 1, L, B2m, -1)
 
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
@@ -163,14 +161,14 @@ def test_general_reduces_to_step_construction(fam, lam, m):
 
 
 def test_eta_consistency_on_compatible_specs():
-    A, B = family1_coefficients(1, 2, 9)
-    assert solve_first_step(1, 1, 2, A, B, 1).params.eta == F(-3, 2)
-    A, B = family1_coefficients(2, 1, 4)
-    assert solve_first_step(1, 2, 1, A, B, 1).params.eta == F(-5, 2)
-    A, B = family2_coefficients(1, 1, 4)
-    assert solve_first_step(2, 1, 1, A, B, -1).params.eta == 2 - F(3, 2)
-    A, B = family2_coefficients(2, 1, 9)
-    assert solve_first_step(2, 2, 1, A, B, -1).params.eta == 3 - F(5, 2)
+    for (fam, m, L, B2m, lam), eta in (
+        ((1, 1, 2, 9, 1), F(-3, 2)),
+        ((1, 2, 1, 4, 1), F(-5, 2)),
+        ((2, 1, 1, 4, -1), 2 - F(3, 2)),
+        ((2, 2, 1, 9, -1), 3 - F(5, 2)),
+    ):
+        spec = reduced_spec(fam, m, L, B2m, lam)
+        assert solve_first_step(fam, m, L, spec.A, spec.B, lam).params.eta == eta
 
 
 def test_general_m3_energies():
@@ -211,6 +209,7 @@ def test_node_location_matches_bisection(fam, lam, m):
     nodes = find_nodes(sol.psi1)
     assert len(nodes) == 1
     assert abs(nodes[0] - node_location(sol)) < 1e-10
+    assert sol.r0 == node_location(sol)
 
 
 def test_node_inside_domain():
@@ -218,7 +217,7 @@ def test_node_inside_domain():
         for m in (1, 2, 5):
             for L in (0, 3):
                 sol = general_two_state(fam, m, L, 4, lam)
-                assert 0 < sol.r0 < sol.spec.domain_max
+                assert 0 < sol.r0 < Deformation(float(lam)).domain_max
 
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
@@ -293,6 +292,32 @@ def test_order_validation():
 def test_bool_order_is_rejected():
     with pytest.raises(InvalidOrder):
         general_two_state(1, True, 0, 1, 1)
+
+
+NON_FINITE = (float("inf"), float("-inf"), float("nan"), 10**400)
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_first_step_rejects_non_finite_free_coefficients(fam, lam, m, bad):
+    spec = reduced_spec(fam, m, 1, 4, lam)
+    with pytest.raises(InvalidParameter, match="A must be finite"):
+        solve_first_step(fam, m, 1, bad, spec.B, lam)
+    for k in range(1, 2 * m):  # B_2m goes through validate_model's own check
+        B = list(spec.B)
+        B[k - 1] = bad
+        with pytest.raises(InvalidParameter, match=f"B_{k} must be finite"):
+            solve_first_step(fam, m, 1, spec.A, B, lam)
+
+
+def test_second_step_rejects_a_mismatched_first_step():
+    spec = reduced_spec(1, 1, 1, 4, 1)
+    first = solve_first_step(1, 1, 1, spec.A, spec.B, 1)
+    second = solve_second_step(1, 1, first)
+    for args in ((2, 1, first), (1, 2, first), (1, 1, second)):
+        with pytest.raises(InvalidParameter, match="matching first step"):
+            solve_second_step(*args)
 
 
 def test_generating_pair_identity_scaled():
