@@ -12,13 +12,17 @@ exceeds a large threshold; past that point the eigenfunctions carry
 essentially no mass, while keeping the wall out of the matrix preserves the
 eigensolver's absolute accuracy. The solver climbs a ladder of nested grids
 (halvings of the largest one), sharing solves and potential samples between
-the levels: up to the largest, or, given a tolerance, to the smallest that
-certifies it. Only the ladder's coarsest solve is bisected; every other level
-is polished by inverse iteration, shifted to the values the coarser levels
-predict and started from the eigenvectors of the nearest nested level, and
-certified by Sturm counts and residual bounds (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4 and 10), falling back to bisection when the
-certificate fails. A warm-started pair certifies after one step.
+the levels: up to the largest, or, given a tolerance, to the smallest whose
+Richardson-extrapolated values certify it. The gate reads three levels N, N/2
+and N/4: their observed order of convergence and a grid-convergence-index
+bound on the extrapolated value (Richardson and Gaunt, Phil. Trans. A 226
+(1927) 299; Roache, J. Fluids Eng. 116 (1994) 405). Only the ladder's
+coarsest solve is bisected; every other level is polished by inverse
+iteration, shifted to the values the coarser levels predict and started from
+the eigenvectors of the nearest nested level, and certified by Sturm counts
+and residual bounds (Parlett, The Symmetric Eigenvalue Problem, ch. 4 and
+10), falling back to bisection when the certificate fails. A warm-started
+pair certifies after one step.
 
 Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
 QUADPACK): each refinement round evaluates the wavefunction once, as one
@@ -53,17 +57,27 @@ WALL_CUTOFF = 1.0e6
 LADDER_FLOOR = 1000  # the grid ladder starts at its smallest level at or above this
 POLISH_STEPS = 3  # most inverse-iteration steps per polished eigenpair
 POLISH_RESIDUAL = 1e-6  # largest accepted ||T x - E x||, as a fraction of the guesses' gap
+# The error gate (_error_estimate). The safety factor is Roache's for an order
+# that is not observed: the levels show the order of E, not of the extrapolated
+# value. The stencil's order is 2; a wavefunction u ~ x^(L+1) at the origin
+# lowers it towards 2L + 1 below L = 1/2, so orders in ORDER_RANGE are trusted.
+# The floor, the closed-form check's own, only keeps a zero value from dividing.
+SAFETY_FACTOR = 3.0
+ORDER_RANGE = (1.0, 3.0)
+SCALE_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """Lowest eigenvalues on a grid, with error estimates from an N/2 run."""
+    """Lowest eigenvalues on a grid, with error estimates from N/2 and N/4 runs."""
 
     grid_points: int
     x_max: float
     eigenvalues: tuple
     richardson_error: tuple
     extrapolated: tuple
+    error_estimate: tuple  # relative error estimate of each extrapolated value (_error_estimate)
+    observed_order: tuple  # log2 of the ratio of successive differences; None where undefined
     method: str  # how the level at grid_points was solved: "bisection" or "inverse_iteration"
     eigenvectors: np.ndarray = field(repr=False, compare=False)  # one column per eigenvalue
 
@@ -75,6 +89,8 @@ class SpectrumEstimate:
             "eigenvalues": list(self.eigenvalues),
             "richardson_error": list(self.richardson_error),
             "extrapolated": list(self.extrapolated),
+            "error_estimate": list(self.error_estimate),
+            "observed_order": list(self.observed_order),
         }
 
 
@@ -250,10 +266,11 @@ def _tridiag_lowest(
     spec: PotentialSpec, k: int, n: int, x_max: float, vectors: bool, samples: dict,
     guess=None, start=None,
 ):
-    """Lowest k eigenvalues at n intervals, with eigenvectors if asked, and the method used.
+    """Lowest k eigenvalues at n intervals, their eigenvectors or None, and the method used.
 
-    With a guess the level is polished (_polish, from start when given);
-    without one, or when the polish is not certified, it is bisected.
+    With a guess the level is polished (_polish, from start when given), which
+    yields the eigenvectors whether asked or not; without one, or when the
+    polish is not certified, it is bisected, with eigenvectors only if asked.
     """
     h = x_max / n
     v = _interior_potential(spec, n, x_max, samples)
@@ -262,13 +279,45 @@ def _tridiag_lowest(
     if guess is not None:
         polished = _polish(diag, off, v, h, guess, start)
         if polished is not None:
-            w, vecs = polished
-            return w, (vecs if vectors else None), "inverse_iteration"
+            return (*polished, "inverse_iteration")
     if vectors:
         w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
         return w, vecs, "bisection"
     w = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
     return w, None, "bisection"
+
+
+def _extrapolate(w: np.ndarray, w_half: np.ndarray, n: int) -> np.ndarray:
+    """Richardson extrapolation of second-order values on n and n // 2 intervals.
+
+    The step ratio is n / (n // 2): exactly 2, and the divisor exactly 3, on
+    an even grid; 2 + 2 / (n - 1) on an odd one.
+    """
+    return w + (w - w_half) / ((n / (n // 2)) ** 2 - 1.0)
+
+
+def _error_estimate(w, w_half, w_quarter, x, x_half):
+    """Relative error estimate of each extrapolated value x, and the observed order.
+
+    w, w_half and w_quarter are the plain values at N, N/2 and N/4; x and
+    x_half the extrapolations at N and at N/2. With d = E(N) - E(N/2) and
+    d' = E(N/2) - E(N/4), the observed order is p = log2(d' / d). Where p is
+    defined and inside ORDER_RANGE the estimate is a grid convergence index
+    of x: SAFETY_FACTOR |x - x_half| / (2^p - 1). It bounds the error of x
+    when x converges at order p or faster, and x converges at least as fast
+    as E. Elsewhere (a zero difference, differences of opposite sign, an
+    order out of range) it is the plain value's estimate |d| / 3, which
+    assumes the stencil's order 2. Either is relative to
+    max(|x|, SCALE_FLOOR), the scale of the closed-form check. The order is
+    returned as NaN where it is undefined.
+    """
+    d, d_half = w - w_half, w_half - w_quarter
+    with np.errstate(all="ignore"):  # zero differences, opposite signs, 2^p past the range
+        order = np.log2(d_half / d)
+        gci = SAFETY_FACTOR * np.abs(x - x_half) / (2.0 ** order - 1.0)
+    trusted = (order >= ORDER_RANGE[0]) & (order <= ORDER_RANGE[1])  # False for NaN
+    error = np.where(trusted, gci, np.abs(d) / 3.0) / np.maximum(np.abs(x), SCALE_FLOOR)
+    return error, np.where(np.isfinite(order), order, np.nan)
 
 
 def lowest_eigenvalues(
@@ -281,32 +330,36 @@ def lowest_eigenvalues(
     """Lowest k eigenvalues of the deformed Schrodinger operator for spec.
 
     A second-order finite difference in the arc coordinate is solved at a
-    level N and at N/2; the difference of the two runs provides the
-    per-level Richardson error estimate and a Richardson-extrapolated value.
-    `eigenvalues` holds the plain values at N, `eigenvectors` their grid
-    vectors (one column each), and `grid_points` records N.
+    level N and at N/2 and N/4. `eigenvalues` holds the plain values at N,
+    `eigenvectors` their grid vectors (one column each), and `grid_points`
+    records N. `richardson_error` is |E(N) - E(N/2)|, and `extrapolated` the
+    Richardson extrapolation E(N) + (E(N) - E(N/2)) / 3 (_extrapolate: the
+    divisor follows the step ratio on an odd grid), which removes the
+    O(h^2) term. `error_estimate` bounds the relative error of each
+    extrapolated value, and `observed_order` is the order the three levels
+    show (_error_estimate).
 
     The solver walks the levels grid_points / 2^j upwards from the smallest
     one >= LADDER_FLOOR. Without rtol it visits every level and returns at
     N = grid_points. With rtol, grid_points is the largest grid it may use:
-    it stops at the first level whose relative error estimate
-    |E(N) - E(N/2)| / 3 / max(1, |E|) certifies rtol, and a level that does
-    not certify is followed by the smallest higher level at which
-    second-order convergence predicts it will, and at least the next one.
-    No level is solved twice (a level serves as the next one's N/2 run),
-    and each potential sample is evaluated once and shared by the nested grids.
-    Only the first level's N/2 run is bisected. Every other level is
-    polished (_polish) from a guess: the second-order prediction
+    it stops at the first level whose `error_estimate` is <= rtol for every
+    eigenvalue. A level serves as the N/2 and N/4 runs of the levels above
+    it, so no level is solved twice, and each potential sample is evaluated
+    once and shared by the nested grids. The first level's N/4 run is the
+    one solve with nothing below it to guess from, and the only one bisected;
+    on the default ladder it has 312 intervals, a grid not nested with
+    625 = 1250 / 2, so its 311 potential samples are its own. Every other
+    level is polished (_polish) from a guess: the second-order prediction
     E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair solved so
-    far, or the N/2 values for the first level. Every fine level computes
-    its eigenvectors, and each polish starts from those of
-    the nearest nested fine level, restricted from a finer level or linearly
-    prolonged from a coarser one, and stops once the pair certifies. A level
-    with no nested fine level below or above it starts from a ramp: the
-    first level, with only the vector-less bisection below it, and an odd
-    level, which halves to a grid it is not nested with (4001 to 2000).
-    A level whose polish is not certified is bisected instead; `method`
-    records how the returned level was solved.
+    far, or the N/4 values for the first level and its N/2 run. Each polish
+    starts from the eigenvectors of the nearest nested level that has them,
+    restricted from a finer level or linearly prolonged from a coarser one,
+    and stops once the pair certifies. A level with no nested level below or
+    above it that holds vectors starts from a ramp: the first level, with
+    only the vector-less bisection below it, and an odd level, which halves
+    to a grid it is not nested with (4001 to 2000). A level whose polish is
+    not certified is bisected instead; `method` records how the returned
+    level was solved.
 
     Raises GridTooCoarse when rtol is given and an estimate still exceeds it
     at grid_points; warns with TruncationWarning when an eigenvector keeps
@@ -318,6 +371,15 @@ def lowest_eigenvalues(
         raise InvalidParameter("grid_points must be >= 200")
     if rtol is not None and not (math.isfinite(rtol) and rtol > 0):
         raise InvalidParameter(f"rtol must be a finite number > 0, got {rtol}")
+    # ascending levels: grid_points / 2^j down to the smallest >= LADDER_FLOOR
+    levels = [grid_points]
+    while levels[0] // 2 >= LADDER_FLOOR:
+        levels.insert(0, levels[0] // 2)
+    quarter = levels[0] // 2 // 2  # the coarsest grid, the first level's N/4 run
+    if k >= quarter:
+        raise InvalidParameter(
+            f"k must be < {quarter}, the coarsest grid's intervals at grid_points={grid_points}"
+        )
     x_cut = float(x_max) if x_max is not None else default_arc_cutoff(spec)
     samples: dict = {}
     solved: dict = {}
@@ -349,42 +411,28 @@ def lowest_eigenvalues(
             solved[n] = _tridiag_lowest(spec, k, n, x_cut, vectors, samples, guess(n), start(n))
         return solved[n]
 
-    # ascending levels: grid_points / 2^j down to the smallest >= LADDER_FLOOR
-    levels = [grid_points]
-    while levels[0] // 2 >= LADDER_FLOOR:
-        levels.insert(0, levels[0] // 2)
-    # sample the first fine grid so that its half grid strides the samples,
-    # then bisect that half grid: the one solve with no guess to polish
+    # sample the first level so that its N/2 grid strides the samples, then
+    # bisect its N/4 grid: the one solve with no guess to polish
     _interior_potential(spec, levels[0], x_cut, samples)
-    half = levels[0] // 2
-    solved[half] = _tridiag_lowest(spec, k, half, x_cut, False, samples)
-    at = 0
-    while True:
-        n = levels[at]
+    solved[quarter] = _tridiag_lowest(spec, k, quarter, x_cut, False, samples)
+    for n in levels:
         # the fine solve first, so that the half grid strides its samples; every
         # fine level keeps its eigenvectors to start the next polish from
         w_fine, vecs, method = solve(n, True)
         w_half = solve(n // 2, False)[0]
-        richardson = np.abs(w_fine - w_half)
-        # |E(N) - E(N/2)| ~ 3 x the fine-grid error for a second-order scheme
-        rel = richardson / 3.0 / np.maximum(1.0, np.abs(w_fine))
-        if n == grid_points:
-            if rtol is not None and np.any(rel > rtol):
-                raise GridTooCoarse(
-                    f"relative eigenvalue error estimate {rel.max():.3e} exceeds rtol={rtol:.3e}"
-                )
+        w_quarter = solved[n // 2 // 2][0]  # the bisected grid, then a level solved before
+        extrapolated = _extrapolate(w_fine, w_half, n)
+        error, order = _error_estimate(
+            w_fine, w_half, w_quarter, extrapolated, _extrapolate(w_half, w_quarter, n // 2)
+        )
+        if rtol is not None and np.all(error <= rtol):
             break
-        if rtol is None:
-            at += 1  # every level up to grid_points
-        elif np.all(rel <= rtol):
-            break
-        else:
-            worst = rel.max()
-            at = next(
-                (j for j in range(at + 1, len(levels)) if worst * (n / levels[j]) ** 2 <= rtol),
-                len(levels) - 1,
+    else:
+        if rtol is not None:
+            raise GridTooCoarse(
+                f"relative error estimate {error.max():.3e} of the extrapolated eigenvalues "
+                f"exceeds rtol={rtol:.3e}"
             )
-    extrapolated = w_fine + (w_fine - w_half) / 3.0
     if x_cut < Deformation(float(spec.lam)).arc_max * (1.0 - 1e-12):  # the cut leaves domain out
         edge = max(3, n // 100)
         for i in range(vecs.shape[1]):
@@ -399,8 +447,10 @@ def lowest_eigenvalues(
         grid_points=n,
         x_max=x_cut,
         eigenvalues=tuple(float(v) for v in w_fine),
-        richardson_error=tuple(float(v) for v in richardson),
+        richardson_error=tuple(float(v) for v in np.abs(w_fine - w_half)),
         extrapolated=tuple(float(v) for v in extrapolated),
+        error_estimate=tuple(float(v) for v in error),
+        observed_order=tuple(None if math.isnan(p) else float(p) for p in order),
         method=method,
         eigenvectors=vecs,
     )

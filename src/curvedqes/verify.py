@@ -69,6 +69,8 @@ class VerificationReport:
     oracle_E0: float
     oracle_E1: float
     oracle_error: tuple
+    oracle_error_estimate: tuple  # relative error estimate of the extrapolated E0, E1
+    oracle_order: tuple  # observed order of E0, E1 over N, N/2, N/4; None where undefined
     grid_points: int
     x_max: float
     oracle_method: str  # how the level at grid_points was solved (SpectrumEstimate.method)
@@ -93,6 +95,8 @@ class VerificationReport:
                 "E0": self.oracle_E0,
                 "E1": self.oracle_E1,
                 "richardson_error": list(self.oracle_error),
+                "error_estimate": list(self.oracle_error_estimate),
+                "observed_order": list(self.oracle_order),
                 "grid_points": self.grid_points,
                 "x_max": self.x_max,
                 "method": self.oracle_method,
@@ -155,9 +159,14 @@ def run_verification(
 ) -> VerificationReport:
     """Build the closed-form solution and run every check against the oracle.
 
-    The eigenvalue solver climbs its grid ladder up to grid_points. rtol,
-    when given, is forwarded to it, and it then stops at the smallest grid
-    that certifies rtol and raises GridTooCoarse if even grid_points cannot.
+    oracle_E0 and oracle_E1 compare the closed forms with the oracle's
+    Richardson-extrapolated eigenvalues. The eigenvalue solver climbs its grid
+    ladder up to grid_points. rtol, when given, is forwarded to it: it then
+    stops at the smallest grid whose estimate of the relative error of those
+    extrapolated values is <= rtol, and raises GridTooCoarse if even
+    grid_points cannot. The estimate is relative to the extrapolated value
+    itself, as the check is relative to the closed form, and the report
+    carries it with the observed order of convergence.
     """
     sol = general_two_state(family, m, L, B2m, lam)
     checks: list[CheckResult] = []
@@ -232,6 +241,8 @@ def run_verification(
         oracle_E0=est.eigenvalues[0],
         oracle_E1=est.eigenvalues[1],
         oracle_error=est.richardson_error[:2],
+        oracle_error_estimate=est.error_estimate[:2],
+        oracle_order=est.observed_order[:2],
         grid_points=est.grid_points,
         x_max=est.x_max,
         oracle_method=est.method,

@@ -76,6 +76,12 @@ def test_verify_json_format(capsys, tmp_path):
     assert doc["passed"] is True
     names = {c["name"] for c in doc["checks"]}
     assert "riccati_v1" in names and "oracle_E0" in names
+    # the oracle block says how well the compared values are known
+    checks = {c["name"]: c["value"] for c in doc["checks"]}
+    block = doc["oracle"]
+    assert len(block["observed_order"]) == 2
+    for name, estimate in zip(("oracle_E0", "oracle_E1"), block["error_estimate"]):
+        assert checks[name] <= estimate <= 1e-6
 
 
 def test_spectrum_command(capsys):
@@ -92,8 +98,10 @@ def test_spectrum_command(capsys):
 
 
 def test_spectrum_grid_too_coarse_exit_code(capsys):
+    # at L = 1/2 the extrapolated E1 = -1/4 converges at about second order: its
+    # estimate at 2000 points is ~7e-5, far above the default --tol
     code, _, err = run_cli(
-        ["spectrum", "--family", "1", "--m", "1", "--L", "1", "--lambda", "1", "--B", "1",
+        ["spectrum", "--family", "1", "--m", "1", "--L", "1/2", "--lambda", "1", "--B", "4",
          "--grid", "2000"],
         capsys,
     )
@@ -173,13 +181,21 @@ def test_spectrum_json_names_the_method(capsys):
     doc = json.loads(out)
     assert doc["method"] == "inverse_iteration"
     assert doc["grid_points"] < 20000
+    assert len(doc["error_estimate"]) == len(doc["observed_order"]) == 2
+    assert max(doc["error_estimate"]) <= 1e-6
+
+
+# L = 1/2 configs whose estimates exceed each tol one level below the grid
+ODD_GRID_CONFIGS = {
+    "4001": ["--family", "1", "--m", "2", "--L", "1/2", "--lambda", "1", "--B", "9"],
+    "2501": ["--family", "2", "--m", "1", "--L", "1/2", "--lambda", "-1", "--B", "1"],
+}
 
 
 @pytest.mark.parametrize("grid, tol", [("4001", "2e-6"), ("2501", "4e-6")])
 def test_verify_on_an_odd_grid(capsys, grid, tol):
     # an odd --grid halves to a level it is not nested with; the ladder still reaches it
-    args = ["verify", "--family", "2", "--m", "1", "--L", "1", "--lambda", "-1", "--B", "1",
-            "--grid", grid]
+    args = ["verify", *ODD_GRID_CONFIGS[grid], "--grid", grid]
     code, out, err = run_cli(args + ["--tol", tol], capsys)
     assert code == 0
     assert f"N = {grid}" in out

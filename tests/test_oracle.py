@@ -67,6 +67,10 @@ def test_grid_validation():
         lowest_eigenvalues(BOX, k=0)
     with pytest.raises(ValueError):
         lowest_eigenvalues(BOX, k=1, grid_points=100)
+    # the coarsest grid, 200 // 2 // 2 = 50 intervals, holds 49 eigenvalues
+    assert len(lowest_eigenvalues(BOX, k=49, grid_points=200).eigenvalues) == 49
+    with pytest.raises(ValueError, match="k must be < 50"):
+        lowest_eigenvalues(BOX, k=50, grid_points=200)
 
 
 def test_rtol_must_be_finite_and_positive():
@@ -138,11 +142,16 @@ def test_without_rtol_polishes_every_level_up_to_grid_points(name):
         assert count_sign_changes(est.eigenvectors[:, i]) == i
 
 
+# at L = 1/2 the extrapolated values converge at about second order, so these configs
+# need the whole ladder: each estimate exceeds its rtol one level below grid_points
+ODD_GRID_CONFIGS = {4001: (1, 2, Fraction(1, 2), 9, 1), 2501: (2, 1, Fraction(1, 2), 1, -1)}
+
+
 # an odd grid_points halves to a level it is not nested with: 4001 to 2000, 2501 to 1250;
 # with these rtols the ladder climbs to grid_points and certifies there
 @pytest.mark.parametrize("grid, rtol", [(4001, None), (4001, 2e-6), (2501, None), (2501, 4e-6)])
 def test_odd_grid_points_are_solved_without_a_nested_start(grid, rtol):
-    spec, k = general_two_state(2, 1, 1, 1, -1).spec, 2
+    spec, k = general_two_state(*ODD_GRID_CONFIGS[grid]).spec, 2
     est = lowest_eigenvalues(spec, k=k, grid_points=grid, rtol=rtol)
     assert est.grid_points == grid
     assert est.eigenvectors.shape == (grid - 1, k)
@@ -194,7 +203,7 @@ def test_polish_falls_back_to_bisection(pick):
 
 
 @pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
-def test_ladder_bisects_only_its_first_half_grid(config, monkeypatch):
+def test_ladder_bisects_only_its_coarsest_grid(config, monkeypatch):
     rows = []
     original = oracle.eigh_tridiagonal
 
@@ -203,11 +212,12 @@ def test_ladder_bisects_only_its_first_half_grid(config, monkeypatch):
         return original(d, e, **kwargs)
 
     monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
-    # with or without rtol: the ladder is the only solve path
+    # with or without rtol: the ladder is the only solve path, and its coarsest grid is
+    # the first level's N/4 run, 1250 // 2 // 2 = 312 intervals
     for rtol in (1e-6, None):
         rows.clear()
         est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=rtol)
-        assert rows == [624]
+        assert rows == [311]
         assert est.method == "inverse_iteration"
 
 
@@ -242,14 +252,15 @@ def test_ladder_starts_from_the_nearest_solved_level(config, monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "_polish", recorded)
-    lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=1e-6)
-    (n0, start0, vecs0), (n1, start1, vecs1), (n2, start2, _) = polished
+    # an rtol the first level misses and the next one certifies
+    est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=1e-10)
+    (n0, start0, vecs0), (n1, start1, _), (n2, start2, _) = polished
+    assert est.grid_points == n2
     assert start0 is None
-    # the jump up prolongs the first level: its points are kept bit for bit
-    s = n1 // n0
-    assert s > 1 and np.array_equal(start1[s - 1::s], vecs0)
-    # the half grid after it restricts the level just solved
-    assert n2 == n1 // 2 and np.array_equal(start2, vecs1[1::2])
+    # the first level's half grid restricts the level just solved
+    assert n1 == n0 // 2 and np.array_equal(start1, vecs0[1::2])
+    # the step up prolongs the first level: its points are kept bit for bit
+    assert n2 == 2 * n0 and np.array_equal(start2[1::2], vecs0)
 
 
 def test_prolonging_by_two_averages_neighbours():
@@ -277,8 +288,9 @@ def test_ladder_evaluates_each_potential_sample_once(config, monkeypatch):
 
     monkeypatch.setattr(oracle, "_potential_on_arc", counted)
     est = lowest_eigenvalues(spec, k=2, x_max=x_max, rtol=1e-6)
-    # every level is nested in the finest one solved, the certified level
-    assert sum(points) == est.grid_points - 1
+    # every level is nested in the finest one solved, the certified level, except the
+    # first level's N/4 run: 312 intervals, not nested with 625, keep 311 samples of their own
+    assert sum(points) == est.grid_points - 1 + 311
 
 
 def _count_solves(monkeypatch):
@@ -298,8 +310,7 @@ def test_rtol_stops_at_a_smaller_certified_grid(config, monkeypatch):
     calls = _count_solves(monkeypatch)
     est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=1e-6)
     assert est.grid_points < 20000
-    rel = np.array(est.richardson_error) / 3.0 / np.maximum(1.0, np.abs(est.eigenvalues))
-    assert np.all(rel <= 1e-6)
+    assert np.all(np.array(est.error_estimate) <= 1e-6)
     assert est.eigenvectors.shape == (est.grid_points - 1, 2)
     # no grid is solved twice, and no half grid computes eigenvectors
     sizes = [n for n, _ in calls]
@@ -308,12 +319,13 @@ def test_rtol_stops_at_a_smaller_certified_grid(config, monkeypatch):
 
 
 def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
-    # four levels at rtol=1e-5 need 2500 points, one step up from the first level
+    # four levels at rtol=1e-9 need 2500 points, one step up from the first level
     calls = _count_solves(monkeypatch)
     spec = general_two_state(2, 2, 1, 1, -1).spec
-    est = lowest_eigenvalues(spec, k=4, rtol=1e-5)
+    est = lowest_eigenvalues(spec, k=4, rtol=1e-9)
     assert est.grid_points == 2500
-    assert calls == [(625, False), (1250, True), (2500, True)]
+    # 1250 and 625 are the N/2 and N/4 runs of 2500: no level is solved again
+    assert calls == [(312, False), (1250, True), (625, False), (2500, True)]
     # the levels 2500 and 1250 agree with tight bisections of the same grids within eps ||T||_1
     fine = _tight_bisection(spec, 4, 2500, est.x_max)
     half = _tight_bisection(spec, 4, 1250, est.x_max)
@@ -322,10 +334,18 @@ def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
     assert np.all(np.abs(np.subtract(est.richardson_error, np.abs(fine - half))) <= 8 * bound)
 
 
-def test_ladder_does_not_hide_the_known_grid_failure():
+def test_ladder_certifies_the_former_grid_failure_within_its_estimate():
+    # the plain-value gate raised GridTooCoarse here; the extrapolated values certify,
+    # at grid_points only, and each estimate bounds its measured closed-form error
     sol = general_two_state(1, 1, Fraction(1, 2), 4, 1)
+    est = lowest_eigenvalues(sol.spec, k=2, rtol=1e-6)
+    assert est.grid_points == 20000
+    exact = np.array([float(sol.E0), float(sol.E1)])
+    error = np.abs(np.array(est.extrapolated) - exact) / np.abs(exact)
+    assert np.all(error <= np.array(est.error_estimate))
+    assert np.all(np.array(est.error_estimate) <= 1e-6)
     with pytest.raises(GridTooCoarse, match="exceeds rtol=1.000e-06"):
-        lowest_eigenvalues(sol.spec, k=2, rtol=1e-6)
+        lowest_eigenvalues(sol.spec, k=2, grid_points=10000, rtol=1e-6)
 
 
 def test_truncation_warning_when_cut_too_short():
@@ -530,3 +550,82 @@ def test_orthogonality_of_two_states():
     for fam, lam in ((1, 2), (2, -2)):
         sol = general_two_state(fam, 1, 0, 4, lam)
         assert abs(overlap(sol.psi0, sol.psi1)) < 1e-8
+
+
+# Both lanes: sqrt(B_2m) rational (exact closed forms) and irrational (float closed forms)
+HONESTY_B = (1, 4, Fraction(9, 4), 2, 3, Fraction(5, 2), Fraction(7, 2))
+
+
+@pytest.mark.parametrize("family", [1, 2])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_certified_estimate_bounds_the_closed_form_error(family, m):
+    # wherever the ladder returns at rtol, each estimate is within rtol and bounds the
+    # relative error of its extrapolated value against the closed form; below 1e-9 the
+    # eigensolver's rounding may outgrow an estimate of converged values
+    lam = 1 if family == 1 else -1
+    for L in (0, Fraction(1, 2), 1, 2):
+        for B in HONESTY_B:
+            sol = general_two_state(family, m, L, B, lam)
+            try:
+                est = lowest_eigenvalues(sol.spec, k=2, rtol=1e-6)
+            except GridTooCoarse:
+                continue
+            exact = np.array([float(sol.E0), float(sol.E1)])
+            error = np.abs(np.array(est.extrapolated) - exact) / np.abs(exact)
+            estimate = np.array(est.error_estimate)
+            assert np.all(estimate <= 1e-6), (L, B)
+            assert np.all((error <= estimate) | (error < 1e-9)), (L, B, error, estimate)
+
+
+@pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
+def test_estimate_is_tight_at_the_first_level(config):
+    # X converges at fourth order here, so the bound is ~15x its error. The 312-interval
+    # N/4 grid is not nested with 625: extrapolating with a step ratio of 2 instead of
+    # 625 / 312 would inflate the estimate over 100-fold
+    sol = general_two_state(*config)
+    est = lowest_eigenvalues(sol.spec, k=2, grid_points=1250)
+    exact = np.array([float(sol.E0), float(sol.E1)])
+    error = np.abs(np.array(est.extrapolated) - exact) / np.abs(exact)
+    assert np.all(error <= np.array(est.error_estimate))
+    assert np.all(np.array(est.error_estimate) <= 20 * error)
+
+
+def test_error_estimate_falls_back_to_the_plain_gate():
+    w = np.array([-24.5, 15.5, 40.0, 60.0, 80.0])
+    d = np.array([1e-4, 2e-4, 0.0, 1e-4, 1e-4])  # E(N) - E(N/2)
+    # second order in the first entry; then opposite signs, a zero difference in either
+    # pair, and an order of 6
+    d_half = np.array([4e-4, -8e-4, 1e-4, 64e-4, 0.0])
+    w_half = w - d
+    w_quarter = w_half - d_half
+    x = w + d / 3.0
+    x_half = w_half + d_half / 3.0
+    error, order = oracle._error_estimate(w, w_half, w_quarter, x, x_half)
+    plain = np.abs(w - w_half) / 3.0 / np.abs(x)
+    assert order[0] == pytest.approx(2.0) and error[0] != plain[0]
+    assert np.all(np.isnan(order[[1, 2, 4]])) and order[3] == pytest.approx(6.0)
+    assert np.array_equal(error[1:], plain[1:])
+
+
+def test_undefined_order_takes_the_plain_gate(monkeypatch):
+    # the first level's N/4 run made to return E(1250): the differences
+    # E(N) - E(N/2) and E(N/2) - E(N/4) then differ in sign, so the order is
+    # undefined at N = 1250 and the gate there reads the plain value's estimate
+    spec = general_two_state(1, 4, 0, 1, 1).spec
+    w = np.array(lowest_eigenvalues(spec, k=2, grid_points=1250).eigenvalues)
+    original = oracle._tridiag_lowest
+
+    def flipped(spec, k, n, *args, **kwargs):
+        if n == 312:
+            return w, None, "bisection"
+        return original(spec, k, n, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_tridiag_lowest", flipped)
+    est = lowest_eigenvalues(spec, k=2, grid_points=1250)
+    assert est.observed_order == (None, None)
+    plain = np.array(est.richardson_error) / 3.0 / np.abs(est.extrapolated)
+    assert np.array_equal(est.error_estimate, plain)
+    # the plain estimate misses rtol at 1250, where the unpatched gate certifies
+    assert lowest_eigenvalues(spec, k=2, rtol=1e-6).grid_points == 2500
+    monkeypatch.undo()
+    assert lowest_eigenvalues(spec, k=2, rtol=1e-6).grid_points == 1250

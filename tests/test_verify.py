@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,32 @@ def test_report_shows_a_polish_fallback(monkeypatch):
     report = run_verification(2, 4, 0, 1, -1, rtol=1e-6)
     assert report.to_dict()["oracle"]["method"] == "bisection"
     assert report.passed and report.grid_points == polished.grid_points
+
+
+def test_report_carries_the_certified_error_estimate():
+    report = run_verification(2, 4, 0, 1, -1, rtol=1e-6)
+    est = oracle.lowest_eigenvalues(general_two_state(2, 4, 0, 1, -1).spec, k=2, rtol=1e-6)
+    assert report.oracle_error_estimate == est.error_estimate
+    assert report.oracle_order == est.observed_order
+    block = report.to_dict()["oracle"]
+    assert block["error_estimate"] == list(report.oracle_error_estimate)
+    assert block["observed_order"] == list(report.oracle_order)
+    assert max(report.oracle_error_estimate) <= 1e-6
+    # a smooth potential: the three levels show the stencil's second order
+    assert all(1.9 < p < 2.1 for p in report.oracle_order)
+    # the table is unchanged: the estimate lives in the report and its JSON
+    assert "error_estimate" not in report.format_table()
+
+
+def test_gate_scale_is_no_looser_than_the_check():
+    # E1 = -1/4: a gate relative to max(1, |E|) would certify a 4x larger error,
+    # and at 10000 points it would let the check read ~9e-7 against 1e-6
+    report = run_verification(1, 1, Fraction(1, 2), 4, 1, rtol=1e-6)
+    assert report.closed_E1 == -0.25
+    assert report.passed
+    checks = {c.name: c.value for c in report.checks}
+    for name, estimate in zip(("oracle_E0", "oracle_E1"), report.oracle_error_estimate):
+        assert checks[name] <= estimate <= 1e-6
 
 
 def _w_minus_identity_by_loop(sol):
