@@ -43,7 +43,6 @@ from .susy import (
     Superpotential,
     Term,
     WavefunctionForm,
-    apply_raising,
     oscillator_ground_energy,
     oscillator_partner,
     oscillator_superpotential,

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dpttrf, dstebz
-from scipy.optimize import brentq
 
 from .errors import GridTooCoarse, InvalidParameter, NonNormalizable, TruncationWarning
 from .geometry import Deformation, radius_from_arc
@@ -625,6 +624,14 @@ def overlap(
         return psi_a.value(r) * psi_b.value(r) / scale
 
     return _gauss_kronrod(product, 0.0, max(decay_radii), OVERLAP_EPSREL, OVERLAP_EPSABS)
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported at the first call: the import adds about
+    20 MB and 0.1-0.3 s, which a caller that never polishes a node should not pay."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(*args, **kwargs)
 
 
 def find_nodes(psi: WavefunctionForm, window=None, decay_radius: float | None = None) -> list:

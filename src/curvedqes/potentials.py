@@ -122,7 +122,11 @@ def eval_potential(spec: PotentialSpec, r):
 def reduced_spec(family: int, m: int, L: Scalar, B2m: Scalar, lam: Scalar) -> PotentialSpec:
     """Build the reduced QES PotentialSpec for the given family and order."""
     fam = validate_model(family, m, L, B2m, lam)
-    s = exact_sqrt(B2m)
+    return _reduced_spec(fam, m, L, B2m, lam, exact_sqrt(B2m))
+
+
+def _reduced_spec(fam: Family, m: int, L, B2m, lam, s) -> PotentialSpec:
+    """reduced_spec of a model that validate_model has passed, with s = exact_sqrt(B2m)."""
     low = -B2m - (2 * L + 1) * s
     if fam is Family.FAMILY1:
         A = (2 * m + 1) * (2 * m - 1) * QUARTER
@@ -131,7 +135,9 @@ def reduced_spec(family: int, m: int, L: Scalar, B2m: Scalar, lam: Scalar) -> Po
         A = low + (2 * m + 1) * (2 * m + 3) * QUARTER
         top = B2m - 2 * (2 * m + 1) * s
     B = tuple(canonical(b) for b in [low] * (m - 1) + [top] + [B2m] * m)
-    return PotentialSpec(family=fam, m=m, L=L, A=canonical(A), B=B, lam=lam)
+    spec = object.__new__(PotentialSpec)  # __post_init__ would validate the model again
+    spec.__dict__.update(family=fam, L=L, A=canonical(A), lam=lam, B=B, m=m, shift=0)
+    return spec
 
 
 def oscillator_from_beta(beta: Scalar, lam: Scalar, L: Scalar = 0) -> PotentialSpec:

@@ -1,4 +1,4 @@
-"""Deformed-SUSY engine: superpotentials, Riccati maps, partner shifts, eigenfunctions.
+"""Deformed-SUSY engine: superpotentials, Riccati maps, partner shifts, eigenfunction forms.
 
 A superpotential is a finite sum of basis terms c * r^p * f(r)^q with
 p in {-1, +1} and q odd (possibly negative), where f = sqrt(1 + lam*r^2).
@@ -16,6 +16,9 @@ Closed-form eigenfunctions take the shape
                                             + sum_k d_k f^(-2k)),
 
 kept unnormalized; quadrature norms live in the spectral oracle.
+wavefunction_from_superpotential integrates the ground state
+f^(-1/2) exp(-int W/f dr) of any W in the basis term by term; the two states
+of a family member are read off its generating pair in twostate.
 """
 
 from __future__ import annotations
@@ -295,62 +298,6 @@ def wavefunction_from_superpotential(w: Superpotential) -> WavefunctionForm:
     c_list = [c_poly.get(s, 0) for s in range(1, max(c_poly, default=0) + 1)]
     d_list = [d_poly.get(k, 0) for k in range(1, max(d_poly, default=0) + 1)]
     return WavefunctionForm(a, b, tuple(c_list), tuple(d_list), (1,), lam)
-
-
-def apply_raising(w: Superpotential, psi: WavefunctionForm) -> WavefunctionForm:
-    """First excited state from the partner ground state: psi1 = A+ psi.
-
-    psi must be the ground state generated from the partner superpotential W';
-    the operator then multiplies psi by W + W' and the product collapses back
-    to a single r-power, f-power and polynomial prefactor.
-    """
-    if len(psi.prefactor) > 1 or psi.prefactor[0] == 0:
-        raise UnsupportedTerm("raising operator expects a nodeless ground-state form")
-    lam = w.lam
-    scale = psi.prefactor[0]
-    mono: dict[tuple[int, int], Scalar] = {}
-
-    def add(coeff, p, q):
-        if coeff != 0:
-            mono[(p, q)] = mono.get((p, q), 0) + coeff
-
-    # -f (ln psi)' - f'/2, assembled analytically from the closed form
-    add(-psi.r_power, -1, 1)
-    add(-(psi.f_power + HALF) * lam, 1, -1)
-    for j, cj in enumerate(psi.exp_r2, start=1):
-        add(-2 * j * cj * lam ** j, 2 * j - 1, 1)
-    for k, dk in enumerate(psi.exp_finv, start=1):
-        add(2 * k * dk * lam, 1, -(2 * k + 1))
-    for term in w.terms:
-        add(term.coeff, term.r_exp, term.f_exp)
-
-    items = [(c, p, q) for (p, q), c in mono.items() if c != 0]
-    if not items:
-        raise UnsupportedTerm("raising operator annihilated the state")
-    q0 = min(q for _, _, q in items)
-    if any((q - q0) % 2 for _, _, q in items):
-        raise UnsupportedTerm("mixed f-power parity in the raising product")
-    poly: dict[int, Scalar] = {}
-    for c, p, q in items:
-        n = (q - q0) // 2
-        for s in range(n + 1):
-            key = p + 2 * s
-            poly[key] = poly.get(key, 0) + c * comb(n, s) * lam ** s
-    entries = {p: c for p, c in poly.items() if c != 0}
-    p0 = min(entries)
-    if any((p - p0) % 2 for p in entries):
-        raise UnsupportedTerm("mixed r-power parity in the raising product")
-    alam = abs(lam)
-    smax = (max(entries) - p0) // 2
-    pref = [scale * exact_div(entries.get(p0 + 2 * s, 0), alam ** s) for s in range(smax + 1)]
-    return WavefunctionForm(
-        psi.r_power + p0,
-        psi.f_power + q0,
-        psi.exp_r2,
-        psi.exp_finv,
-        tuple(pref),
-        lam,
-    )
 
 
 def w_plus_poles(w_plus: Superpotential, r) -> np.ndarray:

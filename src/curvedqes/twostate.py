@@ -14,7 +14,10 @@ Two routes produce the same closed-form data:
 * the generating-function route, valid for every order m >= 1: a pair
   (W+, W-) satisfying f W+' = W+ W- + (E1 - E0) yields both superpotentials
   as W = (W+ - W-)/2, W' = (W+ + W-)/2, and with them the potential, the two
-  energies, both wavefunctions, and the node of the excited state.
+  energies, both wavefunctions, and the node of the excited state. The ground
+  states of W and W' are read off in closed form, and the excited state is
+  A+ applied to the partner ground state, which is W + W' = W+ times it; each
+  takes O(m) terms.
 
 All formulas are arranged so int/Fraction inputs with a rational sqrt(B_2m)
 propagate exactly; the two routes can therefore be compared by equality.
@@ -23,8 +26,9 @@ propagate exactly; the two routes can therefore be compared by equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .errors import InvalidParameter, InvariantError, UnsupportedOrder
@@ -32,6 +36,7 @@ from .exactmath import HALF, Scalar, canonical, exact_div, exact_sqrt, is_exact
 from .potentials import (
     Family,
     PotentialSpec,
+    _reduced_spec,
     reduced_spec,
     require_finite,
     spec_to_dict,
@@ -43,10 +48,8 @@ from .susy import (
     GeneratingPair,
     Superpotential,
     WavefunctionForm,
-    apply_raising,
     potential_expand,
     riccati_expand,
-    wavefunction_from_superpotential,
 )
 
 
@@ -256,7 +259,11 @@ class TwoStateSolution:
 def generating_pair(family, m: int, L, B2m, lam) -> GeneratingPair:
     """The (W+, W-) pair and level spacing for the order-m family member."""
     fam = validate_model(family, m, L, B2m, lam)
-    s = exact_sqrt(B2m)
+    return _generating_pair(fam, m, L, exact_sqrt(B2m), lam)
+
+
+def _generating_pair(fam: Family, m: int, L, s, lam) -> GeneratingPair:
+    """generating_pair of a model that validate_model has passed, with s = sqrt(B_2m)."""
     if fam is Family.FAMILY1:
         w_plus = Superpotential(
             ((-(2 * L + 3) - 2 * s, -1, 1), (2 * s, -1, 2 * m + 1)), lam
@@ -289,14 +296,22 @@ def general_two_state(family, m: int, L, B2m, lam) -> TwoStateSolution:
 
 
 def _two_state(fam: Family, m: int, L, B2m, lam) -> TwoStateSolution:
+    """The solution of a model that validate_model has passed.
+
+    psi0 = f^(-1/2) exp(-int W/f dr), and its partner from W', term by term: c f/r
+    gives r^-c, c r/f gives f^(-c/lam), and the tail gives the exponent. In family 1
+    sum_{j<=m} lam s r f^(2j-1) integrates to sum_k (s/2) C(m, k)/k (lam r^2)^k, as
+    sum_{k<=j<=m} C(j, k)/j = C(m, k)/k; in family 2 |lam| s r f^(-2k-1) gives (s/2k) f^(-2k).
+    """
     s = exact_sqrt(B2m)
-    pair = generating_pair(fam, m, L, B2m, lam)
-    spec = reduced_spec(int(fam), m, L, B2m, lam)
+    pair = _generating_pair(fam, m, L, s, lam)
+    spec = _reduced_spec(fam, m, L, B2m, lam, s)
     if fam is Family.FAMILY1:
         e0 = -lam * ((2 * m + 2) * s + 3 * m + Fraction(5, 2) + (2 * m + 3) * L + L * L)
         e1 = lam * ((2 * m - 2) * s + 3 * m - Fraction(5, 2) + (2 * m - 3) * L - L * L)
         tail = [(lam * s, 1, 2 * i + 1) for i in range(m)]
         eta, eta_prime = -(2 * m + 1) * lam * HALF, (2 * m + 1) * lam * HALF
+        exps = (tuple(-exact_div(s * comb(m, k), 2 * k) for k in range(1, m + 1)), ())
     else:
         al = abs(lam)
         e0 = al * (
@@ -307,6 +322,7 @@ def _two_state(fam: Family, m: int, L, B2m, lam) -> TwoStateSolution:
         )
         tail = [(al * s, 1, -(2 * i + 1)) for i in range(1, m + 1)]
         eta, eta_prime = al * (s - m - HALF), al * (s + m + HALF)
+        exps = ((), tuple(-exact_div(s, 2 * k) for k in range(1, m + 1)))
     w = Superpotential(tuple([(-(L + 1), -1, 1), (eta, 1, -1)] + tail), lam)
     w_prime = Superpotential(tuple([(-(L + 2), -1, 1), (eta_prime, 1, -1)] + tail), lam)
     delta = e1 - e0
@@ -322,10 +338,12 @@ def _two_state(fam: Family, m: int, L, B2m, lam) -> TwoStateSolution:
         raise InvariantError(
             f"E1 - E0 = {delta} differs from the generating-pair delta_e = {pair.delta_e}"
         )
-    psi0 = wavefunction_from_superpotential(w)
-    psi0_partner = wavefunction_from_superpotential(w_prime)
-    psi1 = apply_raising(w, psi0_partner)
-    r0 = _node_radius(int(fam), m, L, B2m, lam)
+    psi0, psi0_partner = (
+        WavefunctionForm(a, -HALF - exact_div(c, lam), *exps, lam=lam)
+        for a, c in ((L + 1, eta), (L + 2, eta_prime))
+    )
+    psi1 = _raise_partner(pair.w_plus, psi0_partner)
+    r0 = _node_radius(fam, m, L, s, lam)
     if not math.isfinite(r0):
         raise OverflowError(f"r0 = {r0}")
     return TwoStateSolution(
@@ -348,10 +366,24 @@ def _two_state(fam: Family, m: int, L, B2m, lam) -> TwoStateSolution:
     )
 
 
-def _node_radius(family: int, m: int, L, B2m, lam) -> float:
-    s = float(exact_sqrt(B2m))
+def _raise_partner(w_plus: Superpotential, partner: WavefunctionForm) -> WavefunctionForm:
+    """psi1 = A+ psi0' = (W + W') psi0' = W+ psi0' for the partner ground state psi0'.
+
+    W+ = c f^q0 / r + c' f^q1 / r; with lo < hi its two f powers and l, h their
+    coefficients, r W+ = f^lo (l + h (f^2)^n), n = (hi - lo)/2, and
+    f^2 = 1 + sign(lam) u makes the bracket the degree-n prefactor in u = |lam| r^2.
+    """
+    (lo, l), (hi, h) = sorted((t.f_exp, t.coeff) for t in w_plus.terms)
+    n, sign = (hi - lo) // 2, (1 if partner.lam > 0 else -1)
+    prefactor = (l + h,) + tuple(h * comb(n, k) * sign**k for k in range(1, n + 1))
+    return replace(partner, r_power=partner.r_power - 1, f_power=partner.f_power + lo,
+                   prefactor=prefactor)
+
+
+def _node_radius(family: Family, m: int, L, s, lam) -> float:
+    s = float(s)
     top = 2.0 * float(L) + 3.0 + 2.0 * s
-    if family == 1:
+    if family is Family.FAMILY1:
         # ((top/2s)^(1/m) - 1)^(1/2), conditioned for ratios near 1
         x0 = math.expm1(math.log(top / (2.0 * s)) / m)
         return math.sqrt(x0 / float(lam))
@@ -361,4 +393,4 @@ def _node_radius(family: int, m: int, L, B2m, lam) -> float:
 
 def node_location(sol: TwoStateSolution) -> float:
     """Closed-form node of the first excited state, inside the open domain."""
-    return _node_radius(int(sol.family), sol.m, sol.L, sol.B2m, sol.lam)
+    return _node_radius(sol.family, sol.m, sol.L, exact_sqrt(sol.B2m), sol.lam)

@@ -30,7 +30,6 @@ PUBLIC = [
     "UnsupportedTerm",
     "VerificationReport",
     "WavefunctionForm",
-    "apply_raising",
     "arc_coordinate",
     "compatibility",
     "count_sign_changes",

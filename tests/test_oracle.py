@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +14,7 @@ from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
+import curvedqes
 from curvedqes import (
     Deformation,
     GridTooCoarse,
@@ -629,3 +635,24 @@ def test_undefined_order_takes_the_plain_gate(monkeypatch):
     assert lowest_eigenvalues(spec, k=2, rtol=1e-6).grid_points == 2500
     monkeypatch.undo()
     assert lowest_eigenvalues(spec, k=2, rtol=1e-6).grid_points == 1250
+
+
+def test_scipy_optimize_is_loaded_only_by_the_node_polish():
+    code = textwrap.dedent(
+        """
+        import sys
+        import curvedqes
+
+        sol = curvedqes.general_two_state(1, 3, 0, 1, 1)
+        print("scipy.optimize" in sys.modules)
+        curvedqes.find_nodes(sol.psi1)
+        print("scipy.optimize" in sys.modules)
+        """
+    )
+    src = str(pathlib.Path(curvedqes.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]

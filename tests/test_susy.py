@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from curvedqes import (
     Superpotential,
     UnsupportedTerm,
     WavefunctionForm,
-    apply_raising,
     eval_potential,
     general_two_state,
     oscillator_from_beta,
@@ -23,7 +23,64 @@ from curvedqes import (
     w_minus_from_w_plus,
     wavefunction_from_superpotential,
 )
+from curvedqes.exactmath import HALF, exact_div, exact_sqrt
 from curvedqes.susy import potential_expand, riccati_expand, w_plus_poles
+
+
+def apply_raising(w: Superpotential, psi: WavefunctionForm) -> WavefunctionForm:
+    """The A+ operator, term by term: the independent reference for psi1.
+
+    psi must be the ground state generated from the partner superpotential W';
+    the operator then multiplies psi by W + W' and the product collapses back
+    to a single r-power, f-power and polynomial prefactor.
+    """
+    if len(psi.prefactor) > 1 or psi.prefactor[0] == 0:
+        raise UnsupportedTerm("raising operator expects a nodeless ground-state form")
+    lam = w.lam
+    scale = psi.prefactor[0]
+    mono: dict = {}
+
+    def add(coeff, p, q):
+        if coeff != 0:
+            mono[(p, q)] = mono.get((p, q), 0) + coeff
+
+    # -f (ln psi)' - f'/2, assembled analytically from the closed form
+    add(-psi.r_power, -1, 1)
+    add(-(psi.f_power + HALF) * lam, 1, -1)
+    for j, cj in enumerate(psi.exp_r2, start=1):
+        add(-2 * j * cj * lam ** j, 2 * j - 1, 1)
+    for k, dk in enumerate(psi.exp_finv, start=1):
+        add(2 * k * dk * lam, 1, -(2 * k + 1))
+    for term in w.terms:
+        add(term.coeff, term.r_exp, term.f_exp)
+
+    items = [(c, p, q) for (p, q), c in mono.items() if c != 0]
+    if not items:
+        raise UnsupportedTerm("raising operator annihilated the state")
+    q0 = min(q for _, _, q in items)
+    if any((q - q0) % 2 for _, _, q in items):
+        raise UnsupportedTerm("mixed f-power parity in the raising product")
+    poly: dict = {}
+    for c, p, q in items:
+        n = (q - q0) // 2
+        for s in range(n + 1):
+            key = p + 2 * s
+            poly[key] = poly.get(key, 0) + c * comb(n, s) * lam ** s
+    entries = {p: c for p, c in poly.items() if c != 0}
+    p0 = min(entries)
+    if any((p - p0) % 2 for p in entries):
+        raise UnsupportedTerm("mixed r-power parity in the raising product")
+    alam = abs(lam)
+    smax = (max(entries) - p0) // 2
+    pref = [scale * exact_div(entries.get(p0 + 2 * s, 0), alam ** s) for s in range(smax + 1)]
+    return WavefunctionForm(
+        psi.r_power + p0,
+        psi.f_power + q0,
+        psi.exp_r2,
+        psi.exp_finv,
+        tuple(pref),
+        lam,
+    )
 
 
 def test_zero_superpotential():
@@ -149,6 +206,8 @@ def test_apply_raising_prefactors():
 
     sol4 = general_two_state(2, 2, 1, 1, -1)
     assert sol4.psi1.prefactor == (-5, 21, -21, 7)
+    for sol in (sol, sol2, sol3, sol4):
+        assert apply_raising(sol.w, sol.psi0_partner) == sol.psi1
 
 
 def test_apply_raising_rejects_excited_input():
@@ -166,6 +225,59 @@ def test_operator_route_equals_generating_route(fam, lam, m):
     via_pair = sol.pair.w_plus.value(r) * sol.psi0_partner.value(r)
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(direct - via_pair)) / scale < 1e-10
+
+
+def _reference_states(sol):
+    """psi0, its partner and psi1 built term by term: W and W' integrated, then A+."""
+    partner = wavefunction_from_superpotential(sol.w_prime)
+    return wavefunction_from_superpotential(sol.w), partner, apply_raising(sol.w, partner)
+
+
+def _form_values(psi):
+    return (psi.r_power, psi.f_power, *psi.exp_r2, *psi.exp_finv, *psi.prefactor)
+
+
+@pytest.mark.parametrize("fam,sign", [(1, 1), (2, -1)])
+def test_closed_form_states_match_the_operator_reference(fam, sign):
+    # exact lane: the same values and types, so the same repr
+    exact = [(F(1, 2), F(9, 4), F(1, 3)), (2, 4, 1), (0, 1, 2)] * 20
+    for m, (L, B2m, lam) in enumerate(exact, start=1):
+        sol = general_two_state(fam, m, L, B2m, sign * lam)
+        got = (sol.psi0, sol.psi0_partner, sol.psi1)
+        assert repr(got) == repr(_reference_states(sol)), (fam, m)
+    # float lane: the same forms up to rounding
+    floats = [(0.7, 2.0, 0.3), (F(1, 2), 3, 1), (1, 2.25, 1.5)] * 20
+    for m, (L, B2m, lam) in enumerate(floats, start=1):
+        sol = general_two_state(fam, m, L, B2m, sign * lam)
+        for got, want in zip((sol.psi0, sol.psi0_partner, sol.psi1), _reference_states(sol)):
+            a, b = _form_values(got), _form_values(want)
+            assert len(got.prefactor) == len(want.prefactor) and len(a) == len(b), (fam, m)
+            assert all(math.isclose(x, y, rel_tol=1e-13) for x, y in zip(a, b)), (fam, m)
+
+
+@pytest.mark.parametrize(
+    "fam,lam,r_hi", [(1, 1, 0.6), (1, F(1, 4), 1.0), (2, -1, 0.95), (2, -3.0, 0.55)]
+)
+@pytest.mark.parametrize("m", [1, 2, 8, 30])
+def test_psi1_is_r_f_power_w_plus_psi0(fam, lam, r_hi, m):
+    # psi1 = r f^(-+(2m+1)) W+ psi0, minus for family 1 and plus for family 2, constant 1
+    sol = general_two_state(fam, m, F(1, 2), 4, lam)
+    r = np.linspace(0.02, r_hi, 200)
+    f = np.sqrt(1 + float(lam) * r * r)
+    power = -(2 * m + 1) if fam == 1 else 2 * m + 1
+    via_pair = r * f**power * sol.pair.w_plus.value(r) * sol.psi0.value(r)
+    direct = sol.psi1.value(r)
+    assert np.all(np.isfinite(direct)) and np.max(np.abs(direct)) > 0
+    assert np.max(np.abs(direct - via_pair)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 10**6), (2, -(10**6))])
+def test_large_lambda_constructs_at_the_top_order(fam, lam):
+    exact = general_two_state(fam, 60, 0, 1, lam)
+    sol = general_two_state(fam, 60, 0, 1, float(lam))
+    assert (sol.E0, sol.E1) == (float(exact.E0), float(exact.E1))
+    r = np.linspace(0.1, 0.9, 9) * min(sol.r0, 1 / math.sqrt(abs(lam)))
+    assert np.all(np.isfinite(sol.psi1.value(r)))
 
 
 def test_annihilation_log_derivative_identity():

@@ -345,16 +345,16 @@ def test_solution_serialization_keys():
 
 
 def _shift_pair_delta(monkeypatch, offset):
-    """Make generating_pair report a delta_e that disagrees with E1 - E0."""
+    """Make the generating pair report a delta_e that disagrees with E1 - E0."""
     from curvedqes import twostate
 
-    real = twostate.generating_pair
+    real = twostate._generating_pair
 
     def shifted(*args):
         pair = real(*args)
         return GeneratingPair(pair.w_plus, pair.w_minus, pair.delta_e + offset)
 
-    monkeypatch.setattr(twostate, "generating_pair", shifted)
+    monkeypatch.setattr(twostate, "_generating_pair", shifted)
 
 
 @pytest.mark.parametrize("B2m", [4, 2.0])  # exact lane, float lane
@@ -369,8 +369,8 @@ def test_energy_gap_invariant_survives_optimize_flag():
         """
         from curvedqes import GeneratingPair, InvariantError, twostate
 
-        real = twostate.generating_pair
-        twostate.generating_pair = lambda *a: GeneratingPair(
+        real = twostate._generating_pair
+        twostate._generating_pair = lambda *a: GeneratingPair(
             real(*a).w_plus, real(*a).w_minus, real(*a).delta_e + 1
         )
         try:
