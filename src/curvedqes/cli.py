@@ -57,6 +57,33 @@ def _number(text: str):
         return float(text)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        _number(text)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a number after a space as an option's value.
+
+    argparse takes a token such as -1/4 or -2.5e-1 for an option and rejects
+    `--lambda -1/4`; a numeric token after a `--name` is therefore joined to
+    it, as `--lambda=-1/4`. No option of this CLI is named like a number.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for tok in sys.argv[1:] if args is None else args:
+            prev = joined[-1] if joined else ""
+            if tok.startswith("-") and prev.startswith("--") and "=" not in prev and _is_number(tok):
+                joined[-1] = f"{prev}={tok}"
+            else:
+                joined.append(tok)
+        return super().parse_known_args(joined, namespace)
+
+
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
@@ -226,7 +253,7 @@ def cmd_figures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvedqes",
         description="QES extensions of the quantum oscillator on a constant-curvature space",
     )

@@ -19,7 +19,8 @@ class SignMismatch(ValueError):
 
 
 class InvalidParameter(ValueError):
-    """Family not 1 or 2, a non-finite model coefficient, L < 0, B_2m <= 0, or a bad setting."""
+    """Family not 1 or 2, a non-finite model coefficient, L < 0, B_2m <= 0, a bad setting,
+    or a model past what the float checks and the oracle's eigensolver resolve."""
 
 
 class InvalidOrder(ValueError):

@@ -53,7 +53,12 @@ from .potentials import PotentialSpec, eval_potential
 from .susy import WavefunctionForm
 
 WALL_CUTOFF = 1.0e6
+SCAN_POINTS = 20001  # points of each span default_arc_cutoff scans for the wall
+SCAN_STRIDE = 100  # its coarse pass samples every SCAN_STRIDE-th of them
 LADDER_FLOOR = 1000  # the grid ladder starts at its smallest level at or above this
+# LAPACK's dstebz counts eigenvalues with the squared off-diagonal entries: a
+# matrix entry must square inside the double range
+ENTRY_MAX = math.sqrt(np.finfo(float).max)
 POLISH_STEPS = 3  # most inverse-iteration steps per polished eigenpair
 POLISH_RESIDUAL = 1e-6  # largest accepted ||T x - E x||, as a fraction of the guesses' gap
 # The error gate (_error_estimate). The safety factor is Roache's for an order
@@ -100,11 +105,27 @@ def _potential_on_arc(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
         return eval_potential(spec, r)
 
 
+def _walled(v: np.ndarray) -> np.ndarray:
+    """Mask of the potential values at or past the wall: non-finite or >= WALL_CUTOFF."""
+    return ~np.isfinite(v) | (v >= WALL_CUTOFF)
+
+
 def default_arc_cutoff(spec: PotentialSpec) -> float:
     """Arc coordinate where the potential wall passes WALL_CUTOFF, or the full box.
 
-    lambda > 0 scans (0, 2^j / sqrt(lambda)], j = 1..6, in turn, then warns
-    with TruncationWarning and cuts at 64 / sqrt(lambda).
+    Each span is scanned at SCAN_POINTS np.linspace points, and the cut is the
+    first of them at or after the potential's minimum (np.nanargmin) that is
+    non-finite or >= WALL_CUTOFF. lambda < 0 scans the box less its ends and
+    cuts at the box's end if that finds no wall. lambda > 0 scans
+    (0, 2^j / sqrt(lambda)], j = 1..6, in turn, then warns with
+    TruncationWarning and cuts at 64 / sqrt(lambda).
+
+    The scan is sampled coarse to fine, not evaluated whole: every
+    SCAN_STRIDE-th point, then the points within one stride of the coarse
+    minimum, then the stride just before the first coarse point past the
+    minimum that reaches the wall. This gives the whole scan's point, the
+    same float, provided no feature of the potential between its minimum and
+    the wall is narrower than one stride.
     """
     lam = float(spec.lam)
     if lam < 0:
@@ -116,13 +137,19 @@ def default_arc_cutoff(spec: PotentialSpec) -> float:
         cut = 64.0 / sl
         spans = [(2.0 ** j / sl * 1e-6, 2.0 ** j / sl) for j in range(1, 7)]
     for lo, hi in spans:
-        xs = np.linspace(lo, hi, 20001)
-        v = _potential_on_arc(spec, xs)
-        i0 = int(np.nanargmin(v))
-        tail = v[i0:]
-        bad = ~np.isfinite(tail) | (tail >= WALL_CUTOFF)
-        if np.any(bad):
-            return float(xs[i0 + int(np.argmax(bad))])
+        xs = np.linspace(lo, hi, SCAN_POINTS)
+        coarse = _potential_on_arc(spec, xs[::SCAN_STRIDE])
+        c = int(np.nanargmin(coarse)) * SCAN_STRIDE
+        a = max(c - SCAN_STRIDE, 0)
+        i0 = a + int(np.nanargmin(_potential_on_arc(spec, xs[a:c + SCAN_STRIDE + 1])))
+        first = -(-i0 // SCAN_STRIDE)  # the first coarse point at or after the minimum
+        walled = _walled(coarse[first:])
+        if np.any(walled):
+            wall = (first + int(np.argmax(walled))) * SCAN_STRIDE
+            a = max(i0, wall - SCAN_STRIDE + 1)
+            # the points before the walled coarse one; the coarse one if none of them
+            fine = np.append(_walled(_potential_on_arc(spec, xs[a:wall])), True)
+            return float(xs[a + int(np.argmax(fine))])
     if lam > 0:
         warnings.warn(
             "potential never reached the wall cutoff; weakly confining tails may "
@@ -273,6 +300,12 @@ def _tridiag_lowest(
     """
     h = x_max / n
     v = _interior_potential(spec, n, x_max, samples)
+    bound = 2.0 / (h * h) + float(np.max(np.abs(v)))  # bounds every entry; NaN if one is
+    if not bound < ENTRY_MAX:
+        raise InvalidParameter(
+            f"the oracle matrix at N={n} has entries up to {bound:.3e}, past the "
+            f"{ENTRY_MAX:.3e} its eigensolver can square"
+        )
     diag = 2.0 / (h * h) + v
     off = np.full(n - 2, -1.0 / (h * h))
     if guess is not None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidParameter
 from .oracle import (
     _decay_radius,
     count_sign_changes,
@@ -198,6 +199,11 @@ def run_verification(
     # every 10th check point, skipping the poles of W- at the nodes of W+
     rs = r[:: max(1, len(r) // 100)]
     rs = rs[~w_plus_poles(wp, rs)]
+    if rs.size == 0:
+        raise InvalidParameter(
+            "W+ is at its pole floor at every w_minus_identity sample: its float values "
+            f"cannot resolve the model at lambda={float(lam):g}"
+        )
     wm_vals = wm.value(rs)
     res_wm = np.abs(w_minus_from_w_plus(wp, de)(rs) - wm_vals) / (1.0 + np.abs(wm_vals))
     add("w_minus_identity", res_wm.max())

@@ -281,3 +281,26 @@ def test_fig4_node_near_closed_form(figures_dir):
     flips = np.nonzero(signs[:-1] != signs[1:])[0]
     assert len(flips) == 1
     assert abs(data[flips[0], 0] - 0.6822591268) < 0.005
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "spectrum", "sweep"])
+@pytest.mark.parametrize("value", ["-1/4", "-2.5e-1"])
+def test_negative_lambda_after_a_space(capsys, command, value):
+    args = [command, "--family", "2"]
+    spaced = run_cli(args + ["--lambda", value], capsys)
+    assert spaced == run_cli(args + [f"--lambda={value}"], capsys)
+    assert spaced[0] == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family, lam", [("1", "1e300"), ("2", "-1e300")])
+def test_verify_oracle_matrix_out_of_range_exit_code(capsys, family, lam):
+    code, out, err = run_cli(["verify", "--family", family, "--lambda", lam], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines()[0].startswith("InvalidParameter: the oracle matrix")
+
+
+def test_verify_without_a_w_minus_sample_exit_code(capsys):
+    code, out, err = run_cli(["verify", "--family", "2", "--lambda", "-1e-300"], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines()[0].startswith("InvalidParameter: W+ is at its pole floor")

@@ -1,8 +1,9 @@
-"""Property-based tests of the oracle: over the advertised input space, and over
-the start blocks its inverse-iteration polish may be handed; and of the model
-input validation in front of it."""
+"""Property-based tests of the oracle: over the advertised input space, over
+the start blocks its inverse-iteration polish may be handed, and of its arc
+cutoff against the whole scan; and of the model input validation in front of it."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,13 +17,16 @@ from hypothesis import strategies as st  # noqa: E402
 from curvedqes import (  # noqa: E402
     Deformation,
     GridTooCoarse,
+    TruncationWarning,
     eval_potential,
     general_two_state,
     lowest_eigenvalues,
     oracle,
     radius_from_arc,
+    reduced_spec,
 )
 from curvedqes.cli import _USER_ERRORS  # noqa: E402
+from curvedqes.potentials import MAX_ORDER  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -129,3 +133,58 @@ def test_model_input_constructs_or_raises_a_user_error(family, m, L, B2m, lam):
         return
     for value in (sol.E0, sol.E1, sol.r0):
         assert not isinstance(value, float) or math.isfinite(value)
+
+
+def _whole_scan_arc_cutoff(spec):
+    """default_arc_cutoff with every point of each span's 20001-point scan evaluated:
+    the reference its coarse-to-fine sampling must reproduce bit for bit."""
+    lam = float(spec.lam)
+    if lam < 0:
+        cut = Deformation(lam).arc_max
+        spans = [(cut * 1e-6, cut * (1.0 - 1e-7))]
+    else:
+        sl = math.sqrt(lam)
+        cut = 64.0 / sl
+        spans = [(2.0 ** j / sl * 1e-6, 2.0 ** j / sl) for j in range(1, 7)]
+    for lo, hi in spans:
+        xs = np.linspace(lo, hi, 20001)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = eval_potential(spec, radius_from_arc(Deformation(lam), xs))
+        i0 = int(np.nanargmin(v))
+        tail = v[i0:]
+        bad = ~np.isfinite(tail) | (tail >= 1e6)
+        if np.any(bad):
+            return float(xs[i0 + int(np.argmax(bad))])
+    return cut
+
+
+def _assert_cutoff_is_the_whole_scans(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert oracle.default_arc_cutoff(spec).hex() == _whole_scan_arc_cutoff(spec).hex()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from([1, 2]),
+    m=st.integers(1, MAX_ORDER),
+    L=st.sampled_from([0, Fraction(1, 10), Fraction(1, 2), 1, 2]),
+    B2m=st.one_of(
+        st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=100),
+        st.floats(min_value=0.01, max_value=100.0),
+    ),
+    scale=st.one_of(st.sampled_from([Fraction(1, 4), 1, 9]), st.floats(0.001, 1000.0)),
+)
+def test_arc_cutoff_is_the_whole_scans(family, m, L, B2m, scale):
+    _assert_cutoff_is_the_whole_scans(reduced_spec(family, m, L, B2m, scale if family == 1 else -scale))
+
+
+@pytest.mark.parametrize("args", [(1, 1, 0, 10**300, 1), (1, 1, 0, 1, 1e300), (2, 1, 0, 1, -1e300)])
+def test_arc_cutoff_is_the_whole_scans_at_the_extremes(args):
+    # B_2m = 10^300 puts the wall at the first scan point; lambda = +-1e300
+    # scales the potential to ~1e300 and the box to ~1e-150
+    _assert_cutoff_is_the_whole_scans(reduced_spec(*args))
+
+
+def test_arc_cutoff_wall_at_the_first_scan_point():
+    assert oracle.default_arc_cutoff(reduced_spec(1, 1, 0, 10**300, 1)) == 2e-06

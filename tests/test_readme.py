@@ -40,3 +40,9 @@ def test_cli_block_runs_as_documented(capsys, tmp_path):
             assert "E0     = -15.5" in out.splitlines()
             assert "E1     = -1.5" in out.splitlines()
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"fig{i}.csv" for i in range(1, 5)]
+
+
+def test_error_list_names_the_oracle_range_limits():
+    bullet = README.read_text().split("- `InvalidParameter`:")[1].split("\n- ")[0]
+    # the messages of the two limits: verify.run_verification and oracle._tridiag_lowest
+    assert "oracle matrix" in bullet and "w_minus_identity" in bullet

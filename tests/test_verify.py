@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curvedqes import (
+    InvalidParameter,
     PoleAtNode,
     eval_potential,
     general_two_state,
@@ -178,3 +179,17 @@ def test_w_minus_identity_matches_scalar_loop(config):
     value = next(c.value for c in report.checks if c.name == "w_minus_identity")
     # array and scalar evaluation may round differently in the last bits
     assert value == pytest.approx(_w_minus_identity_by_loop(general_two_state(*config)), abs=1e-13)
+
+
+def test_w_minus_identity_without_a_sample_raises_a_user_error():
+    # at lambda = -1e-300 W+ is at its pole floor at every sample point
+    with pytest.raises(InvalidParameter, match="w_minus_identity"):
+        run_verification(2, 1, 0, 1, -1e-300, rtol=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family, lam", [(1, 1e300), (2, -1e300)])
+def test_oracle_matrix_out_of_range_raises_a_user_error(family, lam):
+    # x_max ~ 1e-150: 1/h^2 squares past the double range in the eigensolver
+    with pytest.raises(InvalidParameter, match="oracle matrix"):
+        run_verification(family, 1, 0, 1, lam, rtol=1e-6)
