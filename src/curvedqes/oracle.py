@@ -101,7 +101,8 @@ class SpectrumEstimate:
 def _potential_on_arc(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     defo = Deformation(float(spec.lam))
     r = radius_from_arc(defo, x)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # f2 ** (k + 1) underflows to 0 near a family-2 wall: the inf it gives is wall
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return eval_potential(spec, r)
 
 
@@ -502,6 +503,11 @@ def schrodinger_residual(
     closes the grid for lambda > 0. Raises NonNormalizable when psi vanishes
     on the whole grid.
     """
+    return _schrodinger_residuals(spec, [(psi, energy)], x_max)[0]
+
+
+def _schrodinger_residuals(spec: PotentialSpec, states, x_max: float | None = None) -> list:
+    """schrodinger_residual of each (psi, energy) in states, on one grid and one V(r)."""
     lam = float(spec.lam)
     if lam < 0:
         rmax = 1.0 / math.sqrt(-lam)
@@ -511,17 +517,20 @@ def schrodinger_residual(
         x_cut = default_arc_cutoff(spec) if x_max is None else x_max
         hi = radius_from_arc(Deformation(lam), x_cut)
     r = np.geomspace(lo, hi, 2000)
-    psi_v, dpsi, d2psi = psi.derivatives(r)
-    peak = np.max(np.abs(psi_v))
-    if peak == 0.0:
-        raise NonNormalizable("wavefunction vanishes on the whole grid")
-    psi_v, dpsi, d2psi = psi_v / peak, dpsi / peak, d2psi / peak
     f2 = 1.0 + lam * r * r
-    kinetic = -f2 * d2psi - 2.0 * lam * r * dpsi - lam * (2.0 + lam * r * r) / (4.0 * f2) * psi_v
     v = eval_potential(spec, r)
-    with np.errstate(invalid="ignore"):
-        res = np.abs(kinetic + (v - energy) * psi_v) / (1.0 + abs(energy) * np.abs(psi_v))
-    return float(np.nanmax(res))
+    out = []
+    for psi, energy in states:
+        psi_v, dpsi, d2psi = psi.derivatives(r)
+        peak = np.max(np.abs(psi_v))
+        if peak == 0.0:
+            raise NonNormalizable("wavefunction vanishes on the whole grid")
+        psi_v, dpsi, d2psi = psi_v / peak, dpsi / peak, d2psi / peak
+        kinetic = -f2 * d2psi - 2.0 * lam * r * dpsi - lam * (2.0 + lam * r * r) / (4.0 * f2) * psi_v
+        with np.errstate(invalid="ignore"):
+            res = np.abs(kinetic + (v - energy) * psi_v) / (1.0 + abs(energy) * np.abs(psi_v))
+        out.append(float(np.nanmax(res)))
+    return out
 
 
 def _decay_radius(psi: WavefunctionForm) -> float:

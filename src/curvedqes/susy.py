@@ -18,7 +18,9 @@ Closed-form eigenfunctions take the shape
 kept unnormalized; quadrature norms live in the spectral oracle.
 wavefunction_from_superpotential integrates the ground state
 f^(-1/2) exp(-int W/f dr) of any W in the basis term by term; the two states
-of a family member are read off its generating pair in twostate.
+of a family member are read off its generating pair in twostate. Every series
+is summed with running powers, lowest power first, not with one `**` per term.
+potentials.eval_potential keeps `**`: running powers would move golden figure bytes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,23 @@ from .potentials import Family, PotentialSpec, reduced_spec
 
 MINUS = "minus"
 PLUS = "plus"
+
+
+def _power_sums(x, cols, acc=None, power=1.0):
+    """acc[k] + sum_i cols[k][i] * power * x^i for each column k, by running powers.
+
+    One multiply per degree, shared by the columns, lowest power first, no `**`.
+    x and x*x are exactly numpy's x**1 and x**2, so a series up to x**2 rounds as
+    its `c * x**i` terms did; Horner's rule would reorder the additions.
+    """
+    acc = [0.0] * len(cols) if acc is None else list(acc)
+    for i, row in enumerate(zip(*cols, strict=True)):
+        if i:
+            power = power * x
+        for k, c in enumerate(row):
+            if c:
+                acc[k] = acc[k] + c * power
+    return acc
 
 
 @dataclass(frozen=True)
@@ -68,32 +87,43 @@ class Superpotential:
             tuple(t if isinstance(t, Term) else Term(*t) for t in self.terms),
         )
 
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        f = np.sqrt(1.0 + float(self.lam) * r * r)
-        out = np.zeros_like(r)
-        for t in self.terms:
-            out = out + float(t.coeff) * r ** t.r_exp * f ** t.f_exp
-        return float(out) if out.ndim == 0 else out
+    @cached_property
+    def _groups(self):
+        """Per r exponent p: (p, q0, c, |c|, q c), float coefficients of r^p f^q0 (f^2)^i."""
+        groups = []
+        for p in (-1, 1):
+            terms = [(t.f_exp, float(t.coeff)) for t in self.terms if t.r_exp == p]
+            if terms:
+                q0 = min(terms)[0]
+                cols = np.zeros((3, (max(terms)[0] - q0) // 2 + 1))
+                for q, c in terms:
+                    cols[:, (q - q0) // 2] += (c, abs(c), q * c)
+                groups.append((p, q0, *cols.tolist()))
+        return groups
 
-    def derivative(self, r):
+    def _sums(self, r, col=0, derivative=False):
+        """(W or, col=1, its magnitude; W' if asked): (r^p f^q)' = r^p f^q (p/r + q lam r/f^2)."""
         r = np.asarray(r, dtype=float)
         lam = float(self.lam)
-        f = np.sqrt(1.0 + lam * r * r)
-        out = np.zeros_like(r)
-        for t in self.terms:
-            c, p, q = float(t.coeff), t.r_exp, t.f_exp
-            out = out + c * (p * r ** (p - 1) * f ** q + q * lam * r ** (p + 1) * f ** (q - 2))
-        return float(out) if out.ndim == 0 else out
+        f2 = 1.0 + lam * r * r
+        w = dw = np.zeros_like(r)
+        for p, q0, *g in self._groups:
+            base = (r if p == 1 else 1.0 / r) * np.sqrt(f2) ** q0
+            s, *qs = _power_sums(f2, [g[col], g[2]] if derivative else [g[col]])
+            w = w + base * s
+            if derivative:
+                dw = dw + base * (p / r * s + lam * r / f2 * qs[0])
+        return (float(w), float(dw)) if w.ndim == 0 else (w, dw)
+
+    def value(self, r):
+        return self._sums(r)[0]
+
+    def derivative(self, r):
+        return self._sums(r, derivative=True)[1]
 
     def magnitude(self, r):
         """Sum of absolute term values; used as a cancellation scale."""
-        r = np.asarray(r, dtype=float)
-        f = np.sqrt(1.0 + float(self.lam) * r * r)
-        out = np.zeros_like(r)
-        for t in self.terms:
-            out = out + abs(float(t.coeff)) * r ** t.r_exp * f ** t.f_exp
-        return float(out) if out.ndim == 0 else out
+        return self._sums(r, col=1)[0]
 
 
 def riccati_apply(w: Superpotential, sign: str, r):
@@ -102,10 +132,9 @@ def riccati_apply(w: Superpotential, sign: str, r):
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
     rr = np.asarray(r, dtype=float)
     f = np.sqrt(1.0 + float(w.lam) * rr * rr)
-    wv = w.value(rr)
-    wd = w.derivative(rr)
+    wv, wd = w._sums(rr, derivative=True)
     out = wv * wv - f * wd if sign == MINUS else wv * wv + f * wd
-    return float(out) if out.ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 R_INV2 = "r^-2"  # basis key of r^-2 in riccati_expand and potential_expand
@@ -180,6 +209,15 @@ class WavefunctionForm:
             tuple(float(c) for c in self.prefactor),
         )
 
+    @cached_property
+    def _slopes(self):
+        """(j c_j, j(2j-1) c_j) of exp_r2 and prefactor[1:]; (k d_k, k(k+1) d_k) of exp_finv."""
+        _, _, _, cs, ds, ps = self._floats
+        return [
+            ([j * c for j, c in enumerate(v, 1)], [j * (a * j + b) * c for j, c in enumerate(v, 1)])
+            for v, a, b in ((cs, 2, -1), (ds, 1, 1), (ps[1:], 2, -1))
+        ]
+
     def _value_pieces(self, r):
         """Return (P, log-magnitude S) on a float array: all that psi itself needs."""
         r = np.asarray(r, dtype=float)
@@ -187,51 +225,31 @@ class WavefunctionForm:
         r2 = r * r
         f2 = 1.0 + lam * r2
         t = lam * r2
-        u = abs(lam) * r2
+        y = 1.0 / f2  # numpy's f2 ** -1
 
         S = a * np.log(r) + 0.5 * b * np.log(f2)
-        for j, c in enumerate(exp_r2, start=1):
-            S = S + c * t ** j
-        for k, d in enumerate(exp_finv, start=1):
-            S = S + d * f2 ** (-k)
-        P = np.zeros_like(r)
-        for s, c in enumerate(prefactor):
-            P = P + c * u ** s
+        (S,) = _power_sums(t, [exp_r2], [S], power=t)
+        (S,) = _power_sums(y, [exp_finv], [S], power=y)
+        (P,) = _power_sums(abs(lam) * r2, [prefactor])
         return P, S
 
     def _pieces(self, r):
         """Return (P, P', P'', S', S'', log-magnitude S) on a float array."""
         P, S = self._value_pieces(r)
         r = np.asarray(r, dtype=float)
-        lam, a, b, exp_r2, exp_finv, prefactor = self._floats
-        alam = abs(lam)
+        lam, a, b = self._floats[:3]
         r2 = r * r
         f2 = 1.0 + lam * r2
-        t = lam * r2
-        u = alam * r2
+        y = 1.0 / f2
 
-        S1 = a / r + b * lam * r / f2
+        # each pair of columns shares its powers: t^(j-1), f^(-2k-2) and u^(s-1)
+        st1, st2 = _power_sums(lam * r2, self._slopes[0])
+        sy1, sy2 = _power_sums(y, self._slopes[1], power=y * y)
+        sp1, sp2 = _power_sums(abs(lam) * r2, self._slopes[2])
+        S1 = a / r + b * lam * r / f2 + 2.0 * lam * r * (st1 - sy1)
         S2 = -a / r2 + b * lam * (1.0 / f2 - 2.0 * lam * r2 / (f2 * f2))
-        for j, c in enumerate(exp_r2, start=1):
-            S1 = S1 + 2.0 * lam * j * c * r * t ** (j - 1)
-            curv = t ** (j - 1)
-            if j > 1:
-                curv = curv + 2.0 * lam * r2 * (j - 1) * t ** (j - 2)
-            S2 = S2 + 2.0 * lam * j * c * curv
-        for k, d in enumerate(exp_finv, start=1):
-            fm = f2 ** (-k - 1)
-            S1 = S1 - 2.0 * k * lam * d * r * fm
-            S2 = S2 - 2.0 * k * lam * d * (fm - (2.0 * k + 2.0) * lam * r2 * f2 ** (-k - 2))
-
-        P1 = np.zeros_like(r)
-        P2 = np.zeros_like(r)
-        for s, c in enumerate(prefactor[1:], start=1):
-            P1 = P1 + 2.0 * alam * c * s * u ** (s - 1) * r
-            curv = u ** (s - 1)
-            if s > 1:
-                curv = curv + 2.0 * alam * r2 * (s - 1) * u ** (s - 2)
-            P2 = P2 + 2.0 * alam * c * s * curv
-        return P, P1, P2, S1, S2, S
+        S2 = S2 + 2.0 * lam * (st2 - sy1 + 2.0 * lam * r2 * y * sy2)
+        return P, 2.0 * abs(lam) * r * sp1, 2.0 * abs(lam) * sp2, S1, S2, S
 
     def value(self, r):
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -315,8 +333,8 @@ def w_minus_from_w_plus(w_plus: Superpotential, delta_e) -> Callable:
         if np.any(w_plus_poles(w_plus, rr)):
             raise PoleAtNode("W+ vanishes at the evaluation point (node of psi1)")
         f = np.sqrt(1.0 + float(w_plus.lam) * rr * rr)
-        val = w_plus.value(rr)
-        out = (f * w_plus.derivative(rr) - float(delta_e)) / val
+        val, der = w_plus._sums(rr, derivative=True)
+        out = (f * der - float(delta_e)) / val
         return float(out) if out.ndim == 0 else out
 
     return w_minus

@@ -19,12 +19,12 @@ import numpy as np
 from .errors import InvalidParameter
 from .oracle import (
     _decay_radius,
+    _schrodinger_residuals,
     count_sign_changes,
     find_nodes,
     lowest_eigenvalues,
     overlap,
     quadrature_norm,
-    schrodinger_residual,
 )
 from .potentials import eval_potential
 from .susy import partner_shift, riccati_apply, w_minus_from_w_plus, w_plus_poles
@@ -216,8 +216,10 @@ def run_verification(
     add("oracle_E0", rel0)
     add("oracle_E1", rel1)
 
-    add("residual_psi0", schrodinger_residual(sol.spec, sol.psi0, e0f, x_max=est.x_max))
-    add("residual_psi1", schrodinger_residual(sol.spec, sol.psi1, e1f, x_max=est.x_max))
+    # one residual grid and one V(r) for both states
+    res = _schrodinger_residuals(sol.spec, [(sol.psi0, e0f), (sol.psi1, e1f)], est.x_max)
+    add("residual_psi0", res[0])
+    add("residual_psi1", res[1])
 
     # each decay radius and norm is computed once and shared by every check
     hi0 = _decay_radius(sol.psi0)

@@ -148,7 +148,7 @@ def _whole_scan_arc_cutoff(spec):
         spans = [(2.0 ** j / sl * 1e-6, 2.0 ** j / sl) for j in range(1, 7)]
     for lo, hi in spans:
         xs = np.linspace(lo, hi, 20001)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             v = eval_potential(spec, radius_from_arc(Deformation(lam), xs))
         i0 = int(np.nanargmin(v))
         tail = v[i0:]
@@ -184,6 +184,16 @@ def test_arc_cutoff_is_the_whole_scans_at_the_extremes(args):
     # B_2m = 10^300 puts the wall at the first scan point; lambda = +-1e300
     # scales the potential to ~1e300 and the box to ~1e-150
     _assert_cutoff_is_the_whole_scans(reduced_spec(*args))
+
+
+@pytest.mark.parametrize("args", [(2, 60, 0, 1, -1), (2, 12, 0, 1.0, Fraction(-1, 4))])
+def test_arc_cutoff_raises_no_runtime_warning(args):
+    # near the family-2 wall f^2 ** (k + 1) underflows to 0; the inf it gives is wall
+    spec = reduced_spec(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cut = oracle.default_arc_cutoff(spec)
+    assert cut.hex() == _whole_scan_arc_cutoff(spec).hex()
 
 
 def test_arc_cutoff_wall_at_the_first_scan_point():

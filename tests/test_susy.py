@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -344,3 +345,101 @@ def test_value_equals_derivatives_value_bit_for_bit(fam, lam, m):
     for psi in (sol.psi0, sol.psi1):
         assert np.array_equal(psi.value(r), psi.derivatives(r)[0], equal_nan=True)
         assert psi.value(r[250]) == psi.derivatives(r[250])[0]
+
+
+def _mp_terms(x, w):
+    """W's terms c r^p f^q and the two parts of each term's derivative, at 50 digits."""
+    lam = mpmath.mpf(float(w.lam))
+    f = mpmath.sqrt(1 + lam * x * x)
+    out = []
+    for t in w.terms:
+        c, p, q = mpmath.mpf(float(t.coeff)), t.r_exp, t.f_exp
+        term = c * x**p * f**q
+        out.append((term, term * p / x, term * q * lam * x / f**2))
+    return out
+
+
+def _mp_form(x, psi, derivatives=False):
+    """The terms of P and S at 50 digits; with derivatives, of P, P', P'', S, S', S''."""
+    lam, a, b = (mpmath.mpf(float(v)) for v in (psi.lam, psi.r_power, psi.f_power))
+    r2 = x * x
+    f2 = 1 + lam * r2
+    t, u, y = lam * r2, abs(lam) * r2, 1 / f2
+    cs = list(enumerate((mpmath.mpf(float(c)) for c in psi.exp_r2), 1))
+    ds = list(enumerate((mpmath.mpf(float(d)) for d in psi.exp_finv), 1))
+    ps = list(enumerate(mpmath.mpf(float(c)) for c in psi.prefactor))
+    P = [c * u**s for s, c in ps]
+    S = [a * mpmath.log(x), b / 2 * mpmath.log(f2)]
+    S += [c * t**j for j, c in cs] + [d * y**k for k, d in ds]
+    if not derivatives:
+        return P, S
+    P1 = [2 * abs(lam) * x * s * c * u ** (s - 1) for s, c in ps[1:]]
+    P2 = [2 * abs(lam) * s * (2 * s - 1) * c * u ** (s - 1) for s, c in ps[1:]]
+    S1 = [a / x, b * lam * x / f2] + [2 * lam * x * j * c * t ** (j - 1) for j, c in cs]
+    S1 += [2 * lam * x * k * d * y ** (k + 1) for k, d in ds]
+    S2 = [a / r2, b * lam / f2, 2 * b * lam**2 * r2 / f2**2]
+    S2 += [2 * lam * j * (2 * j - 1) * c * t ** (j - 1) for j, c in cs]
+    S2 += [2 * lam * k * d * y ** (k + 1) for k, d in ds]
+    S2 += [4 * lam**2 * r2 * k * (k + 1) * d * y ** (k + 2) for k, d in ds]
+    return P, P1, P2, S, S1, S2
+
+
+def _reference_points(lam, n=12):
+    # multiples of 2^-20: r^2 and 1 + lam r^2 are then exact in floats for these
+    # lambdas, so the reference sees the f the float code sees, up to the wall
+    rmax = 1 / math.sqrt(-lam) if lam < 0 else 3 / math.sqrt(lam)
+    return np.floor(np.geomspace(1e-3, 1 - 1e-9, n) * rmax * 2.0**20) / 2.0**20
+
+
+# B_2m = 4 keeps the closed form exact, B_2m = 2 puts it in floats
+@pytest.mark.parametrize(
+    "fam,L,B2m,lam", [(1, 1, 4, 1), (1, F(1, 2), 2, 0.25), (2, 1, 4, -1), (2, F(1, 2), 2, -3.0)]
+)
+@pytest.mark.parametrize("m", [1, 2, 8, 30, 60])
+def test_series_sums_match_a_50_digit_reference(fam, L, B2m, lam, m):
+    # each sum is compared with its terms summed at 50 digits, relative to the
+    # sum of the terms' absolute values: the scale the cancellation works at
+    sol = general_two_state(fam, m, L, B2m, lam)
+    tol, worst, checked = 1e-13, 0.0, 0
+    with mpmath.workdps(50):
+        for x in _reference_points(float(lam)):
+            xm = mpmath.mpf(x)
+            f = math.sqrt(1 + float(lam) * x * x)
+            for w in (sol.w, sol.w_prime, sol.pair.w_plus, sol.pair.w_minus):
+                terms = _mp_terms(xm, w)
+                val, mag = sum(t[0] for t in terms), sum(abs(t[0]) for t in terms)
+                der = sum(t[1] + t[2] for t in terms)
+                dmag = sum(abs(t[1]) + abs(t[2]) for t in terms)
+                if not (1e-250 < mag and mag**2 + f * dmag < 1e300):
+                    continue
+                checked += 1
+                worst = max(
+                    worst,
+                    abs(w.value(x) - val) / mag,
+                    abs(w.derivative(x) - der) / dmag,
+                    abs(w.magnitude(x) - mag) / mag,
+                    abs(riccati_apply(w, "minus", x) - (val**2 - f * der)) / (mag**2 + f * dmag),
+                    abs(riccati_apply(w, "plus", x) - (val**2 + f * der)) / (mag**2 + f * dmag),
+                )
+            for psi in (sol.psi0, sol.psi0_partner, sol.psi1):
+                Pa, P1a, P2a, Sa, S1a, S2a = (sum(map(abs, v)) for v in _mp_form(xm, psi, True))
+                # the value and derivatives of P and S by 50-digit differentiation
+                pr, P1, P2 = mpmath.diffs(lambda z: mpmath.fsum(_mp_form(z, psi)[0]), xm, 2)
+                sr, S1, S2 = mpmath.diffs(lambda z: mpmath.fsum(_mp_form(z, psi)[1]), xm, 2)
+                E = mpmath.exp(sr)
+                if not (1e-250 < E < 1e250 and Pa < 1e250):
+                    continue
+                want = (pr * E, (P1 + pr * S1) * E, (P2 + 2 * P1 * S1 + pr * (S2 + S1**2)) * E)
+                # first-order propagation of each sum's rounding into psi, psi', psi''
+                scale = (
+                    E * (Pa + abs(pr) * Sa),
+                    E * (P1a + abs(S1) * Pa + abs(pr) * S1a) + abs(want[1]) * Sa,
+                    E * (P2a + 2 * abs(S1) * P1a + 2 * abs(P1) * S1a + abs(S2 + S1**2) * Pa
+                         + abs(pr) * (S2a + 2 * abs(S1) * S1a)) + abs(want[2]) * Sa,
+                )
+                got = (psi.value(x), *psi.derivatives(x))
+                assert got[0] == got[1]
+                checked += 1
+                worst = max(worst, *(abs(g - v) / s for g, v, s in zip(got[1:], want, scale)))
+    assert checked >= 40, checked
+    assert worst <= tol, worst

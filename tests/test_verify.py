@@ -102,6 +102,25 @@ def test_arc_cutoff_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("config", [(1, 1, 1, 1, 1), (2, 8, 0, 2, -1)])
+def test_residual_grid_and_potential_computed_once(monkeypatch, config):
+    sizes = []
+    original = oracle.eval_potential
+
+    def counted(spec, r):
+        sizes.append(np.size(r))
+        return original(spec, r)
+
+    monkeypatch.setattr(oracle, "eval_potential", counted)
+    report = run_verification(*config, rtol=1e-6)
+    assert sizes.count(2000) == 1  # one residual grid for psi0 and psi1
+    # the shared grid gives schrodinger_residual's values bit for bit
+    sol = general_two_state(*config)
+    checks = {c.name: c.value for c in report.checks}
+    for name, psi, e in (("residual_psi0", sol.psi0, sol.E0), ("residual_psi1", sol.psi1, sol.E1)):
+        assert checks[name] == oracle.schrodinger_residual(sol.spec, psi, float(e), x_max=report.x_max)
+
+
 def test_report_records_the_certified_grid():
     report = run_verification(2, 4, 0, 1, -1, rtol=1e-6)
     est = oracle.lowest_eigenvalues(general_two_state(2, 4, 0, 1, -1).spec, k=2, rtol=1e-6)
