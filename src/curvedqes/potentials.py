@@ -27,6 +27,8 @@ from .exactmath import QUARTER, Scalar, canonical, exact_div, exact_sqrt
 from .geometry import Deformation, _check_radius
 
 MAX_ORDER = 60  # binomial growth bound for the prefactor expansion
+# longest potential tail summed one `**` per term (m <= 2): the golden figures pin it
+SHORT_TAIL = 4
 
 
 class Family(IntEnum):
@@ -103,19 +105,37 @@ class PotentialSpec:
 
 
 def eval_potential(spec: PotentialSpec, r):
-    """Evaluate the potential at radius r (scalar or array)."""
+    """Evaluate the potential at radius r (scalar or array).
+
+    A tail of more than SHORT_TAIL terms (m > 2) is summed by Horner's rule in
+    f^2, one multiply and one add per term: lam f^2 sum_k B_k f^(2k-2) in
+    family 1, and lam f^(-4m-2) sum_k B_k f^(4m-2k) in family 2. There
+    f^2 <= 1, so the sum stays bounded and only the one power f^(4m+2) left
+    can underflow, where V is inf at the wall. A shorter tail (m <= 2 and its
+    partner) keeps one `**` per term: the golden figures hold its values byte
+    for byte, and Horner's rule rounds differently.
+    """
     lam = float(spec.lam)
     arr = _check_radius(Deformation(lam), r)
     L = float(spec.L)
     A = float(spec.A)
     f2 = 1.0 + lam * arr * arr
     v = L * (L + 1.0) / (arr * arr) + lam * A - lam * A / f2 + float(spec.shift)
-    if spec.family is Family.FAMILY1:
-        for k, Bk in enumerate(spec.B, start=1):
-            v = v + lam * float(Bk) * f2 ** k
-    elif spec.family is Family.FAMILY2:
-        for k, Bk in enumerate(spec.B, start=1):
-            v = v - lam * float(Bk) / f2 ** (k + 1)
+    B = [float(b) for b in spec.B]
+    fam1 = spec.family is Family.FAMILY1
+    if len(B) <= SHORT_TAIL:
+        for k, Bk in enumerate(B, start=1):
+            v = v + lam * Bk * f2 ** k if fam1 else v - lam * Bk / f2 ** (k + 1)
+    else:
+        coeffs = B[::-1] if fam1 else B  # highest power of f^2 first
+        h = coeffs[0] * f2 + coeffs[1]
+        for c in coeffs[2:]:
+            h *= f2
+            h += c
+        if fam1:
+            v += lam * f2 * h
+        else:
+            v -= lam * h / f2 ** (len(B) + 1)
     return float(v) if np.isscalar(r) or v.ndim == 0 else v
 
 

@@ -20,7 +20,8 @@ wavefunction_from_superpotential integrates the ground state
 f^(-1/2) exp(-int W/f dr) of any W in the basis term by term; the two states
 of a family member are read off its generating pair in twostate. Every series
 is summed with running powers, lowest power first, not with one `**` per term.
-potentials.eval_potential keeps `**`: running powers would move golden figure bytes.
+potentials.eval_potential sums a tail past m = 2 by Horner's rule and keeps one
+`**` per term below, where the golden figures pin its bytes.
 """
 
 from __future__ import annotations

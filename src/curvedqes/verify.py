@@ -27,7 +27,7 @@ from .oracle import (
     quadrature_norm,
 )
 from .potentials import eval_potential
-from .susy import partner_shift, riccati_apply, w_minus_from_w_plus, w_plus_poles
+from .susy import partner_shift, w_minus_from_w_plus, w_plus_poles
 from .twostate import TwoStateSolution, general_two_state
 
 TOLERANCES = {
@@ -180,19 +180,22 @@ def run_verification(
     v = eval_potential(sol.spec, r)
     e0f, e1f = float(sol.E0), float(sol.E1)
 
-    res_v1 = np.abs(riccati_apply(sol.w, "minus", r) + e0f - v) / (1.0 + np.abs(v))
+    # W and W' (and W+ and W+') from one pass each: V1 = W^2 - f W', V2 = W^2 + f W'
+    f = np.sqrt(1.0 + float(sol.lam) * r * r)
+    w, dw = sol.w._sums(r, derivative=True)
+    res_v1 = np.abs(w * w - f * dw + e0f - v) / (1.0 + np.abs(v))
     add("riccati_v1", res_v1.max())
 
     partner, shift_const = partner_shift(sol.spec)
     v2 = eval_potential(partner, r) + float(shift_const)
-    res_v2 = np.abs(riccati_apply(sol.w, "plus", r) - v2) / (1.0 + np.abs(v2))
+    res_v2 = np.abs(w * w + f * dw - v2) / (1.0 + np.abs(v2))
     add("riccati_v2", res_v2.max())
 
-    f = np.sqrt(1.0 + float(sol.lam) * r * r)
     wp, wm = sol.pair.w_plus, sol.pair.w_minus
     de = float(sol.pair.delta_e)
-    lhs = f * wp.derivative(r)
-    rhs = wp.value(r) * wm.value(r) + de
+    wp_val, wp_der = wp._sums(r, derivative=True)
+    lhs = f * wp_der
+    rhs = wp_val * wm.value(r) + de
     res_pair = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
     add("pair_identity", res_pair.max())
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,12 +12,16 @@ from curvedqes import (
     PotentialSpec,
     SignMismatch,
     eval_potential,
+    general_two_state,
     oscillator_from_beta,
+    partner_shift,
     reduced_spec,
     spec_from_json,
     spec_to_dict,
     spec_to_json,
 )
+from curvedqes.cli import FIGURE_GRID_POINTS
+from curvedqes.verify import _check_grid
 
 
 def test_base_oscillator_value():
@@ -154,3 +159,43 @@ def test_json_shift_field_round_trip():
     doc = json.loads(spec_to_json(spec))
     assert doc["shift"] == 10.5
     assert float(spec_from_json(spec_to_json(spec)).shift) == 10.5
+
+
+def _per_term_potential(spec, r):
+    """The tail summed one `**` per term, as fig1.csv and fig3.csv were written."""
+    lam, L, A = float(spec.lam), float(spec.L), float(spec.A)
+    f2 = 1.0 + lam * r * r
+    v = L * (L + 1.0) / (r * r) + lam * A - lam * A / f2 + float(spec.shift)
+    for k, Bk in enumerate(spec.B, start=1):
+        if spec.family is Family.FAMILY1:
+            v = v + lam * float(Bk) * f2**k
+        else:
+            v = v - lam * float(Bk) / f2 ** (k + 1)
+    return v
+
+
+@pytest.mark.parametrize("B2m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("family", [1, 2])
+def test_short_tails_keep_the_per_term_sum_bit_for_bit(family, m, B2m):
+    # the figure grids of `curvedqes figures`: their 17-digit values are golden bytes
+    lam = 1 if family == 1 else -1
+    top = 4.0 if family == 1 else 0.999
+    r = np.linspace(0.05, top, FIGURE_GRID_POINTS)
+    spec = reduced_spec(family, m, 1, B2m, lam)
+    for s in (spec, partner_shift(spec)[0]):
+        assert np.array_equal(eval_potential(s, r), _per_term_potential(s, r))
+
+
+def test_family2_high_order_wall_warns_at_most_once():
+    # near the wall f^2 -> 0; only the one power f^(4m+2) may underflow there
+    sol = general_two_state(2, 60, 0, 1, -1)
+    r = _check_grid(sol)
+    for spec in (sol.spec, partner_shift(sol.spec)[0]):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(
+            divide="warn", over="warn", invalid="warn", under="ignore"
+        ):
+            warnings.simplefilter("always")
+            v = eval_potential(spec, r)
+        assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) <= 1
+        assert not np.any(np.isnan(v))

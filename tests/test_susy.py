@@ -384,6 +384,17 @@ def _mp_form(x, psi, derivatives=False):
     return P, P1, P2, S, S1, S2
 
 
+def _mp_potential(x, spec):
+    """The terms of V at 50 digits, from the float coefficients eval_potential uses."""
+    lam, L, A = (mpmath.mpf(float(v)) for v in (spec.lam, spec.L, spec.A))
+    f2 = 1 + lam * x * x
+    out = [L * (L + 1) / (x * x), lam * A, -lam * A / f2, mpmath.mpf(float(spec.shift))]
+    for k, b in enumerate(spec.B, start=1):
+        bk = mpmath.mpf(float(b))
+        out.append(lam * bk * f2**k if spec.family == 1 else -lam * bk / f2 ** (k + 1))
+    return out
+
+
 def _reference_points(lam, n=12):
     # multiples of 2^-20: r^2 and 1 + lam r^2 are then exact in floats for these
     # lambdas, so the reference sees the f the float code sees, up to the wall
@@ -395,16 +406,23 @@ def _reference_points(lam, n=12):
 @pytest.mark.parametrize(
     "fam,L,B2m,lam", [(1, 1, 4, 1), (1, F(1, 2), 2, 0.25), (2, 1, 4, -1), (2, F(1, 2), 2, -3.0)]
 )
-@pytest.mark.parametrize("m", [1, 2, 8, 30, 60])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 30, 60])
 def test_series_sums_match_a_50_digit_reference(fam, L, B2m, lam, m):
     # each sum is compared with its terms summed at 50 digits, relative to the
     # sum of the terms' absolute values: the scale the cancellation works at
     sol = general_two_state(fam, m, L, B2m, lam)
+    specs = (sol.spec, partner_shift(sol.spec)[0])
     tol, worst, checked = 1e-13, 0.0, 0
     with mpmath.workdps(50):
         for x in _reference_points(float(lam)):
             xm = mpmath.mpf(x)
             f = math.sqrt(1 + float(lam) * x * x)
+            for spec in specs:
+                terms = _mp_potential(xm, spec)
+                mag = sum(abs(t) for t in terms)
+                if mag < 1e300:
+                    checked += 1
+                    worst = max(worst, abs(eval_potential(spec, x) - sum(terms)) / mag)
             for w in (sol.w, sol.w_prime, sol.pair.w_plus, sol.pair.w_minus):
                 terms = _mp_terms(xm, w)
                 val, mag = sum(t[0] for t in terms), sum(abs(t[0]) for t in terms)
