@@ -28,13 +28,18 @@ Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
 QUADPACK): each refinement round evaluates the wavefunction once, as one
 array over every open panel, against a relative error target, so small norms
 keep their digits. Node search scans for sign changes with array operations
-and polishes each bracketed root with brentq. A caller that needs several of
-these for one wavefunction, as run_verification does, computes its decay
-radius and squared norm once and passes them in.
+and polishes each bracketed root by Brent's method, ported here from
+scipy.optimize.brentq. A caller that needs several of these for one
+wavefunction, as run_verification does, computes its decay radius and squared
+norm once and passes them in.
 
 Everything here is deliberately independent of the closed-form route: the
 matrix only sees eval_potential, and the quadrature/node utilities only see
 pointwise wavefunction values.
+
+scipy.linalg, which the eigensolves call, is imported at the first solve, not
+with this module: it takes about 0.3 s and 27 MB, which a caller that only
+builds closed forms should not pay. scipy.optimize is never imported.
 """
 
 from __future__ import annotations
@@ -44,8 +49,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dpttrf, dstebz
 
 from .errors import GridTooCoarse, InvalidParameter, NonNormalizable, TruncationWarning
 from .geometry import Deformation, radius_from_arc
@@ -59,6 +62,9 @@ LADDER_FLOOR = 1000  # the grid ladder starts at its smallest level at or above 
 # LAPACK's dstebz counts eigenvalues with the squared off-diagonal entries: a
 # matrix entry must square inside the double range
 ENTRY_MAX = math.sqrt(np.finfo(float).max)
+# brentq's step limit and smallest accepted rtol, as in scipy.optimize.brentq
+BRENT_MAXITER = 100
+BRENT_RTOL_MIN = 4 * float(np.finfo(float).eps)
 POLISH_STEPS = 3  # most inverse-iteration steps per polished eigenpair
 POLISH_RESIDUAL = 1e-6  # largest accepted ||T x - E x||, as a fraction of the guesses' gap
 # The error gate (_error_estimate). The safety factor is Roache's for an order
@@ -287,6 +293,36 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, s
         and np.all(np.diff(w) > res[:-1] + res[1:])
     )
     return (w, vecs.T) if ok else None
+
+
+# The eigensolvers, from scipy.linalg at their first call. They are module
+# attributes, looked up at each call, so a caller can wrap them.
+def eigh_tridiagonal(d, e, **kwargs):
+    """scipy.linalg.eigh_tridiagonal."""
+    import scipy.linalg
+
+    return scipy.linalg.eigh_tridiagonal(d, e, **kwargs)
+
+
+def dgtsv(*args):
+    """LAPACK's dgtsv (tridiagonal solve), from scipy.linalg.lapack."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack.dgtsv(*args)
+
+
+def dpttrf(*args):
+    """LAPACK's dpttrf (LDL^T of a positive definite tridiagonal), from scipy.linalg.lapack."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack.dpttrf(*args)
+
+
+def dstebz(*args):
+    """LAPACK's dstebz (tridiagonal eigenvalues by bisection), from scipy.linalg.lapack."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack.dstebz(*args)
 
 
 def _tridiag_lowest(
@@ -540,10 +576,14 @@ def _decay_radius(psi: WavefunctionForm) -> float:
         return (1.0 - 1e-9) / math.sqrt(-lam)
     sl = math.sqrt(lam)
     r = np.geomspace(1e-6 / sl, 1e8 / sl, 6000)
-    g = np.abs(psi.value(r)) * np.sqrt(r)  # sqrt weight distinguishes 1/sqrt(r) tails
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.abs(psi.value(r)) * np.sqrt(r)  # sqrt weight distinguishes 1/sqrt(r) tails
     peak = float(np.max(g))
     if peak == 0.0:
         raise NonNormalizable("wavefunction vanishes on the probe grid")
+    # an infinite peak leaves every suffix below the threshold; a NaN one, none
+    if peak == math.inf:
+        raise NonNormalizable("wavefunction overflows on the probe grid")
     # suffix maxima: the cut must leave nothing behind, an interior node is not a tail
     suffix = np.maximum.accumulate(g[::-1])[::-1]
     below = suffix <= 1e-13 * peak
@@ -668,12 +708,70 @@ def overlap(
     return _gauss_kronrod(product, 0.0, max(decay_radii), OVERLAP_EPSREL, OVERLAP_EPSABS)
 
 
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported at the first call: the import adds about
-    20 MB and 0.1-0.3 s, which a caller that never polishes a node should not pay."""
-    from scipy.optimize import brentq as scipy_brentq
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A zero of f in [a, b], where f(a) and f(b) differ in sign, by Brent's method.
 
-    return scipy_brentq(*args, **kwargs)
+    A port of scipy.optimize.brentq (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4), step for step and in the same float
+    operations, so it returns the same roots bit for bit. Each step takes the
+    inverse quadratic (or secant) step when that is short enough, and bisects
+    otherwise; it stops when f is exactly 0 or half the bracket is within
+    delta = (xtol + rtol |x|) / 2. ValueError for xtol <= 0, rtol < BRENT_RTOL_MIN,
+    a NaN value of f or ends of one sign; RuntimeError after BRENT_MAXITER steps.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < BRENT_RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL_MIN:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    # cur is the best estimate, blk the other end of the bracket and pre the
+    # estimate before cur; scur is the last step and spre the one before it
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 
 def find_nodes(psi: WavefunctionForm, window=None, decay_radius: float | None = None) -> list:

@@ -483,8 +483,9 @@ def _find_nodes_by_pair_loop(psi, grid):
 
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 12])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 12, 30, 60])
 def test_find_nodes_matches_pair_loop(fam, lam, m):
+    # the pair loop polishes with scipy.optimize.brentq: the roots must be its own
     sol = general_two_state(fam, m, 1, 4, lam)
     window = (1e-6, 4.0) if lam > 0 else (1e-6, 1.0 - 1e-9)
     grid = np.linspace(*window, 4001)
@@ -543,6 +544,17 @@ def test_vanishing_wavefunction_is_not_normalizable():
         oracle._decay_radius(psi)
     with pytest.raises(NonNormalizable, match="vanishes"):
         schrodinger_residual(general_two_state(1, 1, 1, 1, 1).spec, psi, 1.0)
+
+
+def test_overflowing_wavefunction_is_not_normalizable():
+    # 1e300 u overflows on the probe grid: an infinite peak, no NaN
+    psi = WavefunctionForm(1, 0, exp_r2=(-1e-40,), prefactor=(1.0, 1e300), lam=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonNormalizable, match="overflows"):
+            oracle._decay_radius(psi)
+        with pytest.raises(NonNormalizable, match="overflows"):
+            find_nodes(psi)
 
 
 def test_non_normalizable_rejected():
@@ -637,16 +649,20 @@ def test_undefined_order_takes_the_plain_gate(monkeypatch):
     assert lowest_eigenvalues(spec, k=2, rtol=1e-6).grid_points == 1250
 
 
-def test_scipy_optimize_is_loaded_only_by_the_node_polish():
+def test_scipy_loads_only_at_the_first_solve():
     code = textwrap.dedent(
         """
         import sys
         import curvedqes
 
-        sol = curvedqes.general_two_state(1, 3, 0, 1, 1)
-        print("scipy.optimize" in sys.modules)
-        curvedqes.find_nodes(sol.psi1)
-        print("scipy.optimize" in sys.modules)
+        def loaded():
+            return ["scipy.optimize" in sys.modules, "scipy.linalg" in sys.modules]
+
+        print(*loaded())
+        curvedqes.general_two_state(1, 3, 0, 1, 1)
+        print(*loaded())
+        curvedqes.run_verification(1, 3, 0, 1, 1, rtol=1e-6)
+        print(*loaded())
         """
     )
     src = str(pathlib.Path(curvedqes.__file__).resolve().parents[1])
@@ -655,4 +671,50 @@ def test_scipy_optimize_is_loaded_only_by_the_node_polish():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "False", "False", "False", "True"]
+
+
+SYNTHETIC = [
+    (lambda x: x**3 - 2.0, 0.0, 2.0),
+    (lambda x: math.cos(x) - x, -1.0, 2.0),
+    (lambda x: math.exp(x) - 1e3, 0.0, 20.0),
+    (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0),  # a step: bisection steps
+    (lambda x: (x - 1e-3) ** 5, -0.5, 0.7),  # a flat root: 100 steps miss the tighter tolerances
+    (lambda x: math.sin(x), 3.0, 4.0),
+    (lambda x: 1.0 / (x - 0.5) - 2.0, 0.6, 10.0),
+    (lambda x: x - 7.25, 7.25, 9.0),  # a root at an end
+]
+
+
+@pytest.mark.parametrize("xtol,rtol", [(2e-12, 4 * np.finfo(float).eps), (1e-13, 1e-15), (1e-6, 1e-9)])
+@pytest.mark.parametrize("case", range(len(SYNTHETIC)))
+def test_brentq_matches_scipy_on_synthetic_functions(case, xtol, rtol):
+    f, a, b = SYNTHETIC[case]
+    for lo, hi in ((a, b), (b, a)):
+        got = _outcome(oracle.brentq, f, lo, hi, xtol=xtol, rtol=rtol)
+        assert got == _outcome(brentq, f, lo, hi, xtol=xtol, rtol=rtol)
+
+
+def _outcome(solver, *args, **kwargs):
+    """The root solver returns, or the type and message of what it raises."""
+    try:
+        return solver(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "f,a,b,xtol,rtol",
+    [
+        (lambda x: x * x + 1.0, -1.0, 1.0, 1e-13, 1e-15),  # ends of one sign
+        (lambda x: x - 3.0, 1.0, 2.0, 1e-13, 1e-15),
+        (lambda x: x - 0.3, 0.0, 1.0, 0.0, 1e-15),  # tolerances below SciPy's floor
+        (lambda x: x - 0.3, 0.0, 1.0, 1e-13, 1e-17),
+        (lambda x: math.nan if x > 0.5 else x - 0.3, 0.0, 1.0, 1e-13, 1e-15),  # NaN inside
+        (lambda x: (x - 1e-3) ** 5, -0.5, 0.7, 1e-13, 1e-15),  # no convergence in 100 steps
+    ],
+)
+def test_brentq_raises_as_scipy_does(f, a, b, xtol, rtol):
+    got = _outcome(oracle.brentq, f, a, b, xtol=xtol, rtol=rtol)
+    assert isinstance(got, tuple)
+    assert got == _outcome(brentq, f, a, b, xtol=xtol, rtol=rtol)

@@ -376,10 +376,10 @@ def _mp_form(x, psi, derivatives=False):
     P1 = [2 * abs(lam) * x * s * c * u ** (s - 1) for s, c in ps[1:]]
     P2 = [2 * abs(lam) * s * (2 * s - 1) * c * u ** (s - 1) for s, c in ps[1:]]
     S1 = [a / x, b * lam * x / f2] + [2 * lam * x * j * c * t ** (j - 1) for j, c in cs]
-    S1 += [2 * lam * x * k * d * y ** (k + 1) for k, d in ds]
-    S2 = [a / r2, b * lam / f2, 2 * b * lam**2 * r2 / f2**2]
+    S1 += [-2 * lam * x * k * d * y ** (k + 1) for k, d in ds]
+    S2 = [-a / r2, b * lam / f2, -2 * b * lam**2 * r2 / f2**2]
     S2 += [2 * lam * j * (2 * j - 1) * c * t ** (j - 1) for j, c in cs]
-    S2 += [2 * lam * k * d * y ** (k + 1) for k, d in ds]
+    S2 += [-2 * lam * k * d * y ** (k + 1) for k, d in ds]
     S2 += [4 * lam**2 * r2 * k * (k + 1) * d * y ** (k + 2) for k, d in ds]
     return P, P1, P2, S, S1, S2
 
@@ -440,10 +440,11 @@ def test_series_sums_match_a_50_digit_reference(fam, L, B2m, lam, m):
                     abs(riccati_apply(w, "plus", x) - (val**2 + f * der)) / (mag**2 + f * dmag),
                 )
             for psi in (sol.psi0, sol.psi0_partner, sol.psi1):
-                Pa, P1a, P2a, Sa, S1a, S2a = (sum(map(abs, v)) for v in _mp_form(xm, psi, True))
-                # the value and derivatives of P and S by 50-digit differentiation
-                pr, P1, P2 = mpmath.diffs(lambda z: mpmath.fsum(_mp_form(z, psi)[0]), xm, 2)
-                sr, S1, S2 = mpmath.diffs(lambda z: mpmath.fsum(_mp_form(z, psi)[1]), xm, 2)
+                # the value and derivatives of P and S from their closed-form
+                # 50-digit terms (test_mp_form_derivatives_match_differentiation)
+                terms = _mp_form(xm, psi, True)
+                pr, P1, P2, sr, S1, S2 = (mpmath.fsum(v) for v in terms)
+                Pa, P1a, P2a, Sa, S1a, S2a = (sum(map(abs, v)) for v in terms)
                 E = mpmath.exp(sr)
                 if not (1e-250 < E < 1e250 and Pa < 1e250):
                     continue
@@ -461,3 +462,21 @@ def test_series_sums_match_a_50_digit_reference(fam, L, B2m, lam, m):
                 worst = max(worst, *(abs(g - v) / s for g, v, s in zip(got[1:], want, scale)))
     assert checked >= 40, checked
     assert worst <= tol, worst
+
+
+@pytest.mark.parametrize(
+    "fam,L,B2m,lam", [(1, 1, 4, 1), (1, F(1, 2), 2, 0.25), (2, 1, 4, -1), (2, F(1, 2), 2, -3.0)]
+)
+def test_mp_form_derivatives_match_differentiation(fam, L, B2m, lam):
+    # the closed-form P', P'', S', S'' terms against 50-digit numerical
+    # differentiation of the P and S sums
+    sol = general_two_state(fam, 3, L, B2m, lam)
+    with mpmath.workdps(50):
+        for x in _reference_points(float(lam), n=4):
+            xm = mpmath.mpf(x)
+            for psi in (sol.psi0, sol.psi0_partner, sol.psi1):
+                terms = _mp_form(xm, psi, True)
+                for k, part in ((0, terms[:3]), (1, terms[3:])):
+                    want = mpmath.diffs(lambda z: mpmath.fsum(_mp_form(z, psi)[k]), xm, 2)
+                    for got, ref, scale in zip(part, want, (sum(map(abs, v)) for v in part)):
+                        assert abs(mpmath.fsum(got) - ref) <= 1e-30 * max(scale, 1), (k, x)
