@@ -19,9 +19,9 @@ bound on the extrapolated value (Richardson and Gaunt, Phil. Trans. A 226
 (1927) 299; Roache, J. Fluids Eng. 116 (1994) 405). Only the ladder's
 coarsest solve is bisected; every other level is polished by inverse
 iteration, shifted to the values the coarser levels predict and started from
-the eigenvectors of the nearest nested level, and certified by Sturm counts
-and residual bounds (Parlett, The Symmetric Eigenvalue Problem, ch. 4 and
-10), falling back to bisection when the certificate fails. A warm-started
+the eigenvectors of the level one above or below, and certified by one Sturm
+count and residual bounds (Parlett, The Symmetric Eigenvalue Problem, ch. 4
+and 10), falling back to bisection when the certificate fails. A warm-started
 pair certifies after one step.
 
 Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
@@ -167,61 +167,43 @@ def default_arc_cutoff(spec: PotentialSpec) -> float:
     return cut
 
 
-def _nested(coarse: int, fine: int) -> bool:
-    """True when fine = coarse * 2^s for some s >= 1."""
-    q, rem = divmod(fine, coarse)
-    return rem == 0 and q > 1 and q & (q - 1) == 0
-
-
 def _interior_potential(spec: PotentialSpec, n: int, x_max: float, samples: dict) -> np.ndarray:
     """Potential at the n - 1 interior points h j (h = x_max / n) of an n-interval grid.
 
     samples maps interval counts to arrays this function returned before, and
     gains this one; a grid already there is returned as it is. A cached grid
-    nested with this one by a power of two lends its values:
-    x_max / (2^s n) * 2^s j == x_max / n * j in floating point, so they equal
-    fresh samples bit for bit. A grid twice as fine holds every point at its
-    even j; a coarser one leaves only the new points to evaluate.
+    one level away lends its values: x_max / (2 n) * 2 j == x_max / n * j in
+    floating point, so they equal fresh samples bit for bit. A grid twice as
+    fine holds every point at its even j; one half as fine, every other
+    point, which leaves only the odd j to evaluate.
     """
     if n in samples:
         return samples[n]
     if 2 * n in samples:
         v = samples[2 * n][1::2]
+    elif n % 2 == 0 and n // 2 in samples:
+        v = np.empty(n - 1)
+        v[1::2] = samples[n // 2]
+        v[::2] = _potential_on_arc(spec, x_max / n * np.arange(1, n, 2))
     else:
-        h = x_max / n
-        j = np.arange(1, n)
-        coarser = [c for c in samples if _nested(c, n)]
-        if coarser:
-            s = n // max(coarser)
-            new = j % s != 0
-            v = np.empty(n - 1)
-            v[~new] = samples[n // s]
-            v[new] = _potential_on_arc(spec, h * j[new])
-        else:
-            v = _potential_on_arc(spec, h * j)
+        v = _potential_on_arc(spec, x_max / n * np.arange(1, n))
     samples[n] = v
     return v
 
 
-def _transfer(vecs: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Grid vectors (one per column) on m intervals, moved onto the nested n-interval grid.
+def _prolong(vecs: np.ndarray) -> np.ndarray:
+    """Grid vectors (one per column) on n intervals, moved onto the 2n-interval grid.
 
-    A finer grid is restricted, with stride m / n, to the points the two
-    share, as _interior_potential strides its samples; a coarser one is
-    prolonged by linear interpolation between its points and the zero
-    Dirichlet ends, so the shared points keep their values bit for bit.
+    The shared points keep their values bit for bit; each new point is the
+    mean of its neighbours, with zero Dirichlet ends.
     """
-    if m > n:
-        s = m // n
-        return vecs[s - 1::s]
-    s = n // m
     # one row per vector, the grid innermost: numpy loops over long axes, not over k
-    ends = np.zeros((vecs.shape[1], 1, m + 1))
-    ends[:, 0, 1:-1] = vecs.T
-    # fine point s i + j lies a fraction j / s of the way from coarse point i to i + 1
-    frac = (np.arange(s) / s)[:, None]
-    fine = ends[:, :, :-1] * (1.0 - frac) + ends[:, :, 1:] * frac  # (vector, j, i)
-    return fine.transpose(0, 2, 1).reshape(-1, n)[:, 1:].T
+    ends = np.zeros((vecs.shape[1], len(vecs) + 2))
+    ends[:, 1:-1] = vecs.T
+    fine = np.empty((vecs.shape[1], 2 * len(vecs) + 1))
+    fine[:, 1::2] = ends[:, 1:-1]
+    fine[:, ::2] = (ends[:, :-1] + ends[:, 1:]) / 2
+    return fine.T
 
 
 def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, start=None):
@@ -230,19 +212,21 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, s
     guess holds increasing estimates p_0 < ... < p_{k-1} of the lowest k
     eigenvalues. With g their smallest gap (max(1, |p_0|) for k = 1), the
     window is (lo, hi] = (p_0 - g/2, p_{k-1} + g/2]. The pairs are certified
-    when T - lo I is positive definite (no eigenvalue <= lo), a Sturm count
-    finds exactly k eigenvalues in the window, and each inverse-iteration
-    vector x_i with Rayleigh quotient E_i has a residual r_i = ||T x_i - E_i
-    x_i|| <= POLISH_RESIDUAL g with [E_i - r_i, E_i + r_i] inside the window
-    and apart from its neighbours: each such interval then holds exactly
-    one eigenvalue of T, the i-th. None is returned when any check fails.
+    when one Sturm count finds exactly k eigenvalues <= hi, and each
+    inverse-iteration vector x_i with Rayleigh quotient E_i has a residual
+    r_i = ||T x_i - E_i x_i|| <= POLISH_RESIDUAL g with [E_i - r_i, E_i + r_i]
+    inside the window and apart from its neighbours. Each such interval holds
+    an eigenvalue of T (Parlett, ch. 4); k disjoint ones account for all k
+    eigenvalues <= hi, so none lies at or below lo and the i-th interval
+    holds the i-th. None is returned when any check fails.
 
     start, an (N - 1, k) array, holds the vectors pair i starts from: the
-    eigenvectors of a nested grid make one step enough. Without it every
-    pair starts from a ramp. Each pair takes up to POLISH_STEPS steps,
-    shifted to p_i and orthogonalised against the earlier vectors, and stops
-    at the first whose residual is within the bound. A poor start costs steps
-    or a None, never a wrong pair: the checks above decide.
+    eigenvectors of the level one above or below make one step enough.
+    Without it every pair starts from a ramp. Each pair takes up to
+    POLISH_STEPS steps, shifted to p_i and orthogonalised against the earlier
+    vectors, and stops at the first whose residual is within the bound. A
+    poor start costs steps or a None, never a wrong pair: the checks above
+    decide.
 
     E_i is the Rayleigh quotient in difference form, sum (x_{j+1} - x_j)^2 / h^2
     (x_0 = x_N = 0) + sum v_j x_j^2, which does not cancel against the
@@ -254,10 +238,9 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, s
     if not (np.all(np.isfinite(p)) and g > 0.0):
         return None
     lo, hi = float(p[0]) - g / 2.0, float(p[-1]) + g / 2.0
-    if dpttrf(diag - lo, off)[2] != 0:
-        return None
-    # a tolerance as wide as the window: Sturm counts, nothing to refine
-    if dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")[0] != k:
+    # one Sturm count at hi: dstebz clamps -inf to its Gershgorin bound, and an
+    # infinite tolerance leaves nothing to refine
+    if dstebz(diag, off, 1, -math.inf, hi, 0, 0, math.inf, "E")[0] != k:
         return None
     bound = POLISH_RESIDUAL * g
     vecs = np.empty((k, diag.size))  # one row per vector, returned transposed
@@ -311,13 +294,6 @@ def dgtsv(*args):
     return scipy.linalg.lapack.dgtsv(*args)
 
 
-def dpttrf(*args):
-    """LAPACK's dpttrf (LDL^T of a positive definite tridiagonal), from scipy.linalg.lapack."""
-    import scipy.linalg.lapack
-
-    return scipy.linalg.lapack.dpttrf(*args)
-
-
 def dstebz(*args):
     """LAPACK's dstebz (tridiagonal eigenvalues by bisection), from scipy.linalg.lapack."""
     import scipy.linalg.lapack
@@ -331,9 +307,10 @@ def _tridiag_lowest(
 ):
     """Lowest k eigenvalues at n intervals, their eigenvectors or None, and the method used.
 
-    With a guess the level is polished (_polish, from start when given), which
-    yields the eigenvectors whether asked or not; without one, or when the
-    polish is not certified, it is bisected, with eigenvectors only if asked.
+    With a guess the level is polished (_polish, from start when given: the
+    eigenvectors of the level one above or below), which yields the
+    eigenvectors whether asked or not; without one, or when the polish is not
+    certified, it is bisected, with eigenvectors only if asked.
     """
     h = x_max / n
     v = _interior_potential(spec, n, x_max, samples)
@@ -414,21 +391,20 @@ def lowest_eigenvalues(
     it stops at the first level whose `error_estimate` is <= rtol for every
     eigenvalue. A level serves as the N/2 and N/4 runs of the levels above
     it, so no level is solved twice, and each potential sample is evaluated
-    once and shared by the nested grids. The first level's N/4 run is the
-    one solve with nothing below it to guess from, and the only one bisected;
-    on the default ladder it has 312 intervals, a grid not nested with
-    625 = 1250 / 2, so its 311 potential samples are its own. Every other
-    level is polished (_polish) from a guess: the second-order prediction
-    E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair solved so
-    far, or the N/4 values for the first level and its N/2 run. Each polish
-    starts from the eigenvectors of the nearest nested level that has them,
-    restricted from a finer level or linearly prolonged from a coarser one,
-    and stops once the pair certifies. A level with no nested level below or
-    above it that holds vectors starts from a ramp: the first level, with
-    only the vector-less bisection below it, and an odd level, which halves
-    to a grid it is not nested with (4001 to 2000). A level whose polish is
-    not certified is bisected instead; `method` records how the returned
-    level was solved.
+    once and shared with the grid one level up or down. The first level's
+    N/4 run is the one solve with nothing below it to guess from, and the
+    only one bisected; on the default ladder it has 312 intervals, a grid not
+    nested with 625 = 1250 / 2, so its 311 potential samples are its own.
+    Every other level is polished (_polish) from a guess: the second-order
+    prediction E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair
+    solved so far, or the N/4 values for the first level and its N/2 run.
+    Each polish starts from the eigenvectors of the level one above or below:
+    restricted to the shared points of the level twice as fine, else
+    prolonged (_prolong) from the level half as fine, and stops once the pair
+    certifies. The first level, with only the vector-less bisection below it,
+    and an odd level, which halves to a grid it is not nested with (4001 to
+    2000), start from a ramp. A level whose polish is not certified is
+    bisected instead; `method` records how the returned level was solved.
 
     Raises GridTooCoarse when rtol is given and an estimate still exceeds it
     at grid_points; warns with TruncationWarning when an eigenvector keeps
@@ -464,16 +440,18 @@ def lowest_eigenvalues(
         return solved[max(c for c in solved if c < n)][0]
 
     def start(n):
-        """The eigenvectors of the nearest level nested with n that has them, moved onto n.
+        """The eigenvectors of the level one above or below n, moved onto n; else None.
 
-        An odd level halves to a grid that is not nested with it: 4001 to 2000.
+        A finer level is restricted to its rows [1::2], the points the two
+        grids share. None for an odd level, which halves to a grid it is not
+        nested with (4001 to 2000), and where the level below is unsolved or
+        is the bisected grid, which keeps no vectors: the first level, and the
+        half grid of an odd first level (1001 to 500 to 250).
         """
-        held = [m for m in solved if solved[m][1] is not None and _nested(min(m, n), max(m, n))]
-        if not held:
-            return None
-        # the nearest level, a finer one on a tie: restriction only drops points
-        m = min(held, key=lambda m: (max(m, n) // min(m, n), m < n))
-        return _transfer(solved[m][1], m, n)
+        if 2 * n in solved:
+            return solved[2 * n][1][1::2]
+        coarse = solved.get(n // 2, (None, None))[1] if n % 2 == 0 else None
+        return None if coarse is None else _prolong(coarse)
 
     def solve(n, vectors):
         if n not in solved:

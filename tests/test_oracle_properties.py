@@ -1,6 +1,7 @@
 """Property-based tests of the oracle: over the advertised input space, over
-the start blocks its inverse-iteration polish may be handed, and of its arc
-cutoff against the whole scan; and of the model input validation in front of it."""
+the start blocks and guesses its inverse-iteration polish may be handed, and
+of its arc cutoff against the whole scan; and of the model input validation in
+front of it."""
 
 import math
 import warnings
@@ -69,11 +70,14 @@ def _matrix(n):
     return 2.0 / (h * h) + v, np.full(n - 2, -1.0 / (h * h)), v, h
 
 
-def _polish_certifies_or_falls_back(k, start):
+def _polish_certifies_or_falls_back(k, start, guess=None):
     """A polish from start either matches a tight bisection or returns None and
-    leaves the level to the plain bisection, bit for bit."""
-    half, half_off = _matrix(N // 2)[:2]
-    guess = eigh_tridiagonal(half, half_off, select="i", select_range=(0, k - 1), eigvals_only=True)
+    leaves the level to the plain bisection, bit for bit. The guess defaults
+    to the N/2 values."""
+    if guess is None:
+        half, half_off = _matrix(N // 2)[:2]
+        guess = eigh_tridiagonal(half, half_off, select="i", select_range=(0, k - 1),
+                                 eigvals_only=True)
     diag, off, v, h = _matrix(N)
     polished = oracle._polish(diag, off, v, h, guess, start)
     if polished is None:
@@ -93,7 +97,7 @@ def _polish_certifies_or_falls_back(k, start):
 def test_bad_start_certifies_or_falls_back(bad):
     # the warm start the ladder would give: the N/2 eigenvectors, prolonged
     diag, off = _matrix(N // 2)[:2]
-    good = oracle._transfer(eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))[1], N // 2, N)
+    good = oracle._prolong(eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))[1])
     start = {
         "swapped": good[:, ::-1],
         "one_vector_twice": good[:, [0, 0, 2]],
@@ -108,6 +112,28 @@ def test_bad_start_certifies_or_falls_back(bad):
 def test_random_start_certifies_or_falls_back(k, seed):
     start = np.random.default_rng(seed).standard_normal((N - 1, k))
     _polish_certifies_or_falls_back(k, start)
+
+
+LEVELS = eigh_tridiagonal(*_matrix(N)[:2], select="i", select_range=(0, 4), eigvals_only=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=5000, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 3),
+    # per guess: None for its own level i, else a level that skips or repeats one
+    levels=st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=3, max_size=3),
+    # shifts as a fraction of the E1 - E0 gap: none, small, or gross
+    shifts=st.lists(st.one_of(st.just(0.0), st.floats(-1e-4, 1e-4), st.floats(-0.6, 0.6)),
+                    min_size=3, max_size=3),
+)
+def test_perturbed_guess_certifies_or_falls_back(k, levels, shifts):
+    # the one Sturm count at the window's top and the residual intervals certify
+    # only the lowest k pairs; any other guess leaves the level to bisection
+    gap = LEVELS[1] - LEVELS[0]
+    guess = [LEVELS[i if j is None else j] + shift * gap
+             for i, (j, shift) in enumerate(zip(levels[:k], shifts[:k]))]
+    _polish_certifies_or_falls_back(k, None, guess)
 
 
 # exact and float scalars, with 0, negatives, +-inf and nan each drawn often
