@@ -88,8 +88,8 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _add_model_args(parser, require_family=True):
-    parser.add_argument("--family", type=int, choices=(1, 2), required=require_family)
+def _add_model_args(parser):
+    parser.add_argument("--family", type=int, choices=(1, 2), required=True)
     parser.add_argument("--m", type=int, default=1, help="extension order (default 1)")
     parser.add_argument("--L", type=_number, default=0, help="effective angular momentum")
     parser.add_argument("--lambda", dest="lam", type=_number, required=True,

@@ -8,9 +8,10 @@ acting on psi becomes a plain -d^2/dx^2 + V(r(x)) acting on u = sqrt(f) psi,
 so a symmetric 3-point finite difference with Dirichlet ends gives a
 symmetric tridiagonal matrix whose lowest eigenvalues are found by
 bisection/inverse iteration.  The grid is cut where the potential wall
-exceeds a large threshold; past that point the eigenfunctions carry
+exceeds WALL_CUTOFF |lambda|; past that point the eigenfunctions carry
 essentially no mass, while keeping the wall out of the matrix preserves the
-eigensolver's absolute accuracy. The solver climbs a ladder of nested grids
+eigensolver's absolute accuracy. Every check of a verification runs on
+(0, r_cut], r_cut the radius of that cut. The solver climbs a ladder of nested grids
 (halvings of the largest one), sharing solves and potential samples between
 the levels: up to the largest, or, given a tolerance, to the smallest whose
 Richardson-extrapolated values certify it. The gate reads three levels N, N/2
@@ -29,9 +30,8 @@ QUADPACK): each refinement round evaluates the wavefunction once, as one
 array over every open panel, against a relative error target, so small norms
 keep their digits. Node search scans for sign changes with array operations
 and polishes each bracketed root by Brent's method, ported here from
-scipy.optimize.brentq. A caller that needs several of these for one
-wavefunction, as run_verification does, computes its decay radius and squared
-norm once and passes them in.
+scipy.optimize.brentq. Both end at a probed decay radius unless the caller,
+as run_verification does with r_cut, passes the end in.
 
 Everything here is deliberately independent of the closed-form route: the
 matrix only sees eval_potential, and the quadrature/node utilities only see
@@ -55,7 +55,8 @@ from .geometry import Deformation, radius_from_arc
 from .potentials import PotentialSpec, eval_potential
 from .susy import WavefunctionForm
 
-WALL_CUTOFF = 1.0e6
+WALL_CUTOFF = 1.0e6  # the wall, in units of |lambda|: V scales with |lambda|
+BOX_MARGIN = 1.0 - 1e-7  # the share of a box (lambda < 0) the wall scan, or a wall-less cut, spans
 SCAN_POINTS = 20001  # points of each span default_arc_cutoff scans for the wall
 SCAN_STRIDE = 100  # its coarse pass samples every SCAN_STRIDE-th of them
 LADDER_FLOOR = 1000  # the grid ladder starts at its smallest level at or above this
@@ -112,17 +113,23 @@ def _potential_on_arc(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
         return eval_potential(spec, r)
 
 
-def _walled(v: np.ndarray) -> np.ndarray:
-    """Mask of the potential values at or past the wall: non-finite or >= WALL_CUTOFF."""
-    return ~np.isfinite(v) | (v >= WALL_CUTOFF)
+def _walled(v: np.ndarray, lam: float) -> np.ndarray:
+    """Mask of the potential values at or past the wall: non-finite or >= WALL_CUTOFF |lambda|."""
+    return ~np.isfinite(v) | (v >= WALL_CUTOFF * abs(lam))
+
+
+def _cut_radius(lam: float, x_cut: float) -> float:
+    """Radius of the arc cut x_cut; BOX_MARGIN of the box's radius if x_cut is the box's end."""
+    defo = Deformation(lam)
+    return BOX_MARGIN * defo.domain_max if x_cut >= defo.arc_max else radius_from_arc(defo, x_cut)
 
 
 def default_arc_cutoff(spec: PotentialSpec) -> float:
-    """Arc coordinate where the potential wall passes WALL_CUTOFF, or the full box.
+    """Arc coordinate where the potential wall passes WALL_CUTOFF |lambda|, or the full box.
 
     Each span is scanned at SCAN_POINTS np.linspace points, and the cut is the
     first of them at or after the potential's minimum (np.nanargmin) that is
-    non-finite or >= WALL_CUTOFF. lambda < 0 scans the box less its ends and
+    non-finite or >= WALL_CUTOFF |lambda|. lambda < 0 scans the box less its ends and
     cuts at the box's end if that finds no wall. lambda > 0 scans
     (0, 2^j / sqrt(lambda)], j = 1..6, in turn, then warns with
     TruncationWarning and cuts at 64 / sqrt(lambda).
@@ -138,7 +145,7 @@ def default_arc_cutoff(spec: PotentialSpec) -> float:
     if lam < 0:
         cut = Deformation(lam).arc_max
         # stay clear of the end: sin(x) must not round up to the domain edge
-        spans = [(cut * 1e-6, cut * (1.0 - 1e-7))]
+        spans = [(cut * 1e-6, cut * BOX_MARGIN)]
     else:
         sl = math.sqrt(lam)
         cut = 64.0 / sl
@@ -150,12 +157,12 @@ def default_arc_cutoff(spec: PotentialSpec) -> float:
         a = max(c - SCAN_STRIDE, 0)
         i0 = a + int(np.nanargmin(_potential_on_arc(spec, xs[a:c + SCAN_STRIDE + 1])))
         first = -(-i0 // SCAN_STRIDE)  # the first coarse point at or after the minimum
-        walled = _walled(coarse[first:])
+        walled = _walled(coarse[first:], lam)
         if np.any(walled):
             wall = (first + int(np.argmax(walled))) * SCAN_STRIDE
             a = max(i0, wall - SCAN_STRIDE + 1)
             # the points before the walled coarse one; the coarse one if none of them
-            fine = np.append(_walled(_potential_on_arc(spec, xs[a:wall])), True)
+            fine = np.append(_walled(_potential_on_arc(spec, xs[a:wall]), lam), True)
             return float(xs[a + int(np.argmax(fine))])
     if lam > 0:
         warnings.warn(
@@ -511,11 +518,11 @@ def schrodinger_residual(
 ) -> float:
     """Max scaled residual of the eigenvalue equation over a 2000-point geometric grid.
 
-    The residual |pi^2 psi + (V - E) psi| / (1 + |E| |psi|) is evaluated with
-    fully analytic derivatives of the closed form, after peak normalization.
-    x_max, when given, is default_arc_cutoff(spec) computed by the caller; it
-    closes the grid for lambda > 0. Raises NonNormalizable when psi vanishes
-    on the whole grid.
+    The residual |pi^2 psi + (V - E) psi| / (|lambda| + |E| |psi|), NaN if any
+    point's is, uses analytic derivatives of the peak-normalized closed form.
+    The grid runs from 1e-4 / sqrt|lambda| to _cut_radius of x_max, which
+    defaults to default_arc_cutoff(spec). Raises NonNormalizable when psi
+    vanishes on the whole grid.
     """
     return _schrodinger_residuals(spec, [(psi, energy)], x_max)[0]
 
@@ -523,14 +530,8 @@ def schrodinger_residual(
 def _schrodinger_residuals(spec: PotentialSpec, states, x_max: float | None = None) -> list:
     """schrodinger_residual of each (psi, energy) in states, on one grid and one V(r)."""
     lam = float(spec.lam)
-    if lam < 0:
-        rmax = 1.0 / math.sqrt(-lam)
-        lo, hi = 1e-4 * rmax, (1.0 - 1e-9) * rmax
-    else:
-        lo = 1e-4 / math.sqrt(lam)
-        x_cut = default_arc_cutoff(spec) if x_max is None else x_max
-        hi = radius_from_arc(Deformation(lam), x_cut)
-    r = np.geomspace(lo, hi, 2000)
+    x_cut = default_arc_cutoff(spec) if x_max is None else x_max
+    r = np.geomspace(1e-4 / math.sqrt(abs(lam)), _cut_radius(lam, x_cut), 2000)
     f2 = 1.0 + lam * r * r
     v = eval_potential(spec, r)
     out = []
@@ -541,9 +542,8 @@ def _schrodinger_residuals(spec: PotentialSpec, states, x_max: float | None = No
             raise NonNormalizable("wavefunction vanishes on the whole grid")
         psi_v, dpsi, d2psi = psi_v / peak, dpsi / peak, d2psi / peak
         kinetic = -f2 * d2psi - 2.0 * lam * r * dpsi - lam * (2.0 + lam * r * r) / (4.0 * f2) * psi_v
-        with np.errstate(invalid="ignore"):
-            res = np.abs(kinetic + (v - energy) * psi_v) / (1.0 + abs(energy) * np.abs(psi_v))
-        out.append(float(np.nanmax(res)))
+        res = np.abs(kinetic + (v - energy) * psi_v) / (abs(lam) + abs(energy) * np.abs(psi_v))
+        out.append(float(np.max(res)))
     return out
 
 
@@ -644,7 +644,7 @@ def _gauss_kronrod(fun, a: float, b: float, epsrel: float, epsabs: float = 0.0) 
 def quadrature_norm(psi: WavefunctionForm, decay_radius: float | None = None) -> float:
     """Integral of |psi|^2 dr over the open domain, by adaptive quadrature.
 
-    decay_radius, when given, is _decay_radius(psi) computed by the caller.
+    The integral ends at decay_radius, which defaults to _decay_radius(psi).
     """
     lam = float(psi.lam)
     hi = _decay_radius(psi) if decay_radius is None else decay_radius
@@ -671,8 +671,8 @@ def overlap(
 ) -> float:
     """Normalized inner product <a, b> / (||a|| ||b||).
 
-    norms and decay_radii, when given, are the squared norms and decay radii
-    of (psi_a, psi_b) computed by the caller.
+    norms and decay_radii, when given, are the squared norms of (psi_a, psi_b)
+    and the radii their integrals end at: quadrature_norm and _decay_radius.
     """
     if decay_radii is None:
         decay_radii = (_decay_radius(psi_a), _decay_radius(psi_b))
@@ -755,17 +755,13 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
 def find_nodes(psi: WavefunctionForm, window=None, decay_radius: float | None = None) -> list:
     """Interior zeros of psi, located by bisection after a 4001-point sign-change scan.
 
-    decay_radius, when given, is _decay_radius(psi) computed by the caller;
-    it closes the default window for lambda > 0.
+    The default window is [1e-6 / sqrt|lambda|, decay_radius]; decay_radius
+    defaults to _decay_radius(psi).
     """
-    lam = float(psi.lam)
     if window is not None:
         lo, hi = window
-    elif lam < 0:
-        rmax = 1.0 / math.sqrt(-lam)
-        lo, hi = 1e-6 * rmax, (1.0 - 1e-9) * rmax
     else:
-        lo = 1e-6 / math.sqrt(lam)
+        lo = 1e-6 / math.sqrt(abs(float(psi.lam)))
         hi = _decay_radius(psi) if decay_radius is None else decay_radius
     grid = np.linspace(lo, hi, 4001)
     vals = psi.value(grid)
@@ -780,9 +776,9 @@ def find_nodes(psi: WavefunctionForm, window=None, decay_radius: float | None = 
     ]
 
 
-def count_sign_changes(values, rel_floor: float = 1e-9) -> int:
-    """Sign changes of a sampled profile, ignoring entries below a relative floor."""
+def count_sign_changes(values) -> int:
+    """Sign changes of a sampled profile, ignoring entries below 1e-9 of its peak."""
     arr = np.asarray(values, dtype=float)
-    keep = np.abs(arr) > rel_floor * np.max(np.abs(arr))
+    keep = np.abs(arr) > 1e-9 * np.max(np.abs(arr))
     signs = np.sign(arr[keep])
     return int(np.sum(signs[:-1] != signs[1:]))

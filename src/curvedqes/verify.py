@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .oracle import (
-    _decay_radius,
+    _cut_radius,
     _schrodinger_residuals,
     count_sign_changes,
+    default_arc_cutoff,
     find_nodes,
     lowest_eigenvalues,
     overlap,
@@ -134,19 +135,16 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _check_grid(sol: TwoStateSolution, n: int = 1000) -> np.ndarray:
-    # window ends chosen so the identity check itself stays conditioned: the
-    # centrifugal intermediates cost eps/r^2 near zero, and 1 - r^2 loses
-    # digits near the lambda < 0 wall; both stay ~100x under the threshold
+def _check_grid(sol: TwoStateSolution, x_max: float | None = None) -> np.ndarray:
+    """1000 geometric points from 1e-2 / sqrt|lambda| to _cut_radius of the arc cut x_max.
+
+    x_max defaults to default_arc_cutoff(sol.spec). At L = 0 the 1/r^2 terms of
+    W^2 and f W' cancel, leaving eps / (|lambda| r^2): 2e-12 at the low end, 50x
+    under the threshold.
+    """
     lam = float(sol.lam)
-    if lam > 0:
-        lo = 1e-3 / math.sqrt(lam)
-        top = (1e12 / (lam * float(sol.B2m))) ** (1.0 / (2 * sol.m))
-        hi = math.sqrt(max(top - 1.0, 4.0) / lam)
-    else:
-        rmax = 1.0 / math.sqrt(-lam)
-        lo, hi = 1e-3 * rmax, (1.0 - 1e-4) * rmax
-    return np.geomspace(lo, hi, n)
+    x_cut = default_arc_cutoff(sol.spec) if x_max is None else x_max
+    return np.geomspace(1e-2 / math.sqrt(abs(lam)), _cut_radius(lam, x_cut), 1000)
 
 
 def run_verification(
@@ -170,13 +168,16 @@ def run_verification(
     carries it with the observed order of convergence.
     """
     sol = general_two_state(family, m, L, B2m, lam)
+    # the oracle first: the radius of its wall cut ends every window below
+    est = lowest_eigenvalues(sol.spec, k=2, grid_points=grid_points, rtol=rtol)
+    hi = _cut_radius(float(sol.lam), est.x_max)
     checks: list[CheckResult] = []
 
     def add(name, value):
         tol = TOLERANCES[name]
         checks.append(CheckResult(name, float(value), float(tol), float(value) <= tol))
 
-    r = _check_grid(sol)
+    r = _check_grid(sol, est.x_max)
     v = eval_potential(sol.spec, r)
     e0f, e1f = float(sol.E0), float(sol.E1)
 
@@ -213,7 +214,6 @@ def run_verification(
 
     # compare against the Richardson-extrapolated values: extrapolation removes
     # the O(h^2) grid bias but cannot mask a genuine disagreement
-    est = lowest_eigenvalues(sol.spec, k=2, grid_points=grid_points, rtol=rtol)
     rel0 = abs(est.extrapolated[0] - e0f) / max(1e-30, abs(e0f))
     rel1 = abs(est.extrapolated[1] - e1f) / max(1e-30, abs(e1f))
     add("oracle_E0", rel0)
@@ -224,18 +224,16 @@ def run_verification(
     add("residual_psi0", res[0])
     add("residual_psi1", res[1])
 
-    # each decay radius and norm is computed once and shared by every check
-    hi0 = _decay_radius(sol.psi0)
-    nodes0 = find_nodes(sol.psi0, decay_radius=hi0)
-    hi1 = _decay_radius(sol.psi1)
-    nodes1 = find_nodes(sol.psi1, decay_radius=hi1)
+    nodes0 = find_nodes(sol.psi0, decay_radius=hi)
+    nodes1 = find_nodes(sol.psi1, decay_radius=hi)
     add("nodes_psi0", len(nodes0))
     add("nodes_psi1", abs(len(nodes1) - 1))
     add("node_location", abs(nodes1[0] - sol.r0) if len(nodes1) == 1 else math.inf)
 
-    norm0 = quadrature_norm(sol.psi0, hi0)
-    norm1 = quadrature_norm(sol.psi1, hi1)
-    add("orthogonality", abs(overlap(sol.psi0, sol.psi1, (norm0, norm1), (hi0, hi1))))
+    # each norm is computed once and shared with the overlap
+    norm0 = quadrature_norm(sol.psi0, hi)
+    norm1 = quadrature_norm(sol.psi1, hi)
+    add("orthogonality", abs(overlap(sol.psi0, sol.psi1, (norm0, norm1), (hi, hi))))
 
     bad = sum(count_sign_changes(est.eigenvectors[:, i]) != i for i in range(2))
     add("oracle_node_counts", bad)

@@ -67,6 +67,7 @@ def test_perturbed_coefficient_breaks_riccati():
 
 
 def test_decay_radii_and_norms_computed_once(monkeypatch):
+    # the radius of the oracle's wall cut ends every window: no decay-radius probe runs
     counts = {"_decay_radius": 0, "quadrature_norm": 0}
 
     def counted(name):
@@ -79,12 +80,11 @@ def test_decay_radii_and_norms_computed_once(monkeypatch):
         return wrapper
 
     for name in counts:
-        wrapper = counted(name)
-        monkeypatch.setattr(oracle, name, wrapper)
-        monkeypatch.setattr(verify, name, wrapper)
+        monkeypatch.setattr(oracle, name, counted(name))
+    monkeypatch.setattr(verify, "quadrature_norm", oracle.quadrature_norm)
     report = run_verification(1, 1, 1, 1, 1)
     assert report.passed
-    assert counts["_decay_radius"] <= 2
+    assert counts["_decay_radius"] == 0
     assert counts["quadrature_norm"] == 2
 
 
@@ -212,3 +212,25 @@ def test_oracle_matrix_out_of_range_raises_a_user_error(family, lam):
     # x_max ~ 1e-150: 1/h^2 squares past the double range in the eigensolver
     with pytest.raises(InvalidParameter, match="oracle matrix"):
         run_verification(family, 1, 0, 1, lam, rtol=1e-6)
+
+
+# family 1 from m = 20 and family 2 from m = 42: every window ends at the wall
+# cut, where psi has decayed and V is finite
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family, m", [(1, 20), (1, 30), (1, 60), (2, 42), (2, 60)])
+@pytest.mark.parametrize("L, B2m", [(0, 1), (1, 4), (Fraction(1, 2), Fraction(9, 4)), (2, 3)])
+def test_high_orders_verify(family, m, L, B2m):
+    lam = 1 if family == 1 else -1
+    report = run_verification(family, m, L, B2m, lam, rtol=1e-6)
+    assert report.passed, [c for c in report.checks if not c.passed]
+
+
+# the wall and the residual scale with |lambda|, as the operator does
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", [1, 2])
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1, 1e2, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("m", [1, 8, 30])
+@pytest.mark.parametrize("L", [0, 1])
+def test_every_curvature_scale_verifies(family, scale, m, L):
+    report = run_verification(family, m, L, 1, scale if family == 1 else -scale, rtol=1e-6)
+    assert report.passed, [c for c in report.checks if not c.passed]
