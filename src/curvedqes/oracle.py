@@ -520,18 +520,20 @@ def schrodinger_residual(
 
     The residual |pi^2 psi + (V - E) psi| / (|lambda| + |E| |psi|), NaN if any
     point's is, uses analytic derivatives of the peak-normalized closed form.
-    The grid runs from 1e-4 / sqrt|lambda| to _cut_radius of x_max, which
-    defaults to default_arc_cutoff(spec). Raises NonNormalizable when psi
-    vanishes on the whole grid.
+    The grid runs from 1e-4 / sqrt|lambda| to the radius of the arc cut x_max,
+    which defaults to default_arc_cutoff(spec). Raises NonNormalizable when
+    psi vanishes on the whole grid.
     """
-    return _schrodinger_residuals(spec, [(psi, energy)], x_max)[0]
+    r_max = None if x_max is None else _cut_radius(float(spec.lam), x_max)
+    return _schrodinger_residuals(spec, [(psi, energy)], r_max)[0]
 
 
-def _schrodinger_residuals(spec: PotentialSpec, states, x_max: float | None = None) -> list:
-    """schrodinger_residual of each (psi, energy) in states, on one grid and one V(r)."""
+def _schrodinger_residuals(spec: PotentialSpec, states, r_max: float | None = None) -> list:
+    """schrodinger_residual of each (psi, energy) in states, on one grid to r_max and one V(r)."""
     lam = float(spec.lam)
-    x_cut = default_arc_cutoff(spec) if x_max is None else x_max
-    r = np.geomspace(1e-4 / math.sqrt(abs(lam)), _cut_radius(lam, x_cut), 2000)
+    if r_max is None:
+        r_max = _cut_radius(lam, default_arc_cutoff(spec))
+    r = np.geomspace(1e-4 / math.sqrt(abs(lam)), r_max, 2000)
     f2 = 1.0 + lam * r * r
     v = eval_potential(spec, r)
     out = []
@@ -641,13 +643,13 @@ def _gauss_kronrod(fun, a: float, b: float, epsrel: float, epsabs: float = 0.0) 
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
 
-def quadrature_norm(psi: WavefunctionForm, decay_radius: float | None = None) -> float:
+def quadrature_norm(psi: WavefunctionForm, r_max: float | None = None) -> float:
     """Integral of |psi|^2 dr over the open domain, by adaptive quadrature.
 
-    The integral ends at decay_radius, which defaults to _decay_radius(psi).
+    The integral ends at the radius r_max, which defaults to _decay_radius(psi).
     """
     lam = float(psi.lam)
-    hi = _decay_radius(psi) if decay_radius is None else decay_radius
+    hi = _decay_radius(psi) if r_max is None else r_max
 
     def squared(r):
         return psi.value(r) ** 2
@@ -667,23 +669,22 @@ def overlap(
     psi_a: WavefunctionForm,
     psi_b: WavefunctionForm,
     norms: tuple | None = None,
-    decay_radii: tuple | None = None,
+    r_max: float | None = None,
 ) -> float:
     """Normalized inner product <a, b> / (||a|| ||b||).
 
-    norms and decay_radii, when given, are the squared norms of (psi_a, psi_b)
-    and the radii their integrals end at: quadrature_norm and _decay_radius.
+    norms, when given, are the squared norms of (psi_a, psi_b) to r_max. Every integral
+    ends at the radius r_max, by default each psi's _decay_radius (the product the larger).
     """
-    if decay_radii is None:
-        decay_radii = (_decay_radius(psi_a), _decay_radius(psi_b))
+    ends = (r_max, r_max) if r_max is not None else (_decay_radius(psi_a), _decay_radius(psi_b))
     if norms is None:
-        norms = tuple(quadrature_norm(p, h) for p, h in zip((psi_a, psi_b), decay_radii))
+        norms = tuple(quadrature_norm(p, h) for p, h in zip((psi_a, psi_b), ends))
     scale = math.sqrt(norms[0]) * math.sqrt(norms[1])
 
     def product(r):
         return psi_a.value(r) * psi_b.value(r) / scale
 
-    return _gauss_kronrod(product, 0.0, max(decay_radii), OVERLAP_EPSREL, OVERLAP_EPSABS)
+    return _gauss_kronrod(product, 0.0, max(ends), OVERLAP_EPSREL, OVERLAP_EPSABS)
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -752,17 +753,17 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 
-def find_nodes(psi: WavefunctionForm, window=None, decay_radius: float | None = None) -> list:
+def find_nodes(psi: WavefunctionForm, window=None, r_max: float | None = None) -> list:
     """Interior zeros of psi, located by bisection after a 4001-point sign-change scan.
 
-    The default window is [1e-6 / sqrt|lambda|, decay_radius]; decay_radius
+    The default window is [1e-6 / sqrt|lambda|, r_max]; the radius r_max
     defaults to _decay_radius(psi).
     """
     if window is not None:
         lo, hi = window
     else:
         lo = 1e-6 / math.sqrt(abs(float(psi.lam)))
-        hi = _decay_radius(psi) if decay_radius is None else decay_radius
+        hi = _decay_radius(psi) if r_max is None else r_max
     grid = np.linspace(lo, hi, 4001)
     vals = psi.value(grid)
     floor = 1e-13 * np.max(np.abs(vals))

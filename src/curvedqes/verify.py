@@ -135,16 +135,12 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _check_grid(sol: TwoStateSolution, x_max: float | None = None) -> np.ndarray:
-    """1000 geometric points from 1e-2 / sqrt|lambda| to _cut_radius of the arc cut x_max.
-
-    x_max defaults to default_arc_cutoff(sol.spec). At L = 0 the 1/r^2 terms of
-    W^2 and f W' cancel, leaving eps / (|lambda| r^2): 2e-12 at the low end, 50x
-    under the threshold.
-    """
+def _check_grid(sol: TwoStateSolution, r_max: float | None = None) -> np.ndarray:
+    """1000 geometric points from 1e-3 / sqrt|lambda| to r_max, default the wall cut's radius."""
     lam = float(sol.lam)
-    x_cut = default_arc_cutoff(sol.spec) if x_max is None else x_max
-    return np.geomspace(1e-2 / math.sqrt(abs(lam)), _cut_radius(lam, x_cut), 1000)
+    if r_max is None:
+        r_max = _cut_radius(lam, default_arc_cutoff(sol.spec))
+    return np.geomspace(1e-3 / math.sqrt(abs(lam)), r_max, 1000)
 
 
 def run_verification(
@@ -170,26 +166,29 @@ def run_verification(
     sol = general_two_state(family, m, L, B2m, lam)
     # the oracle first: the radius of its wall cut ends every window below
     est = lowest_eigenvalues(sol.spec, k=2, grid_points=grid_points, rtol=rtol)
-    hi = _cut_radius(float(sol.lam), est.x_max)
+    r_cut = _cut_radius(float(sol.lam), est.x_max)
     checks: list[CheckResult] = []
 
     def add(name, value):
         tol = TOLERANCES[name]
         checks.append(CheckResult(name, float(value), float(tol), float(value) <= tol))
 
-    r = _check_grid(sol, est.x_max)
+    r = _check_grid(sol, r_cut)
     v = eval_potential(sol.spec, r)
     e0f, e1f = float(sol.E0), float(sol.E1)
 
-    # W and W' (and W+ and W+') from one pass each: V1 = W^2 - f W', V2 = W^2 + f W'
+    # W and W' (and W+ and W+') from one pass each: V1 = W^2 - f W', V2 = W^2 + f W', each
+    # residual scaled by its terms' sizes: at L = 0 their 1/r^2 parts cancel near the origin
     f = np.sqrt(1.0 + float(sol.lam) * r * r)
     w, dw = sol.w._sums(r, derivative=True)
-    res_v1 = np.abs(w * w - f * dw + e0f - v) / (1.0 + np.abs(v))
+    w2, fdw = w * w, f * dw
+    size = 1.0 + w2 + np.abs(fdw)
+    res_v1 = np.abs(w2 - fdw + e0f - v) / (size + np.abs(v))
     add("riccati_v1", res_v1.max())
 
     partner, shift_const = partner_shift(sol.spec)
     v2 = eval_potential(partner, r) + float(shift_const)
-    res_v2 = np.abs(w * w + f * dw - v2) / (1.0 + np.abs(v2))
+    res_v2 = np.abs(w2 + fdw - v2) / (size + np.abs(v2))
     add("riccati_v2", res_v2.max())
 
     wp, wm = sol.pair.w_plus, sol.pair.w_minus
@@ -220,20 +219,20 @@ def run_verification(
     add("oracle_E1", rel1)
 
     # one residual grid and one V(r) for both states
-    res = _schrodinger_residuals(sol.spec, [(sol.psi0, e0f), (sol.psi1, e1f)], est.x_max)
+    res = _schrodinger_residuals(sol.spec, [(sol.psi0, e0f), (sol.psi1, e1f)], r_cut)
     add("residual_psi0", res[0])
     add("residual_psi1", res[1])
 
-    nodes0 = find_nodes(sol.psi0, decay_radius=hi)
-    nodes1 = find_nodes(sol.psi1, decay_radius=hi)
+    nodes0 = find_nodes(sol.psi0, r_max=r_cut)
+    nodes1 = find_nodes(sol.psi1, r_max=r_cut)
     add("nodes_psi0", len(nodes0))
     add("nodes_psi1", abs(len(nodes1) - 1))
     add("node_location", abs(nodes1[0] - sol.r0) if len(nodes1) == 1 else math.inf)
 
     # each norm is computed once and shared with the overlap
-    norm0 = quadrature_norm(sol.psi0, hi)
-    norm1 = quadrature_norm(sol.psi1, hi)
-    add("orthogonality", abs(overlap(sol.psi0, sol.psi1, (norm0, norm1), (hi, hi))))
+    norm0 = quadrature_norm(sol.psi0, r_cut)
+    norm1 = quadrature_norm(sol.psi1, r_cut)
+    add("orthogonality", abs(overlap(sol.psi0, sol.psi1, (norm0, norm1), r_cut)))
 
     bad = sum(count_sign_changes(est.eigenvectors[:, i]) != i for i in range(2))
     add("oracle_node_counts", bad)

@@ -64,6 +64,14 @@ def test_verify_passes_on_figure_config(capsys):
     assert "overall: pass" in out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_passes_in_a_narrow_box(capsys):
+    # the wall scales with |lambda|: at a fixed wall the cut fell inside psi0 here
+    code, out, _ = run_cli(["verify", "--family", "2", "--m", "1", "--lambda", "-1000"], capsys)
+    assert code == 0
+    assert "overall: pass" in out
+
+
 def test_verify_json_format(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, _, _ = run_cli(
