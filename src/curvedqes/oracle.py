@@ -17,8 +17,12 @@ the levels: up to the largest, or, given a tolerance, to the smallest whose
 Richardson-extrapolated values certify it. The gate reads three levels N, N/2
 and N/4: their observed order of convergence and a grid-convergence-index
 bound on the extrapolated value (Richardson and Gaunt, Phil. Trans. A 226
-(1927) 299; Roache, J. Fluids Eng. 116 (1994) 405). Only the ladder's
-coarsest solve is bisected; every other level is polished by inverse
+(1927) 299; Roache, J. Fluids Eng. 116 (1994) 405). At a non-integer L below
+3/2 the wavefunction's x^(L+1) at the origin adds an h^(2L+1) term, which
+each level fits through N, N/2 and N/4 instead, and the gate compares that
+fit with the one through N/2, N/4 and N/8 (Navot, J. Math. Phys. 40 (1961)
+271; Sidi, Practical Extrapolation Methods, ch. 1-2). Only the first level's
+N/4 solve is bisected; every other level is polished by inverse
 iteration, shifted to the values the coarser levels predict and started from
 the eigenvectors of the level one above or below, and certified by one Sturm
 count and residual bounds (Parlett, The Symmetric Eigenvalue Problem, ch. 4
@@ -68,11 +72,12 @@ BRENT_MAXITER = 100
 BRENT_RTOL_MIN = 4 * float(np.finfo(float).eps)
 POLISH_STEPS = 3  # most inverse-iteration steps per polished eigenpair
 POLISH_RESIDUAL = 1e-6  # largest accepted ||T x - E x||, as a fraction of the guesses' gap
-# The error gate (_error_estimate). The safety factor is Roache's for an order
-# that is not observed: the levels show the order of E, not of the extrapolated
-# value. The stencil's order is 2; a wavefunction u ~ x^(L+1) at the origin
-# lowers it towards 2L + 1 below L = 1/2, so orders in ORDER_RANGE are trusted.
-# The floor, the closed-form check's own, only keeps a zero value from dividing.
+# The error gate of Richardson's values (_error_estimate). The safety factor is
+# Roache's for an order that is not observed: the levels show the order of E,
+# not of the extrapolated value. The stencil's order is 2: orders in ORDER_RANGE
+# around it are trusted, and others, as on a grid not yet asymptotic, take the
+# plain value's estimate. The floor, the closed-form check's own, only keeps a
+# zero value from dividing.
 SAFETY_FACTOR = 3.0
 ORDER_RANGE = (1.0, 3.0)
 SCALE_FLOOR = 1e-30
@@ -80,7 +85,7 @@ SCALE_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """Lowest eigenvalues on a grid, with error estimates from N/2 and N/4 runs."""
+    """Lowest eigenvalues on a grid, with error estimates from N/2 and N/4 runs (and N/8)."""
 
     grid_points: int
     x_max: float
@@ -349,28 +354,56 @@ def _extrapolate(w: np.ndarray, w_half: np.ndarray, n: int) -> np.ndarray:
     return w + (w - w_half) / ((n / (n // 2)) ** 2 - 1.0)
 
 
-def _error_estimate(w, w_half, w_quarter, x, x_half):
+def _origin_term(t: float, p: float) -> float:
+    """(t^p - t^2) / (p - 2), which is t^2 log t at p = 2.
+
+    With t^2 it spans the same functions as t^2 and t^p, but stays apart from
+    t^2 as p nears 2, where t^p alone would leave the fit singular.
+    """
+    z = (p - 2.0) * math.log(t)
+    return t * t * math.log(t) * (math.expm1(z) / z if z else 1.0)
+
+
+def _fit(values, ns, p: float) -> np.ndarray:
+    """E* of E(h) = E* + a h^2 + b h^p through the values at ns[0] > ns[1] > ns[2] intervals.
+
+    The steps are the exact h = x_max / n, taken relative to the finest,
+    t = ns[0] / n, so odd levels (4001 to 2000) fit as well as even ones. At
+    p = 2 (L = 1/2) the h^p term is h^2 log h (_origin_term).
+    """
+    t = [ns[0] / n for n in ns]
+    a = np.array([[1.0, s * s, _origin_term(s, p)] for s in t])
+    return np.linalg.solve(a, np.array(values))[0]
+
+
+def _error_estimate(w, w_half, w_quarter, x, x_half, fitted: bool = False):
     """Relative error estimate of each extrapolated value x, and the observed order.
 
     w, w_half and w_quarter are the plain values at N, N/2 and N/4; x and
     x_half the extrapolations at N and at N/2. With d = E(N) - E(N/2) and
-    d' = E(N/2) - E(N/4), the observed order is p = log2(d' / d). Where p is
-    defined and inside ORDER_RANGE the estimate is a grid convergence index
-    of x: SAFETY_FACTOR |x - x_half| / (2^p - 1). It bounds the error of x
-    when x converges at order p or faster, and x converges at least as fast
-    as E. Elsewhere (a zero difference, differences of opposite sign, an
-    order out of range) it is the plain value's estimate |d| / 3, which
-    assumes the stencil's order 2. Either is relative to
-    max(|x|, SCALE_FLOOR), the scale of the closed-form check. The order is
-    returned as NaN where it is undefined.
+    d' = E(N/2) - E(N/4), the observed order is p = log2(d' / d), the order
+    of the plain values. A fitted x (_fit: x from N, N/2 and N/4, x_half from
+    N/2, N/4 and N/8) is estimated by |x - x_half|: the fit leaves an error
+    of order 3 or more, so x_half's is several times x's. Otherwise x is
+    Richardson's. Where p is defined and inside ORDER_RANGE its estimate is a
+    grid convergence index: SAFETY_FACTOR |x - x_half| / (2^p - 1). It
+    bounds the error of x when x converges at order p or faster, and x
+    converges at least as fast as E. Elsewhere (a zero difference,
+    differences of opposite sign, an order out of range) it is the plain
+    value's estimate |d| / 3, which assumes the stencil's order 2. Each is
+    relative to max(|x|, SCALE_FLOOR), the scale of the closed-form check.
+    The order is returned as NaN where it is undefined.
     """
     d, d_half = w - w_half, w_half - w_quarter
     with np.errstate(all="ignore"):  # zero differences, opposite signs, 2^p past the range
         order = np.log2(d_half / d)
         gci = SAFETY_FACTOR * np.abs(x - x_half) / (2.0 ** order - 1.0)
-    trusted = (order >= ORDER_RANGE[0]) & (order <= ORDER_RANGE[1])  # False for NaN
-    error = np.where(trusted, gci, np.abs(d) / 3.0) / np.maximum(np.abs(x), SCALE_FLOOR)
-    return error, np.where(np.isfinite(order), order, np.nan)
+    if fitted:
+        error = np.abs(x - x_half)
+    else:
+        trusted = (order >= ORDER_RANGE[0]) & (order <= ORDER_RANGE[1])  # False for NaN
+        error = np.where(trusted, gci, np.abs(d) / 3.0)
+    return error / np.maximum(np.abs(x), SCALE_FLOOR), np.where(np.isfinite(order), order, np.nan)
 
 
 def lowest_eigenvalues(
@@ -392,23 +425,34 @@ def lowest_eigenvalues(
     extrapolated value, and `observed_order` is the order the three levels
     show (_error_estimate).
 
+    At a non-integer L below 3/2 the wavefunction's u ~ x^(L+1) at the
+    origin puts an h^(2L+1) term into E(h), h^2 log h at L = 1/2, which the
+    Richardson value keeps. There `extrapolated` is E* of the fit
+    E(h) = E* + a h^2 + b h^(2L+1) through N, N/2 and N/4 (_fit), and
+    `error_estimate` is its distance to the fit through N/2, N/4 and N/8,
+    relative to |E*|. `observed_order` stays the order of the plain values.
+    Integer L, and L >= 3/2, whose term is of order 4 or more, keep
+    Richardson's value.
+
     The solver walks the levels grid_points / 2^j upwards from the smallest
     one >= LADDER_FLOOR. Without rtol it visits every level and returns at
     N = grid_points. With rtol, grid_points is the largest grid it may use:
     it stops at the first level whose `error_estimate` is <= rtol for every
-    eigenvalue. A level serves as the N/2 and N/4 runs of the levels above
-    it, so no level is solved twice, and each potential sample is evaluated
+    eigenvalue. A level serves as the coarser runs of the levels above it,
+    so no level is solved twice, and each potential sample is evaluated
     once and shared with the grid one level up or down. The first level's
     N/4 run is the one solve with nothing below it to guess from, and the
     only one bisected; on the default ladder it has 312 intervals, a grid not
     nested with 625 = 1250 / 2, so its 311 potential samples are its own.
+    Where the ladder fits, the bisection also returns its eigenvectors, which
+    start the polish of the first level's N/8 run.
     Every other level is polished (_polish) from a guess: the second-order
     prediction E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair
     solved so far, or the N/4 values for the first level and its N/2 run.
     Each polish starts from the eigenvectors of the level one above or below:
     restricted to the shared points of the level twice as fine, else
     prolonged (_prolong) from the level half as fine, and stops once the pair
-    certifies. The first level, with only the vector-less bisection below it,
+    certifies. The first level, with no level one above or below it solved,
     and an odd level, which halves to a grid it is not nested with (4001 to
     2000), start from a ramp. A level whose polish is not certified is
     bisected instead; `method` records how the returned level was solved.
@@ -427,10 +471,14 @@ def lowest_eigenvalues(
     levels = [grid_points]
     while levels[0] // 2 >= LADDER_FLOOR:
         levels.insert(0, levels[0] // 2)
-    quarter = levels[0] // 2 // 2  # the coarsest grid, the first level's N/4 run
-    if k >= quarter:
+    L = float(spec.L)
+    # u ~ x^(L+1) at the origin: E(h) carries an h^(2L+1) term, fitted below order 4
+    p = 2.0 * L + 1.0 if L < 1.5 and not L.is_integer() else None
+    depth = 2 if p is None else 3  # the coarser runs of a level: N/2 and N/4, or to N/8
+    coarsest = levels[0] >> depth
+    if k >= coarsest:
         raise InvalidParameter(
-            f"k must be < {quarter}, the coarsest grid's intervals at grid_points={grid_points}"
+            f"k must be < {coarsest}, the coarsest grid's intervals at grid_points={grid_points}"
         )
     x_cut = float(x_max) if x_max is not None else default_arc_cutoff(spec)
     samples: dict = {}
@@ -466,19 +514,23 @@ def lowest_eigenvalues(
         return solved[n]
 
     # sample the first level so that its N/2 grid strides the samples, then
-    # bisect its N/4 grid: the one solve with no guess to polish
+    # bisect its N/4 grid: the one solve with no guess to polish. Its vectors
+    # start the polish of the N/8 grid, where there is one
     _interior_potential(spec, levels[0], x_cut, samples)
-    solved[quarter] = _tridiag_lowest(spec, k, quarter, x_cut, False, samples)
+    quarter = levels[0] >> 2
+    solved[quarter] = _tridiag_lowest(spec, k, quarter, x_cut, p is not None, samples)
     for n in levels:
         # the fine solve first, so that the half grid strides its samples; every
         # fine level keeps its eigenvectors to start the next polish from
         w_fine, vecs, method = solve(n, True)
-        w_half = solve(n // 2, False)[0]
-        w_quarter = solved[n // 2 // 2][0]  # the bisected grid, then a level solved before
-        extrapolated = _extrapolate(w_fine, w_half, n)
-        error, order = _error_estimate(
-            w_fine, w_half, w_quarter, extrapolated, _extrapolate(w_half, w_quarter, n // 2)
-        )
+        ns = [n >> j for j in range(depth + 1)]
+        w = [w_fine] + [solve(c, False)[0] for c in ns[1:]]
+        if p is None:
+            extrapolated = _extrapolate(w[0], w[1], n)
+            previous = _extrapolate(w[1], w[2], ns[1])
+        else:
+            extrapolated, previous = _fit(w[:3], ns[:3], p), _fit(w[1:], ns[1:], p)
+        error, order = _error_estimate(*w[:3], extrapolated, previous, p is not None)
         if rtol is not None and np.all(error <= rtol):
             break
     else:
@@ -501,10 +553,10 @@ def lowest_eigenvalues(
         grid_points=n,
         x_max=x_cut,
         eigenvalues=tuple(float(v) for v in w_fine),
-        richardson_error=tuple(float(v) for v in np.abs(w_fine - w_half)),
+        richardson_error=tuple(float(v) for v in np.abs(w_fine - w[1])),
         extrapolated=tuple(float(v) for v in extrapolated),
         error_estimate=tuple(float(v) for v in error),
-        observed_order=tuple(None if math.isnan(p) else float(p) for p in order),
+        observed_order=tuple(None if math.isnan(v) else float(v) for v in order),
         method=method,
         eigenvectors=vecs,
     )
@@ -558,14 +610,15 @@ def _decay_radius(psi: WavefunctionForm) -> float:
     r = np.geomspace(1e-6 / sl, 1e8 / sl, 6000)
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.abs(psi.value(r)) * np.sqrt(r)  # sqrt weight distinguishes 1/sqrt(r) tails
-    peak = float(np.max(g))
+    # far out the polynomial overflows while the exponential underflows: inf * 0 is NaN there
+    peak = float(np.nanmax(g))
     if peak == 0.0:
         raise NonNormalizable("wavefunction vanishes on the probe grid")
     # an infinite peak leaves every suffix below the threshold; a NaN one, none
     if peak == math.inf:
         raise NonNormalizable("wavefunction overflows on the probe grid")
-    # suffix maxima: the cut must leave nothing behind, an interior node is not a tail
-    suffix = np.maximum.accumulate(g[::-1])[::-1]
+    # suffix maxima, NaN skipped: the cut must leave nothing behind, an interior node is not a tail
+    suffix = np.fmax.accumulate(g[::-1])[::-1]
     below = suffix <= 1e-13 * peak
     if not np.any(below):
         raise NonNormalizable("no decaying tail found on (0, inf)")
@@ -609,7 +662,9 @@ def _gauss_kronrod(fun, a: float, b: float, epsrel: float, epsabs: float = 0.0) 
     evaluates fun once, on the 15 nodes of every open panel, and
     estimates each panel's error as QUADPACK's qk15 does. A panel is closed
     when its error fits its share of the budget max(epsabs, epsrel |I|),
-    in proportion to its width; every other panel is bisected. Once
+    in proportion to its width, or is at or below qk15's round-off floor,
+    50 eps times the integral of |fun| over the panel, which bisection cannot
+    lower; every other panel is bisected. Once
     MAX_SPLITS bisections are spent the current estimate is returned.
     A non-finite estimate is returned as soon as it appears.
     """
@@ -631,9 +686,10 @@ def _gauss_kronrod(fun, a: float, b: float, epsrel: float, epsabs: float = 0.0) 
             err = np.abs(half * (kron - fx @ _GK_GAUSS))
             err = np.where((resasc != 0.0) & (err != 0.0),
                            resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
-        err = np.maximum(err, 50.0 * eps * half * (np.abs(fx) @ _GK_KRONROD))
+        floor = 50.0 * eps * half * (np.abs(fx) @ _GK_KRONROD)  # qk15's round-off floor
         budget = max(epsabs, epsrel * abs(total))
-        open_ = err > budget * (hi - lo) / (b - a)
+        # no bisection takes a panel's error below its floor: a panel there is closed
+        open_ = err > np.maximum(floor, budget * (hi - lo) / (b - a))
         n_open = int(np.count_nonzero(open_))
         if n_open == 0 or splits + n_open > MAX_SPLITS:
             return total

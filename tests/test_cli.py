@@ -72,6 +72,17 @@ def test_verify_passes_in_a_narrow_box(capsys):
     assert "overall: pass" in out
 
 
+@pytest.mark.parametrize("family, lam", [("1", "1"), ("2", "-1")])
+@pytest.mark.parametrize("L", ["0.1", "0.25"])
+def test_verify_passes_below_L_one_half(capsys, family, lam, L):
+    # u ~ x^(L+1) at the origin: the ladder fits E(h)'s h^(2L+1) term
+    code, out, _ = run_cli(
+        ["verify", "--family", family, "--m", "1", "--L", L, "--lambda", lam, "--B", "1"], capsys
+    )
+    assert code == 0
+    assert "overall: pass" in out
+
+
 def test_verify_json_format(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, _, _ = run_cli(
@@ -106,11 +117,10 @@ def test_spectrum_command(capsys):
 
 
 def test_spectrum_grid_too_coarse_exit_code(capsys):
-    # at L = 1/2 the extrapolated E1 = -1/4 converges at about second order: its
-    # estimate at 2000 points is ~7e-5, far above the default --tol
+    # the estimate of the fitted E1 = -1/4 at 2000 points is ~3e-7, far above --tol
     code, _, err = run_cli(
         ["spectrum", "--family", "1", "--m", "1", "--L", "1/2", "--lambda", "1", "--B", "4",
-         "--grid", "2000"],
+         "--grid", "2000", "--tol", "1e-8"],
         capsys,
     )
     assert code == 2
@@ -193,10 +203,10 @@ def test_spectrum_json_names_the_method(capsys):
     assert max(doc["error_estimate"]) <= 1e-6
 
 
-# L = 1/2 configs whose estimates exceed each tol one level below the grid
+# L = 1/4 configs at large B_2m whose estimates exceed each tol one level below the grid
 ODD_GRID_CONFIGS = {
-    "4001": ["--family", "1", "--m", "2", "--L", "1/2", "--lambda", "1", "--B", "9"],
-    "2501": ["--family", "2", "--m", "1", "--L", "1/2", "--lambda", "-1", "--B", "1"],
+    "4001": ["--family", "1", "--m", "1", "--L", "1/4", "--lambda", "1", "--B", "400"],
+    "2501": ["--family", "1", "--m", "1", "--L", "1/4", "--lambda", "1", "--B", "16"],
 }
 
 

@@ -149,9 +149,9 @@ def test_without_rtol_polishes_every_level_up_to_grid_points(name):
         assert count_sign_changes(est.eigenvectors[:, i]) == i
 
 
-# at L = 1/2 the extrapolated values converge at about second order, so these configs
-# need the whole ladder: each estimate exceeds its rtol one level below grid_points
-ODD_GRID_CONFIGS = {4001: (1, 2, Fraction(1, 2), 9, 1), 2501: (2, 1, Fraction(1, 2), 1, -1)}
+# at L = 1/4 and a large B_2m these configs need the whole ladder: each estimate
+# exceeds its rtol one level below grid_points
+ODD_GRID_CONFIGS = {4001: (1, 1, Fraction(1, 4), 400, 1), 2501: (1, 1, Fraction(1, 4), 16, 1)}
 
 
 # an odd grid_points halves to a level it is not nested with: 4001 to 2000, 2501 to 1250;
@@ -363,9 +363,9 @@ def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
 
 
 def test_ladder_certifies_the_former_grid_failure_within_its_estimate():
-    # the plain-value gate raised GridTooCoarse here; the extrapolated values certify,
-    # at grid_points only, and each estimate bounds its measured closed-form error
-    sol = general_two_state(1, 1, Fraction(1, 2), 4, 1)
+    # at L = 1/10 and a large B_2m the fitted values certify at grid_points only, and
+    # each estimate bounds its closed-form error
+    sol = general_two_state(1, 1, Fraction(1, 10), 10000, 1)
     est = lowest_eigenvalues(sol.spec, k=2, rtol=1e-6)
     assert est.grid_points == 20000
     exact = np.array([float(sol.E0), float(sol.E1)])
@@ -592,24 +592,62 @@ def test_orthogonality_of_two_states():
         assert abs(overlap(sol.psi0, sol.psi1)) < 1e-8
 
 
+def test_overlap_closes_panels_at_their_round_off_floor(monkeypatch):
+    # the overlap of orthogonal states is ~0, so its panels reach qk15's round-off floor
+    # before their share of the absolute budget: refining them spent all MAX_SPLITS
+    # bisections, about 35000 points
+    sol = general_two_state(1, 1, 2, 1, 1)
+    r_cut = oracle._cut_radius(1.0, oracle.default_arc_cutoff(sol.spec))
+    norms = (quadrature_norm(sol.psi0, r_cut), quadrature_norm(sol.psi1, r_cut))
+    points = []
+    original = oracle._gauss_kronrod
+
+    def counted(fun, *args, **kwargs):
+        def fun_counted(r):
+            points.append(r.size)
+            return fun(r)
+
+        return original(fun_counted, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_gauss_kronrod", counted)
+    assert abs(overlap(sol.psi0, sol.psi1, norms, r_cut)) < 1e-15
+    assert sum(points) <= 1000
+
+
+@pytest.mark.parametrize("m", [20, 30, 60])
+def test_standalone_integrals_find_the_tail_at_high_order(m):
+    # far out on the probe grid the polynomial of psi1 overflows while its exponential
+    # underflows; the NaN samples there must not hide the decay before them
+    for L in (0, 1, 2, Fraction(1, 2)):
+        for B in (1, 4, Fraction(9, 4), 2, 3):
+            sol = general_two_state(1, m, L, B, 1)
+            r_cut = oracle._cut_radius(1.0, oracle.default_arc_cutoff(sol.spec))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                norm = quadrature_norm(sol.psi1)
+                nodes = find_nodes(sol.psi1)
+                assert abs(overlap(sol.psi0, sol.psi1)) < 1e-8
+            assert norm == pytest.approx(quadrature_norm(sol.psi1, r_cut), rel=1e-7)
+            assert len(nodes) == 1 and nodes[0] == pytest.approx(float(sol.r0), abs=1e-8)
+
+
 # Both lanes: sqrt(B_2m) rational (exact closed forms) and irrational (float closed forms)
 HONESTY_B = (1, 4, Fraction(9, 4), 2, 3, Fraction(5, 2), Fraction(7, 2))
+# non-integer L below 3/2, where the ladder fits the origin's h^(2L+1) term
+FITTED_L = (Fraction(1, 100), Fraction(1, 10), Fraction(3, 10), Fraction(7, 10), Fraction(13, 10))
 
 
 @pytest.mark.parametrize("family", [1, 2])
 @pytest.mark.parametrize("m", range(1, 9))
 def test_certified_estimate_bounds_the_closed_form_error(family, m):
-    # wherever the ladder returns at rtol, each estimate is within rtol and bounds the
-    # relative error of its extrapolated value against the closed form; below 1e-9 the
-    # eigensolver's rounding may outgrow an estimate of converged values
+    # the ladder certifies rtol, and each estimate bounds the relative error of its
+    # extrapolated value against the closed form; below 1e-9 the eigensolver's
+    # rounding may outgrow an estimate of converged values
     lam = 1 if family == 1 else -1
-    for L in (0, Fraction(1, 2), 1, 2):
+    for L in (0, Fraction(1, 2), 1, 2, *FITTED_L):
         for B in HONESTY_B:
             sol = general_two_state(family, m, L, B, lam)
-            try:
-                est = lowest_eigenvalues(sol.spec, k=2, rtol=1e-6)
-            except GridTooCoarse:
-                continue
+            est = lowest_eigenvalues(sol.spec, k=2, rtol=1e-6)
             exact = np.array([float(sol.E0), float(sol.E1)])
             error = np.abs(np.array(est.extrapolated) - exact) / np.abs(exact)
             estimate = np.array(est.error_estimate)
