@@ -41,14 +41,20 @@ Everything here is deliberately independent of the closed-form route: the
 matrix only sees eval_potential, and the quadrature/node utilities only see
 pointwise wavefunction values.
 
-scipy.linalg, which the eigensolves call, is imported at the first solve, not
-with this module: it takes about 0.3 s and 27 MB, which a caller that only
-builds closed forms should not pay. scipy.optimize is never imported.
+The eigensolves call three LAPACK routines (dstebz, dstein, dgtsv) of
+scipy's extension module scipy.linalg._flapack, loaded from its file at the
+first solve (_flapack). Neither scipy.linalg, whose import takes about 0.45 s,
+nor scipy.optimize is ever imported, and a caller that only builds closed
+forms loads no SciPy at all.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import pathlib
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -290,27 +296,72 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, s
     return (w, vecs.T) if ok else None
 
 
-# The eigensolvers, from scipy.linalg at their first call. They are module
-# attributes, looked up at each call, so a caller can wrap them.
-def eigh_tridiagonal(d, e, **kwargs):
-    """scipy.linalg.eigh_tridiagonal."""
-    import scipy.linalg
+# The eigensolvers: three LAPACK routines of scipy's extension module
+# scipy.linalg._flapack, loaded at the first solve. They are module attributes,
+# looked up at each call, so a caller can wrap them.
+def _flapack():
+    """scipy.linalg._flapack, loaded from its file without importing scipy.linalg.
 
-    return scipy.linalg.eigh_tridiagonal(d, e, **kwargs)
+    `import scipy` keeps scipy's own set-up of its shared libraries. The
+    module is registered in sys.modules under its full name, so later calls
+    and a later import of scipy.linalg find it there: both share the same
+    function objects. Where the file is not found it is imported through
+    scipy.linalg, which gives the same module, only slower.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    folder = pathlib.Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    from scipy.linalg import _flapack
+
+    return _flapack
+
+
+def eigh_tridiagonal(d, e, eigvals_only=False, select="i", select_range=(0, 0)):
+    """scipy.linalg.eigh_tridiagonal's select="i" path, the one the oracle takes.
+
+    The eigenvalues il..iu (0-based, select_range) of tridiag(e, d, e) by
+    bisection (dstebz), the eigenvectors by inverse iteration (dstein) and
+    sorted as scipy sorts them: the same LAPACK calls give the same arrays,
+    bit for bit. Raises np.linalg.LinAlgError on a nonzero LAPACK info.
+    """
+    if select != "i":
+        raise InvalidParameter(f'only select="i" is supported, got {select!r}')
+    il, iu = select_range
+    lapack = _flapack()
+    m, w, iblock, isplit, info = lapack.dstebz(
+        d, e, 2, 0.0, 1.0, il + 1, iu + 1, 0.0, "E" if eigvals_only else "B"
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz (eigh_tridiagonal) returned info={info}")
+    w = w[:m]
+    if eigvals_only:
+        return w
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein (eigh_tridiagonal) returned info={info}")
+    order = np.argsort(w)  # block order to matrix order
+    return w[order], v[:, order]
 
 
 def dgtsv(*args):
-    """LAPACK's dgtsv (tridiagonal solve), from scipy.linalg.lapack."""
-    import scipy.linalg.lapack
-
-    return scipy.linalg.lapack.dgtsv(*args)
+    """LAPACK's dgtsv (tridiagonal solve)."""
+    return _flapack().dgtsv(*args)
 
 
 def dstebz(*args):
-    """LAPACK's dstebz (tridiagonal eigenvalues by bisection), from scipy.linalg.lapack."""
-    import scipy.linalg.lapack
-
-    return scipy.linalg.lapack.dstebz(*args)
+    """LAPACK's dstebz (tridiagonal eigenvalues by bisection)."""
+    return _flapack().dstebz(*args)
 
 
 def _tridiag_lowest(
@@ -651,6 +702,7 @@ _GK_GAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
 NORM_EPSREL = 1.49e-8
 OVERLAP_EPSREL = 1e-10
 OVERLAP_EPSABS = 1e-13  # the overlap of orthogonal states is ~0: an absolute floor
+TAIL_RATIO = 1e-10  # the largest tail past a lambda > 0 norm's end, relative to the norm
 START_PANELS = 16
 MAX_SPLITS = 2000
 
@@ -703,6 +755,9 @@ def quadrature_norm(psi: WavefunctionForm, r_max: float | None = None) -> float:
     """Integral of |psi|^2 dr over the open domain, by adaptive quadrature.
 
     The integral ends at the radius r_max, which defaults to _decay_radius(psi).
+    For lambda > 0, NonNormalizable is raised when the tail over
+    [r_max, 2 r_max] exceeds TAIL_RATIO of the norm; the tail is integrated
+    to an absolute error of a tenth of that bound, all its check needs.
     """
     lam = float(psi.lam)
     hi = _decay_radius(psi) if r_max is None else r_max
@@ -715,8 +770,8 @@ def quadrature_norm(psi: WavefunctionForm, r_max: float | None = None) -> float:
         raise NonNormalizable(f"squared norm evaluated to {value}")
     if lam > 0:
         # the tail beyond the cutoff must be negligible, not just small
-        tail = _gauss_kronrod(squared, hi, 2.0 * hi, NORM_EPSREL)
-        if tail > 1e-10 * value:
+        tail = _gauss_kronrod(squared, hi, 2.0 * hi, NORM_EPSREL, TAIL_RATIO / 10.0 * value)
+        if tail > TAIL_RATIO * value:
             raise NonNormalizable("tail integral does not decay")
     return value
 

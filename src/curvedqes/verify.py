@@ -178,11 +178,14 @@ def run_verification(
     e0f, e1f = float(sol.E0), float(sol.E1)
 
     # W and W' (and W+ and W+') from one pass each: V1 = W^2 - f W', V2 = W^2 + f W', each
-    # residual scaled by its terms' sizes: at L = 0 their 1/r^2 parts cancel near the origin
+    # residual scaled by its terms' sizes: at L = 0 their 1/r^2 parts cancel near the origin.
+    # With r = rho / sqrt|lambda|, V and E scale as |lambda| and W as sqrt|lambda|: the
+    # floor of each scale is |lambda| (sqrt|lambda| for W-), the unit problem's 1
+    scale = abs(float(sol.lam))
     f = np.sqrt(1.0 + float(sol.lam) * r * r)
     w, dw = sol.w._sums(r, derivative=True)
     w2, fdw = w * w, f * dw
-    size = 1.0 + w2 + np.abs(fdw)
+    size = scale + w2 + np.abs(fdw)
     res_v1 = np.abs(w2 - fdw + e0f - v) / (size + np.abs(v))
     add("riccati_v1", res_v1.max())
 
@@ -196,7 +199,7 @@ def run_verification(
     wp_val, wp_der = wp._sums(r, derivative=True)
     lhs = f * wp_der
     rhs = wp_val * wm.value(r) + de
-    res_pair = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+    res_pair = np.abs(lhs - rhs) / (scale + np.abs(lhs) + np.abs(rhs))
     add("pair_identity", res_pair.max())
 
     # every 10th check point, skipping the poles of W- at the nodes of W+
@@ -208,7 +211,8 @@ def run_verification(
             f"cannot resolve the model at lambda={float(lam):g}"
         )
     wm_vals = wm.value(rs)
-    res_wm = np.abs(w_minus_from_w_plus(wp, de)(rs) - wm_vals) / (1.0 + np.abs(wm_vals))
+    res_wm = np.abs(w_minus_from_w_plus(wp, de)(rs) - wm_vals)
+    res_wm /= math.sqrt(scale) + np.abs(wm_vals)
     add("w_minus_identity", res_wm.max())
 
     # compare against the Richardson-extrapolated values: extrapolation removes

@@ -614,6 +614,44 @@ def test_overlap_closes_panels_at_their_round_off_floor(monkeypatch):
     assert sum(points) <= 1000
 
 
+def _gaussian_end(ratio):
+    """The end r of exp(-r^2 / 2) whose tail over [r, 2r] is ratio times its norm to r."""
+    return brentq(lambda r: math.erfc(r) - math.erfc(2.0 * r) - ratio * math.erf(r), 1.0, 10.0,
+                  xtol=1e-15, rtol=1e-15)
+
+
+def test_tail_guard_decides_at_its_bound():
+    # psi^2 = exp(-r^2): the norm to r is sqrt(pi)/2 erf(r), its tail sqrt(pi)/2 (erf(2r) - erf(r))
+    psi = WavefunctionForm(0, 0, exp_r2=(Fraction(-1, 2),), lam=1)
+    with pytest.raises(NonNormalizable, match="tail"):
+        quadrature_norm(psi, _gaussian_end(2e-10))
+    end = _gaussian_end(5e-11)
+    assert quadrature_norm(psi, end) == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(end),
+                                                      rel=1e-8)
+
+
+def test_tail_guard_closes_in_one_round(monkeypatch):
+    # tails of about 1e-134 of the norm: the guard's absolute target closes each in its
+    # first round, 16 panels of 15 points
+    sol = general_two_state(1, 4, 0, Fraction(9, 4), 1)
+    r_cut = oracle._cut_radius(1.0, oracle.default_arc_cutoff(sol.spec))
+    points = Counter()
+    original = oracle._gauss_kronrod
+
+    def counted(fun, a, *args, **kwargs):
+        def fun_counted(r):
+            points[a] += r.size
+            return fun(r)
+
+        return original(fun_counted, a, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_gauss_kronrod", counted)
+    for psi in (sol.psi0, sol.psi1):
+        points.clear()
+        quadrature_norm(psi, r_cut)
+        assert points[r_cut] <= 240
+
+
 @pytest.mark.parametrize("m", [20, 30, 60])
 def test_standalone_integrals_find_the_tail_at_high_order(m):
     # far out on the probe grid the polynomial of psi1 overflows while its exponential
@@ -709,29 +747,83 @@ def test_undefined_order_takes_the_plain_gate(monkeypatch):
     assert lowest_eigenvalues(spec, k=2, rtol=1e-6).grid_points == 1250
 
 
-def test_scipy_loads_only_at_the_first_solve():
+def _run(*args):
+    src = str(pathlib.Path(curvedqes.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+
+
+def test_scipy_linalg_is_never_loaded():
+    # the oracle loads scipy's LAPACK module from its file: scipy.linalg stays out, and
+    # a later import of scipy.linalg shares the loaded module's functions
     code = textwrap.dedent(
         """
         import sys
         import curvedqes
+        from curvedqes import oracle
 
         def loaded():
-            return ["scipy.optimize" in sys.modules, "scipy.linalg" in sys.modules]
+            return [name in sys.modules for name in ("scipy.optimize", "scipy.linalg")]
 
         print(*loaded())
         curvedqes.general_two_state(1, 3, 0, 1, 1)
         print(*loaded())
         curvedqes.run_verification(1, 3, 0, 1, 1, rtol=1e-6)
         print(*loaded())
+        import scipy.linalg.lapack
+        print(all(getattr(oracle._flapack(), name) is getattr(scipy.linalg.lapack, name)
+                  for name in ("dstebz", "dstein", "dgtsv")))
         """
     )
-    src = str(pathlib.Path(curvedqes.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
-    )
+    out = _run("-c", code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "False", "False", "False", "False", "True"]
+    assert out.stdout.split() == ["False"] * 6 + ["True"]
+    # a whole `curvedqes verify`, with every import it makes logged to stderr
+    cli = ("import sys; from curvedqes.cli import main; sys.exit(main(['verify', '--family', "
+           "'2', '--m', '2', '--L', '1', '--lambda', '-1', '--B', '1']))")
+    out = _run("-X", "importtime", "-c", cli)
+    assert out.returncode == 0, out.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported and "scipy" in imported
+    assert not [name for name in imported if name.startswith(("scipy.linalg", "scipy.optimize"))]
+
+
+def test_lapack_fallback_imports_the_same_functions():
+    # with no extension file found, the module comes through scipy.linalg
+    code = textwrap.dedent(
+        """
+        import importlib.machinery
+        import sys
+        from curvedqes import oracle
+
+        importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+        lapack = oracle._flapack()
+        print("scipy.linalg" in sys.modules)
+        import scipy.linalg.lapack
+        print(all(getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
+                  for name in ("dstebz", "dstein", "dgtsv")))
+        """
+    )
+    out = _run("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True"]
+
+
+@pytest.mark.parametrize("n", [1250, 1251])  # an odd and an even count of rows
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_eigh_tridiagonal_matches_scipy_bit_for_bit(name, k, n):
+    spec = SPECS[name]
+    diag, off = _matrix(spec, n, oracle.default_arc_cutoff(spec))
+    select = {"select": "i", "select_range": (0, k - 1)}
+    w, vecs = oracle.eigh_tridiagonal(diag, off, **select)
+    ref_w, ref_vecs = eigh_tridiagonal(diag, off, **select)
+    assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
+    only = oracle.eigh_tridiagonal(diag, off, eigvals_only=True, **select)
+    assert np.array_equal(only, eigh_tridiagonal(diag, off, eigvals_only=True, **select))
 
 
 SYNTHETIC = [

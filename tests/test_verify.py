@@ -234,3 +234,17 @@ def test_high_orders_verify(family, m, L, B2m):
 def test_every_curvature_scale_verifies(family, scale, m, L):
     report = run_verification(family, m, L, 1, scale if family == 1 else -scale, rtol=1e-6)
     assert report.passed, [c for c in report.checks if not c.passed]
+
+
+# W scales as sqrt|lambda|: with sqrt|lambda| + |W-| as its scale, the W- identity reads
+# the unit problem's size at every curvature
+@pytest.mark.parametrize("family, m, L, B2m",
+                         [(1, 8, 1, 2), (1, 2, 0, 4), (2, 8, 1, 2), (2, 2, 0, 4)])
+def test_w_minus_identity_keeps_its_size_at_every_curvature(family, m, L, B2m):
+    def value(scale):
+        report = run_verification(family, m, L, B2m, scale if family == 1 else -scale, rtol=1e-6)
+        return next(c.value for c in report.checks if c.name == "w_minus_identity")
+
+    unit = value(1)
+    for scale in (1e-4, 1e4):
+        assert unit / 10 <= value(scale) <= 10 * unit, scale
