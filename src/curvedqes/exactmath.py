@@ -41,6 +41,13 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
     return Fraction(a) / Fraction(b)
 
 
+def scale_div(x: Scalar, num: int, den: int) -> Scalar:
+    """x * num / den for ints num and den: one Fraction for a rational x, else in floats."""
+    if isinstance(x, float):
+        return x * num / den
+    return Fraction(x.numerator * num, x.denominator * den)
+
+
 def is_exact(*values: Scalar) -> bool:
     """True when every value is an int or Fraction."""
     return all(not isinstance(v, float) for v in values)

@@ -299,28 +299,37 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, s
 # The eigensolvers: three LAPACK routines of scipy's extension module
 # scipy.linalg._flapack, loaded at the first solve. They are module attributes,
 # looked up at each call, so a caller can wrap them.
+_lapack = None
+
+
 def _flapack():
     """scipy.linalg._flapack, loaded from its file without importing scipy.linalg.
 
     `import scipy` keeps scipy's own set-up of its shared libraries. The
-    module is registered in sys.modules under its full name, so later calls
-    and a later import of scipy.linalg find it there: both share the same
-    function objects. Where the file is not found it is imported through
-    scipy.linalg, which gives the same module, only slower.
+    loaded module is kept here, and the sys.modules entry its load leaves
+    is dropped, so a later import of scipy.linalg loads the submodule
+    through the import system: that sets the package attribute, and the
+    extension's functions are the same objects. If scipy.linalg is already
+    imported, or the file is not found, its module is used.
     """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
+    global _lapack
+    if _lapack is None:
+        _lapack = sys.modules.get("scipy.linalg._flapack") or _load_flapack()
+    return _lapack
+
+
+def _load_flapack():
     import scipy
 
+    name = "scipy.linalg._flapack"
     folder = pathlib.Path(scipy.__file__).parent / "linalg"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = folder / f"_flapack{suffix}"
         if path.is_file():
             spec = importlib.util.spec_from_file_location(name, path)
             module = importlib.util.module_from_spec(spec)
-            sys.modules[name] = module
             spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
             return module
     from scipy.linalg import _flapack
 

@@ -154,7 +154,7 @@ def _reduced_spec(fam: Family, m: int, L, B2m, lam, s) -> PotentialSpec:
     else:
         A = low + (2 * m + 1) * (2 * m + 3) * QUARTER
         top = B2m - 2 * (2 * m + 1) * s
-    B = tuple(canonical(b) for b in [low] * (m - 1) + [top] + [B2m] * m)
+    B = (canonical(low),) * (m - 1) + (canonical(top),) + (canonical(B2m),) * m
     spec = object.__new__(PotentialSpec)  # __post_init__ would validate the model again
     spec.__dict__.update(family=fam, L=L, A=canonical(A), lam=lam, B=B, m=m, shift=0)
     return spec

@@ -21,6 +21,11 @@ Two routes produce the same closed-form data:
 
 All formulas are arranged so int/Fraction inputs with a rational sqrt(B_2m)
 propagate exactly; the two routes can therefore be compared by equality.
+The generating-function route costs one rational operation per coefficient
+in that exact lane: the tail coefficient of W is computed once and its terms
+are shared with W', each exponent coefficient is one Fraction built from the
+integers of s = sqrt(B_2m) (exactmath.scale_div), and each prefactor entry is
+one product of a coefficient of W+ with an int.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import InvalidParameter, InvariantError, UnsupportedOrder
-from .exactmath import HALF, Scalar, canonical, exact_div, exact_sqrt, is_exact
+from .exactmath import HALF, Scalar, canonical, exact_div, exact_sqrt, is_exact, scale_div
 from .potentials import (
     Family,
     PotentialSpec,
@@ -47,6 +52,7 @@ from .susy import (
     PLUS,
     GeneratingPair,
     Superpotential,
+    Term,
     WavefunctionForm,
     potential_expand,
     riccati_expand,
@@ -309,9 +315,9 @@ def _two_state(fam: Family, m: int, L, B2m, lam) -> TwoStateSolution:
     if fam is Family.FAMILY1:
         e0 = -lam * ((2 * m + 2) * s + 3 * m + Fraction(5, 2) + (2 * m + 3) * L + L * L)
         e1 = lam * ((2 * m - 2) * s + 3 * m - Fraction(5, 2) + (2 * m - 3) * L - L * L)
-        tail = [(lam * s, 1, 2 * i + 1) for i in range(m)]
+        c, f_exps = lam * s, range(1, 2 * m, 2)
         eta, eta_prime = -(2 * m + 1) * lam * HALF, (2 * m + 1) * lam * HALF
-        exps = (tuple(-exact_div(s * comb(m, k), 2 * k) for k in range(1, m + 1)), ())
+        exps = (tuple(scale_div(s, -comb(m, k), 2 * k) for k in range(1, m + 1)), ())
     else:
         al = abs(lam)
         e0 = al * (
@@ -320,11 +326,12 @@ def _two_state(fam: Family, m: int, L, B2m, lam) -> TwoStateSolution:
         e1 = al * (
             2 * B2m + 2 * (m + 3) * s + 3 * m + Fraction(11, 2) + L * (4 * s + 2 * m + 5) + L * L
         )
-        tail = [(al * s, 1, -(2 * i + 1)) for i in range(1, m + 1)]
+        c, f_exps = al * s, range(-3, -2 * m - 2, -2)
         eta, eta_prime = al * (s - m - HALF), al * (s + m + HALF)
-        exps = ((), tuple(-exact_div(s, 2 * k) for k in range(1, m + 1)))
-    w = Superpotential(tuple([(-(L + 1), -1, 1), (eta, 1, -1)] + tail), lam)
-    w_prime = Superpotential(tuple([(-(L + 2), -1, 1), (eta_prime, 1, -1)] + tail), lam)
+        exps = ((), tuple(scale_div(s, -1, 2 * k) for k in range(1, m + 1)))
+    tail = tuple(Term(c, 1, q) for q in f_exps)  # c r f^q, shared by W and W'
+    w = Superpotential((Term(-(L + 1), -1, 1), Term(eta, 1, -1)) + tail, lam)
+    w_prime = Superpotential((Term(-(L + 2), -1, 1), Term(eta_prime, 1, -1)) + tail, lam)
     delta = e1 - e0
     if is_exact(delta, pair.delta_e):
         consistent = delta == pair.delta_e
@@ -375,7 +382,7 @@ def _raise_partner(w_plus: Superpotential, partner: WavefunctionForm) -> Wavefun
     """
     (lo, l), (hi, h) = sorted((t.f_exp, t.coeff) for t in w_plus.terms)
     n, sign = (hi - lo) // 2, (1 if partner.lam > 0 else -1)
-    prefactor = (l + h,) + tuple(h * comb(n, k) * sign**k for k in range(1, n + 1))
+    prefactor = (l + h,) + tuple(h * (comb(n, k) * sign**k) for k in range(1, n + 1))
     return replace(partner, r_power=partner.r_power - 1, f_power=partner.f_power + lo,
                    prefactor=prefactor)
 

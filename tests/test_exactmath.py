@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from curvedqes.exactmath import exact_div, exact_sqrt, is_exact
+from curvedqes.exactmath import exact_div, exact_sqrt, is_exact, scale_div
 
 
 def test_exact_sqrt_perfect_squares_stay_rational():
@@ -28,6 +28,14 @@ def test_exact_div():
     assert exact_div(1, 3) == F(1, 3) and isinstance(exact_div(1, 3), F)
     assert isinstance(exact_div(1.0, 3), float)
     assert exact_div(F(1, 2), F(1, 4)) == 2
+
+
+def test_scale_div():
+    # one normalised Fraction for rational x, the same float expression for float x
+    assert scale_div(F(3, 2), -10, 4) == F(-15, 4) and isinstance(scale_div(F(3, 2), -10, 4), F)
+    assert scale_div(2, 3, 6) == 1 and isinstance(scale_div(2, 3, 6), F)
+    x = math.sqrt(2)
+    assert scale_div(x, -math.comb(60, 30), 60) == -(x * math.comb(60, 30) / 60)
 
 
 def test_is_exact():

@@ -757,7 +757,8 @@ def _run(*args):
 
 def test_scipy_linalg_is_never_loaded():
     # the oracle loads scipy's LAPACK module from its file: scipy.linalg stays out, and
-    # a later import of scipy.linalg shares the loaded module's functions
+    # a later import of scipy.linalg shares the loaded module's functions and sets
+    # the package attribute
     code = textwrap.dedent(
         """
         import sys
@@ -775,11 +776,12 @@ def test_scipy_linalg_is_never_loaded():
         import scipy.linalg.lapack
         print(all(getattr(oracle._flapack(), name) is getattr(scipy.linalg.lapack, name)
                   for name in ("dstebz", "dstein", "dgtsv")))
+        print(scipy.linalg._flapack.dstebz is oracle._flapack().dstebz)
         """
     )
     out = _run("-c", code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False"] * 6 + ["True"]
+    assert out.stdout.split() == ["False"] * 6 + ["True"] * 2
     # a whole `curvedqes verify`, with every import it makes logged to stderr
     cli = ("import sys; from curvedqes.cli import main; sys.exit(main(['verify', '--family', "
            "'2', '--m', '2', '--L', '1', '--lambda', '-1', '--B', '1']))")

@@ -162,6 +162,20 @@ def test_partner_shift_matches_exact_riccati_expansion(fam, lam, m):
             assert riccati_expand(sol.w, "plus") == {k: c for k, c in expected.items() if c != 0}
 
 
+@pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
+@pytest.mark.parametrize("m", [4, 16, 31, 60])
+def test_exact_identities_hold_across_the_order_range(fam, lam, m):
+    # W^2 - f W' = V - E0 and W^2 + f W' = V_partner + R as exact Fractions, up to MAX_ORDER
+    sol = general_two_state(fam, m, F(1, 2), F(9, 4), lam)
+    expected = potential_expand(sol.spec)
+    expected[0] -= sol.E0
+    assert riccati_expand(sol.w, "minus") == {k: c for k, c in expected.items() if c != 0}
+    partner, R = partner_shift(sol.spec)
+    expected = potential_expand(partner)
+    expected[0] += R
+    assert riccati_expand(sol.w, "plus") == {k: c for k, c in expected.items() if c != 0}
+
+
 def test_partner_shift_rejects_unconstrained():
     with pytest.raises(NotConstrained):
         partner_shift(oscillator_from_beta(2, 1))

@@ -332,6 +332,46 @@ def test_generating_pair_identity_scaled():
             assert res.max() < 1e-10
 
 
+def _same(values, expected):
+    assert list(values) == list(expected)
+    assert [type(v) for v in values] == [type(v) for v in expected]
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
+@pytest.mark.parametrize("m", [1, 8, 30, 60])
+@pytest.mark.parametrize("L", [1, 0.3])
+@pytest.mark.parametrize("B2m", [2, F(7, 2)])
+def test_float_lane_coefficients_bit_for_bit(fam, lam, m, L, B2m):
+    # each coefficient in the float lane is the same float expression, term by term
+    sol = general_two_state(fam, m, L, B2m, lam)
+    s = math.sqrt(B2m)
+    low = -B2m - (2 * L + 1) * s
+    if fam == 1:
+        top = -B2m - (2 * L + 4 * m + 3) * s
+        _same(sol.psi0.exp_r2, [-(s * math.comb(m, k) / (2 * k)) for k in range(1, m + 1)])
+        assert sol.psi0.exp_finv == ()
+        l, h, n, sign = -(2 * L + 3) - 2 * s, 2 * s, m, 1
+    else:
+        top = B2m - 2 * (2 * m + 1) * s
+        assert sol.psi0.exp_r2 == ()
+        _same(sol.psi0.exp_finv, [-(s / (2 * k)) for k in range(1, m + 1)])
+        l, h, n, sign = 2 * s, -(2 * L + 3) - 2 * s, m + 1, -1
+    assert (sol.psi1.exp_r2, sol.psi1.exp_finv) == (sol.psi0.exp_r2, sol.psi0.exp_finv)
+    _same(sol.psi1.prefactor,
+          [l + h] + [h * math.comb(n, k) * sign**k for k in range(1, n + 1)])
+    _same(sol.spec.B, [low] * (m - 1) + [top] + [B2m] * m)
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
+@pytest.mark.parametrize("m", [1, 2, 8, 60])
+def test_exact_lane_spec_coefficients_are_ints_where_whole(fam, lam, m):
+    for L in (0, 1, F(1, 2)):
+        for B2m in (1, 4, F(9, 4)):
+            spec = general_two_state(fam, m, L, B2m, lam).spec
+            for b in spec.B + (spec.A,):
+                assert type(b) is (int if b.denominator == 1 else F), (L, B2m, b)
+
+
 def test_solution_serialization_keys():
     sol = general_two_state(2, 2, 1, 1, -1)
     doc = sol.to_dict()
