@@ -815,7 +815,9 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     operations, so it returns the same roots bit for bit. Each step takes the
     inverse quadratic (or secant) step when that is short enough, and bisects
     otherwise; it stops when f is exactly 0 or half the bracket is within
-    delta = (xtol + rtol |x|) / 2. ValueError for xtol <= 0, rtol < BRENT_RTOL_MIN,
+    delta = (xtol + rtol |x|) / 2. A step whose denominator is 0 (the product
+    of differences underflows where f is tiny) bisects, as C's inf or NaN step
+    does there. ValueError for xtol <= 0, rtol < BRENT_RTOL_MIN,
     a NaN value of f or ends of one sign; RuntimeError after BRENT_MAXITER steps.
     """
     if xtol <= 0:
@@ -852,12 +854,15 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or NaN step, which the test below rejects
+                stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
                 spre, scur = scur, stry
             else:

@@ -20,6 +20,7 @@ import math
 import reprlib
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateCurvature, InvalidOrder, InvalidParameter, SignMismatch
@@ -103,6 +104,12 @@ class PotentialSpec:
             )
         validate_model(self.family, self.m, self.L, self.B[-1], self.lam)
 
+    @cached_property
+    def _floats(self):
+        """(lam, L, A, shift, B) converted to floats once per spec, for eval_potential."""
+        return (float(self.lam), float(self.L), float(self.A), float(self.shift),
+                tuple(float(b) for b in self.B))
+
 
 def eval_potential(spec: PotentialSpec, r):
     """Evaluate the potential at radius r (scalar or array).
@@ -115,13 +122,10 @@ def eval_potential(spec: PotentialSpec, r):
     partner) keeps one `**` per term: the golden figures hold its values byte
     for byte, and Horner's rule rounds differently.
     """
-    lam = float(spec.lam)
+    lam, L, A, shift, B = spec._floats
     arr = _check_radius(Deformation(lam), r)
-    L = float(spec.L)
-    A = float(spec.A)
     f2 = 1.0 + lam * arr * arr
-    v = L * (L + 1.0) / (arr * arr) + lam * A - lam * A / f2 + float(spec.shift)
-    B = [float(b) for b in spec.B]
+    v = L * (L + 1.0) / (arr * arr) + lam * A - lam * A / f2 + shift
     fam1 = spec.family is Family.FAMILY1
     if len(B) <= SHORT_TAIL:
         for k, Bk in enumerate(B, start=1):

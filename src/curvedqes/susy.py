@@ -19,7 +19,9 @@ kept unnormalized; quadrature norms live in the spectral oracle.
 wavefunction_from_superpotential integrates the ground state
 f^(-1/2) exp(-int W/f dr) of any W in the basis term by term; the two states
 of a family member are read off its generating pair in twostate. Every series
-is summed with running powers, lowest power first, not with one `**` per term.
+is summed with running powers, lowest power first, not with one `**` per term;
+the excited state's prefactor past degree 2 is evaluated as the two terms it
+expands instead (WavefunctionForm).
 potentials.eval_potential sums a tail past m = 2 by Horner's rule and keeps one
 `**` per term below, where the golden figures pin its bytes.
 """
@@ -183,7 +185,14 @@ def potential_expand(spec: PotentialSpec) -> dict:
 
 @dataclass(frozen=True)
 class WavefunctionForm:
-    """Closed-form eigenfunction P(|lam| r^2) * r^a * f^b * exp(...), unnormalized."""
+    """Closed-form eigenfunction P(|lam| r^2) * r^a * f^b * exp(...), unnormalized.
+
+    prefactor holds P's coefficients in u = |lam| r^2. A form that
+    twostate._raise_partner builds past degree 2 also carries the two-term
+    bracket it expanded, P = l + h (f^2)^n, and P, P' and P'' are evaluated
+    from those two terms: O(1) per point in place of O(n), and without the
+    cancellation of the alternating family-2 expansion.
+    """
 
     r_power: Scalar
     f_power: Scalar
@@ -191,6 +200,8 @@ class WavefunctionForm:
     exp_finv: tuple = ()
     prefactor: tuple = (1,)
     lam: Scalar = 1
+
+    _bracket = None  # (l, h, n), not a field: set by twostate._raise_partner
 
     def __post_init__(self):
         object.__setattr__(self, "exp_r2", tuple(self.exp_r2))
@@ -211,6 +222,12 @@ class WavefunctionForm:
         )
 
     @cached_property
+    def _bracket_floats(self):
+        """(l + h, l, h, n) of the recorded bracket in floats; l + h is prefactor[0]."""
+        l, h, n = self._bracket
+        return self._floats[5][0], float(l), float(h), n
+
+    @cached_property
     def _slopes(self):
         """(j c_j, j(2j-1) c_j) of exp_r2 and prefactor[1:]; (k d_k, k(k+1) d_k) of exp_finv."""
         _, _, _, cs, ds, ps = self._floats
@@ -219,10 +236,40 @@ class WavefunctionForm:
             for v, a, b in ((cs, 2, -1), (ds, 1, 1), (ps[1:], 2, -1))
         ]
 
-    def _value_pieces(self, r):
-        """Return (P, log-magnitude S) on a float array: all that psi itself needs."""
+    def _prefactor(self, r, r2, derivatives):
+        """(P,), or with derivatives (P, P', P'') in r, on a float array.
+
+        From the bracket, with t = lam r^2 and F = (1 + t)^n = exp(n log1p(t)):
+        P = (l + h) + h expm1(n log1p(t)) where |F - 1| < 1/2, which keeps the
+        digits of F - 1 near the origin, and l + h F elsewhere, with F taken
+        from exp: expm1 + 1 would lose them where F is small. P' and P'' take
+        (1 + t)^(n-1) and (1 + t)^(n-2) the same way.
+        """
+        lam = self._floats[0]
+        if self._bracket is None:
+            u = abs(lam) * r2
+            (P,) = _power_sums(u, [self._floats[5]])
+            if not derivatives:
+                return (P,)
+            sp1, sp2 = _power_sums(u, self._slopes[2])
+            return P, 2.0 * abs(lam) * r * sp1, 2.0 * abs(lam) * sp2
+        lh, l, h, n = self._bracket_floats
+        t = lam * r2
+        g = np.log1p(t)
+        ng = n * g
+        e = np.expm1(ng)
+        P = np.where(np.abs(e) < 0.5, lh + h * e, l + h * np.exp(ng))
+        if not derivatives:
+            return (P,)
+        F1, F2 = np.exp((n - 1) * g), np.exp((n - 2) * g)
+        c = 2.0 * lam * h * n
+        return P, c * r * F1, c * (F1 + 2.0 * (n - 1) * t * F2)
+
+    def _pieces(self, r, derivatives=False):
+        """Return (P, log-magnitude S) on a float array, all that psi itself needs;
+        with derivatives, (P, P', P'', S', S'', S)."""
         r = np.asarray(r, dtype=float)
-        lam, a, b, exp_r2, exp_finv, prefactor = self._floats
+        lam, a, b, exp_r2, exp_finv, _ = self._floats
         r2 = r * r
         f2 = 1.0 + lam * r2
         t = lam * r2
@@ -231,37 +278,27 @@ class WavefunctionForm:
         S = a * np.log(r) + 0.5 * b * np.log(f2)
         (S,) = _power_sums(t, [exp_r2], [S], power=t)
         (S,) = _power_sums(y, [exp_finv], [S], power=y)
-        (P,) = _power_sums(abs(lam) * r2, [prefactor])
-        return P, S
+        if not derivatives:
+            return (*self._prefactor(r, r2, False), S)
 
-    def _pieces(self, r):
-        """Return (P, P', P'', S', S'', log-magnitude S) on a float array."""
-        P, S = self._value_pieces(r)
-        r = np.asarray(r, dtype=float)
-        lam, a, b = self._floats[:3]
-        r2 = r * r
-        f2 = 1.0 + lam * r2
-        y = 1.0 / f2
-
-        # each pair of columns shares its powers: t^(j-1), f^(-2k-2) and u^(s-1)
-        st1, st2 = _power_sums(lam * r2, self._slopes[0])
+        # each pair of columns shares its powers: t^(j-1) and f^(-2k-2)
+        st1, st2 = _power_sums(t, self._slopes[0])
         sy1, sy2 = _power_sums(y, self._slopes[1], power=y * y)
-        sp1, sp2 = _power_sums(abs(lam) * r2, self._slopes[2])
         S1 = a / r + b * lam * r / f2 + 2.0 * lam * r * (st1 - sy1)
         S2 = -a / r2 + b * lam * (1.0 / f2 - 2.0 * lam * r2 / (f2 * f2))
         S2 = S2 + 2.0 * lam * (st2 - sy1 + 2.0 * lam * r2 * y * sy2)
-        return P, 2.0 * abs(lam) * r * sp1, 2.0 * abs(lam) * sp2, S1, S2, S
+        return (*self._prefactor(r, r2, True), S1, S2, S)
 
     def value(self, r):
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            P, S = self._value_pieces(r)
+            P, S = self._pieces(r)
             out = P * np.exp(S)
         return float(out) if out.ndim == 0 else out
 
     def derivatives(self, r):
         """(psi, psi', psi'') evaluated together for stability."""
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            P, P1, P2, S1, S2, S = self._pieces(r)
+            P, P1, P2, S1, S2, S = self._pieces(r, derivatives=True)
             E = np.exp(S)
             psi = P * E
             dpsi = (P1 + P * S1) * E
@@ -274,7 +311,7 @@ class WavefunctionForm:
         """(ln psi)' for forms with a constant prefactor."""
         if len(self.prefactor) > 1:
             raise UnsupportedTerm("log derivative defined for constant prefactors only")
-        _, _, _, S1, _, _ = self._pieces(r)
+        _, _, _, S1, _, _ = self._pieces(r, derivatives=True)
         return float(S1) if np.ndim(S1) == 0 else S1
 
 

@@ -16,8 +16,10 @@ Two routes produce the same closed-form data:
   as W = (W+ - W-)/2, W' = (W+ + W-)/2, and with them the potential, the two
   energies, both wavefunctions, and the node of the excited state. The ground
   states of W and W' are read off in closed form, and the excited state is
-  A+ applied to the partner ground state, which is W + W' = W+ times it; each
-  takes O(m) terms.
+  A+ applied to the partner ground state, which is W + W' = W+ times it. Each
+  exponent takes O(m) terms; the excited state's prefactor is W+'s two terms,
+  l + h (f^2)^n, kept also as its degree-n expansion and evaluated past
+  degree 2 from the two terms.
 
 All formulas are arranged so int/Fraction inputs with a rational sqrt(B_2m)
 propagate exactly; the two routes can therefore be compared by equality.
@@ -379,12 +381,18 @@ def _raise_partner(w_plus: Superpotential, partner: WavefunctionForm) -> Wavefun
     W+ = c f^q0 / r + c' f^q1 / r; with lo < hi its two f powers and l, h their
     coefficients, r W+ = f^lo (l + h (f^2)^n), n = (hi - lo)/2, and
     f^2 = 1 + sign(lam) u makes the bracket the degree-n prefactor in u = |lam| r^2.
+    Past degree 2 the form also records (l, h, n) and evaluates the bracket as
+    its two terms; degree <= 2 keeps the expanded sum, whose bytes fig2.csv and
+    fig4.csv hold.
     """
     (lo, l), (hi, h) = sorted((t.f_exp, t.coeff) for t in w_plus.terms)
     n, sign = (hi - lo) // 2, (1 if partner.lam > 0 else -1)
     prefactor = (l + h,) + tuple(h * (comb(n, k) * sign**k) for k in range(1, n + 1))
-    return replace(partner, r_power=partner.r_power - 1, f_power=partner.f_power + lo,
+    psi1 = replace(partner, r_power=partner.r_power - 1, f_power=partner.f_power + lo,
                    prefactor=prefactor)
+    if n > 2:
+        object.__setattr__(psi1, "_bracket", (l, h, n))
+    return psi1
 
 
 def _node_radius(family: Family, m: int, L, s, lam) -> float:

@@ -872,3 +872,20 @@ def test_brentq_raises_as_scipy_does(f, a, b, xtol, rtol):
     got = _outcome(oracle.brentq, f, a, b, xtol=xtol, rtol=rtol)
     assert isinstance(got, tuple)
     assert got == _outcome(brentq, f, a, b, xtol=xtol, rtol=rtol)
+
+
+@pytest.mark.parametrize(
+    "f,a,b",
+    [
+        (lambda x: 1e-110 * (x**3 - 2.0), 0.0, 2.0),
+        (lambda x: 1e-110 * (math.cos(x) - x), -1.0, 2.0),
+        (lambda x: 1e-160 * (x**3 - 2.0), 2.0, 0.0),
+    ],
+)
+def test_brentq_bisects_where_the_step_denominator_is_zero(f, a, b):
+    # tiny values make the extrapolation's product of differences underflow to
+    # 0: SciPy's C step is then inf or NaN, its step test fails and it bisects
+    root = oracle.brentq(f, a, b, xtol=1e-13, rtol=1e-15)
+    assert min(a, b) <= root <= max(a, b)
+    assert f(root - 1e-12) * f(root + 1e-12) <= 0.0
+    assert root == brentq(f, a, b, xtol=1e-13, rtol=1e-15)

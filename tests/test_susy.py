@@ -24,6 +24,7 @@ from curvedqes import (
     w_minus_from_w_plus,
     wavefunction_from_superpotential,
 )
+from curvedqes.cli import FIGURE_GRID_POINTS
 from curvedqes.exactmath import HALF, exact_div, exact_sqrt
 from curvedqes.susy import potential_expand, riccati_expand, w_plus_poles
 
@@ -494,3 +495,81 @@ def test_mp_form_derivatives_match_differentiation(fam, L, B2m, lam):
                     want = mpmath.diffs(lambda z: mpmath.fsum(_mp_form(z, psi)[k]), xm, 2)
                     for got, ref, scale in zip(part, want, (sum(map(abs, v)) for v in part)):
                         assert abs(mpmath.fsum(got) - ref) <= 1e-30 * max(scale, 1), (k, x)
+
+
+def _mp_bracket(x, sol):
+    """psi1's P = l + h (f^2)^n and its r-derivatives as lists of terms, at 50 digits.
+
+    l, h and n are read off W+ (r W+ = f^lo (l + h (f^2)^n)), not off the prefactor.
+    """
+    (lo, l), (hi, h) = sorted((t.f_exp, t.coeff) for t in sol.pair.w_plus.terms)
+    n = (hi - lo) // 2
+    lam, l, h = (mpmath.mpf(float(v)) for v in (sol.lam, l, h))
+    t = lam * x * x
+    c = 2 * lam * h * n
+    P = [l, h * (1 + t) ** n]
+    P1 = [c * x * (1 + t) ** (n - 1)]
+    P2 = [c * (1 + t) ** (n - 1), c * 2 * (n - 1) * t * (1 + t) ** (n - 2)]
+    return P, P1, P2
+
+
+def _near_node_points(sol):
+    # r0 and its neighbours at 1e-3 and 1e-6 relative, on multiples of 2^-20 as above
+    r0 = sol.r0
+    pts = [r0 * (1 + d) for d in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3)]
+    return [math.floor(x * 2.0**20) / 2.0**20 for x in pts]
+
+
+@pytest.mark.parametrize(
+    "fam,L,B2m,lam",
+    [(1, 1, 4, 1), (1, F(1, 2), 2, 0.25), (2, 1, 4, -1), (2, F(1, 2), 2, -3.0), (2, 100, 1e-4, -1)],
+)
+@pytest.mark.parametrize("m", [3, 30, 60])
+def test_psi1_matches_its_two_term_bracket_at_50_digits(fam, L, B2m, lam, m):
+    # psi1, psi1' and psi1'' against the same closed form at 50 digits, with P
+    # the bracket l + h F, F = (f^2)^n: each error relative to the rounding
+    # each sum carries into psi, P's scale being |l| + |h F| (not the sum of the
+    # expanded terms, which cancel in family 2), tested near the node too
+    sol = general_two_state(fam, m, L, B2m, lam)
+    psi, worst, checked = sol.psi1, 0.0, 0
+    with mpmath.workdps(50):
+        for x in [*_reference_points(float(lam)), *_near_node_points(sol)]:
+            xm = mpmath.mpf(x)
+            bracket = _mp_bracket(xm, sol)
+            S, S1, S2 = _mp_form(xm, psi, True)[3:]
+            pr, P1, P2, sr, s1, s2 = (mpmath.fsum(v) for v in (*bracket, S, S1, S2))
+            Pa, P1a, P2a, Sa, S1a, S2a = (sum(map(abs, v)) for v in (*bracket, S, S1, S2))
+            E = mpmath.exp(sr)
+            if not (1e-250 < E < 1e250 and Pa < 1e250):
+                continue
+            want = (pr * E, (P1 + pr * s1) * E, (P2 + 2 * P1 * s1 + pr * (s2 + s1**2)) * E)
+            scale = (
+                E * (Pa + abs(pr) * Sa),
+                E * (P1a + abs(s1) * Pa + abs(pr) * S1a) + abs(want[1]) * Sa,
+                E * (P2a + 2 * abs(s1) * P1a + 2 * abs(P1) * S1a + abs(s2 + s1**2) * Pa
+                     + abs(pr) * (S2a + 2 * abs(s1) * S1a)) + abs(want[2]) * Sa,
+            )
+            got = psi.derivatives(x)
+            assert psi.value(x) == got[0]
+            checked += 1
+            worst = max(worst, *(abs(g - v) / s for g, v, s in zip(got, want, scale)))
+    assert checked >= 10, checked
+    assert worst <= 1e-14, worst
+
+
+@pytest.mark.parametrize("B2m", [1, 2])
+@pytest.mark.parametrize("family,m", [(1, 1), (1, 2), (2, 1)])
+def test_short_prefactors_keep_the_expanded_sum_bit_for_bit(family, m, B2m):
+    # degree <= 2 (fig2.csv and fig4.csv are m = 1): P = c0 + c1 u + c2 u^2 by
+    # running powers, times the form's exp(S) with the constant prefactor 1
+    lam = 1 if family == 1 else -1
+    top = 4.0 if family == 1 else 0.999
+    r = np.linspace(0.05, top, FIGURE_GRID_POINTS)
+    psi = general_two_state(family, m, 1, B2m, lam).psi1
+    c = [float(v) for v in psi.prefactor]
+    u = abs(lam) * (r * r)
+    P = c[0] + c[1] * u
+    if len(c) == 3:
+        P = P + c[2] * (u * u)
+    base = WavefunctionForm(psi.r_power, psi.f_power, psi.exp_r2, psi.exp_finv, lam=lam)
+    assert np.array_equal(psi.value(r), P * base.value(r))

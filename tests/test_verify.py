@@ -248,3 +248,26 @@ def test_w_minus_identity_keeps_its_size_at_every_curvature(family, m, L, B2m):
     unit = value(1)
     for scale in (1e-4, 1e4):
         assert unit / 10 <= value(scale) <= 10 * unit, scale
+
+
+# family 2 at lambda = -1 where the degree-n expansion of psi1's prefactor
+# cancelled (condition number 1.5e10 at m = 60) and residual_psi1 read 1.2e-9 to
+# 4.8e-6; its two-term bracket l + h (f^2)^n keeps them at round-off
+@pytest.mark.filterwarnings("ignore::curvedqes.TruncationWarning")  # the weak wall at L = 100
+@pytest.mark.parametrize(
+    "m,L,B2m",
+    [(30, 100, 1e-4), (60, 100, 1e-2)]
+    + [(60, L, 1e-4) for L in (Fraction(1, 100), Fraction(5, 4), Fraction(3, 2),
+                               Fraction(5, 2), 7, 25, 100)],
+)
+def test_family2_high_order_psi1_residual_passes(m, L, B2m):
+    checks = {c.name: c for c in run_verification(2, m, L, B2m, -1, rtol=1e-6).checks}
+    assert checks["residual_psi1"].passed, checks["residual_psi1"].value
+
+
+@pytest.mark.parametrize("L", [0, Fraction(5, 2)])
+def test_family1_steep_tail_psi1_residual_stays_at_round_off(L):
+    # B_2m = 1e6 (s = 1000): evaluating the bracket as plain l + h (f^2)^n
+    # moves this from 1.9e-12 to 1.2e-9; near the origin it takes F - 1 by expm1
+    checks = {c.name: c for c in run_verification(1, 30, L, 1e6, 1, rtol=1e-6).checks}
+    assert checks["residual_psi1"].value <= 1e-11
