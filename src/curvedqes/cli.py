@@ -29,6 +29,7 @@ from .errors import (
 )
 from .oracle import lowest_eigenvalues
 from .potentials import eval_potential
+from .susy import evaluate_forms
 from .twostate import general_two_state
 from .verify import run_verification
 
@@ -190,15 +191,14 @@ def _figure_rows_potential(specs, r):
     return np.column_stack(cols)
 
 
-def _dense_peak(psi, lo, hi):
-    dense = np.linspace(lo, hi, 40001)
-    return np.max(np.abs(psi.value(dense)))
-
-
 def _figure_rows_wavefunctions(sol, r):
-    peak0 = _dense_peak(sol.psi0, r[0], r[-1])
-    peak1 = _dense_peak(sol.psi1, r[0], r[-1])
-    return np.column_stack([r, sol.psi0.value(r) / peak0, sol.psi1.value(r) / peak1])
+    """r, psi0 and psi1 on r, each divided by its peak on a dense grid over r's span;
+    the pair shares its exponent series, so each grid is one joint evaluation."""
+    pair = (sol.psi0, sol.psi1)
+    dense = np.linspace(r[0], r[-1], 40001)
+    peak0, peak1 = (np.max(np.abs(v)) for v in evaluate_forms(pair, dense))
+    psi0, psi1 = evaluate_forms(pair, r)
+    return np.column_stack([r, psi0 / peak0, psi1 / peak1])
 
 
 def _write_csv(path: Path, comment: str, columns, rows) -> None:

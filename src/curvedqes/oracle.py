@@ -35,7 +35,12 @@ array over every open panel, against a relative error target, so small norms
 keep their digits. Node search scans for sign changes with array operations
 and polishes each bracketed root by Brent's method, ported here from
 scipy.optimize.brentq. Both end at a probed decay radius unless the caller,
-as run_verification does with r_cut, passes the end in.
+as run_verification does with r_cut, passes the end in. A verification's two
+states share their exponent series, and its node scan, residual grid and the
+first round of its norms, tails and overlap evaluate them together
+(susy.evaluate_forms) through the private helpers _find_nodes,
+_schrodinger_residuals and _norms_and_overlap: the same values as one state
+at a time.
 
 Everything here is deliberately independent of the closed-form route: the
 matrix only sees eval_potential, and the quadrature/node utilities only see
@@ -63,7 +68,7 @@ import numpy as np
 from .errors import GridTooCoarse, InvalidParameter, NonNormalizable, TruncationWarning
 from .geometry import Deformation, radius_from_arc
 from .potentials import PotentialSpec, eval_potential
-from .susy import WavefunctionForm
+from .susy import WavefunctionForm, evaluate_forms
 
 WALL_CUTOFF = 1.0e6  # the wall, in units of |lambda|: V scales with |lambda|
 BOX_MARGIN = 1.0 - 1e-7  # the share of a box (lambda < 0) the wall scan, or a wall-less cut, spans
@@ -641,7 +646,10 @@ def schrodinger_residual(
 
 
 def _schrodinger_residuals(spec: PotentialSpec, states, r_max: float | None = None) -> list:
-    """schrodinger_residual of each (psi, energy) in states, on one grid to r_max and one V(r)."""
+    """schrodinger_residual of each (psi, energy) in states, on one grid to r_max and one V(r).
+
+    The states' psi, psi' and psi'' are one joint evaluation (evaluate_forms).
+    """
     lam = float(spec.lam)
     if r_max is None:
         r_max = _cut_radius(lam, default_arc_cutoff(spec))
@@ -649,8 +657,8 @@ def _schrodinger_residuals(spec: PotentialSpec, states, r_max: float | None = No
     f2 = 1.0 + lam * r * r
     v = eval_potential(spec, r)
     out = []
-    for psi, energy in states:
-        psi_v, dpsi, d2psi = psi.derivatives(r)
+    derivatives = evaluate_forms([psi for psi, _ in states], r, derivatives=True)
+    for (_, energy), (psi_v, dpsi, d2psi) in zip(states, derivatives):
         peak = np.max(np.abs(psi_v))
         if peak == 0.0:
             raise NonNormalizable("wavefunction vanishes on the whole grid")
@@ -716,7 +724,26 @@ START_PANELS = 16
 MAX_SPLITS = 2000
 
 
-def _gauss_kronrod(fun, a: float, b: float, epsrel: float, epsabs: float = 0.0) -> float:
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray):
+    """The 15 Kronrod nodes of each panel [lo_i, hi_i], panel by panel; the midpoints; the half-widths."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * _GK_NODES).ravel(), mid, half
+
+
+def _start_panels(a: float, b: float):
+    """The START_PANELS equal panels of [a, b] that _gauss_kronrod's first round evaluates."""
+    edges = np.linspace(a, b, START_PANELS + 1)
+    return edges[:-1], edges[1:]
+
+
+def _first_nodes(a: float, b: float) -> np.ndarray:
+    """The nodes of _gauss_kronrod's first round over [a, b]."""
+    return _panel_nodes(*_start_panels(a, b))[0]
+
+
+def _gauss_kronrod(fun, a: float, b: float, epsrel: float, epsabs: float = 0.0,
+                   first: np.ndarray | None = None) -> float:
     """Integral of a vectorised fun over [a, b] by adaptive Gauss-Kronrod 7/15 panels.
 
     The START_PANELS equal panels are refined in rounds. Each round
@@ -728,16 +755,18 @@ def _gauss_kronrod(fun, a: float, b: float, epsrel: float, epsabs: float = 0.0) 
     lower; every other panel is bisected. Once
     MAX_SPLITS bisections are spent the current estimate is returned.
     A non-finite estimate is returned as soon as it appears.
+
+    first, when given, is fun on the first round's nodes (_first_nodes(a,
+    b)), evaluated by the caller together with other integrands over [a, b].
     """
-    edges = np.linspace(a, b, START_PANELS + 1)
-    lo, hi = edges[:-1], edges[1:]
+    lo, hi = _start_panels(a, b)
     closed = 0.0
     splits = 0
     eps = np.finfo(float).eps
     while True:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        fx = fun((mid[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(-1, _GK_NODES.size)
+        nodes, mid, half = _panel_nodes(lo, hi)
+        fx = (fun(nodes) if first is None else first).reshape(-1, _GK_NODES.size)
+        first = None
         kron = fx @ _GK_KRONROD
         total = closed + float(np.sum(half * kron))
         if not math.isfinite(total):
@@ -768,21 +797,46 @@ def quadrature_norm(psi: WavefunctionForm, r_max: float | None = None) -> float:
     [r_max, 2 r_max] exceeds TAIL_RATIO of the norm; the tail is integrated
     to an absolute error of a tenth of that bound, all its check needs.
     """
-    lam = float(psi.lam)
-    hi = _decay_radius(psi) if r_max is None else r_max
+    return _norms((psi,), _decay_radius(psi) if r_max is None else r_max)[0]
 
-    def squared(r):
-        return psi.value(r) ** 2
 
-    value = _gauss_kronrod(squared, 0.0, hi, NORM_EPSREL)
-    if not math.isfinite(value) or value <= 0.0:
-        raise NonNormalizable(f"squared norm evaluated to {value}")
-    if lam > 0:
-        # the tail beyond the cutoff must be negligible, not just small
-        tail = _gauss_kronrod(squared, hi, 2.0 * hi, NORM_EPSREL, TAIL_RATIO / 10.0 * value)
-        if tail > TAIL_RATIO * value:
-            raise NonNormalizable("tail integral does not decay")
-    return value
+def _squared(values: np.ndarray) -> np.ndarray:
+    # past 1e154 |psi|^2 is inf, which the norm's check rejects
+    with np.errstate(over="ignore"):
+        return values ** 2
+
+
+def _norms(forms, hi: float, values=None) -> list:
+    """quadrature_norm of each of forms, sharing lambda, to hi.
+
+    Each form's integral and its check, then its tail's, come before the next
+    form's, as one quadrature_norm call after another would run them. Every
+    integral over [0, hi] or [hi, 2 hi] opens on the same nodes, where the
+    forms are one joint evaluation (evaluate_forms); values, when given, are
+    the forms there over [0, hi].
+    """
+    lam = float(forms[0].lam)
+    if values is None:
+        values = evaluate_forms(forms, _first_nodes(0.0, hi))
+    tails = None
+    out = []
+    for i, psi in enumerate(forms):
+        def squared(r, psi=psi):
+            return _squared(psi.value(r))
+
+        value = _gauss_kronrod(squared, 0.0, hi, NORM_EPSREL, first=_squared(values[i]))
+        if not math.isfinite(value) or value <= 0.0:
+            raise NonNormalizable(f"squared norm evaluated to {value}")
+        if lam > 0:
+            if tails is None:
+                tails = evaluate_forms(forms, _first_nodes(hi, 2.0 * hi))
+            # the tail beyond the cutoff must be negligible, not just small
+            tail = _gauss_kronrod(squared, hi, 2.0 * hi, NORM_EPSREL, TAIL_RATIO / 10.0 * value,
+                                  _squared(tails[i]))
+            if tail > TAIL_RATIO * value:
+                raise NonNormalizable("tail integral does not decay")
+        out.append(value)
+    return out
 
 
 def overlap(
@@ -799,12 +853,34 @@ def overlap(
     ends = (r_max, r_max) if r_max is not None else (_decay_radius(psi_a), _decay_radius(psi_b))
     if norms is None:
         norms = tuple(quadrature_norm(p, h) for p, h in zip((psi_a, psi_b), ends))
+    return _overlap(psi_a, psi_b, norms, max(ends))
+
+
+def _overlap(psi_a, psi_b, norms, hi: float, values=None) -> float:
+    """overlap over [0, hi]; values, when given, are (psi_a, psi_b) on the first round's nodes.
+
+    The pair is evaluated jointly (evaluate_forms), which takes one form at a
+    time where the two do not share an exponent series.
+    """
     scale = math.sqrt(norms[0]) * math.sqrt(norms[1])
 
     def product(r):
-        return psi_a.value(r) * psi_b.value(r) / scale
+        a, b = evaluate_forms((psi_a, psi_b), r)
+        return a * b / scale
 
-    return _gauss_kronrod(product, 0.0, max(ends), OVERLAP_EPSREL, OVERLAP_EPSABS)
+    first = None if values is None else values[0] * values[1] / scale
+    return _gauss_kronrod(product, 0.0, hi, OVERLAP_EPSREL, OVERLAP_EPSABS, first)
+
+
+def _norms_and_overlap(psi0: WavefunctionForm, psi1: WavefunctionForm, r_max: float) -> tuple:
+    """(quadrature_norm of psi0, of psi1, their overlap), every integral to r_max.
+
+    The three integrals over [0, r_max] open on the same nodes, where the
+    pair is one joint evaluation; the tails share another.
+    """
+    values = evaluate_forms((psi0, psi1), _first_nodes(0.0, r_max))
+    norms = _norms((psi0, psi1), r_max, values)
+    return (*norms, _overlap(psi0, psi1, norms, r_max, values))
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -884,22 +960,34 @@ def find_nodes(psi: WavefunctionForm, window=None, r_max: float | None = None) -
     The default window is [1e-6 / sqrt|lambda|, r_max]; the radius r_max
     defaults to _decay_radius(psi).
     """
+    return _find_nodes((psi,), window, r_max)[0]
+
+
+def _find_nodes(forms, window=None, r_max: float | None = None) -> list:
+    """find_nodes of each of forms, sharing lambda, from one scan.
+
+    The scan's 4001 values are one joint evaluation (evaluate_forms); each
+    form's brackets are then polished on the form alone. Without r_max the
+    default window ends at the first form's _decay_radius.
+    """
     if window is not None:
         lo, hi = window
     else:
-        lo = 1e-6 / math.sqrt(abs(float(psi.lam)))
-        hi = _decay_radius(psi) if r_max is None else r_max
+        lo = 1e-6 / math.sqrt(abs(float(forms[0].lam)))
+        hi = _decay_radius(forms[0]) if r_max is None else r_max
     grid = np.linspace(lo, hi, 4001)
-    vals = psi.value(grid)
-    floor = 1e-13 * np.max(np.abs(vals))
-    idx = np.flatnonzero(np.abs(vals) > floor)
-    signs = np.sign(vals[idx])
-    brackets = np.flatnonzero(signs[:-1] != signs[1:])
-    return [
-        float(brentq(lambda r: float(psi.value(r)), grid[idx[i]], grid[idx[i + 1]],
-                     xtol=1e-13, rtol=1e-15))
-        for i in brackets
-    ]
+    out = []
+    for psi, vals in zip(forms, evaluate_forms(forms, grid)):
+        floor = 1e-13 * np.max(np.abs(vals))
+        idx = np.flatnonzero(np.abs(vals) > floor)
+        signs = np.sign(vals[idx])
+        brackets = np.flatnonzero(signs[:-1] != signs[1:])
+        out.append([
+            float(brentq(lambda r, psi=psi: float(psi.value(r)), grid[idx[i]], grid[idx[i + 1]],
+                         xtol=1e-13, rtol=1e-15))
+            for i in brackets
+        ])
+    return out
 
 
 def count_sign_changes(values) -> int:

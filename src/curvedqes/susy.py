@@ -21,7 +21,10 @@ f^(-1/2) exp(-int W/f dr) of any W in the basis term by term; the two states
 of a family member are read off its generating pair in twostate. Every series
 is summed with running powers, lowest power first, not with one `**` per term;
 the excited state's prefactor past degree 2 is evaluated as the two terms it
-expands instead (WavefunctionForm).
+expands instead (WavefunctionForm). Forms that share a series are evaluated
+together: evaluate_forms sums a solution's psi0 and psi1 series once per grid,
+on the forms' starts stacked as rows, each form's values bit for bit its own,
+and WavefunctionForm.value and derivatives are its one-form case (_pieces).
 potentials.eval_potential sums a tail past m = 2 by Horner's rule and keeps one
 `**` per term below, where the golden figures pin its bytes.
 """
@@ -49,7 +52,9 @@ def _power_sums(x, cols, acc=None, power=1.0):
 
     One multiply per degree, shared by the columns, lowest power first, no `**`.
     x and x*x are exactly numpy's x**1 and x**2, so a series up to x**2 rounds as
-    its `c * x**i` terms did; Horner's rule would reorder the additions.
+    its `c * x**i` terms did; Horner's rule would reorder the additions. A start
+    may stack several forms' starts as rows, (forms, len(x)): each row gets the
+    terms one start would, in the same order.
     """
     acc = [0.0] * len(cols) if acc is None else list(acc)
     for i, row in enumerate(zip(*cols, strict=True)):
@@ -236,10 +241,10 @@ class WavefunctionForm:
             for v, a, b in ((cs, 2, -1), (ds, 1, 1), (ps[1:], 2, -1))
         ]
 
-    def _prefactor(self, r, r2, derivatives):
-        """(P,), or with derivatives (P, P', P'') in r, on a float array.
+    def _prefactor(self, r, r2, t, derivatives):
+        """(P,), or with derivatives (P, P', P''), in r from _grid; t = lam r^2.
 
-        From the bracket, with t = lam r^2 and F = (1 + t)^n = exp(n log1p(t)):
+        From the bracket, with F = (1 + t)^n = exp(n log1p(t)):
         P = (l + h) + h expm1(n log1p(t)) where |F - 1| < 1/2, which keeps the
         digits of F - 1 near the origin, and l + h F elsewhere, with F taken
         from exp: expm1 + 1 would lose them where F is small. P' and P'' take
@@ -254,7 +259,6 @@ class WavefunctionForm:
             sp1, sp2 = _power_sums(u, self._slopes[2])
             return P, 2.0 * abs(lam) * r * sp1, 2.0 * abs(lam) * sp2
         lh, l, h, n = self._bracket_floats
-        t = lam * r2
         g = np.log1p(t)
         ng = n * g
         e = np.expm1(ng)
@@ -265,54 +269,103 @@ class WavefunctionForm:
         c = 2.0 * lam * h * n
         return P, c * r * F1, c * (F1 + 2.0 * (n - 1) * t * F2)
 
-    def _pieces(self, r, derivatives=False):
-        """Return (P, log-magnitude S) on a float array, all that psi itself needs;
-        with derivatives, (P, P', P'', S', S'', S)."""
-        r = np.asarray(r, dtype=float)
-        lam, a, b, exp_r2, exp_finv, _ = self._floats
-        r2 = r * r
-        f2 = 1.0 + lam * r2
-        t = lam * r2
-        y = 1.0 / f2  # numpy's f2 ** -1
-
-        S = a * np.log(r) + 0.5 * b * np.log(f2)
-        (S,) = _power_sums(t, [exp_r2], [S], power=t)
-        (S,) = _power_sums(y, [exp_finv], [S], power=y)
-        if not derivatives:
-            return (*self._prefactor(r, r2, False), S)
-
-        # each pair of columns shares its powers: t^(j-1) and f^(-2k-2)
-        st1, st2 = _power_sums(t, self._slopes[0])
-        sy1, sy2 = _power_sums(y, self._slopes[1], power=y * y)
-        S1 = a / r + b * lam * r / f2 + 2.0 * lam * r * (st1 - sy1)
-        S2 = -a / r2 + b * lam * (1.0 / f2 - 2.0 * lam * r2 / (f2 * f2))
-        S2 = S2 + 2.0 * lam * (st2 - sy1 + 2.0 * lam * r2 * y * sy2)
-        return (*self._prefactor(r, r2, True), S1, S2, S)
-
     def value(self, r):
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            P, S = self._pieces(r)
-            out = P * np.exp(S)
-        return float(out) if out.ndim == 0 else out
+        return evaluate_forms((self,), r)[0]
 
     def derivatives(self, r):
         """(psi, psi', psi'') evaluated together for stability."""
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            P, P1, P2, S1, S2, S = self._pieces(r, derivatives=True)
-            E = np.exp(S)
-            psi = P * E
-            dpsi = (P1 + P * S1) * E
-            d2psi = (P2 + 2.0 * P1 * S1 + P * (S2 + S1 * S1)) * E
-        if np.ndim(psi) == 0:
-            return float(psi), float(dpsi), float(d2psi)
-        return psi, dpsi, d2psi
+        return evaluate_forms((self,), r, derivatives=True)[0]
 
     def log_derivative(self, r):
         """(ln psi)' for forms with a constant prefactor."""
         if len(self.prefactor) > 1:
             raise UnsupportedTerm("log derivative defined for constant prefactors only")
-        _, _, _, S1, _, _ = self._pieces(r, derivatives=True)
-        return float(S1) if np.ndim(S1) == 0 else S1
+        shape, x = _grid(r)
+        return _shaped(_pieces((self,), x, True)[1][0], shape)
+
+
+def _grid(r):
+    """(shape of r, r as a 1-D float array, or a numpy scalar for a scalar)."""
+    r = np.asarray(r, dtype=float)
+    return r.shape, r.ravel() if r.ndim else r[()]
+
+
+def _shaped(v, shape):
+    """A result back in the shape of its input r: a float for a scalar."""
+    return v.reshape(shape) if shape else v.item()
+
+
+def _pieces(forms, r, derivatives):
+    """(prefactors, S', S'', S) of forms that share lam and the exponent series, on r from _grid.
+
+    prefactors holds each form's (P,), or with derivatives (P, P', P''), and
+    S, S' and S'' one row per form (S' and S'' None without derivatives).
+    The series and their slopes are summed once. One form's a and b are
+    floats; several forms' are stacked into (forms, 1) columns, so each
+    form's start a log r + b/2 log f^2 gets the series' terms in the order
+    it alone would add them, and its S' and S'' add the shared sums to its
+    own a/r and b lam terms as it alone does: every value is bit for bit the
+    form's own.
+    """
+    form = forms[0]
+    lam, a, b, exp_r2, exp_finv, _ = form._floats
+    if len(forms) > 1:
+        a, b = np.array([f._floats[1:3] for f in forms]).T[:, :, None]
+    r2 = r * r
+    f2 = 1.0 + lam * r2
+    t = lam * r2
+    y = 1.0 / f2  # numpy's f2 ** -1
+
+    S = a * np.log(r) + 0.5 * b * np.log(f2)
+    (S,) = _power_sums(t, [exp_r2], [S], power=t)
+    (S,) = _power_sums(y, [exp_finv], [S], power=y)
+    prefactors = [f._prefactor(r, r2, t, derivatives) for f in forms]
+    if not derivatives:
+        return prefactors, None, None, _rows(S, forms)
+
+    # each pair of columns shares its powers: t^(j-1) and f^(-2k-2)
+    st1, st2 = _power_sums(t, form._slopes[0])
+    sy1, sy2 = _power_sums(y, form._slopes[1], power=y * y)
+    S1 = a / r + b * lam * r / f2 + 2.0 * lam * r * (st1 - sy1)
+    S2 = -a / r2 + b * lam * (1.0 / f2 - 2.0 * lam * r2 / (f2 * f2))
+    S2 = S2 + 2.0 * lam * (st2 - sy1 + 2.0 * lam * r2 * y * sy2)
+    return prefactors, _rows(S1, forms), _rows(S2, forms), _rows(S, forms)
+
+
+def _rows(v, forms):
+    """One row per form of a _pieces result: one form's is the result itself."""
+    return (v,) if len(forms) == 1 else v
+
+
+def evaluate_forms(forms, r, derivatives=False) -> list:
+    """psi of each form on one grid r, or with derivatives (psi, psi', psi''), in the forms' order.
+
+    WavefunctionForm.value and derivatives are the one-form case. Forms
+    with the same lambda and exponent series, such as a solution's psi0 and
+    psi1, are evaluated together: r^2, f^2, the logarithms, the series and
+    their slopes are computed once for all of them, and each form adds only
+    its own start, prefactor and product. Every result is bit for bit what
+    the form alone returns. Forms that do not share a series are evaluated
+    one at a time.
+    """
+    forms = tuple(forms)
+    if len(forms) > 1:
+        series = (forms[0].lam, forms[0].exp_r2, forms[0].exp_finv)
+        if any((f.lam, f.exp_r2, f.exp_finv) != series for f in forms[1:]):
+            return [evaluate_forms((f,), r, derivatives)[0] for f in forms]
+    shape, x = _grid(r)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        prefactors, S1, S2, S = _pieces(forms, x, derivatives)
+        if not derivatives:
+            return [_shaped(P * np.exp(s), shape) for (P,), s in zip(prefactors, S)]
+        out = []
+        for (P, P1, P2), s1, s2, s in zip(prefactors, S1, S2, S):
+            e = np.exp(s)
+            psi = P * e
+            dpsi = (P1 + P * s1) * e
+            d2psi = (P2 + 2.0 * P1 * s1 + P * (s2 + s1 * s1)) * e
+            out.append((_shaped(psi, shape), _shaped(dpsi, shape), _shaped(d2psi, shape)))
+    return out
 
 
 @dataclass(frozen=True)

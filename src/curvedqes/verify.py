@@ -19,13 +19,12 @@ import numpy as np
 from .errors import InvalidParameter
 from .oracle import (
     _cut_radius,
+    _find_nodes,
+    _norms_and_overlap,
     _schrodinger_residuals,
     count_sign_changes,
     default_arc_cutoff,
-    find_nodes,
     lowest_eigenvalues,
-    overlap,
-    quadrature_norm,
 )
 from .potentials import eval_potential
 from .susy import partner_shift, w_minus_from_w_plus, w_plus_poles
@@ -222,21 +221,20 @@ def run_verification(
     add("oracle_E0", rel0)
     add("oracle_E1", rel1)
 
-    # one residual grid and one V(r) for both states
+    # psi0 and psi1 share their exponent series: each grid below evaluates the pair
+    # jointly. One residual grid and one V(r) for both states
     res = _schrodinger_residuals(sol.spec, [(sol.psi0, e0f), (sol.psi1, e1f)], r_cut)
     add("residual_psi0", res[0])
     add("residual_psi1", res[1])
 
-    nodes0 = find_nodes(sol.psi0, r_max=r_cut)
-    nodes1 = find_nodes(sol.psi1, r_max=r_cut)
+    nodes0, nodes1 = _find_nodes((sol.psi0, sol.psi1), r_max=r_cut)
     add("nodes_psi0", len(nodes0))
     add("nodes_psi1", abs(len(nodes1) - 1))
     add("node_location", abs(nodes1[0] - sol.r0) if len(nodes1) == 1 else math.inf)
 
     # each norm is computed once and shared with the overlap
-    norm0 = quadrature_norm(sol.psi0, r_cut)
-    norm1 = quadrature_norm(sol.psi1, r_cut)
-    add("orthogonality", abs(overlap(sol.psi0, sol.psi1, (norm0, norm1), r_cut)))
+    norm0, norm1, ortho = _norms_and_overlap(sol.psi0, sol.psi1, r_cut)
+    add("orthogonality", abs(ortho))
 
     bad = sum(count_sign_changes(est.eigenvectors[:, i]) != i for i in range(2))
     add("oracle_node_counts", bad)

@@ -889,3 +889,25 @@ def test_brentq_bisects_where_the_step_denominator_is_zero(f, a, b):
     assert min(a, b) <= root <= max(a, b)
     assert f(root - 1e-12) * f(root + 1e-12) <= 0.0
     assert root == brentq(f, a, b, xtol=1e-13, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [(1, 1, 1, 1, 1), (1, 4, 0, 2, 1), (1, 16, 2, 3, 1), (1, 1, Fraction(1, 2), 2, 0.3),
+     (2, 2, 0, 4, -1), (2, 30, 1, 4, -1)],
+)
+def test_joint_scan_and_integrals_equal_the_one_form_calls(config):
+    # the pair's shared scan and first rounds give each form's own nodes,
+    # norms (tails included for lambda > 0) and overlap, bit for bit
+    sol = general_two_state(*config)
+    r_cut = oracle._cut_radius(float(sol.lam), oracle.default_arc_cutoff(sol.spec))
+    pair = (sol.psi0, sol.psi1)
+    assert oracle._find_nodes(pair, r_max=r_cut) == [find_nodes(p, r_max=r_cut) for p in pair]
+    norm0, norm1, ortho = oracle._norms_and_overlap(*pair, r_cut)
+    assert (norm0, norm1) == (quadrature_norm(sol.psi0, r_cut), quadrature_norm(sol.psi1, r_cut))
+    assert ortho == overlap(*pair, (norm0, norm1), r_cut)
+    # the first round, evaluated by the caller, is the round the integral evaluates itself
+    squared = lambda r: sol.psi1.value(r) ** 2  # noqa: E731
+    nodes = oracle._first_nodes(0.0, r_cut)
+    assert oracle._gauss_kronrod(squared, 0.0, r_cut, oracle.NORM_EPSREL, first=squared(nodes)) \
+        == oracle._gauss_kronrod(squared, 0.0, r_cut, oracle.NORM_EPSREL) == norm1

@@ -26,7 +26,13 @@ from curvedqes import (
 )
 from curvedqes.cli import FIGURE_GRID_POINTS
 from curvedqes.exactmath import HALF, exact_div, exact_sqrt
-from curvedqes.susy import potential_expand, riccati_expand, w_plus_poles
+from curvedqes.susy import (
+    _power_sums,
+    evaluate_forms,
+    potential_expand,
+    riccati_expand,
+    w_plus_poles,
+)
 
 
 def apply_raising(w: Superpotential, psi: WavefunctionForm) -> WavefunctionForm:
@@ -573,3 +579,107 @@ def test_short_prefactors_keep_the_expanded_sum_bit_for_bit(family, m, B2m):
         P = P + c[2] * (u * u)
     base = WavefunctionForm(psi.r_power, psi.f_power, psi.exp_r2, psi.exp_finv, lam=lam)
     assert np.array_equal(psi.value(r), P * base.value(r))
+
+
+def _column_sums(x, cols, starts=None, power=1.0):
+    """Each column's running-power sum on its own, its zero coefficients skipped."""
+    out = []
+    for k, col in enumerate(cols):
+        acc, p = (0.0 if starts is None else starts[k]), power
+        for i, c in enumerate(col):
+            if i:
+                p = p * x
+            if c:
+                acc = acc + c * p
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        ((),),
+        ((), ()),
+        ((0.0, 0.0),),
+        ((1.5,),),
+        ((0.25, -3.0, 7.5),),
+        ((0.0, 2.0, 0.0, -3.0), (0.0, 6.0, 0.0, -21.0)),
+        ((1.0, 0.0, 2.0), (0.0, 3.0, 0.0)),
+        (tuple(1.0 + np.arange(61) / 7), tuple(-2.0 - np.arange(61) / 3)),
+    ],
+)
+@pytest.mark.parametrize("power", [1.0, "x"])
+def test_power_sums_sharing_powers_equal_the_per_column_sums_bit_for_bit(cols, power):
+    x = np.array([-1.7, -0.3, 0.0, 1e-200, 0.5, 0.999, 1.0, 2.5, 1e150, 1e200])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = x if power == "x" else power
+        got = _power_sums(x, cols, power=p)
+        want = _column_sums(x, cols, power=p)
+    assert len(got) == len(cols)
+    for g, w in zip(got, want):
+        assert np.array_equal(np.broadcast_to(g, x.shape), np.broadcast_to(w, x.shape),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [((1.0, 1.0, 0.0),), ((1.0, 2.0, 0.0), (3.0, -4.0, 0.0)), ((1.0, 0.0, 0.0), (0.0, 0.0, 2.0))],
+)
+def test_a_zero_coefficient_never_meets_an_infinite_power(cols):
+    # x^2 is inf at |x| = 1e200: a zero coefficient there is skipped, so no 0 * inf
+    x = np.array([1e200, -1e200])
+    with np.errstate(over="ignore"):
+        got = _power_sums(x, cols)
+        scalar = [_power_sums(xi, cols) for xi in x]
+        starts = _power_sums(x, cols[:1], [np.ones((3, 2))])
+    for g, w in zip(got, _column_sums(x, cols)):
+        assert not np.any(np.isnan(g))
+        assert np.array_equal(np.broadcast_to(g, x.shape), np.broadcast_to(w, x.shape))
+    assert not any(np.isnan(v) for point in scalar for v in point)
+    assert not np.any(np.isnan(starts))
+
+
+@pytest.mark.parametrize("col", [(), (0.5,), (0.0, -1.25, 0.0, 3.0), tuple(np.linspace(-1.0, 1.0, 60))])
+def test_stacked_starts_each_get_the_terms_of_one_start(col):
+    x = np.linspace(-1.5, 2.0, 301)
+    starts = np.array([np.sin(x), np.cos(x) * 1e10, np.zeros_like(x)])
+    (got,) = _power_sums(x, [col], [starts], power=x)
+    assert got.shape == starts.shape
+    for row, start in zip(got, starts):
+        assert np.array_equal(row, _column_sums(x, [col], [start], power=x)[0])
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 30, 60])
+def test_joint_evaluation_is_each_forms_own_bit_for_bit(fam, lam, m):
+    # psi0 (constant prefactor), psi1 (expanded prefactor up to degree 2, its
+    # two-term bracket past it) and the partner share one exponent series
+    sol = general_two_state(fam, m, 1, 4, lam)
+    forms = (sol.psi0, sol.psi1, sol.psi0_partner)
+    assert (sol.psi1._bracket is not None) == (len(sol.psi1.prefactor) > 3)
+    r = np.geomspace(1e-4, 3.0 if lam > 0 else 1.0 - 1e-9, 777)
+    for derivatives in (False, True):
+        for psi, got in zip(forms, evaluate_forms(forms, r, derivatives)):
+            want = psi.derivatives(r) if derivatives else psi.value(r)
+            assert np.array_equal(got, want, equal_nan=True)
+        # 0-d arrays, numpy scalars and floats
+        for x in (r[3], r[400], np.array(r[700]), float(r[555])):
+            for psi, got in zip(forms, evaluate_forms(forms, x, derivatives)):
+                want = psi.derivatives(x) if derivatives else psi.value(x)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert type(got) is (tuple if derivatives else float)
+        grid = r[:600].reshape(20, 30)
+        for psi, got in zip(forms, evaluate_forms(forms, grid, derivatives)):
+            want = psi.derivatives(r[:600]) if derivatives else psi.value(r[:600])
+            assert np.array_equal(np.reshape(got, np.shape(want)), want, equal_nan=True)
+
+
+def test_forms_without_a_shared_series_are_evaluated_one_at_a_time():
+    a = general_two_state(1, 4, 1, 4, 1).psi1
+    b = general_two_state(1, 4, 2, 4, 1).psi1  # another series: L moves the exponent's b only
+    c = general_two_state(1, 8, 1, 4, 1).psi0
+    d = general_two_state(2, 4, 1, 4, -1).psi0
+    r = np.linspace(0.01, 0.99, 400)
+    for forms in ((a, b), (a, c), (c, d, a)):
+        for psi, got in zip(forms, evaluate_forms(forms, r, True)):
+            assert np.array_equal(got, psi.derivatives(r), equal_nan=True)

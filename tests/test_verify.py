@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from curvedqes import (
     InvalidParameter,
+    NonNormalizable,
     PoleAtNode,
     eval_potential,
     general_two_state,
@@ -67,25 +69,25 @@ def test_perturbed_coefficient_breaks_riccati():
 
 
 def test_decay_radii_and_norms_computed_once(monkeypatch):
-    # the radius of the oracle's wall cut ends every window: no decay-radius probe runs
-    counts = {"_decay_radius": 0, "quadrature_norm": 0}
+    # the radius of the oracle's wall cut ends every window: no decay-radius probe runs,
+    # and each state's norm is integrated once, both states in one joint _norms call
+    calls = {"_decay_radius": [], "_norms": [], "quadrature_norm": []}
 
     def counted(name):
         original = getattr(oracle, name)
 
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            calls[name].append(args)
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in counts:
+    for name in calls:
         monkeypatch.setattr(oracle, name, counted(name))
-    monkeypatch.setattr(verify, "quadrature_norm", oracle.quadrature_norm)
     report = run_verification(1, 1, 1, 1, 1)
     assert report.passed
-    assert counts["_decay_radius"] == 0
-    assert counts["quadrature_norm"] == 2
+    assert calls["_decay_radius"] == [] and calls["quadrature_norm"] == []
+    assert [len(args[0]) for args in calls["_norms"]] == [2]
 
 
 def test_arc_cutoff_computed_once(monkeypatch):
@@ -271,3 +273,11 @@ def test_family1_steep_tail_psi1_residual_stays_at_round_off(L):
     # moves this from 1.9e-12 to 1.2e-9; near the origin it takes F - 1 by expm1
     checks = {c.name: c for c in run_verification(1, 30, L, 1e6, 1, rtol=1e-6).checks}
     assert checks["residual_psi1"].value <= 1e-11
+
+
+def test_overflowing_norm_raises_nonnormalizable_without_a_warning():
+    # psi0 passes 1e154 on the norm's nodes: its square is inf, which the norm rejects
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonNormalizable, match="squared norm evaluated to inf"):
+            run_verification(1, 1, 100, 1e-4, 1, rtol=1e-6)

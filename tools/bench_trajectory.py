@@ -2,7 +2,7 @@
 
 Run from the root of the repository:
 
-    python3 tools/bench_trajectory.py --out BENCH_21.json
+    python3 tools/bench_trajectory.py --out BENCH_22.json
 
 The library is imported from ./src, on one thread. The config matrix is fixed:
 both families (lambda = +1 and -1 times |lambda|), m in ORDERS and each
@@ -17,6 +17,8 @@ For each config the file records:
 * outcome: "pass", "fail" with the failing checks, or "error" with the type
   of the exception raised;
 * grid_points: the N the oracle certified (null on an error);
+* warnings: the warnings the first timed call raised, counted by the name
+  of their category; no warning is silenced;
 * layers_self_ms: the self time of each span of perfbench/layers.py in one
   further call, traced.
 
@@ -53,6 +55,7 @@ import statistics
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -136,14 +139,19 @@ def run_configs() -> list:
             for L, B2m, alam in PAIRS:
                 args = (family, m, L, B2m, alam if family == 1 else -alam)
                 speed, times = HostSpeed(), []
-                for _ in range(REPEATS):
-                    elapsed, report, error = timed(speed, verify, *args)
-                    times.append(elapsed)
-                layers = traced_layers(args)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    for i in range(REPEATS):
+                        elapsed, report, error = timed(speed, verify, *args)
+                        times.append(elapsed)
+                        if i == 0:
+                            counts = Counter(w.category.__name__ for w in caught)
+                    layers = traced_layers(args)
                 scale = factor(speed)
                 row = {"family": family, "m": m, "L": str(L), "B2m": str(B2m),
                        "lambda": str(args[-1]), "verify_ms": statistics.median(times) * scale * 1e3}
                 row.update(outcome(report, error))
+                row["warnings"] = dict(sorted(counts.items()))
                 row["layers_self_ms"] = {name: t * scale * 1e3 for name, t in layers.items()}
                 row["host_speed_factor"] = scale
                 rows.append(row)
@@ -218,9 +226,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     verify(1, 4, 0, 1, 1)  # warm-up: imports and the LAPACK load
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rows = run_configs()
+    rows = run_configs()
     startup, startup_raw = startup_seconds()
     doc = {
         "env": environment(),
