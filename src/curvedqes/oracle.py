@@ -954,45 +954,39 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 
-def find_nodes(psi: WavefunctionForm, window=None, r_max: float | None = None) -> list:
+def find_nodes(psi: WavefunctionForm, r_max: float | None = None) -> list:
     """Interior zeros of psi, located by bisection after a 4001-point sign-change scan.
 
-    The default window is [1e-6 / sqrt|lambda|, r_max]; the radius r_max
-    defaults to _decay_radius(psi).
+    The scan runs from 1e-6 / sqrt|lambda| to r_max, by default _decay_radius(psi).
     """
-    return _find_nodes((psi,), window, r_max)[0]
+    return _find_nodes((psi,), r_max)[0]
 
 
-def _find_nodes(forms, window=None, r_max: float | None = None) -> list:
+def _find_nodes(forms, r_max: float | None = None) -> list:
     """find_nodes of each of forms, sharing lambda, from one scan.
 
     The scan's 4001 values are one joint evaluation (evaluate_forms); each
     form's brackets are then polished on the form alone. Without r_max the
-    default window ends at the first form's _decay_radius.
+    scan ends at the first form's _decay_radius.
     """
-    if window is not None:
-        lo, hi = window
-    else:
-        lo = 1e-6 / math.sqrt(abs(float(forms[0].lam)))
-        hi = _decay_radius(forms[0]) if r_max is None else r_max
-    grid = np.linspace(lo, hi, 4001)
-    out = []
-    for psi, vals in zip(forms, evaluate_forms(forms, grid)):
-        floor = 1e-13 * np.max(np.abs(vals))
-        idx = np.flatnonzero(np.abs(vals) > floor)
-        signs = np.sign(vals[idx])
-        brackets = np.flatnonzero(signs[:-1] != signs[1:])
-        out.append([
-            float(brentq(lambda r, psi=psi: float(psi.value(r)), grid[idx[i]], grid[idx[i + 1]],
-                         xtol=1e-13, rtol=1e-15))
-            for i in brackets
-        ])
-    return out
+    hi = _decay_radius(forms[0]) if r_max is None else r_max
+    grid = np.linspace(1e-6 / math.sqrt(abs(float(forms[0].lam))), hi, 4001)
+    return [
+        [float(brentq(lambda r, psi=psi: float(psi.value(r)), grid[i], grid[j],
+                      xtol=1e-13, rtol=1e-15)) for i, j in zip(*_sign_changes(vals, 1e-13))]
+        for psi, vals in zip(forms, evaluate_forms(forms, grid))
+    ]
+
+
+def _sign_changes(values, floor: float) -> tuple:
+    """(i, j) of each sign change of a sampled profile, past entries <= floor times its peak."""
+    arr = np.asarray(values, dtype=float)
+    idx = np.flatnonzero(np.abs(arr) > floor * np.max(np.abs(arr)))
+    signs = np.sign(arr[idx])
+    at = np.flatnonzero(signs[:-1] != signs[1:])
+    return idx[at], idx[at + 1]
 
 
 def count_sign_changes(values) -> int:
     """Sign changes of a sampled profile, ignoring entries below 1e-9 of its peak."""
-    arr = np.asarray(values, dtype=float)
-    keep = np.abs(arr) > 1e-9 * np.max(np.abs(arr))
-    signs = np.sign(arr[keep])
-    return int(np.sum(signs[:-1] != signs[1:]))
+    return len(_sign_changes(values, 1e-9)[0])

@@ -19,8 +19,9 @@ kept unnormalized; quadrature norms live in the spectral oracle.
 wavefunction_from_superpotential integrates the ground state
 f^(-1/2) exp(-int W/f dr) of any W in the basis term by term; the two states
 of a family member are read off its generating pair in twostate. Every series
-is summed with running powers, lowest power first, not with one `**` per term;
-the excited state's prefactor past degree 2 is evaluated as the two terms it
+is summed with running powers, lowest power first, not with one `**` per term,
+and one pass gives a superpotential's W, W' and term magnitude (_sums); the
+excited state's prefactor past degree 2 is evaluated as the two terms it
 expands instead (WavefunctionForm). Forms that share a series are evaluated
 together: evaluate_forms sums a solution's psi0 and psi1 series once per grid,
 on the forms' starts stacked as rows, each form's values bit for bit its own,
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import NotConstrained, PoleAtNode, UnsupportedTerm
 from .exactmath import HALF, QUARTER, Scalar, exact_div, exact_sqrt, is_exact
-from .potentials import Family, PotentialSpec, reduced_spec
+from .potentials import Family, PotentialSpec, _reduced_spec
 
 MINUS = "minus"
 PLUS = "plus"
@@ -109,29 +110,29 @@ class Superpotential:
                 groups.append((p, q0, *cols.tolist()))
         return groups
 
-    def _sums(self, r, col=0, derivative=False):
-        """(W or, col=1, its magnitude; W' if asked): (r^p f^q)' = r^p f^q (p/r + q lam r/f^2)."""
+    def _sums(self, r):
+        """(W, W', sum of |terms|) from one pass: (r^p f^q)' = r^p f^q (p/r + q lam r/f^2)."""
         r = np.asarray(r, dtype=float)
         lam = float(self.lam)
         f2 = 1.0 + lam * r * r
-        w = dw = np.zeros_like(r)
-        for p, q0, *g in self._groups:
+        w = dw = mag = np.zeros_like(r)
+        for p, q0, *cols in self._groups:
             base = (r if p == 1 else 1.0 / r) * np.sqrt(f2) ** q0
-            s, *qs = _power_sums(f2, [g[col], g[2]] if derivative else [g[col]])
+            s, s_abs, s_q = _power_sums(f2, cols)
             w = w + base * s
-            if derivative:
-                dw = dw + base * (p / r * s + lam * r / f2 * qs[0])
-        return (float(w), float(dw)) if w.ndim == 0 else (w, dw)
+            dw = dw + base * (p / r * s + lam * r / f2 * s_q)
+            mag = mag + base * s_abs
+        return (float(w), float(dw), float(mag)) if w.ndim == 0 else (w, dw, mag)
 
     def value(self, r):
         return self._sums(r)[0]
 
     def derivative(self, r):
-        return self._sums(r, derivative=True)[1]
+        return self._sums(r)[1]
 
     def magnitude(self, r):
         """Sum of absolute term values; used as a cancellation scale."""
-        return self._sums(r, col=1)[0]
+        return self._sums(r)[2]
 
 
 def riccati_apply(w: Superpotential, sign: str, r):
@@ -140,7 +141,7 @@ def riccati_apply(w: Superpotential, sign: str, r):
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
     rr = np.asarray(r, dtype=float)
     f = np.sqrt(1.0 + float(w.lam) * rr * rr)
-    wv, wd = w._sums(rr, derivative=True)
+    wv, wd, _ = w._sums(rr)
     out = wv * wv - f * wd if sign == MINUS else wv * wv + f * wd
     return float(out) if np.ndim(out) == 0 else out
 
@@ -409,11 +410,15 @@ def wavefunction_from_superpotential(w: Superpotential) -> WavefunctionForm:
     return WavefunctionForm(a, b, tuple(c_list), tuple(d_list), (1,), lam)
 
 
+def _at_pole(w_plus_value, w_plus_magnitude):
+    """Where W+ vanishes against its term magnitudes: the poles of W-."""
+    return np.abs(w_plus_value) <= 1e-12 * np.maximum(w_plus_magnitude, 1e-30)
+
+
 def w_plus_poles(w_plus: Superpotential, r) -> np.ndarray:
     """Mask of the points where W+ vanishes against its term magnitudes (poles of W-)."""
-    rr = np.asarray(r, dtype=float)
-    scale = np.maximum(w_plus.magnitude(rr), 1e-30)
-    return np.abs(w_plus.value(rr)) <= 1e-12 * scale
+    val, _, mag = w_plus._sums(r)
+    return _at_pole(val, mag)
 
 
 def w_minus_from_w_plus(w_plus: Superpotential, delta_e) -> Callable:
@@ -421,10 +426,10 @@ def w_minus_from_w_plus(w_plus: Superpotential, delta_e) -> Callable:
 
     def w_minus(r):
         rr = np.asarray(r, dtype=float)
-        if np.any(w_plus_poles(w_plus, rr)):
+        val, der, mag = w_plus._sums(rr)
+        if np.any(_at_pole(val, mag)):
             raise PoleAtNode("W+ vanishes at the evaluation point (node of psi1)")
         f = np.sqrt(1.0 + float(w_plus.lam) * rr * rr)
-        val, der = w_plus._sums(rr, derivative=True)
         out = (f * der - float(delta_e)) / val
         return float(out) if out.ndim == 0 else out
 
@@ -448,12 +453,13 @@ def partner_shift(spec: PotentialSpec):
     if spec.family is Family.BASE or spec.m is None:
         raise NotConstrained("partner shift applies to reduced QES specs only")
     m, L, lam, B2m = spec.m, spec.L, spec.lam, spec.B[-1]
-    expected = reduced_spec(spec.family, m, L, B2m, lam)
+    s = exact_sqrt(B2m)
+    # a spec's model is validated when it is built
+    expected = _reduced_spec(spec.family, m, L, B2m, lam, s)
     if not _coeffs_match(spec.A, expected.A) or not all(
         _coeffs_match(b, e) for b, e in zip(spec.B, expected.B)
     ):
         raise NotConstrained("coefficients are not in the reduced QES form")
-    s = exact_sqrt(B2m)
     if spec.family is Family.FAMILY1:
         A2 = (2 * m + 3) * (2 * m + 1) * QUARTER
         B2 = [-B2m - (2 * L + 3) * s] * m + [B2m] * m

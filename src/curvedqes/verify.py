@@ -27,7 +27,7 @@ from .oracle import (
     lowest_eigenvalues,
 )
 from .potentials import eval_potential
-from .susy import partner_shift, w_minus_from_w_plus, w_plus_poles
+from .susy import _at_pole, partner_shift
 from .twostate import TwoStateSolution, general_two_state
 
 TOLERANCES = {
@@ -176,13 +176,13 @@ def run_verification(
     v = eval_potential(sol.spec, r)
     e0f, e1f = float(sol.E0), float(sol.E1)
 
-    # W and W' (and W+ and W+') from one pass each: V1 = W^2 - f W', V2 = W^2 + f W', each
+    # one pass each samples W, W+ and W- with their slopes: V1 = W^2 - f W', V2 = W^2 + f W', each
     # residual scaled by its terms' sizes: at L = 0 their 1/r^2 parts cancel near the origin.
     # With r = rho / sqrt|lambda|, V and E scale as |lambda| and W as sqrt|lambda|: the
     # floor of each scale is |lambda| (sqrt|lambda| for W-), the unit problem's 1
     scale = abs(float(sol.lam))
     f = np.sqrt(1.0 + float(sol.lam) * r * r)
-    w, dw = sol.w._sums(r, derivative=True)
+    w, dw, _ = sol.w._sums(r)
     w2, fdw = w * w, f * dw
     size = scale + w2 + np.abs(fdw)
     res_v1 = np.abs(w2 - fdw + e0f - v) / (size + np.abs(v))
@@ -193,25 +193,25 @@ def run_verification(
     res_v2 = np.abs(w2 + fdw - v2) / (size + np.abs(v2))
     add("riccati_v2", res_v2.max())
 
-    wp, wm = sol.pair.w_plus, sol.pair.w_minus
     de = float(sol.pair.delta_e)
-    wp_val, wp_der = wp._sums(r, derivative=True)
+    wp, wp_der, wp_mag = sol.pair.w_plus._sums(r)
+    wm = sol.pair.w_minus._sums(r)[0]
     lhs = f * wp_der
-    rhs = wp_val * wm.value(r) + de
+    rhs = wp * wm + de
     res_pair = np.abs(lhs - rhs) / (scale + np.abs(lhs) + np.abs(rhs))
     add("pair_identity", res_pair.max())
 
-    # every 10th check point, skipping the poles of W- at the nodes of W+
-    rs = r[:: max(1, len(r) // 100)]
-    rs = rs[~w_plus_poles(wp, rs)]
-    if rs.size == 0:
+    # W- = (f W+' - delta_e) / W+ on every 10th check point, skipping its poles (W+ = 0)
+    every = slice(None, None, max(1, len(r) // 100))
+    keep = ~_at_pole(wp[every], wp_mag[every])
+    if not keep.any():
         raise InvalidParameter(
             "W+ is at its pole floor at every w_minus_identity sample: its float values "
             f"cannot resolve the model at lambda={float(lam):g}"
         )
-    wm_vals = wm.value(rs)
-    res_wm = np.abs(w_minus_from_w_plus(wp, de)(rs) - wm_vals)
-    res_wm /= math.sqrt(scale) + np.abs(wm_vals)
+    wm_s = wm[every][keep]
+    res_wm = np.abs((lhs[every][keep] - de) / wp[every][keep] - wm_s)
+    res_wm /= math.sqrt(scale) + np.abs(wm_s)
     add("w_minus_identity", res_wm.max())
 
     # compare against the Richardson-extrapolated values: extrapolation removes

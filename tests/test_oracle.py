@@ -509,10 +509,11 @@ def _find_nodes_by_pair_loop(psi, grid):
 def test_find_nodes_matches_pair_loop(fam, lam, m):
     # the pair loop polishes with scipy.optimize.brentq: the roots must be its own
     sol = general_two_state(fam, m, 1, 4, lam)
+    # the scan starts at 1e-6 / sqrt|lambda|, which is 1e-6 here
     window = (1e-6, 4.0) if lam > 0 else (1e-6, 1.0 - 1e-9)
     grid = np.linspace(*window, 4001)
     for psi in (sol.psi0, sol.psi1):
-        assert find_nodes(psi, window=window) == _find_nodes_by_pair_loop(psi, grid)
+        assert find_nodes(psi, r_max=window[1]) == _find_nodes_by_pair_loop(psi, grid)
 
 
 def test_find_nodes_several_roots_match_pair_loop():

@@ -11,8 +11,11 @@ from curvedqes import (
     eval_potential,
     general_two_state,
     oracle,
+    potentials,
     riccati_apply,
     run_verification,
+    susy,
+    twostate,
     verify,
     w_minus_from_w_plus,
 )
@@ -200,6 +203,51 @@ def test_w_minus_identity_matches_scalar_loop(config):
     value = next(c.value for c in report.checks if c.name == "w_minus_identity")
     # array and scalar evaluation may round differently in the last bits
     assert value == pytest.approx(_w_minus_identity_by_loop(general_two_state(*config)), abs=1e-13)
+
+
+def test_each_superpotential_is_sampled_once(monkeypatch):
+    # W, W+ and W- take one pass each on the check grid, and every W check reads those
+    # samples: the pole mask and the W- identity take W+ and W+' from W+'s one pass
+    calls = {"_sums": 0, "validate_model": 0, "w_minus_from_w_plus": 0, "w_plus_poles": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(susy.Superpotential, "_sums",
+                        counted("_sums", susy.Superpotential._sums))
+    validate_model = counted("validate_model", potentials.validate_model)
+    for module in (potentials, twostate):
+        monkeypatch.setattr(module, "validate_model", validate_model)
+    for name in ("w_minus_from_w_plus", "w_plus_poles"):
+        wrapper = counted(name, getattr(susy, name))
+        monkeypatch.setattr(susy, name, wrapper)
+        monkeypatch.setattr(verify, name, wrapper, raising=False)
+    report = run_verification(2, 8, 1, 3, -1, rtol=1e-6)
+    assert report.passed
+    # general_two_state validates the model and the partner spec validates itself
+    assert calls == {"_sums": 3, "validate_model": 2, "w_minus_from_w_plus": 0, "w_plus_poles": 0}
+
+
+# near a zero of W+, (2, 8, 1/2, 3, -1) and (2, 30, 0, 1.4678, -1), the identity reads
+# the cancellation of f W+' - delta_e: the public helper stays its reference
+@pytest.mark.parametrize(
+    "config", [(1, 1, 1, 1, 1), (2, 8, Fraction(1, 2), 3, -1), (2, 30, 0, 1.4678, -1)]
+)
+def test_w_minus_identity_is_the_helpers_bit_for_bit(config):
+    report = run_verification(*config, rtol=1e-6)
+    sol = general_two_state(*config)
+    lam = float(sol.lam)
+    r = verify._check_grid(sol, oracle._cut_radius(lam, report.x_max))
+    rs = r[:: len(r) // 100]
+    rs = rs[~susy.w_plus_poles(sol.pair.w_plus, rs)]
+    wm = sol.pair.w_minus.value(rs)
+    wm_from_wp = w_minus_from_w_plus(sol.pair.w_plus, float(sol.pair.delta_e))(rs)
+    want = (np.abs(wm_from_wp - wm) / (np.sqrt(abs(lam)) + np.abs(wm))).max()
+    assert next(c.value for c in report.checks if c.name == "w_minus_identity") == want
 
 
 def test_w_minus_identity_without_a_sample_raises_a_user_error():
