@@ -90,7 +90,7 @@ def _fmt(value: float) -> str:
 
 
 def _add_model_args(parser):
-    parser.add_argument("--family", type=int, choices=(1, 2), required=True)
+    parser.add_argument("--family", type=int, required=True, help="family: 1 or 2")
     parser.add_argument("--m", type=int, default=1, help="extension order (default 1)")
     parser.add_argument("--L", type=_number, default=0, help="effective angular momentum")
     parser.add_argument("--lambda", dest="lam", type=_number, required=True,
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sweep", help="closed-form sweep over m, L, B_2m")
-    p.add_argument("--family", type=int, choices=(1, 2), required=True)
+    p.add_argument("--family", type=int, required=True, help="family: 1 or 2")
     p.add_argument("--lambda", dest="lam", type=_number, required=True)
     p.add_argument("--m-max", type=int, default=3)
     p.add_argument("--L-list", type=lambda s: [_number(v) for v in s.split(",")],

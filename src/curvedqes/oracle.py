@@ -21,13 +21,13 @@ bound on the extrapolated value (Richardson and Gaunt, Phil. Trans. A 226
 3/2 the wavefunction's x^(L+1) at the origin adds an h^(2L+1) term, which
 each level fits through N, N/2 and N/4 instead, and the gate compares that
 fit with the one through N/2, N/4 and N/8 (Navot, J. Math. Phys. 40 (1961)
-271; Sidi, Practical Extrapolation Methods, ch. 1-2). Only the first level's
-N/4 solve is bisected; every other level is polished by inverse
-iteration, shifted to the values the coarser levels predict and started from
-the eigenvectors of the level one above or below, and certified by one Sturm
-count and residual bounds (Parlett, The Symmetric Eigenvalue Problem, ch. 4
-and 10), falling back to bisection when the certificate fails. A warm-started
-pair certifies after one step.
+271; Sidi, Practical Extrapolation Methods, ch. 1-2). The grids are solved
+coarsest first. The first, with nothing solved to guess from, is bisected;
+every later grid is polished by inverse iteration, shifted to the values the
+coarser grids predict and started from its half grid's eigenvectors where the
+two nest, and certified by one Sturm count and residual bounds (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4 and 10), falling back to bisection when
+the certificate fails. A warm-started pair certifies after one step.
 
 Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
 QUADPACK): each refinement round evaluates the wavefunction once, as one
@@ -244,8 +244,8 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, s
     holds the i-th. None is returned when any check fails.
 
     start, an (N - 1, k) array, holds the vectors pair i starts from: the
-    eigenvectors of the level one above or below make one step enough.
-    Without it every pair starts from a ramp. Each pair takes up to
+    half grid's eigenvectors, prolonged, make one step enough. Without it
+    every pair starts from a ramp. Each pair takes up to
     POLISH_STEPS steps, shifted to p_i and orthogonalised against the earlier
     vectors, and stops at the first whose residual is within the bound. A
     poor start costs steps or a None, never a wrong pair: the checks above
@@ -384,10 +384,10 @@ def _tridiag_lowest(
 ):
     """Lowest k eigenvalues at n intervals, their eigenvectors or None, and the method used.
 
-    With a guess the level is polished (_polish, from start when given: the
-    eigenvectors of the level one above or below), which yields the
-    eigenvectors whether asked or not; without one, or when the polish is not
-    certified, it is bisected, with eigenvectors only if asked.
+    With a guess the grid is polished (_polish, from start when given: the
+    half grid's eigenvectors, prolonged), which yields the eigenvectors
+    whether asked or not; without one, or when the polish is not certified,
+    it is bisected, with eigenvectors only if asked.
     """
     h = x_max / n
     v = _interior_potential(spec, n, x_max, samples)
@@ -503,24 +503,21 @@ def lowest_eigenvalues(
     one >= LADDER_FLOOR. Without rtol it visits every level and returns at
     N = grid_points. With rtol, grid_points is the largest grid it may use:
     it stops at the first level whose `error_estimate` is <= rtol for every
-    eigenvalue. A level serves as the coarser runs of the levels above it,
-    so no level is solved twice, and each potential sample is evaluated
-    once and shared with the grid one level up or down. The first level's
-    N/4 run is the one solve with nothing below it to guess from, and the
-    only one bisected; on the default ladder it has 312 intervals, a grid not
-    nested with 625 = 1250 / 2, so its 311 potential samples are its own.
-    Where the ladder fits, the bisection also returns its eigenvectors, which
-    start the polish of the first level's N/8 run.
-    Every other level is polished (_polish) from a guess: the second-order
+    eigenvalue. The grids are solved coarsest first, each once: the first
+    level's coarser runs, then each level, which serves as a coarser run of
+    the levels above it. Each potential sample is evaluated once and shared
+    with the grid one level up or down, except on the default ladder's
+    312-interval grid, which is not nested with 625 = 1250 / 2.
+    The first grid, with nothing solved to guess from, is bisected. Every
+    later grid is polished (_polish) from a guess: the second-order
     prediction E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair
-    solved so far, or the N/4 values for the first level and its N/2 run.
-    Each polish starts from the eigenvectors of the level one above or below:
-    restricted to the shared points of the level twice as fine, else
-    prolonged (_prolong) from the level half as fine, and stops once the pair
-    certifies. The first level, with no level one above or below it solved,
-    and an odd level, which halves to a grid it is not nested with (4001 to
-    2000), start from a ramp. A level whose polish is not certified is
-    bisected instead; `method` records how the returned level was solved.
+    solved so far, or the values of the one grid solved. It starts from its
+    half grid's eigenvectors, prolonged (_prolong), where the two nest, and
+    from a ramp where they do not (625 halves to 312, 4001 to 2000). A grid
+    whose polish is not certified is bisected instead. A bisected grid
+    computes eigenvectors only when it is a level, which may be returned, or
+    the next grid, twice as fine, starts from them; `method` records how the
+    returned level was solved.
 
     Raises GridTooCoarse when rtol is given and an estimate still exceeds it
     at grid_points; warns with TruncationWarning when an eigenvector keeps
@@ -550,46 +547,30 @@ def lowest_eigenvalues(
     solved: dict = {}
 
     def guess(n):
-        """E(n) predicted from the finest solved pair (N, N/2), else the nearest coarser level."""
-        pairs = [m for m in solved if m // 2 in solved]
-        if pairs:
-            m = max(pairs)
-            w, w_half = solved[m][0], solved[m // 2][0]
-            # second order: E(n) = E* - (E(N) - E(N/2)) / 3 (N/n)^2
-            return w + (w - w_half) / 3.0 * (1.0 - (m / n) ** 2)
-        return solved[max(c for c in solved if c < n)][0]
+        """E(n) predicted from the finest pair solved (N, N/2), else the one grid solved."""
+        if len(solved) < 2:
+            return solved[max(solved)][0] if solved else None
+        m = max(solved)
+        w, w_half = solved[m][0], solved[m // 2][0]
+        # second order: E(n) = E* - (E(N) - E(N/2)) / 3 (N/n)^2
+        return w + (w - w_half) / 3.0 * (1.0 - (m / n) ** 2)
 
-    def start(n):
-        """The eigenvectors of the level one above or below n, moved onto n; else None.
-
-        A finer level is restricted to its rows [1::2], the points the two
-        grids share. None for an odd level, which halves to a grid it is not
-        nested with (4001 to 2000), and where the level below is unsolved or
-        is the bisected grid, which keeps no vectors: the first level, and the
-        half grid of an odd first level (1001 to 500 to 250).
-        """
-        if 2 * n in solved:
-            return solved[2 * n][1][1::2]
-        coarse = solved.get(n // 2, (None, None))[1] if n % 2 == 0 else None
-        return None if coarse is None else _prolong(coarse)
-
-    def solve(n, vectors):
-        if n not in solved:
-            solved[n] = _tridiag_lowest(spec, k, n, x_cut, vectors, samples, guess(n), start(n))
-        return solved[n]
-
-    # sample the first level so that its N/2 grid strides the samples, then
-    # bisect its N/4 grid: the one solve with no guess to polish. Its vectors
-    # start the polish of the N/8 grid, where there is one
+    # the first level's coarser grids, coarsest first, then every level: each grid
+    # is solved once, in this order, and halves to the grid before it
+    grids = [levels[0] >> j for j in range(depth, 0, -1)] + levels
+    # sample the first level so that its N/2 grid strides the samples
     _interior_potential(spec, levels[0], x_cut, samples)
-    quarter = levels[0] >> 2
-    solved[quarter] = _tridiag_lowest(spec, k, quarter, x_cut, p is not None, samples)
-    for n in levels:
-        # the fine solve first, so that the half grid strides its samples; every
-        # fine level keeps its eigenvectors to start the next polish from
-        w_fine, vecs, method = solve(n, True)
+    for n in grids:
+        # the half grid's eigenvectors start the polish where the grids nest
+        start = _prolong(solved[n // 2][1]) if n % 2 == 0 and n // 2 in solved else None
+        # a level may be returned, and a grid twice as fine starts from these vectors
+        vectors = n in levels or 2 * n in grids
+        solved[n] = _tridiag_lowest(spec, k, n, x_cut, vectors, samples, guess(n), start)
+        if n not in levels:
+            continue
+        w_fine, vecs, method = solved[n]
         ns = [n >> j for j in range(depth + 1)]
-        w = [w_fine] + [solve(c, False)[0] for c in ns[1:]]
+        w = [solved[c][0] for c in ns]
         if p is None:
             extrapolated = _extrapolate(w[0], w[1], n)
             previous = _extrapolate(w[1], w[2], ns[1])

@@ -42,6 +42,15 @@ def test_solve_sign_mismatch_exit_code(capsys):
     assert err.splitlines()[0].startswith("SignMismatch:")
 
 
+# validate_model is the one family rule: argparse takes any int, and the model's
+# typed error is the single stderr line README promises
+@pytest.mark.parametrize("command", ["solve", "verify", "spectrum", "sweep"])
+def test_family_outside_one_and_two_exits_with_one_line(capsys, command):
+    code, out, err = run_cli([command, "--family", "3", "--lambda", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "InvalidParameter: the QES construction needs family 1 or 2, got 3\n"
+
+
 def test_solve_json_output(capsys):
     code, out, _ = run_cli(
         ["solve", "--family", "1", "--m", "1", "--L", "1", "--lambda", "1", "--B", "1",

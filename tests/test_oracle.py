@@ -167,8 +167,8 @@ def test_odd_grid_points_are_solved_without_a_nested_start(grid, rtol):
 
 
 def test_odd_first_level_halves_to_a_ramp_start():
-    # 2002 starts the ladder at 1001, whose half grid 500 halves to the bisected 250,
-    # which keeps no vectors to prolong
+    # 2002 starts the ladder at 1001, which is not nested with its half grid 500:
+    # it starts from a ramp, and 2002 from its prolonged vectors
     spec, k = SPECS["family1"], 2
     est = lowest_eigenvalues(spec, k=k, grid_points=2002)
     assert est.grid_points == 2002 and est.method == "inverse_iteration"
@@ -219,8 +219,14 @@ def test_polish_falls_back_to_bisection(pick):
     assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
 
 
-@pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
-def test_ladder_bisects_only_its_coarsest_grid(config, monkeypatch):
+# the coarsest grid is the first level's N/4 run, 1250 // 2 // 2 = 312 intervals, or
+# its N/8 run, 156, where L = 1/2 fits the levels
+@pytest.mark.parametrize(
+    "config, coarsest",
+    [((1, 4, 0, 1, 1), 312), ((2, 4, 0, 1, -1), 312), ((1, 4, Fraction(1, 2), 1, 1), 156)],
+    ids=["config0", "config1", "config2"],
+)
+def test_ladder_bisects_only_its_coarsest_grid(config, coarsest, monkeypatch):
     rows = []
     original = oracle.eigh_tridiagonal
 
@@ -229,33 +235,64 @@ def test_ladder_bisects_only_its_coarsest_grid(config, monkeypatch):
         return original(d, e, **kwargs)
 
     monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
-    # with or without rtol: the ladder is the only solve path, and its coarsest grid is
-    # the first level's N/4 run, 1250 // 2 // 2 = 312 intervals
+    # with or without rtol: the ladder is the only solve path, and its first solve, the
+    # one with nothing solved to guess from, is its coarsest grid
     for rtol in (1e-6, None):
         rows.clear()
         est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=rtol)
-        assert rows == [311]
+        assert rows == [coarsest - 1]
         assert est.method == "inverse_iteration"
 
 
-# at L = 1/2 a ramp start needs a second step at the later levels; a warm one does not
-@pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1), (1, 4, Fraction(1, 2), 1, 1)])
-def test_ladder_warm_starts_every_level_after_the_first(config, monkeypatch):
-    steps = Counter()  # inverse-iteration steps by interval count, in solve order
-    original = oracle.dgtsv
+# rtol=1e-10 steps the first two past their first level; at L = 1/2 a ramp start
+# needs a second step, a warm one does not
+@pytest.mark.parametrize(
+    "config, rtol",
+    [((1, 4, 0, 1, 1), 1e-10), ((2, 4, 0, 1, -1), 1e-10), ((1, 4, Fraction(1, 2), 1, 1), 1e-6)],
+    ids=["config0", "config1", "config2"],
+)
+def test_ladder_warm_starts_every_level_after_the_first(config, rtol, monkeypatch):
+    steps = Counter()  # inverse-iteration steps by interval count
+    polished = []  # (intervals, start) of every polish, in order
+    vectors = {}  # the eigenvectors each grid returned, by interval count
+    dgtsv, polish, bisect = oracle.dgtsv, oracle._polish, oracle.eigh_tridiagonal
 
     def counted(dl, d, du, b, **kwargs):
         steps[d.size + 1] += 1
-        return original(dl, d, du, b, **kwargs)
+        return dgtsv(dl, d, du, b, **kwargs)
+
+    def recorded_polish(diag, off, v, h, guess, start=None):
+        out = polish(diag, off, v, h, guess, start)
+        polished.append((diag.size + 1, start))
+        if out is not None:
+            vectors[diag.size + 1] = out[1]
+        return out
+
+    def recorded_bisection(d, e, **kwargs):
+        out = bisect(d, e, **kwargs)
+        if not kwargs.get("eigvals_only"):
+            vectors[d.size + 1] = out[1]
+        return out
 
     monkeypatch.setattr(oracle, "dgtsv", counted)
+    monkeypatch.setattr(oracle, "_polish", recorded_polish)
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", recorded_bisection)
     k = 2
-    est = lowest_eigenvalues(general_two_state(*config).spec, k=k, rtol=1e-6)
-    first, *later = steps
-    # the first polished level has only the bisected half grid below it: a ramp start
-    assert first == 1250 and steps[first] <= 2 * k
-    assert later and all(steps[n] == k for n in later)
+    est = lowest_eigenvalues(general_two_state(*config).spec, k=k, rtol=rtol)
     assert est.method == "inverse_iteration"
+    ns = [n for n, _ in polished]
+    assert ns == sorted(set(ns)) and ns[-1] == est.grid_points
+    warm = 0
+    for n, start in polished:
+        if n % 2 == 0 and n // 2 in vectors:
+            # the half grid's eigenvectors, prolonged: one step per pair
+            assert np.array_equal(start, oracle._prolong(vectors[n // 2]))
+            assert steps[n] == k
+            warm += 1
+        else:
+            # no nested half grid (312 to 625, or nothing solved below): a ramp start
+            assert start is None and steps[n] <= 2 * k
+    assert warm >= 1
 
 
 # a ramp start certifies the same N and method here, but the tail of psi1 swings back
@@ -281,13 +318,12 @@ def test_ladder_starts_from_the_nearest_solved_level(config, monkeypatch):
     monkeypatch.setattr(oracle, "_polish", recorded)
     # an rtol the first level misses and the next one certifies
     est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=1e-10)
-    (n0, start0, vecs0), (n1, start1, _), (n2, start2, _) = polished
-    assert est.grid_points == n2
+    (n0, start0, vecs0), (n1, start1, vecs1), (n2, start2, _) = polished
+    # the first level's half grid, 625, is not nested with the bisected 312: a ramp
+    assert (n0, n1, n2) == (625, 1250, 2500) and est.grid_points == n2
     assert start0 is None
-    # the first level's half grid restricts the level just solved
-    assert n1 == n0 // 2 and np.array_equal(start1, vecs0[1::2])
-    # the step up prolongs the first level: its points are kept bit for bit
-    assert n2 == 2 * n0 and np.array_equal(start2[1::2], vecs0)
+    # each step up prolongs the grid just solved: its points are kept bit for bit
+    assert np.array_equal(start1[1::2], vecs0) and np.array_equal(start2[1::2], vecs1)
 
 
 def test_prolonging_by_two_averages_neighbours():
@@ -296,8 +332,7 @@ def test_prolonging_by_two_averages_neighbours():
     vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))[1]
     fine = oracle._prolong(vecs)
     assert fine.shape == (2 * n - 1, 2)
-    # the shared points keep their values: restricting back with [1::2], as the
-    # ladder's start does, gives the vectors
+    # the shared points keep their values: [1::2] gives the vectors back
     assert np.array_equal(fine[1::2], vecs)
     ends = np.vstack([np.zeros(2), vecs, np.zeros(2)])  # zero Dirichlet ends
     assert np.array_equal(fine[::2], (ends[:-1] + ends[1:]) / 2)
@@ -340,10 +375,14 @@ def test_rtol_stops_at_a_smaller_certified_grid(config, monkeypatch):
     assert est.grid_points < 20000
     assert np.all(np.array(est.error_estimate) <= 1e-6)
     assert est.eigenvectors.shape == (est.grid_points - 1, 2)
-    # no grid is solved twice, and no half grid computes eigenvectors
+    # coarsest first, no grid solved twice: the first solve is the first level's N/4
+    # run, and the last the certified grid
     sizes = [n for n, _ in calls]
-    assert len(sizes) == len(set(sizes))
-    assert (est.grid_points, True) in calls and (est.grid_points // 2, False) in calls
+    assert sizes == sorted(set(sizes))
+    assert calls[0] == (312, False) and calls[-1] == (est.grid_points, True)
+    # the half grid keeps its eigenvectors: the certified grid nests on it and starts
+    # from them
+    assert (est.grid_points // 2, True) in calls
 
 
 def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
@@ -352,8 +391,9 @@ def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
     spec = general_two_state(2, 2, 1, 1, -1).spec
     est = lowest_eigenvalues(spec, k=4, rtol=1e-9)
     assert est.grid_points == 2500
-    # 1250 and 625 are the N/2 and N/4 runs of 2500: no level is solved again
-    assert calls == [(312, False), (1250, True), (625, False), (2500, True)]
+    # coarsest first: 1250 and 625 are also the N/2 and N/4 runs of 2500, and no grid
+    # is solved again. The bisected 312 keeps no vectors, since 625 is not nested on it
+    assert calls == [(312, False), (625, True), (1250, True), (2500, True)]
     # the levels 2500 and 1250 agree with tight bisections of the same grids within eps ||T||_1
     fine = _tight_bisection(spec, 4, 2500, est.x_max)
     half = _tight_bisection(spec, 4, 1250, est.x_max)

@@ -632,7 +632,8 @@ def test_a_zero_coefficient_never_meets_an_infinite_power(cols):
         got = _power_sums(x, cols)
         scalar = [_power_sums(xi, cols) for xi in x]
         starts = _power_sums(x, cols[:1], [np.ones((3, 2))])
-    for g, w in zip(got, _column_sums(x, cols)):
+        want = _column_sums(x, cols)
+    for g, w in zip(got, want):
         assert not np.any(np.isnan(g))
         assert np.array_equal(np.broadcast_to(g, x.shape), np.broadcast_to(w, x.shape))
     assert not any(np.isnan(v) for point in scalar for v in point)

@@ -2,7 +2,7 @@
 
 Run from the root of the repository:
 
-    python3 tools/bench_trajectory.py --out BENCH_22.json
+    python3 tools/bench_trajectory.py --out BENCH_24.json
 
 The library is imported from ./src, on one thread. The config matrix is fixed:
 both families (lambda = +1 and -1 times |lambda|), m in ORDERS and each
@@ -25,7 +25,9 @@ For each config the file records:
 Once per file it records the throughput of general_two_state over the sweep
 workload's inputs (m = 1..60, both families, each L), one figure per lane
 (rational or irrational sqrt(B_2m)), and the median wall time of a fresh
-`python -m curvedqes.cli verify` process.
+`python -m curvedqes.cli verify` process. It also lists as `untraced` the
+patch points of perfbench/layers.py that the library no longer has: their
+spans are absent from layers_self_ms, as if they took no time.
 
 Every time is scaled to perfbench's reference host speed: after each call
 the script times chunks of perfbench/hostspeed.py's kernel for a tenth of the
@@ -126,6 +128,14 @@ def traced_layers(args) -> dict:
             pass
         tracer.recording = False
     return {name: st.self_s for name, st in sorted(tracer.spans.items()) if st.calls}
+
+
+def untraced() -> list:
+    """The patch points perfbench/layers.py names and the library no longer has."""
+    tracer = Tracer()
+    with tracer.installed(curvedqes):
+        pass
+    return sorted(tracer.missing)
 
 
 def factor(speed: HostSpeed) -> float:
@@ -238,6 +248,7 @@ def main(argv=None) -> int:
         },
         "startup_verify_s": startup,
         "startup_verify_s_unscaled": startup_raw,
+        "untraced": untraced(),
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     passed = sum(row["outcome"] == "pass" for row in rows)
