@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedTerm,
 )
 from .oracle import lowest_eigenvalues
-from .potentials import eval_potential
+from .potentials import MAX_ORDER, eval_potential, validate_model
 from .susy import evaluate_forms
 from .twostate import general_two_state
 from .verify import run_verification
@@ -163,6 +163,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # every input is checked before the loop, which an empty m range would skip:
+    # each (L, B_2m) by the one model rule, at m = 1, then the m range
+    for L in args.L_list:
+        for B in args.B_list:
+            validate_model(args.family, 1, L, B, args.lam)
+    if not 1 <= args.m_max <= MAX_ORDER:
+        raise InvalidOrder(f"--m-max must be in [1, {MAX_ORDER}], got {args.m_max}")
     rows = []
     for m in range(1, args.m_max + 1):
         for L in args.L_list:

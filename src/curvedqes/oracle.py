@@ -11,23 +11,26 @@ bisection/inverse iteration.  The grid is cut where the potential wall
 exceeds WALL_CUTOFF |lambda|; past that point the eigenfunctions carry
 essentially no mass, while keeping the wall out of the matrix preserves the
 eigensolver's absolute accuracy. Every check of a verification runs on
-(0, r_cut], r_cut the radius of that cut. The solver climbs a ladder of nested grids
-(halvings of the largest one), sharing solves and potential samples between
-the levels: up to the largest, or, given a tolerance, to the smallest whose
-Richardson-extrapolated values certify it. The gate reads three levels N, N/2
-and N/4: their observed order of convergence and a grid-convergence-index
+(0, r_cut], r_cut the radius of that cut. The solver climbs a ladder of levels
+(halvings of the largest grid) as one chain of grids, coarsest first, each
+the one before it doubled or doubled plus one: up to the largest level, or,
+given a tolerance, to the smallest whose Richardson-extrapolated values
+certify it. The gate reads three levels N, N/2 and N/4, the last three grids
+solved: their observed order of convergence and a grid-convergence-index
 bound on the extrapolated value (Richardson and Gaunt, Phil. Trans. A 226
 (1927) 299; Roache, J. Fluids Eng. 116 (1994) 405). At a non-integer L below
 3/2 the wavefunction's x^(L+1) at the origin adds an h^(2L+1) term, which
 each level fits through N, N/2 and N/4 instead, and the gate compares that
 fit with the one through N/2, N/4 and N/8 (Navot, J. Math. Phys. 40 (1961)
-271; Sidi, Practical Extrapolation Methods, ch. 1-2). The grids are solved
-coarsest first. The first, with nothing solved to guess from, is bisected;
-every later grid is polished by inverse iteration, shifted to the values the
-coarser grids predict and started from its half grid's eigenvectors where the
-two nest, and certified by one Sturm count and residual bounds (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4 and 10), falling back to bisection when
-the certificate fails. A warm-started pair certifies after one step.
+271; Sidi, Practical Extrapolation Methods, ch. 1-2). Each grid takes its
+start and its guess from the grids before it, and its potential samples
+from the first level or the grid before it. The first, with nothing solved
+to guess from, is bisected; every later grid is polished by inverse
+iteration, shifted to the values the grids before it predict and started
+from the previous grid's eigenvectors where it doubles that grid, and
+certified by one Sturm count and residual bounds (Parlett, The Symmetric
+Eigenvalue Problem, ch. 4 and 10), falling back to bisection when the
+certificate fails. A warm-started pair certifies after one step.
 
 Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
 QUADPACK): each refinement round evaluates the wavefunction once, as one
@@ -190,27 +193,19 @@ def default_arc_cutoff(spec: PotentialSpec) -> float:
     return cut
 
 
-def _interior_potential(spec: PotentialSpec, n: int, x_max: float, samples: dict) -> np.ndarray:
+def _interior_potential(spec: PotentialSpec, n: int, x_max: float, half=None) -> np.ndarray:
     """Potential at the n - 1 interior points h j (h = x_max / n) of an n-interval grid.
 
-    samples maps interval counts to arrays this function returned before, and
-    gains this one; a grid already there is returned as it is. A cached grid
-    one level away lends its values: x_max / (2 n) * 2 j == x_max / n * j in
-    floating point, so they equal fresh samples bit for bit. A grid twice as
-    fine holds every point at its even j; one half as fine, every other
-    point, which leaves only the odd j to evaluate.
+    half, the values of the n / 2 grid, lends every other point of an even
+    grid: x_max / (n / 2) * j == x_max / n * 2 j in floating point, so they
+    equal fresh samples bit for bit, and only the odd j are evaluated. Either
+    way the grid costs one _potential_on_arc call.
     """
-    if n in samples:
-        return samples[n]
-    if 2 * n in samples:
-        v = samples[2 * n][1::2]
-    elif n % 2 == 0 and n // 2 in samples:
-        v = np.empty(n - 1)
-        v[1::2] = samples[n // 2]
-        v[::2] = _potential_on_arc(spec, x_max / n * np.arange(1, n, 2))
-    else:
-        v = _potential_on_arc(spec, x_max / n * np.arange(1, n))
-    samples[n] = v
+    if half is None:
+        return _potential_on_arc(spec, x_max / n * np.arange(1, n))
+    v = np.empty(n - 1)
+    v[1::2] = half
+    v[::2] = _potential_on_arc(spec, x_max / n * np.arange(1, n, 2))
     return v
 
 
@@ -341,26 +336,20 @@ def _load_flapack():
     return _flapack
 
 
-def eigh_tridiagonal(d, e, eigvals_only=False, select="i", select_range=(0, 0)):
-    """scipy.linalg.eigh_tridiagonal's select="i" path, the one the oracle takes.
+def eigh_tridiagonal(d, e, k: int):
+    """The lowest k eigenvalues of tridiag(e, d, e) and their eigenvectors, one column each.
 
-    The eigenvalues il..iu (0-based, select_range) of tridiag(e, d, e) by
-    bisection (dstebz), the eigenvectors by inverse iteration (dstein) and
-    sorted as scipy sorts them: the same LAPACK calls give the same arrays,
-    bit for bit. Raises np.linalg.LinAlgError on a nonzero LAPACK info.
+    The eigenvalues by bisection (dstebz), the eigenvectors by inverse
+    iteration (dstein), sorted as scipy.linalg.eigh_tridiagonal(d, e,
+    select="i", select_range=(0, k - 1)) sorts them: the same LAPACK calls
+    give the same arrays, bit for bit. Raises np.linalg.LinAlgError on a
+    nonzero LAPACK info.
     """
-    if select != "i":
-        raise InvalidParameter(f'only select="i" is supported, got {select!r}')
-    il, iu = select_range
     lapack = _flapack()
-    m, w, iblock, isplit, info = lapack.dstebz(
-        d, e, 2, 0.0, 1.0, il + 1, iu + 1, 0.0, "E" if eigvals_only else "B"
-    )
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
     if info != 0:
         raise np.linalg.LinAlgError(f"dstebz (eigh_tridiagonal) returned info={info}")
     w = w[:m]
-    if eigvals_only:
-        return w
     v, info = lapack.dstein(d, e, w, iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstein (eigh_tridiagonal) returned info={info}")
@@ -378,19 +367,14 @@ def dstebz(*args):
     return _flapack().dstebz(*args)
 
 
-def _tridiag_lowest(
-    spec: PotentialSpec, k: int, n: int, x_max: float, vectors: bool, samples: dict,
-    guess=None, start=None,
-):
-    """Lowest k eigenvalues at n intervals, their eigenvectors or None, and the method used.
+def _tridiag_lowest(v: np.ndarray, h: float, k: int, guess=None, start=None):
+    """Lowest k eigenvalues of the grid with samples v and step h, their eigenvectors, the method.
 
-    With a guess the grid is polished (_polish, from start when given: the
-    half grid's eigenvectors, prolonged), which yields the eigenvectors
-    whether asked or not; without one, or when the polish is not certified,
-    it is bisected, with eigenvectors only if asked.
+    The matrix is tridiag(-1/h^2, 2/h^2 + v, -1/h^2). With a guess it is
+    polished (_polish, from start when given); without one, or when the
+    polish is not certified, it is bisected.
     """
-    h = x_max / n
-    v = _interior_potential(spec, n, x_max, samples)
+    n = v.size + 1
     bound = 2.0 / (h * h) + float(np.max(np.abs(v)))  # bounds every entry; NaN if one is
     if not bound < ENTRY_MAX:
         raise InvalidParameter(
@@ -403,11 +387,7 @@ def _tridiag_lowest(
         polished = _polish(diag, off, v, h, guess, start)
         if polished is not None:
             return (*polished, "inverse_iteration")
-    if vectors:
-        w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-        return w, vecs, "bisection"
-    w = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-    return w, None, "bisection"
+    return (*eigh_tridiagonal(diag, off, k), "bisection")
 
 
 def _extrapolate(w: np.ndarray, w_half: np.ndarray, n: int) -> np.ndarray:
@@ -499,25 +479,32 @@ def lowest_eigenvalues(
     Integer L, and L >= 3/2, whose term is of order 4 or more, keep
     Richardson's value.
 
-    The solver walks the levels grid_points / 2^j upwards from the smallest
-    one >= LADDER_FLOOR. Without rtol it visits every level and returns at
+    The solver walks one chain of grids, coarsest first: grid_points >> j
+    for j = J + depth down to 0, where J halvings reach the smallest level
+    >= LADDER_FLOOR and depth is 2, or 3 where the levels are fitted. Each
+    grid is the one before it doubled, or doubled plus one, and is solved
+    once. The last `depth` + 1 grids solved are a level's N, N/2, N/4 (and
+    N/8). Without rtol the solver visits every level and returns at
     N = grid_points. With rtol, grid_points is the largest grid it may use:
     it stops at the first level whose `error_estimate` is <= rtol for every
-    eigenvalue. The grids are solved coarsest first, each once: the first
-    level's coarser runs, then each level, which serves as a coarser run of
-    the levels above it. Each potential sample is evaluated once and shared
-    with the grid one level up or down, except on the default ladder's
-    312-interval grid, which is not nested with 625 = 1250 / 2.
-    The first grid, with nothing solved to guess from, is bisected. Every
-    later grid is polished (_polish) from a guess: the second-order
-    prediction E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the finest pair
-    solved so far, or the values of the one grid solved. It starts from its
-    half grid's eigenvectors, prolonged (_prolong), where the two nest, and
-    from a ramp where they do not (625 halves to 312, 4001 to 2000). A grid
-    whose polish is not certified is bisected instead. A bisected grid
-    computes eigenvectors only when it is a level, which may be returned, or
-    the next grid, twice as fine, starts from them; `method` records how the
-    returned level was solved.
+    eigenvalue. Each grid takes what it needs from the grids before it:
+    * its potential samples (_interior_potential): the first level is
+      sampled first, a coarser grid nested in it takes every stride-th of
+      its samples, a grid twice the one before it evaluates only its new
+      points, and any other grid is sampled afresh. One _potential_on_arc
+      call costs O(m) array passes whatever its size, so the ladder saves
+      calls, not points: one for the first level and the coarser grids it
+      nests, then at most one per grid;
+    * its start: the eigenvectors of the grid before it, prolonged
+      (_prolong), where it is that grid doubled, and a ramp where it is not
+      (625 after 312, 4001 after 2000);
+    * its guess: the second-order prediction
+      E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the last two grids
+      solved, or the values of the one grid solved.
+    The first grid, with nothing solved to guess from, is bisected; every
+    later grid is polished (_polish) and bisected only where the polish is
+    not certified. Every grid returns its eigenvectors; `method` records how
+    the returned level was solved.
 
     Raises GridTooCoarse when rtol is given and an estimate still exceeds it
     at grid_points; warns with TruncationWarning when an eigenvector keeps
@@ -529,48 +516,42 @@ def lowest_eigenvalues(
         raise InvalidParameter("grid_points must be >= 200")
     if rtol is not None and not (math.isfinite(rtol) and rtol > 0):
         raise InvalidParameter(f"rtol must be a finite number > 0, got {rtol}")
-    # ascending levels: grid_points / 2^j down to the smallest >= LADDER_FLOOR
-    levels = [grid_points]
-    while levels[0] // 2 >= LADDER_FLOOR:
-        levels.insert(0, levels[0] // 2)
     L = float(spec.L)
     # u ~ x^(L+1) at the origin: E(h) carries an h^(2L+1) term, fitted below order 4
     p = 2.0 * L + 1.0 if L < 1.5 and not L.is_integer() else None
     depth = 2 if p is None else 3  # the coarser runs of a level: N/2 and N/4, or to N/8
-    coarsest = levels[0] >> depth
-    if k >= coarsest:
+    # J, the first level's halvings: the largest j with grid_points >> j >= LADDER_FLOOR, or 0
+    J = max(0, (grid_points // LADDER_FLOOR).bit_length() - 1)
+    grids = [grid_points >> j for j in range(J + depth, -1, -1)]
+    if k >= grids[0]:
         raise InvalidParameter(
-            f"k must be < {coarsest}, the coarsest grid's intervals at grid_points={grid_points}"
+            f"k must be < {grids[0]}, the coarsest grid's intervals at grid_points={grid_points}"
         )
     x_cut = float(x_max) if x_max is not None else default_arc_cutoff(spec)
-    samples: dict = {}
-    solved: dict = {}
-
-    def guess(n):
-        """E(n) predicted from the finest pair solved (N, N/2), else the one grid solved."""
-        if len(solved) < 2:
-            return solved[max(solved)][0] if solved else None
-        m = max(solved)
-        w, w_half = solved[m][0], solved[m // 2][0]
-        # second order: E(n) = E* - (E(N) - E(N/2)) / 3 (N/n)^2
-        return w + (w - w_half) / 3.0 * (1.0 - (m / n) ** 2)
-
-    # the first level's coarser grids, coarsest first, then every level: each grid
-    # is solved once, in this order, and halves to the grid before it
-    grids = [levels[0] >> j for j in range(depth, 0, -1)] + levels
-    # sample the first level so that its N/2 grid strides the samples
-    _interior_potential(spec, levels[0], x_cut, samples)
-    for n in grids:
-        # the half grid's eigenvectors start the polish where the grids nest
-        start = _prolong(solved[n // 2][1]) if n % 2 == 0 and n // 2 in solved else None
-        # a level may be returned, and a grid twice as fine starts from these vectors
-        vectors = n in levels or 2 * n in grids
-        solved[n] = _tridiag_lowest(spec, k, n, x_cut, vectors, samples, guess(n), start)
-        if n not in levels:
+    first = grids[depth]
+    top = _interior_potential(spec, first, x_cut)
+    solved = []  # (eigenvalues, eigenvectors, method) of each grid, in chain order
+    for i, n in enumerate(grids):
+        doubled = i > 0 and n == 2 * grids[i - 1]
+        if first % n == 0:
+            # the first level, or a grid it nests: first = stride n, stride a power of 2,
+            # and x_max / first * stride j == x_max / n * j bit for bit
+            stride = first // n
+            v = top[stride - 1::stride]
+        else:
+            v = _interior_potential(spec, n, x_cut, v if doubled else None)
+        if len(solved) > 1:
+            # second order: E(n) = E* - (E(N) - E(N/2)) / 3 (N/n)^2 from the last two grids
+            w_last, w_half = solved[-1][0], solved[-2][0]
+            guess = w_last + (w_last - w_half) / 3.0 * (1.0 - (grids[i - 1] / n) ** 2)
+        else:
+            guess = solved[-1][0] if solved else None
+        start = _prolong(solved[-1][1]) if doubled else None
+        solved.append(_tridiag_lowest(v, x_cut / n, k, guess, start))
+        if i < depth:
             continue
-        w_fine, vecs, method = solved[n]
         ns = [n >> j for j in range(depth + 1)]
-        w = [solved[c][0] for c in ns]
+        w = [solved[i - j][0] for j in range(depth + 1)]
         if p is None:
             extrapolated = _extrapolate(w[0], w[1], n)
             previous = _extrapolate(w[1], w[2], ns[1])
@@ -585,6 +566,7 @@ def lowest_eigenvalues(
                 f"relative error estimate {error.max():.3e} of the extrapolated eigenvalues "
                 f"exceeds rtol={rtol:.3e}"
             )
+    w_fine, vecs, method = solved[-1]
     if x_cut < Deformation(float(spec.lam)).arc_max * (1.0 - 1e-12):  # the cut leaves domain out
         edge = max(3, n // 100)
         for i in range(vecs.shape[1]):

@@ -51,6 +51,28 @@ def test_family_outside_one_and_two_exits_with_one_line(capsys, command):
     assert err == "InvalidParameter: the QES construction needs family 1 or 2, got 3\n"
 
 
+# sweep checks its inputs before its loop: an empty m range no longer skips them
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (["--family", "1", "--lambda", "nan", "--m-max", "0"],
+         "InvalidParameter: lambda must be finite as a float, got nan"),
+        (["--family", "0", "--lambda", "1", "--m-max", "0"],
+         "InvalidParameter: the QES construction needs family 1 or 2, got 0"),
+        (["--family", "1", "--lambda", "1", "--L-list", "0,-1", "--m-max", "0"],
+         "InvalidParameter: L = -1 must be >= 0"),
+        (["--family", "1", "--lambda", "1", "--m-max", "-3"],
+         "InvalidOrder: --m-max must be in [1, 60], got -3"),
+        (["--family", "1", "--lambda", "1", "--m-max", "61"],
+         "InvalidOrder: --m-max must be in [1, 60], got 61"),
+    ],
+    ids=["nan_lambda", "family_0", "negative_L", "negative_m_max", "m_max_past_60"],
+)
+def test_sweep_checks_every_input_before_its_loop(capsys, args, err):
+    code, out, got = run_cli(["sweep", *args], capsys)
+    assert (code, out, got) == (2, "", err + "\n")
+
+
 def test_solve_json_output(capsys):
     code, out, _ = run_cli(
         ["solve", "--family", "1", "--m", "1", "--L", "1", "--lambda", "1", "--B", "1",

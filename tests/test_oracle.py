@@ -104,13 +104,15 @@ SPECS = {
 def test_refined_and_halved_potentials_equal_fresh_samples(name):
     spec = SPECS[name]
     x_max = oracle.default_arc_cutoff(spec)
-    samples = {}
-    oracle._interior_potential(spec, 1250, x_max, samples)
-    # refined by one level; sampled afresh two levels up, where no grid one level
-    # below is cached; then halved from the grid twice as fine
-    for n in (2500, 10000, 5000, 625):
-        v = oracle._interior_potential(spec, n, x_max, samples)
-        assert np.array_equal(v, _fresh_potential(spec, n, x_max))
+    top = oracle._interior_potential(spec, 1250, x_max)
+    # refined by one level from the grid half as fine
+    refined = oracle._interior_potential(spec, 2500, x_max, top)
+    assert np.array_equal(refined, _fresh_potential(spec, 2500, x_max))
+    # sampled afresh, then strided from a grid 2, 4 or 8 times as fine
+    finest = oracle._interior_potential(spec, 10000, x_max)
+    for v, n, stride in ((finest, 10000, 1), (top, 625, 2), (finest, 5000, 2), (finest, 2500, 4),
+                         (finest, 1250, 8)):
+        assert np.array_equal(v[stride - 1::stride], _fresh_potential(spec, n, x_max))
 
 
 EPS = np.finfo(float).eps
@@ -182,7 +184,7 @@ def test_polish_matches_tight_bisection(name):
     x_max = oracle.default_arc_cutoff(spec)
     diag, off = _matrix(spec, n // 2, x_max)
     guess = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-    w, vecs, method = oracle._tridiag_lowest(spec, k, n, x_max, True, {}, guess)
+    w, vecs, method = oracle._tridiag_lowest(_fresh_potential(spec, n, x_max), x_max / n, k, guess)
     assert method == "inverse_iteration"
     diag, off = _matrix(spec, n, x_max)
     ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True,
@@ -213,7 +215,7 @@ def test_polish_falls_back_to_bisection(pick):
         "far_from_E1": [e[0], e[1] + (e[2] - e[1]) / 10],
     }[pick]
     assert oracle._polish(diag, off, _fresh_potential(spec, n, x_max), x_max / n, guess) is None
-    w, vecs, method = oracle._tridiag_lowest(spec, 2, n, x_max, True, {}, guess)
+    w, vecs, method = oracle._tridiag_lowest(_fresh_potential(spec, n, x_max), x_max / n, 2, guess)
     ref_w, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
     assert method == "bisection"
     assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
@@ -230,9 +232,9 @@ def test_ladder_bisects_only_its_coarsest_grid(config, coarsest, monkeypatch):
     rows = []
     original = oracle.eigh_tridiagonal
 
-    def counted(d, e, **kwargs):
+    def counted(d, e, k):
         rows.append(d.size)
-        return original(d, e, **kwargs)
+        return original(d, e, k)
 
     monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
     # with or without rtol: the ladder is the only solve path, and its first solve, the
@@ -268,10 +270,9 @@ def test_ladder_warm_starts_every_level_after_the_first(config, rtol, monkeypatc
             vectors[diag.size + 1] = out[1]
         return out
 
-    def recorded_bisection(d, e, **kwargs):
-        out = bisect(d, e, **kwargs)
-        if not kwargs.get("eigvals_only"):
-            vectors[d.size + 1] = out[1]
+    def recorded_bisection(d, e, k):
+        out = bisect(d, e, k)
+        vectors[d.size + 1] = out[1]
         return out
 
     monkeypatch.setattr(oracle, "dgtsv", counted)
@@ -356,13 +357,42 @@ def test_ladder_evaluates_each_potential_sample_once(config, monkeypatch):
     assert sum(points) == est.grid_points - 1 + 311
 
 
+# A _potential_on_arc call costs O(m) array passes whatever its size, so the ladder
+# counts calls: one for the first level and the coarser grids it nests (625 in 1250;
+# 500 and 250 in 1000), then one for each other grid. A grid twice the one before it
+# evaluates only its new points (2500, and 312 after 156 where L = 1/2 fits)
+@pytest.mark.parametrize(
+    "config, grid_points, sizes",
+    [
+        ((1, 4, 0, 1, 1), 20000, [1249, 311, 1250, 2500, 5000, 10000]),
+        ((1, 4, Fraction(1, 2), 1, 1), 20000, [1249, 155, 156, 1250, 2500, 5000, 10000]),
+        ((1, 4, 0, 1, 1), 4001, [999, 1000, 4000]),
+    ],
+    ids=["default", "fitted", "odd"],
+)
+def test_ladder_samples_each_grid_in_at_most_one_call(config, grid_points, sizes, monkeypatch):
+    spec = general_two_state(*config).spec
+    x_max = oracle.default_arc_cutoff(spec)
+    points = []
+    original = oracle._potential_on_arc
+
+    def counted(spec, x):
+        points.append(x.size)
+        return original(spec, x)
+
+    monkeypatch.setattr(oracle, "_potential_on_arc", counted)
+    lowest_eigenvalues(spec, k=2, grid_points=grid_points, x_max=x_max)
+    assert points == sizes
+
+
 def _count_solves(monkeypatch):
     calls = []
     original = oracle._tridiag_lowest
 
-    def counted(*args, **kwargs):
-        calls.append((args[2], args[4]))  # (n, vectors)
-        return original(*args, **kwargs)
+    def counted(v, h, k, *args):
+        out = original(v, h, k, *args)
+        calls.append((v.size + 1, out[1].shape == (v.size, k)))  # (n, returned its vectors)
+        return out
 
     monkeypatch.setattr(oracle, "_tridiag_lowest", counted)
     return calls
@@ -379,9 +409,10 @@ def test_rtol_stops_at_a_smaller_certified_grid(config, monkeypatch):
     # run, and the last the certified grid
     sizes = [n for n, _ in calls]
     assert sizes == sorted(set(sizes))
-    assert calls[0] == (312, False) and calls[-1] == (est.grid_points, True)
-    # the half grid keeps its eigenvectors: the certified grid nests on it and starts
-    # from them
+    assert calls[0][0] == 312 and calls[-1][0] == est.grid_points
+    # every solve returns its eigenvectors: the certified grid nests on its half grid
+    # and starts from them
+    assert all(returned for _, returned in calls)
     assert (est.grid_points // 2, True) in calls
 
 
@@ -392,8 +423,8 @@ def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
     est = lowest_eigenvalues(spec, k=4, rtol=1e-9)
     assert est.grid_points == 2500
     # coarsest first: 1250 and 625 are also the N/2 and N/4 runs of 2500, and no grid
-    # is solved again. The bisected 312 keeps no vectors, since 625 is not nested on it
-    assert calls == [(312, False), (625, True), (1250, True), (2500, True)]
+    # is solved again. Every solve, the bisected 312 too, returns its vectors
+    assert calls == [(312, True), (625, True), (1250, True), (2500, True)]
     # the levels 2500 and 1250 agree with tight bisections of the same grids within eps ||T||_1
     fine = _tight_bisection(spec, 4, 2500, est.x_max)
     half = _tight_bisection(spec, 4, 1250, est.x_max)
@@ -772,10 +803,9 @@ def test_undefined_order_takes_the_plain_gate(monkeypatch):
     w = np.array(lowest_eigenvalues(spec, k=2, grid_points=1250).eigenvalues)
     original = oracle._tridiag_lowest
 
-    def flipped(spec, k, n, *args, **kwargs):
-        if n == 312:
-            return w, None, "bisection"
-        return original(spec, k, n, *args, **kwargs)
+    def flipped(v, h, k, *args):
+        out = original(v, h, k, *args)
+        return (w, *out[1:]) if v.size + 1 == 312 else out
 
     monkeypatch.setattr(oracle, "_tridiag_lowest", flipped)
     est = lowest_eigenvalues(spec, k=2, grid_points=1250)
@@ -862,11 +892,11 @@ def test_eigh_tridiagonal_matches_scipy_bit_for_bit(name, k, n):
     spec = SPECS[name]
     diag, off = _matrix(spec, n, oracle.default_arc_cutoff(spec))
     select = {"select": "i", "select_range": (0, k - 1)}
-    w, vecs = oracle.eigh_tridiagonal(diag, off, **select)
+    w, vecs = oracle.eigh_tridiagonal(diag, off, k)
     ref_w, ref_vecs = eigh_tridiagonal(diag, off, **select)
     assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
-    only = oracle.eigh_tridiagonal(diag, off, eigvals_only=True, **select)
-    assert np.array_equal(only, eigh_tridiagonal(diag, off, eigvals_only=True, **select))
+    # the values equal SciPy's eigenvalues-only path too
+    assert np.array_equal(w, eigh_tridiagonal(diag, off, eigvals_only=True, **select))
 
 
 SYNTHETIC = [

@@ -67,7 +67,7 @@ N = 2500
 def _matrix(n):
     """Diagonal, off-diagonal, potential and step of SPEC's n-interval matrix."""
     h = X_MAX / n
-    v = oracle._interior_potential(SPEC, n, X_MAX, {})
+    v = oracle._interior_potential(SPEC, n, X_MAX)
     return 2.0 / (h * h) + v, np.full(n - 2, -1.0 / (h * h)), v, h
 
 
@@ -82,7 +82,7 @@ def _polish_certifies_or_falls_back(k, start, guess=None):
     diag, off, v, h = _matrix(N)
     polished = oracle._polish(diag, off, v, h, guess, start)
     if polished is None:
-        w, vecs, method = oracle._tridiag_lowest(SPEC, k, N, X_MAX, True, {}, guess, start=start)
+        w, vecs, method = oracle._tridiag_lowest(v, h, k, guess, start=start)
         ref_w, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
         assert method == "bisection"
         assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
