@@ -20,7 +20,8 @@ class SignMismatch(ValueError):
 
 class InvalidParameter(ValueError):
     """Family not 1 or 2, a non-finite model coefficient, L < 0, B_2m <= 0, a bad setting,
-    or a model past what the float checks and the oracle's eigensolver resolve."""
+    a model past what the float checks and the oracle's eigensolver resolve, or a
+    dimension d < 2 or angular momentum l < 0 given to reduce_radial."""
 
 
 class InvalidOrder(ValueError):

@@ -11,12 +11,14 @@ discretizes.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateCurvature, DomainError
+from .errors import DegenerateCurvature, DomainError, InvalidParameter
 from .exactmath import exact_div
 
 
@@ -93,15 +95,16 @@ def radius_from_arc(deformation: Deformation, x):
 def reduce_radial(d: int, l: int, lam, curved_energy):
     """Return (L, E): effective angular momentum and reduced energy.
 
-    L = l + (d-3)/2 and E = curved_energy - lambda*(d-1)^2/4.  A warning is
-    emitted when L < 0 (d=2, l=0): downstream solvers require L >= 0.
+    L = l + (d-3)/2, an int at odd d and the exact Fraction at even d, and
+    E = curved_energy - lambda*(d-1)^2/4. Raises InvalidParameter unless d and l
+    are integers with d >= 2 and l >= 0. A warning is emitted when L < 0
+    (d=2, l=0): downstream solvers require L >= 0.
     """
-    if d < 2:
-        raise ValueError("space dimension d must be >= 2")
-    if l < 0:
-        raise ValueError("angular momentum l must be >= 0")
+    for name, value, low in (("space dimension d", d, 2), ("angular momentum l", l, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
     num = 2 * l + d - 3
-    L = num // 2 if num % 2 == 0 else num / 2
+    L = num // 2 if num % 2 == 0 else Fraction(num, 2)
     E = curved_energy - exact_div(lam * (d - 1) ** 2, 4)
     if L < 0:
         warnings.warn(

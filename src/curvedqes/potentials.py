@@ -10,7 +10,9 @@ polynomial in f^2 (family 1, lambda > 0) or in 1/f^2 (family 2, lambda < 0),
 with k = 1..2m.  For lambda < 0 the minus sign in front of the family-2 sum
 makes the tail coefficients enter as +|lambda|*B_k/f^(2k+2).  Coefficients are
 kept as ints/Fractions whenever the inputs allow, so the constrained cases can
-be checked by exact arithmetic.
+be checked by exact arithmetic.  The constraints make a reduced tail three runs
+of equal coefficients (m - 1, 1 and m long) and its partner's two, and
+eval_potential sums each run of LONG_RUN or more in one closed-form step.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import reprlib
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import groupby
+
 import numpy as np
 
 from .errors import DegenerateCurvature, InvalidOrder, InvalidParameter, SignMismatch
@@ -30,6 +34,11 @@ from .geometry import Deformation, _check_radius
 MAX_ORDER = 60  # binomial growth bound for the prefactor expansion
 # longest potential tail summed one `**` per term (m <= 2): the golden figures pin it
 SHORT_TAIL = 4
+# shortest run of equal tail coefficients summed in one closed-form step: Horner's rule costs
+# 2 array passes a term, a step ~17 (exp, expm1 ~5 each), a call ~12: two runs pay from 4n > 46
+LONG_RUN = 12
+# |f^2 - 1| floor of the closed form: below it f^2 rounds to 1 and a run sums to n c
+_RUN_FLOOR = 1e-150
 
 
 class Family(IntEnum):
@@ -110,37 +119,100 @@ class PotentialSpec:
         return (float(self.lam), float(self.L), float(self.A), float(self.shift),
                 tuple(float(b) for b in self.B))
 
+    @cached_property
+    def _runs(self):
+        """The float tail as runs (c, n) of equal coefficients, highest power of f^2 first,
+        once per spec for eval_potential; None where no run is LONG_RUN long."""
+        B = self._floats[4]
+        coeffs = B[::-1] if self.family is Family.FAMILY1 else B
+        runs = tuple((c, len(tuple(run))) for c, run in groupby(coeffs))
+        return runs if any(n >= LONG_RUN for _, n in runs) else None
+
 
 def eval_potential(spec: PotentialSpec, r):
     """Evaluate the potential at radius r (scalar or array).
 
     A tail of more than SHORT_TAIL terms (m > 2) is summed by Horner's rule in
-    f^2, one multiply and one add per term: lam f^2 sum_k B_k f^(2k-2) in
-    family 1, and lam f^(-4m-2) sum_k B_k f^(4m-2k) in family 2. There
-    f^2 <= 1, so the sum stays bounded and only the one power f^(4m+2) left
-    can underflow, where V is inf at the wall. A shorter tail (m <= 2 and its
-    partner) keeps one `**` per term: the golden figures hold its values byte
-    for byte, and Horner's rule rounds differently.
+    f^2: lam f^2 sum_k B_k f^(2k-2) in family 1, and
+    lam f^(-4m-2) sum_k B_k f^(4m-2k) in family 2. There f^2 <= 1, so the sum
+    stays bounded and only the one power f^(4m+2) left can underflow, where V
+    is inf at the wall. A run of LONG_RUN or more equal coefficients (from
+    m = 12 in a reduced spec, m = 11 in a family-2 partner) is one
+    closed-form step (_run_sum). Every other coefficient is one multiply and
+    one add, and a tail with no such run keeps that loop and its bits. A
+    shorter tail (m <= 2 and its partner) keeps one `**` per term: the golden
+    figures hold its values byte for byte, and Horner's rule rounds
+    differently. Only the spec's coefficients enter, however they are summed.
     """
     lam, L, A, shift, B = spec._floats
     arr = _check_radius(Deformation(lam), r)
-    f2 = 1.0 + lam * arr * arr
+    t = lam * arr * arr
+    f2 = 1.0 + t
     v = L * (L + 1.0) / (arr * arr) + lam * A - lam * A / f2 + shift
     fam1 = spec.family is Family.FAMILY1
     if len(B) <= SHORT_TAIL:
         for k, Bk in enumerate(B, start=1):
             v = v + lam * Bk * f2 ** k if fam1 else v - lam * Bk / f2 ** (k + 1)
     else:
-        coeffs = B[::-1] if fam1 else B  # highest power of f^2 first
-        h = coeffs[0] * f2 + coeffs[1]
-        for c in coeffs[2:]:
-            h *= f2
-            h += c
-        if fam1:
-            v += lam * f2 * h
+        runs = spec._runs
+        if runs is not None:
+            tail = _run_sum(runs, t, f2, fam1, len(B))
+            v += lam * tail if fam1 else -lam * tail
         else:
-            v -= lam * h / f2 ** (len(B) + 1)
+            coeffs = B[::-1] if fam1 else B  # highest power of f^2 first
+            h = coeffs[0] * f2 + coeffs[1]
+            for c in coeffs[2:]:
+                h *= f2
+                h += c
+            if fam1:
+                v += lam * f2 * h
+            else:
+                v -= lam * h / f2 ** (len(B) + 1)
     return float(v) if np.isscalar(r) or v.ndim == 0 else v
+
+
+def _run_sum(runs, t, f2, fam1, terms):
+    """The tail's sum_k B_k f^(2k) (family 1) or sum_k B_k f^(-2k-2) (family 2), k = 1..terms,
+    by Horner's rule in f^2 = 1 + t over its runs (c, n), highest power first, with each
+    run of LONG_RUN or more in one step h -> h f2^n + c (f2^n - 1)/t, where
+    f2^n = exp(n log1p(t)) and f2^n - 1 = expm1(n log1p(t)) keep their digits at small t.
+
+    Family 1 (f2 >= 1) takes the step as (h + c G)/E, with E = f2^-n and
+    G = (1 - E)/t in (0, n]: where f2^n overflows E underflows, and h is inf as
+    in Horner's rule, never inf - inf. Family 2 (f2 < 1) takes it as h E + c G,
+    with E = f2^n and G = (E - 1)/t, both in (0, n], so h stays bounded and only
+    its last factor f2^-(terms+1) overflows, to inf past the wall with one
+    warning. E is exp, not expm1 + 1, which would lose its digits where it is
+    small. t is held off 0 by _RUN_FLOOR.
+    """
+    # in family 2 lam r^2 can round to -1 or below at the last radii of the domain
+    u = np.maximum(t, _RUN_FLOOR) if fam1 else np.maximum(np.minimum(t, -_RUN_FLOOR), -1.0)
+    g = np.log1p(u)
+    q = (-1.0 if fam1 else 1.0) / u
+    h = np.zeros_like(f2)
+    for c, n in runs:
+        if n < LONG_RUN:
+            for _ in range(n):
+                h *= f2
+                h += c
+            continue
+        z = (-n if fam1 else n) * g
+        E = np.exp(z)
+        G = np.expm1(z)
+        G *= q
+        G *= c
+        if fam1:
+            G += h
+            G /= E
+        else:
+            h *= E
+            G += h
+        h = G
+    if fam1:
+        h *= f2
+    else:
+        h *= f2 ** -(terms + 1)
+    return h
 
 
 def reduced_spec(family: int, m: int, L: Scalar, B2m: Scalar, lam: Scalar) -> PotentialSpec:

@@ -20,13 +20,15 @@ wavefunction_from_superpotential integrates the ground state
 f^(-1/2) exp(-int W/f dr) of any W in the basis term by term; the two states
 of a family member are read off its generating pair in twostate. Every series
 is summed with running powers, lowest power first, not with one `**` per term,
-and one pass gives a superpotential's W, W' and term magnitude (_sums); the
-excited state's prefactor past degree 2 is evaluated as the two terms it
-expands instead (WavefunctionForm). Forms that share a series are evaluated
+in place after its first term (_power_sums), and one pass gives a
+superpotential's W, W' and term magnitude (_sums); the excited state's
+prefactor past degree 2 is evaluated as the two terms it expands instead
+(WavefunctionForm). Forms that share a series are evaluated
 together: evaluate_forms sums a solution's psi0 and psi1 series once per grid,
 on the forms' starts stacked as rows, each form's values bit for bit its own,
 and WavefunctionForm.value and derivatives are its one-form case (_pieces).
-potentials.eval_potential sums a tail past m = 2 by Horner's rule and keeps one
+potentials.eval_potential sums a tail past m = 2 by Horner's rule, each run of
+LONG_RUN or more equal coefficients in one closed-form step, and keeps one
 `**` per term below, where the golden figures pin its bytes.
 """
 
@@ -55,15 +57,25 @@ def _power_sums(x, cols, acc=None, power=1.0):
     x and x*x are exactly numpy's x**1 and x**2, so a series up to x**2 rounds as
     its `c * x**i` terms did; Horner's rule would reorder the additions. A start
     may stack several forms' starts as rows, (forms, len(x)): each row gets the
-    terms one start would, in the same order.
+    terms one start would, in the same order. After a sum's first term, and the
+    power's from degree 2 on, the sums run in place in arrays of their own, with
+    the same bits: the caller's power and starts are never written.
     """
     acc = [0.0] * len(cols) if acc is None else list(acc)
+    owned = [False] * len(cols)
     for i, row in enumerate(zip(*cols, strict=True)):
-        if i:
+        if i > 1:
+            power *= x
+        elif i:
             power = power * x
         for k, c in enumerate(row):
-            if c:
+            if not c:
+                continue
+            if owned[k]:
+                acc[k] += c * power
+            else:
                 acc[k] = acc[k] + c * power
+                owned[k] = True
     return acc
 
 

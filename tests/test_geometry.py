@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from curvedqes import (
     DegenerateCurvature,
     Deformation,
     DomainError,
+    InvalidParameter,
     arc_coordinate,
     deformation_factor,
     radius_from_arc,
@@ -112,10 +114,40 @@ def test_reduce_radial_validation():
         reduce_radial(3, -1, 1, 0)
 
 
+@pytest.mark.parametrize("d, l", [(1, 0), (0, 2), (-3, 1), (3, -1), (2, -5), (4.0, 0), (3, 0.5), (True, 1)])
+def test_reduce_radial_rejects_bad_d_and_l_typed(d, l):
+    # InvalidParameter subclasses ValueError, so callers that catch ValueError still work
+    with pytest.raises(InvalidParameter):
+        reduce_radial(d, l, 1, 0)
+
+
+@pytest.mark.parametrize("d, l, L", [(2, 1, Fraction(1, 2)), (4, 0, Fraction(1, 2)), (4, 3, Fraction(7, 2)),
+                                     (6, 2, Fraction(7, 2)), (3, 2, 2), (5, 0, 1)])
+def test_reduce_radial_L_is_exact(d, l, L):
+    # even d gives a half-integer L as a Fraction, next to the exact E; odd d an int
+    got, E = reduce_radial(d, l, 1, 0)
+    assert got == L and type(got) is type(L)
+    assert E == Fraction(-(d - 1) ** 2, 4)
+
+
+def test_reduce_radial_exact_L_feeds_the_exact_lane():
+    # d = 4, l = 0: L = 1/2 stays exact, so the closed-form energies stay Fractions
+    from curvedqes import general_two_state
+
+    L, E = reduce_radial(4, 0, 1, 0)
+    assert (L, E) == (Fraction(1, 2), Fraction(-9, 4))
+    sol = general_two_state(1, 2, L, 4, 1)
+    assert isinstance(sol.E0, Fraction) and isinstance(sol.E1, Fraction)
+
+
+def test_reduce_radial_negative_L_is_exact_and_warns():
+    with pytest.warns(UserWarning, match="L=-1/2"):
+        L, _ = reduce_radial(2, 0, 1, 0)
+    assert L == Fraction(-1, 2) and isinstance(L, Fraction)
+
+
 def test_reduction_feeds_solver():
     # d=5, l=1 gives L=2; the reduced energy matches the solver's ground level
-    from fractions import Fraction
-
     from curvedqes import general_two_state
 
     L, E = reduce_radial(5, 1, 1, curved_energy=Fraction(-39, 2))

@@ -1,7 +1,9 @@
+import itertools
 import json
 import warnings
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,11 +18,14 @@ from curvedqes import (
     oscillator_from_beta,
     partner_shift,
     reduced_spec,
+    spec_from_dict,
     spec_from_json,
     spec_to_dict,
     spec_to_json,
 )
+from curvedqes import potentials
 from curvedqes.cli import FIGURE_GRID_POINTS
+from curvedqes.potentials import LONG_RUN
 
 
 def test_base_oscillator_value():
@@ -198,3 +203,139 @@ def test_family2_high_order_wall_warns_at_most_once():
             v = eval_potential(spec, r)
         assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) <= 1
         assert not np.any(np.isnan(v))
+
+
+def _spec_with_runs(family, lam, lengths, seed, L=1.0):
+    """A spec built through spec_from_dict whose tail is runs of the given lengths, with
+    mixed signs and magnitudes; the last coefficient, B_2m, is positive."""
+    rng = np.random.default_rng(seed)
+    B = []
+    for n in lengths:
+        B += [float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 2))] * n
+    B[-lengths[-1]:] = [abs(B[-1])] * lengths[-1]
+    return spec_from_dict({"family": family, "m": len(B) // 2, "L": L, "lambda": lam,
+                           "A": float(rng.uniform(-5, 5)), "B": B, "shift": 0.5})
+
+
+# run lengths of B_1..B_2m; the last run is B_2m, the highest power of f^2 or of 1/f^2
+RUN_PATTERNS = [
+    (LONG_RUN - 1, 1, LONG_RUN),
+    (LONG_RUN, LONG_RUN),
+    (1, LONG_RUN - 1, LONG_RUN, 2),
+    (2 * LONG_RUN,),
+    (4, LONG_RUN + 1, 1, 1, LONG_RUN - 1),
+    (1, 1, 29, 1, 30, 1, 1, 56),
+    (59, 1, 60),
+    (119, 1),
+    (1, 119),
+    (120,),
+]
+
+
+def _mp_terms(spec, r):
+    """The potential's terms at r, in 50-digit arithmetic from the spec's float coefficients."""
+    lam, L, A, shift = (mpmath.mpf(float(x)) for x in (spec.lam, spec.L, spec.A, spec.shift))
+    r = mpmath.mpf(float(r))
+    f2 = 1 + lam * r * r
+    terms = [L * (L + 1) / (r * r), lam * A, -lam * A / f2, shift]
+    for k, b in enumerate(spec.B, start=1):
+        b = mpmath.mpf(float(b))
+        terms.append(lam * b * f2**k if spec.family is Family.FAMILY1 else -lam * b / f2 ** (k + 1))
+    return terms
+
+
+@pytest.mark.parametrize("pattern", RUN_PATTERNS, ids=lambda p: "-".join(map(str, p)))
+@pytest.mark.parametrize("family, lam", [(1, 1.0), (1, 2.5), (2, -1.0), (2, -0.4)])
+def test_run_sums_match_a_50_digit_sum(family, lam, pattern):
+    # each value within 1e-13 of the sum of its terms' absolute values
+    spec = _spec_with_runs(family, lam, pattern, seed=len(pattern) + sum(pattern))
+    top = 3.0 if family == 1 else 0.9
+    r = np.geomspace(1e-3, top, 40) / np.sqrt(abs(lam))
+    v = eval_potential(spec, r)
+    with mpmath.workdps(50):
+        for x, got in zip(r, v):
+            terms = _mp_terms(spec, x)
+            err = abs(mpmath.mpf(got) - mpmath.fsum(terms))
+            assert err <= 1e-13 * mpmath.fsum(abs(t) for t in terms), (x, got)
+
+
+@pytest.mark.parametrize("family, lam", [(1, 1.0), (2, -1.0), (1, 1e-200), (2, -1e-200)])
+def test_run_sums_hold_where_f2_rounds_to_one(family, lam):
+    # lam r^2 down to 1e-300, and past the double range at |lam| = 1e-200: a run sums to n c
+    spec = _spec_with_runs(family, lam, (LONG_RUN, 2, LONG_RUN), seed=3, L=0.0)
+    r = np.geomspace(1e-150, 1e-2, 41)
+    v = eval_potential(spec, r)
+    with mpmath.workdps(50):
+        for x, got in zip(r, v):
+            terms = _mp_terms(spec, x)
+            err = abs(mpmath.mpf(got) - mpmath.fsum(terms))
+            assert err <= 1e-13 * mpmath.fsum(abs(t) for t in terms), (x, got)
+
+
+@pytest.mark.parametrize("pattern", RUN_PATTERNS, ids=lambda p: "-".join(map(str, p)))
+def test_family2_runs_are_inf_past_the_wall_never_nan(pattern):
+    # f^(4m+2) underflows near the wall: V is +inf there, with at most one warning
+    spec = _spec_with_runs(2, -1.0, pattern, seed=sum(pattern))
+    r = 1.0 - np.geomspace(0.5, 1e-15, 400)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(
+        divide="warn", over="warn", invalid="warn", under="ignore"
+    ):
+        warnings.simplefilter("always")
+        v = eval_potential(spec, r)
+    assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) <= 1
+    assert not np.any(np.isnan(v))
+    assert np.isposinf(v[-1])
+
+
+def test_run_sums_are_not_nan_where_lam_r2_rounds_past_the_domain_end():
+    # at the last radius below 1/sqrt(-lam), lam r^2 rounds to -1 - 2^-52 for this lam
+    lam = -84.6067685083648
+    r = np.nextafter(1.0 / np.sqrt(-lam), 0.0)
+    assert lam * r * r < -1.0
+    spec = _spec_with_runs(2, lam, (LONG_RUN, LONG_RUN), seed=5)
+    with np.errstate(all="ignore"):
+        assert not np.isnan(eval_potential(spec, r))
+
+
+def _horner(spec, r):
+    """The potential with its tail summed one multiply and one add per term, highest power first."""
+    lam, L, A = float(spec.lam), float(spec.L), float(spec.A)
+    f2 = 1.0 + lam * r * r
+    v = L * (L + 1.0) / (r * r) + lam * A - lam * A / f2 + float(spec.shift)
+    B = [float(b) for b in spec.B]
+    fam1 = spec.family is Family.FAMILY1
+    coeffs = B[::-1] if fam1 else B
+    h = coeffs[0] * f2 + coeffs[1]
+    for c in coeffs[2:]:
+        h *= f2
+        h += c
+    return v + lam * f2 * h if fam1 else v - lam * h / f2 ** (len(B) + 1)
+
+
+@pytest.mark.parametrize("family", [1, 2])
+def test_tails_without_a_long_run_keep_horners_bits(family):
+    lam = 1.0 if family == 1 else -1.0
+    r = np.geomspace(1e-3, 4.0 if family == 1 else 0.999, 500)
+    specs = [reduced_spec(family, m, L, B2m, lam) for m in (3, 4, 8, 10)
+             for L, B2m in ((0, 1), (F(1, 2), F(5, 2)))]
+    specs += [partner_shift(s)[0] for s in specs]
+    specs += [_spec_with_runs(family, lam, p, seed) for seed, p in
+              enumerate([(1, 2, 3), (LONG_RUN - 1, LONG_RUN - 1), (2, 1, LONG_RUN - 1, LONG_RUN - 2)])]
+    for spec in specs:
+        assert spec._runs is None
+        assert np.array_equal(eval_potential(spec, r), _horner(spec, r))
+
+
+def test_runs_are_grouped_once_per_spec(monkeypatch):
+    calls = []
+
+    def counted(coeffs):
+        calls.append(1)
+        return itertools.groupby(coeffs)
+
+    monkeypatch.setattr(potentials, "groupby", counted)
+    spec = reduced_spec(1, 30, 1, 2, 1)
+    for _ in range(3):
+        eval_potential(spec, np.linspace(0.1, 1.0, 50))
+    assert len(calls) == 1
+    assert spec._runs == ((2.0, 30), (float(spec.B[29]), 1), (float(spec.B[0]), 29))

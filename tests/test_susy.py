@@ -650,6 +650,27 @@ def test_stacked_starts_each_get_the_terms_of_one_start(col):
         assert np.array_equal(row, _column_sums(x, [col], [start], power=x)[0])
 
 
+@pytest.mark.parametrize(
+    "x",
+    [np.linspace(-1.5, 2.0, 301), np.array(0.7), np.float64(-0.3), 1.25],
+    ids=["array", "0-d", "numpy-scalar", "float"],
+)
+def test_power_sums_write_no_caller_array(x):
+    # the sums run in place after their first term, in arrays of their own
+    n = np.shape(x)
+    cols = [(0.0, 2.0, -1.0, 0.5, 3.0), (1.5, 0.0, 0.25, -4.0, 0.0), (0.0, 0.0, 0.0, 0.0, 7.0)]
+    power = np.full(n, 0.75) if n else np.array(0.75)
+    starts = [np.full(n, 2.0), np.stack([np.full(n, -1.0), np.full(n, 3.0)]), np.full(n, 0.5)]
+    kept = [a.copy() for a in (power, *starts)]
+    got = _power_sums(x, cols, starts, power=power)
+    for a, before in zip((power, *starts), kept):
+        assert np.array_equal(a, before)
+    for g, w in zip(got, _column_sums(x, cols, starts, power=power)):
+        assert np.array_equal(g, w) and np.shape(g) == np.shape(w)
+    for g, w in zip(_power_sums(x, cols), _column_sums(x, cols)):
+        assert np.array_equal(g, w) and np.shape(g) == np.shape(w)
+
+
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 30, 60])
 def test_joint_evaluation_is_each_forms_own_bit_for_bit(fam, lam, m):
