@@ -7,30 +7,29 @@ In the arc-length coordinate x (dx = dr/f) the operator
 acting on psi becomes a plain -d^2/dx^2 + V(r(x)) acting on u = sqrt(f) psi,
 so a symmetric 3-point finite difference with Dirichlet ends gives a
 symmetric tridiagonal matrix whose lowest eigenvalues are found by
-bisection/inverse iteration.  The grid is cut where the potential wall
-exceeds WALL_CUTOFF |lambda|; past that point the eigenfunctions carry
-essentially no mass, while keeping the wall out of the matrix preserves the
-eigensolver's absolute accuracy. Every check of a verification runs on
-(0, r_cut], r_cut the radius of that cut. The solver climbs a ladder of levels
-(halvings of the largest grid) as one chain of grids, coarsest first, each
-the one before it doubled or doubled plus one: up to the largest level, or,
-given a tolerance, to the smallest whose Richardson-extrapolated values
-certify it. The gate reads three levels N, N/2 and N/4, the last three grids
-solved: their observed order of convergence and a grid-convergence-index
-bound on the extrapolated value (Richardson and Gaunt, Phil. Trans. A 226
-(1927) 299; Roache, J. Fluids Eng. 116 (1994) 405). At a non-integer L below
-3/2 the wavefunction's x^(L+1) at the origin adds an h^(2L+1) term, which
-each level fits through N, N/2 and N/4 instead, and the gate compares that
-fit with the one through N/2, N/4 and N/8 (Navot, J. Math. Phys. 40 (1961)
-271; Sidi, Practical Extrapolation Methods, ch. 1-2). Each grid takes its
-start and its guess from the grids before it, and its potential samples
-from the first level or the grid before it. The first, with nothing solved
-to guess from, is bisected; every later grid is polished by inverse
-iteration, shifted to the values the grids before it predict and started
-from the previous grid's eigenvectors where it doubles that grid, and
-certified by one Sturm count and residual bounds (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4 and 10), falling back to bisection when the
-certificate fails. A warm-started pair certifies after one step.
+bisection/inverse iteration. At a non-integer L below 3/2, where u ~ x^(L+1)
+at the origin would cost that stencil its order 2, the matrix is built from
+u = x^(L+1) v with the weight x^(2L+2) and a free origin row (_stencil; Pryce,
+Numerical Solution of Sturm-Liouville Problems, 1993, on singular endpoints).
+The grid is cut where the potential wall exceeds WALL_CUTOFF |lambda|; past
+that point the eigenfunctions carry essentially no mass, while keeping the
+wall out of the matrix preserves the eigensolver's absolute accuracy. Every
+check of a verification runs on (0, r_cut], r_cut the radius of that cut. The
+solver climbs a ladder of levels (halvings of the largest grid) as one chain
+of grids, coarsest first, each the one before it doubled or doubled plus one:
+up to the largest level, or, given a tolerance, to the smallest whose
+Richardson-extrapolated values certify it. At every L the gate reads three
+levels N, N/2 and N/4, the last three grids solved: their observed order of
+convergence and a grid-convergence-index bound on the extrapolated value
+(Richardson and Gaunt, Phil. Trans. A 226 (1927) 299; Roache, J. Fluids Eng.
+116 (1994) 405). Each grid takes its start and its guess from the grids
+before it, and its potential samples from the first level or the grid before
+it. The first, with nothing solved to guess from, is bisected; every later
+grid is polished by inverse iteration, shifted to the values the grids before
+it predict and started from the previous grid's eigenvectors where it doubles
+that grid, and certified by one Sturm count and residual bounds (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4 and 10), falling back to bisection when
+the certificate fails. A warm-started pair certifies after one step.
 
 Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
 QUADPACK): each refinement round evaluates the wavefunction once, as one
@@ -99,7 +98,7 @@ SCALE_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """Lowest eigenvalues on a grid, with error estimates from N/2 and N/4 runs (and N/8)."""
+    """Lowest eigenvalues on a grid, with error estimates from N/2 and N/4 runs."""
 
     grid_points: int
     x_max: float
@@ -109,7 +108,8 @@ class SpectrumEstimate:
     error_estimate: tuple  # relative error estimate of each extrapolated value (_error_estimate)
     observed_order: tuple  # log2 of the ratio of successive differences; None where undefined
     method: str  # how the level at grid_points was solved: "bisection" or "inverse_iteration"
-    eigenvectors: np.ndarray = field(repr=False, compare=False)  # one column per eigenvalue
+    # one column per eigenvalue, one row per matrix row: N - 1, or N at a weighted L (_stencil)
+    eigenvectors: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -209,11 +209,12 @@ def _interior_potential(spec: PotentialSpec, n: int, x_max: float, half=None) ->
     return v
 
 
-def _prolong(vecs: np.ndarray) -> np.ndarray:
+def _prolong(vecs: np.ndarray, origin: bool = False) -> np.ndarray:
     """Grid vectors (one per column) on n intervals, moved onto the 2n-interval grid.
 
     The shared points keep their values bit for bit; each new point is the
-    mean of its neighbours, with zero Dirichlet ends.
+    mean of its neighbours, with zero Dirichlet ends. With origin, the first
+    row is the origin's, a free end: the fine vectors start there too.
     """
     # one row per vector, the grid innermost: numpy loops over long axes, not over k
     ends = np.zeros((vecs.shape[1], len(vecs) + 2))
@@ -221,11 +222,54 @@ def _prolong(vecs: np.ndarray) -> np.ndarray:
     fine = np.empty((vecs.shape[1], 2 * len(vecs) + 1))
     fine[:, 1::2] = ends[:, 1:-1]
     fine[:, ::2] = (ends[:, :-1] + ends[:, 1:]) / 2
-    return fine.T
+    return fine.T[1:] if origin else fine.T
 
 
-def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, start=None):
-    """The lowest len(guess) eigenpairs of T = tridiag(off, diag, off), or None.
+def _stencil(v: np.ndarray, h: float, a: float | None = None) -> tuple:
+    """(diag, off, q, scale, edges, h): the matrix tridiag(off, diag, off) of the grid with
+    step h and potential samples v at its interior points, and its Rayleigh quotient's terms.
+
+    The grid takes -(w y')' + w q y = E w y by finite volumes: edges[i], the
+    flux's weight, is the integral of w between rows i - 1 and i, and a row's
+    mass that over its cell; scale = mass^(-1/2) makes the matrix symmetric,
+
+        diag_i = (edges_i + edges_(i+1)) scale_i^2 / h^2 + q_i,
+        off_i = -edges_(i+1) scale_i scale_(i+1) / h^2.
+
+    Without a, w = 1 and y = u: the rows are the interior points, q = v, and
+    every edge and mass is 1 in units of h, the plain stencil
+    tridiag(-1/h^2, 2/h^2 + v, -1/h^2) bit for bit. With a = L + 1, u = x^a y
+    and w = x^(2a), so y is smooth at the origin: the rows run from x_0 = 0,
+    q = v - L(L+1)/x^2 is bounded (q_0 = q_1), and the origin row is free
+    (edges_0 = 0: the flux w y' vanishes there), its cell clipped at 0. Edges
+    and masses are in units of h^(2a+1) / (2a+1), which cancel. The
+    eigenvectors are y scaled by mass^(1/2), with u's sign changes.
+
+    Raises InvalidParameter when an entry is past ENTRY_MAX (or NaN).
+    """
+    n = v.size + 1
+    if a is None:  # unit edges and masses: the formulas above fold to constants
+        q, scale, edges = v, np.ones(n - 1), np.ones(n)
+        kinetic, off = 2.0 / (h * h), np.full(n - 2, -1.0 / (h * h))
+    else:
+        t = np.arange(n + 1.0)  # x / h
+        q = v - a * (a - 1.0) / (h * t[1:n]) ** 2
+        q = np.concatenate((q[:1], q))
+        edges = np.concatenate(([0.0], np.diff(t ** (2.0 * a + 1.0))))
+        scale = 1.0 / np.sqrt(np.diff(np.maximum(t - 0.5, 0.0) ** (2.0 * a + 1.0)))
+        kinetic = (edges[:-1] + edges[1:]) * scale ** 2 / (h * h)
+        off = -edges[1:-1] * scale[:-1] * scale[1:] / (h * h)
+    bound = float(np.max(kinetic)) + float(np.max(np.abs(q)))  # bounds every entry; NaN if one is
+    if not bound < ENTRY_MAX:
+        raise InvalidParameter(
+            f"the oracle matrix at N={n} has entries up to {bound:.3e}, past the "
+            f"{ENTRY_MAX:.3e} its eigensolver can square"
+        )
+    return kinetic + q, off, q, scale, edges, h
+
+
+def _polish(stencil: tuple, guess, start=None):
+    """The lowest len(guess) eigenpairs of T = tridiag(off, diag, off) of a _stencil, or None.
 
     guess holds increasing estimates p_0 < ... < p_{k-1} of the lowest k
     eigenvalues. With g their smallest gap (max(1, |p_0|) for k = 1), the
@@ -238,7 +282,7 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, s
     eigenvalues <= hi, so none lies at or below lo and the i-th interval
     holds the i-th. None is returned when any check fails.
 
-    start, an (N - 1, k) array, holds the vectors pair i starts from: the
+    start, an array of k columns, holds the vectors pair i starts from: the
     half grid's eigenvectors, prolonged, make one step enough. Without it
     every pair starts from a ramp. Each pair takes up to
     POLISH_STEPS steps, shifted to p_i and orthogonalised against the earlier
@@ -246,9 +290,9 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, s
     poor start costs steps or a None, never a wrong pair: the checks above
     decide.
 
-    E_i is the Rayleigh quotient in difference form, sum (x_{j+1} - x_j)^2 / h^2
-    (x_0 = x_N = 0) + sum v_j x_j^2, which does not cancel against the
-    2/h^2 diagonal.
+    E_i is the Rayleigh quotient in difference form, with z = scale x and its
+    zero Dirichlet ends, sum edges_j (z_j - z_(j-1))^2 / h^2 + sum q_j x_j^2,
+    which does not cancel against the diagonal's kinetic part.
     """
     p = np.asarray(guess, dtype=float)
     k = p.size
@@ -258,6 +302,7 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, s
     lo, hi = float(p[0]) - g / 2.0, float(p[-1]) + g / 2.0
     # one Sturm count at hi: dstebz clamps -inf to its Gershgorin bound, and an
     # infinite tolerance leaves nothing to refine
+    diag, off, q, scale, edges, h = stencil
     if dstebz(diag, off, 1, -math.inf, hi, 0, 0, math.inf, "E")[0] != k:
         return None
     bound = POLISH_RESIDUAL * g
@@ -278,8 +323,10 @@ def _polish(diag: np.ndarray, off: np.ndarray, v: np.ndarray, h: float, guess, s
             if not 0.0 < norm < math.inf:
                 return None
             x /= norm
-            dx = np.diff(x)
-            w[i] = (dx @ dx + x[0] ** 2 + x[-1] ** 2) / (h * h) + (v * x) @ x
+            z = x * scale
+            dz = np.diff(z)
+            kinetic = (edges[1:-1] * dz) @ dz + edges[0] * z[0] ** 2 + edges[-1] * z[-1] ** 2
+            w[i] = kinetic / (h * h) + (q * x) @ x
             tx = (diag - w[i]) * x
             tx[:-1] += off * x[1:]
             tx[1:] += off * x[:-1]
@@ -367,27 +414,19 @@ def dstebz(*args):
     return _flapack().dstebz(*args)
 
 
-def _tridiag_lowest(v: np.ndarray, h: float, k: int, guess=None, start=None):
+def _tridiag_lowest(v: np.ndarray, h: float, k: int, a=None, guess=None, start=None):
     """Lowest k eigenvalues of the grid with samples v and step h, their eigenvectors, the method.
 
-    The matrix is tridiag(-1/h^2, 2/h^2 + v, -1/h^2). With a guess it is
-    polished (_polish, from start when given); without one, or when the
-    polish is not certified, it is bisected.
+    The matrix is _stencil(v, h, a)'s. With a guess it is polished (_polish,
+    from start when given); without one, or when the polish is not certified,
+    it is bisected.
     """
-    n = v.size + 1
-    bound = 2.0 / (h * h) + float(np.max(np.abs(v)))  # bounds every entry; NaN if one is
-    if not bound < ENTRY_MAX:
-        raise InvalidParameter(
-            f"the oracle matrix at N={n} has entries up to {bound:.3e}, past the "
-            f"{ENTRY_MAX:.3e} its eigensolver can square"
-        )
-    diag = 2.0 / (h * h) + v
-    off = np.full(n - 2, -1.0 / (h * h))
+    stencil = _stencil(v, h, a)
     if guess is not None:
-        polished = _polish(diag, off, v, h, guess, start)
+        polished = _polish(stencil, guess, start)
         if polished is not None:
             return (*polished, "inverse_iteration")
-    return (*eigh_tridiagonal(diag, off, k), "bisection")
+    return (*eigh_tridiagonal(*stencil[:2], k), "bisection")
 
 
 def _extrapolate(w: np.ndarray, w_half: np.ndarray, n: int) -> np.ndarray:
@@ -399,55 +438,27 @@ def _extrapolate(w: np.ndarray, w_half: np.ndarray, n: int) -> np.ndarray:
     return w + (w - w_half) / ((n / (n // 2)) ** 2 - 1.0)
 
 
-def _origin_term(t: float, p: float) -> float:
-    """(t^p - t^2) / (p - 2), which is t^2 log t at p = 2.
-
-    With t^2 it spans the same functions as t^2 and t^p, but stays apart from
-    t^2 as p nears 2, where t^p alone would leave the fit singular.
-    """
-    z = (p - 2.0) * math.log(t)
-    return t * t * math.log(t) * (math.expm1(z) / z if z else 1.0)
-
-
-def _fit(values, ns, p: float) -> np.ndarray:
-    """E* of E(h) = E* + a h^2 + b h^p through the values at ns[0] > ns[1] > ns[2] intervals.
-
-    The steps are the exact h = x_max / n, taken relative to the finest,
-    t = ns[0] / n, so odd levels (4001 to 2000) fit as well as even ones. At
-    p = 2 (L = 1/2) the h^p term is h^2 log h (_origin_term).
-    """
-    t = [ns[0] / n for n in ns]
-    a = np.array([[1.0, s * s, _origin_term(s, p)] for s in t])
-    return np.linalg.solve(a, np.array(values))[0]
-
-
-def _error_estimate(w, w_half, w_quarter, x, x_half, fitted: bool = False):
+def _error_estimate(w, w_half, w_quarter, x, x_half):
     """Relative error estimate of each extrapolated value x, and the observed order.
 
     w, w_half and w_quarter are the plain values at N, N/2 and N/4; x and
-    x_half the extrapolations at N and at N/2. With d = E(N) - E(N/2) and
-    d' = E(N/2) - E(N/4), the observed order is p = log2(d' / d), the order
-    of the plain values. A fitted x (_fit: x from N, N/2 and N/4, x_half from
-    N/2, N/4 and N/8) is estimated by |x - x_half|: the fit leaves an error
-    of order 3 or more, so x_half's is several times x's. Otherwise x is
-    Richardson's. Where p is defined and inside ORDER_RANGE its estimate is a
-    grid convergence index: SAFETY_FACTOR |x - x_half| / (2^p - 1). It
-    bounds the error of x when x converges at order p or faster, and x
-    converges at least as fast as E. Elsewhere (a zero difference,
-    differences of opposite sign, an order out of range) it is the plain
-    value's estimate |d| / 3, which assumes the stencil's order 2. Each is
-    relative to max(|x|, SCALE_FLOOR), the scale of the closed-form check.
-    The order is returned as NaN where it is undefined.
+    x_half the extrapolations at N and at N/2. With d = E(N) - E(N/2) and d' =
+    E(N/2) - E(N/4), the observed order is p = log2(d' / d), the order of the
+    plain values. Where p is defined and inside ORDER_RANGE the estimate is a
+    grid convergence index, SAFETY_FACTOR |x - x_half| / (2^p - 1). It bounds
+    the error of x when x converges at order p or faster, and x converges at
+    least as fast as E. Elsewhere (a zero difference, differences of opposite
+    sign, an order out of range) it is the plain value's estimate |d| / 3,
+    which assumes the stencil's order 2. Each is relative to max(|x|,
+    SCALE_FLOOR), the scale of the closed-form check. The order is returned as
+    NaN where it is undefined.
     """
     d, d_half = w - w_half, w_half - w_quarter
     with np.errstate(all="ignore"):  # zero differences, opposite signs, 2^p past the range
         order = np.log2(d_half / d)
         gci = SAFETY_FACTOR * np.abs(x - x_half) / (2.0 ** order - 1.0)
-    if fitted:
-        error = np.abs(x - x_half)
-    else:
-        trusted = (order >= ORDER_RANGE[0]) & (order <= ORDER_RANGE[1])  # False for NaN
-        error = np.where(trusted, gci, np.abs(d) / 3.0)
+    trusted = (order >= ORDER_RANGE[0]) & (order <= ORDER_RANGE[1])  # False for NaN
+    error = np.where(trusted, gci, np.abs(d) / 3.0)
     return error / np.maximum(np.abs(x), SCALE_FLOOR), np.where(np.isfinite(order), order, np.nan)
 
 
@@ -460,31 +471,22 @@ def lowest_eigenvalues(
 ) -> SpectrumEstimate:
     """Lowest k eigenvalues of the deformed Schrodinger operator for spec.
 
-    A second-order finite difference in the arc coordinate is solved at a
-    level N and at N/2 and N/4. `eigenvalues` holds the plain values at N,
-    `eigenvectors` their grid vectors (one column each), and `grid_points`
-    records N. `richardson_error` is |E(N) - E(N/2)|, and `extrapolated` the
-    Richardson extrapolation E(N) + (E(N) - E(N/2)) / 3 (_extrapolate: the
-    divisor follows the step ratio on an odd grid), which removes the
-    O(h^2) term. `error_estimate` bounds the relative error of each
-    extrapolated value, and `observed_order` is the order the three levels
-    show (_error_estimate).
-
-    At a non-integer L below 3/2 the wavefunction's u ~ x^(L+1) at the
-    origin puts an h^(2L+1) term into E(h), h^2 log h at L = 1/2, which the
-    Richardson value keeps. There `extrapolated` is E* of the fit
-    E(h) = E* + a h^2 + b h^(2L+1) through N, N/2 and N/4 (_fit), and
-    `error_estimate` is its distance to the fit through N/2, N/4 and N/8,
-    relative to |E*|. `observed_order` stays the order of the plain values.
-    Integer L, and L >= 3/2, whose term is of order 4 or more, keep
-    Richardson's value.
+    A second-order finite difference in the arc coordinate (_stencil) is solved
+    at a level N and at N/2 and N/4. `eigenvalues` holds the plain values at N,
+    `eigenvectors` their grid vectors (one column each, of N - 1 rows, or of N
+    at a non-integer L below 3/2, where the origin is a row of the weighted
+    stencil), and `grid_points` records N. `richardson_error` is |E(N) -
+    E(N/2)|, and `extrapolated` the Richardson extrapolation E(N) + (E(N) -
+    E(N/2)) / 3 (_extrapolate: the divisor follows the step ratio on an odd
+    grid), which removes the O(h^2) term. `error_estimate` bounds the relative
+    error of each extrapolated value, and `observed_order` is the order the
+    three levels show (_error_estimate).
 
     The solver walks one chain of grids, coarsest first: grid_points >> j
-    for j = J + depth down to 0, where J halvings reach the smallest level
-    >= LADDER_FLOOR and depth is 2, or 3 where the levels are fitted. Each
-    grid is the one before it doubled, or doubled plus one, and is solved
-    once. The last `depth` + 1 grids solved are a level's N, N/2, N/4 (and
-    N/8). Without rtol the solver visits every level and returns at
+    for j = J + 2 down to 0, where J halvings reach the smallest level
+    >= LADDER_FLOOR. Each grid is the one before it doubled, or doubled plus
+    one, and is solved once. The last three grids solved are a level's N,
+    N/2 and N/4. Without rtol the solver visits every level and returns at
     N = grid_points. With rtol, grid_points is the largest grid it may use:
     it stops at the first level whose `error_estimate` is <= rtol for every
     eigenvalue. Each grid takes what it needs from the grids before it:
@@ -517,18 +519,18 @@ def lowest_eigenvalues(
     if rtol is not None and not (math.isfinite(rtol) and rtol > 0):
         raise InvalidParameter(f"rtol must be a finite number > 0, got {rtol}")
     L = float(spec.L)
-    # u ~ x^(L+1) at the origin: E(h) carries an h^(2L+1) term, fitted below order 4
-    p = 2.0 * L + 1.0 if L < 1.5 and not L.is_integer() else None
-    depth = 2 if p is None else 3  # the coarser runs of a level: N/2 and N/4, or to N/8
+    # u ~ x^(L+1) at the origin leaves the plain stencil an error of order 2L + 1, under 4
+    # here; the weight x^(2L+2) overflows the origin row at large L
+    a = L + 1.0 if L < 1.5 and not L.is_integer() else None
     # J, the first level's halvings: the largest j with grid_points >> j >= LADDER_FLOOR, or 0
     J = max(0, (grid_points // LADDER_FLOOR).bit_length() - 1)
-    grids = [grid_points >> j for j in range(J + depth, -1, -1)]
+    grids = [grid_points >> j for j in range(J + 2, -1, -1)]
     if k >= grids[0]:
         raise InvalidParameter(
             f"k must be < {grids[0]}, the coarsest grid's intervals at grid_points={grid_points}"
         )
     x_cut = float(x_max) if x_max is not None else default_arc_cutoff(spec)
-    first = grids[depth]
+    first = grids[2]
     top = _interior_potential(spec, first, x_cut)
     solved = []  # (eigenvalues, eigenvectors, method) of each grid, in chain order
     for i, n in enumerate(grids):
@@ -546,18 +548,14 @@ def lowest_eigenvalues(
             guess = w_last + (w_last - w_half) / 3.0 * (1.0 - (grids[i - 1] / n) ** 2)
         else:
             guess = solved[-1][0] if solved else None
-        start = _prolong(solved[-1][1]) if doubled else None
-        solved.append(_tridiag_lowest(v, x_cut / n, k, guess, start))
-        if i < depth:
+        start = _prolong(solved[-1][1], a is not None) if doubled else None
+        solved.append(_tridiag_lowest(v, x_cut / n, k, a, guess, start))
+        if i < 2:
             continue
-        ns = [n >> j for j in range(depth + 1)]
-        w = [solved[i - j][0] for j in range(depth + 1)]
-        if p is None:
-            extrapolated = _extrapolate(w[0], w[1], n)
-            previous = _extrapolate(w[1], w[2], ns[1])
-        else:
-            extrapolated, previous = _fit(w[:3], ns[:3], p), _fit(w[1:], ns[1:], p)
-        error, order = _error_estimate(*w[:3], extrapolated, previous, p is not None)
+        w, w_half, w_quarter = solved[-1][0], solved[-2][0], solved[-3][0]
+        extrapolated = _extrapolate(w, w_half, n)
+        previous = _extrapolate(w_half, w_quarter, n // 2)
+        error, order = _error_estimate(w, w_half, w_quarter, extrapolated, previous)
         if rtol is not None and np.all(error <= rtol):
             break
     else:
@@ -581,7 +579,7 @@ def lowest_eigenvalues(
         grid_points=n,
         x_max=x_cut,
         eigenvalues=tuple(float(v) for v in w_fine),
-        richardson_error=tuple(float(v) for v in np.abs(w_fine - w[1])),
+        richardson_error=tuple(float(v) for v in np.abs(w_fine - w_half)),
         extrapolated=tuple(float(v) for v in extrapolated),
         error_estimate=tuple(float(v) for v in error),
         observed_order=tuple(None if math.isnan(v) else float(v) for v in order),

@@ -143,12 +143,20 @@ def eval_potential(spec: PotentialSpec, r):
     shorter tail (m <= 2 and its partner) keeps one `**` per term: the golden
     figures hold its values byte for byte, and Horner's rule rounds
     differently. Only the spec's coefficients enter, however they are summed.
+
+    Where lam r^2 rounds to -1 or below, at the last radii of a lambda < 0
+    domain, f^2 is not positive and V is +inf, the wall's value. At L = 0 the
+    centrifugal term is left out, not taken as 0 / r^2, which is NaN where r^2
+    underflows.
     """
     lam, L, A, shift, B = spec._floats
     arr = _check_radius(Deformation(lam), r)
     t = lam * arr * arr
+    wall = t <= -1.0 if lam < 0 and np.any(t <= -1.0) else None
+    if wall is not None:
+        t = np.where(wall, 0.0, t)  # V is set there below; 0 keeps the sums finite
     f2 = 1.0 + t
-    v = L * (L + 1.0) / (arr * arr) + lam * A - lam * A / f2 + shift
+    v = (L * (L + 1.0) / (arr * arr) if L else 0.0) + lam * A - lam * A / f2 + shift
     fam1 = spec.family is Family.FAMILY1
     if len(B) <= SHORT_TAIL:
         for k, Bk in enumerate(B, start=1):
@@ -168,6 +176,8 @@ def eval_potential(spec: PotentialSpec, r):
                 v += lam * f2 * h
             else:
                 v -= lam * h / f2 ** (len(B) + 1)
+    if wall is not None:
+        v = np.where(wall, np.inf, v)
     return float(v) if np.isscalar(r) or v.ndim == 0 else v
 
 
@@ -183,10 +193,10 @@ def _run_sum(runs, t, f2, fam1, terms):
     with E = f2^n and G = (E - 1)/t, both in (0, n], so h stays bounded and only
     its last factor f2^-(terms+1) overflows, to inf past the wall with one
     warning. E is exp, not expm1 + 1, which would lose its digits where it is
-    small. t is held off 0 by _RUN_FLOOR.
+    small. t is held off 0 by _RUN_FLOOR, and is > -1: eval_potential sets
+    the radii where it rounds to -1 or below aside.
     """
-    # in family 2 lam r^2 can round to -1 or below at the last radii of the domain
-    u = np.maximum(t, _RUN_FLOOR) if fam1 else np.maximum(np.minimum(t, -_RUN_FLOOR), -1.0)
+    u = np.maximum(t, _RUN_FLOOR) if fam1 else np.minimum(t, -_RUN_FLOOR)
     g = np.log1p(u)
     q = (-1.0 if fam1 else 1.0) / u
     h = np.zeros_like(f2)

@@ -148,10 +148,10 @@ def test_spectrum_command(capsys):
 
 
 def test_spectrum_grid_too_coarse_exit_code(capsys):
-    # the estimate of the fitted E1 = -1/4 at 2000 points is ~3e-7, far above --tol
+    # the estimate of E1 = -1/4 at 2000 points is ~1.2e-8, above --tol
     code, _, err = run_cli(
         ["spectrum", "--family", "1", "--m", "1", "--L", "1/2", "--lambda", "1", "--B", "4",
-         "--grid", "2000", "--tol", "1e-8"],
+         "--grid", "2000", "--tol", "1e-9"],
         capsys,
     )
     assert code == 2
@@ -236,8 +236,8 @@ def test_spectrum_json_names_the_method(capsys):
 
 # L = 1/4 configs at large B_2m whose estimates exceed each tol one level below the grid
 ODD_GRID_CONFIGS = {
-    "4001": ["--family", "1", "--m", "1", "--L", "1/4", "--lambda", "1", "--B", "400"],
-    "2501": ["--family", "1", "--m", "1", "--L", "1/4", "--lambda", "1", "--B", "16"],
+    "4001": ["--family", "1", "--m", "1", "--L", "1/4", "--lambda", "1", "--B", "40000"],
+    "2501": ["--family", "1", "--m", "1", "--L", "1/4", "--lambda", "1", "--B", "10000"],
 }
 
 

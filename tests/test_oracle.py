@@ -97,6 +97,7 @@ SPECS = {
     "box": BOX,
     "family1": general_two_state(1, 4, 0, 1, 1).spec,
     "family2": general_two_state(2, 4, 0, 1, -1).spec,
+    "weighted": general_two_state(1, 4, Fraction(1, 2), 1, 1).spec,
 }
 
 
@@ -119,14 +120,32 @@ EPS = np.finfo(float).eps
 
 
 def _matrix(spec, n, x_max):
-    """Diagonal and off-diagonal of the oracle's n-interval matrix."""
+    """Diagonal and off-diagonal of the oracle's n-interval matrix.
+
+    At a non-integer L below 3/2 it is the weighted stencil of u = x^(L+1) v, in
+    units of x: with w = x^(2L+2), the flux weights are w's mean over each
+    interval, the masses its integral over each cell (clipped at 0), and
+    Q = V - L(L+1)/x^2 (Q(0) = Q(h)); rows x_0 = 0 to x_(n-1), scaled by
+    mass^(-1/2).
+    """
     h = x_max / n
-    return 2.0 / (h * h) + _fresh_potential(spec, n, x_max), np.full(n - 2, -1.0 / (h * h))
+    v = _fresh_potential(spec, n, x_max)
+    L = float(spec.L)
+    if L >= 1.5 or L.is_integer():
+        return 2.0 / (h * h) + v, np.full(n - 2, -1.0 / (h * h))
+    p = 2.0 * L + 3.0
+    x = h * np.arange(n + 1)
+    flux = np.diff(x ** p) / (p * h)
+    mass = np.diff(np.clip(x - h / 2, 0.0, None) ** p) / p
+    q = v - L * (L + 1.0) / x[1:n] ** 2
+    q = np.concatenate(([q[0]], q))
+    diag = (np.concatenate(([0.0], flux[:-1])) + flux) / h / mass + q
+    return diag, -flux[:-1] / h / np.sqrt(mass[:-1] * mass[1:])
 
 
 def _norm1(spec, n, x_max):
     diag, off = _matrix(spec, n, x_max)
-    return float(np.max(np.abs(diag)) + 2.0 * abs(off[0]))
+    return float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
 
 
 def _tight_bisection(spec, k, n, x_max):
@@ -146,14 +165,16 @@ def test_without_rtol_polishes_every_level_up_to_grid_points(name):
     for size, values in ((n, w), (n // 2, w_half)):
         ref = _tight_bisection(spec, k, size, est.x_max)
         assert np.all(np.abs(values - ref) <= 4 * EPS * _norm1(spec, size, est.x_max))
-    assert est.eigenvectors.shape == (n - 1, k)
+    # N - 1 interior rows, and the origin's too at the weighted L = 1/2
+    assert est.eigenvectors.shape == (n - (name != "weighted"), k)
     for i in range(k):
         assert count_sign_changes(est.eigenvectors[:, i]) == i
 
 
 # at L = 1/4 and a large B_2m these configs need the whole ladder: each estimate
-# exceeds its rtol one level below grid_points
-ODD_GRID_CONFIGS = {4001: (1, 1, Fraction(1, 4), 400, 1), 2501: (1, 1, Fraction(1, 4), 16, 1)}
+# exceeds its rtol one level below grid_points. The weighted stencil's rows include
+# the origin: N of them
+ODD_GRID_CONFIGS = {4001: (1, 1, Fraction(1, 4), 40000, 1), 2501: (1, 1, Fraction(1, 4), 10000, 1)}
 
 
 # an odd grid_points halves to a level it is not nested with: 4001 to 2000, 2501 to 1250;
@@ -163,7 +184,7 @@ def test_odd_grid_points_are_solved_without_a_nested_start(grid, rtol):
     spec, k = general_two_state(*ODD_GRID_CONFIGS[grid]).spec, 2
     est = lowest_eigenvalues(spec, k=k, grid_points=grid, rtol=rtol)
     assert est.grid_points == grid
-    assert est.eigenvectors.shape == (grid - 1, k)
+    assert est.eigenvectors.shape == (grid, k)
     error = np.abs(np.array(est.eigenvalues) - _tight_bisection(spec, k, grid, est.x_max))
     assert np.all(error <= 4 * EPS * _norm1(spec, grid, est.x_max))
 
@@ -184,13 +205,15 @@ def test_polish_matches_tight_bisection(name):
     x_max = oracle.default_arc_cutoff(spec)
     diag, off = _matrix(spec, n // 2, x_max)
     guess = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-    w, vecs, method = oracle._tridiag_lowest(_fresh_potential(spec, n, x_max), x_max / n, k, guess)
+    a = 1.5 if name == "weighted" else None
+    v = _fresh_potential(spec, n, x_max)
+    w, vecs, method = oracle._tridiag_lowest(v, x_max / n, k, a, guess)
     assert method == "inverse_iteration"
     diag, off = _matrix(spec, n, x_max)
     ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True,
                            tol=1e-14)
     assert np.all(np.abs(w - ref) <= 4 * EPS * _norm1(spec, n, x_max))
-    assert vecs.shape == (n - 1, k)
+    assert vecs.shape == (diag.size, k)
     assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-12)
     for i in range(k):
         assert count_sign_changes(vecs[:, i]) == i
@@ -214,21 +237,22 @@ def test_polish_falls_back_to_bisection(pick):
         # the counts pass, but 3 steps leave a residual far above the bound
         "far_from_E1": [e[0], e[1] + (e[2] - e[1]) / 10],
     }[pick]
-    assert oracle._polish(diag, off, _fresh_potential(spec, n, x_max), x_max / n, guess) is None
-    w, vecs, method = oracle._tridiag_lowest(_fresh_potential(spec, n, x_max), x_max / n, 2, guess)
+    v = _fresh_potential(spec, n, x_max)
+    assert oracle._polish(oracle._stencil(v, x_max / n), guess) is None
+    w, vecs, method = oracle._tridiag_lowest(v, x_max / n, 2, guess=guess)
     ref_w, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
     assert method == "bisection"
     assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
 
 
-# the coarsest grid is the first level's N/4 run, 1250 // 2 // 2 = 312 intervals, or
-# its N/8 run, 156, where L = 1/2 fits the levels
+# the coarsest grid is the first level's N/4 run, 1250 // 2 // 2 = 312 intervals, at
+# every L: 311 interior rows, or 312 where L = 1/2 takes the origin as a row too
 @pytest.mark.parametrize(
-    "config, coarsest",
-    [((1, 4, 0, 1, 1), 312), ((2, 4, 0, 1, -1), 312), ((1, 4, Fraction(1, 2), 1, 1), 156)],
+    "config, rows_bisected",
+    [((1, 4, 0, 1, 1), 311), ((2, 4, 0, 1, -1), 311), ((1, 4, Fraction(1, 2), 1, 1), 312)],
     ids=["config0", "config1", "config2"],
 )
-def test_ladder_bisects_only_its_coarsest_grid(config, coarsest, monkeypatch):
+def test_ladder_bisects_only_its_coarsest_grid(config, rows_bisected, monkeypatch):
     rows = []
     original = oracle.eigh_tridiagonal
 
@@ -242,7 +266,7 @@ def test_ladder_bisects_only_its_coarsest_grid(config, coarsest, monkeypatch):
     for rtol in (1e-6, None):
         rows.clear()
         est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=rtol)
-        assert rows == [coarsest - 1]
+        assert rows == [rows_bisected]
         assert est.method == "inverse_iteration"
 
 
@@ -258,21 +282,25 @@ def test_ladder_warm_starts_every_level_after_the_first(config, rtol, monkeypatc
     polished = []  # (intervals, start) of every polish, in order
     vectors = {}  # the eigenvectors each grid returned, by interval count
     dgtsv, polish, bisect = oracle.dgtsv, oracle._polish, oracle.eigh_tridiagonal
+    origin = Fraction(config[2]).denominator != 1  # L = 1/2: the origin is a row too
+
+    def intervals(diag):
+        return diag.size + 1 - origin
 
     def counted(dl, d, du, b, **kwargs):
-        steps[d.size + 1] += 1
+        steps[intervals(d)] += 1
         return dgtsv(dl, d, du, b, **kwargs)
 
-    def recorded_polish(diag, off, v, h, guess, start=None):
-        out = polish(diag, off, v, h, guess, start)
-        polished.append((diag.size + 1, start))
+    def recorded_polish(stencil, guess, start=None):
+        out = polish(stencil, guess, start)
+        polished.append((intervals(stencil[0]), start))
         if out is not None:
-            vectors[diag.size + 1] = out[1]
+            vectors[intervals(stencil[0])] = out[1]
         return out
 
     def recorded_bisection(d, e, k):
         out = bisect(d, e, k)
-        vectors[d.size + 1] = out[1]
+        vectors[intervals(d)] = out[1]
         return out
 
     monkeypatch.setattr(oracle, "dgtsv", counted)
@@ -287,7 +315,7 @@ def test_ladder_warm_starts_every_level_after_the_first(config, rtol, monkeypatc
     for n, start in polished:
         if n % 2 == 0 and n // 2 in vectors:
             # the half grid's eigenvectors, prolonged: one step per pair
-            assert np.array_equal(start, oracle._prolong(vectors[n // 2]))
+            assert np.array_equal(start, oracle._prolong(vectors[n // 2], origin))
             assert steps[n] == k
             warm += 1
         else:
@@ -311,9 +339,9 @@ def test_ladder_starts_from_the_nearest_solved_level(config, monkeypatch):
     polished = []  # (intervals, start, vectors) of every polish, in order
     original = oracle._polish
 
-    def recorded(diag, off, v, h, guess, start=None):
-        out = original(diag, off, v, h, guess, start)
-        polished.append((diag.size + 1, start, out[1]))
+    def recorded(stencil, guess, start=None):
+        out = original(stencil, guess, start)
+        polished.append((stencil[0].size + 1, start, out[1]))
         return out
 
     monkeypatch.setattr(oracle, "_polish", recorded)
@@ -360,15 +388,16 @@ def test_ladder_evaluates_each_potential_sample_once(config, monkeypatch):
 # A _potential_on_arc call costs O(m) array passes whatever its size, so the ladder
 # counts calls: one for the first level and the coarser grids it nests (625 in 1250;
 # 500 and 250 in 1000), then one for each other grid. A grid twice the one before it
-# evaluates only its new points (2500, and 312 after 156 where L = 1/2 fits)
+# evaluates only its new points (2500). L = 1/2, on the weighted stencil, walks the
+# same chain from the same samples
 @pytest.mark.parametrize(
     "config, grid_points, sizes",
     [
         ((1, 4, 0, 1, 1), 20000, [1249, 311, 1250, 2500, 5000, 10000]),
-        ((1, 4, Fraction(1, 2), 1, 1), 20000, [1249, 155, 156, 1250, 2500, 5000, 10000]),
+        ((1, 4, Fraction(1, 2), 1, 1), 20000, [1249, 311, 1250, 2500, 5000, 10000]),
         ((1, 4, 0, 1, 1), 4001, [999, 1000, 4000]),
     ],
-    ids=["default", "fitted", "odd"],
+    ids=["default", "weighted", "odd"],
 )
 def test_ladder_samples_each_grid_in_at_most_one_call(config, grid_points, sizes, monkeypatch):
     spec = general_two_state(*config).spec
@@ -433,18 +462,31 @@ def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
     assert np.all(np.abs(np.subtract(est.richardson_error, np.abs(fine - half))) <= 8 * bound)
 
 
-def test_ladder_certifies_the_former_grid_failure_within_its_estimate():
-    # at L = 1/10 and a large B_2m the fitted values certify at grid_points only, and
-    # each estimate bounds its closed-form error
-    sol = general_two_state(1, 1, Fraction(1, 10), 10000, 1)
+def _certifies_within_its_estimate(L, B2m, certified):
+    """lowest_eigenvalues(k=2, rtol=1e-6) of (1, 1, L, B2m, 1) climbs to the grid certified,
+    where each estimate bounds its closed-form error; half that grid raises GridTooCoarse."""
+    sol = general_two_state(1, 1, L, B2m, 1)
     est = lowest_eigenvalues(sol.spec, k=2, rtol=1e-6)
-    assert est.grid_points == 20000
+    assert est.grid_points == certified
     exact = np.array([float(sol.E0), float(sol.E1)])
     error = np.abs(np.array(est.extrapolated) - exact) / np.abs(exact)
     assert np.all(error <= np.array(est.error_estimate))
     assert np.all(np.array(est.error_estimate) <= 1e-6)
     with pytest.raises(GridTooCoarse, match="exceeds rtol=1.000e-06"):
-        lowest_eigenvalues(sol.spec, k=2, grid_points=10000, rtol=1e-6)
+        lowest_eigenvalues(sol.spec, k=2, grid_points=certified // 2, rtol=1e-6)
+
+
+def test_ladder_certifies_the_former_grid_failure_within_its_estimate():
+    # at L = 1/10 and a large B_2m the plain stencil's order 2L + 1 never certified; the
+    # weighted stencil climbs two levels
+    _certifies_within_its_estimate(Fraction(1, 10), 10000, 5000)
+
+
+@pytest.mark.parametrize("L", [Fraction(1, 100), Fraction(3, 10)])
+def test_probe_grid_failures_certify_within_their_estimates(L):
+    # the input-space probe's two GridTooCoarse configs under the h^(2L+1) fit that
+    # preceded the weighted stencil, at B_2m = 1e6
+    _certifies_within_its_estimate(L, 10**6, 10000)
 
 
 def test_truncation_warning_when_cut_too_short():
@@ -743,8 +785,8 @@ def test_standalone_integrals_find_the_tail_at_high_order(m):
 
 # Both lanes: sqrt(B_2m) rational (exact closed forms) and irrational (float closed forms)
 HONESTY_B = (1, 4, Fraction(9, 4), 2, 3, Fraction(5, 2), Fraction(7, 2))
-# non-integer L below 3/2, where the ladder fits the origin's h^(2L+1) term
-FITTED_L = (Fraction(1, 100), Fraction(1, 10), Fraction(3, 10), Fraction(7, 10), Fraction(13, 10))
+# non-integer L below 3/2, where the ladder solves the weighted stencil
+WEIGHTED_L = (Fraction(1, 100), Fraction(1, 10), Fraction(3, 10), Fraction(7, 10), Fraction(13, 10))
 
 
 @pytest.mark.parametrize("family", [1, 2])
@@ -754,7 +796,7 @@ def test_certified_estimate_bounds_the_closed_form_error(family, m):
     # extrapolated value against the closed form; below 1e-9 the eigensolver's
     # rounding may outgrow an estimate of converged values
     lam = 1 if family == 1 else -1
-    for L in (0, Fraction(1, 2), 1, 2, *FITTED_L):
+    for L in (0, Fraction(1, 2), 1, 2, *WEIGHTED_L):
         for B in HONESTY_B:
             sol = general_two_state(family, m, L, B, lam)
             est = lowest_eigenvalues(sol.spec, k=2, rtol=1e-6)

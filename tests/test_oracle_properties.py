@@ -18,6 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 from curvedqes import (  # noqa: E402
     Deformation,
     GridTooCoarse,
+    NonNormalizable,
     TruncationWarning,
     eval_potential,
     general_two_state,
@@ -48,14 +49,15 @@ def test_ladder_certifies_or_raises_and_matches_bisection(family, m, L, B2m):
         return
     w = np.array(est.eigenvalues)
     assert np.all(np.isfinite(w))
-    # bisection on the same matrix, and its accuracy eps ||T||_1
+    # bisection on the same matrix, the weighted stencil's at L = 1/2, and its accuracy
+    # eps ||T||_1
     n, h = est.grid_points, est.x_max / est.grid_points
     r = radius_from_arc(Deformation(float(spec.lam)), h * np.arange(1, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = 2.0 / (h * h) + eval_potential(spec, r)
-    off = np.full(n - 2, -1.0 / (h * h))
+        v = eval_potential(spec, r)
+    diag, off = oracle._stencil(v, h, None if L == int(L) else float(L) + 1.0)[:2]
     ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1), eigvals_only=True)
-    norm1 = np.max(np.abs(diag)) + 2.0 / (h * h)
+    norm1 = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
     assert np.all(np.abs(w - ref) <= 4 * EPS * norm1)
 
 
@@ -80,9 +82,9 @@ def _polish_certifies_or_falls_back(k, start, guess=None):
         guess = eigh_tridiagonal(half, half_off, select="i", select_range=(0, k - 1),
                                  eigvals_only=True)
     diag, off, v, h = _matrix(N)
-    polished = oracle._polish(diag, off, v, h, guess, start)
+    polished = oracle._polish(oracle._stencil(v, h), guess, start)
     if polished is None:
-        w, vecs, method = oracle._tridiag_lowest(v, h, k, guess, start=start)
+        w, vecs, method = oracle._tridiag_lowest(v, h, k, guess=guess, start=start)
         ref_w, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
         assert method == "bisection"
         assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
@@ -166,7 +168,8 @@ def test_model_input_constructs_or_raises_a_user_error(family, m, L, B2m, lam):
 @given(
     family=st.sampled_from([1, 2]),
     m=st.integers(1, MAX_ORDER),
-    L=st.sampled_from([0, Fraction(1, 10), Fraction(1, 2), 1, 2]),
+    L=st.sampled_from([0, Fraction(1, 100), Fraction(1, 10), Fraction(3, 10), Fraction(1, 2),
+                       Fraction(7, 10), 1, Fraction(13, 10), 2]),
     B2m=st.one_of(
         st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=100),
         st.floats(min_value=0.01, max_value=100.0),
@@ -174,7 +177,8 @@ def test_model_input_constructs_or_raises_a_user_error(family, m, L, B2m, lam):
     scale=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
 )
 def test_verification_passes_over_the_input_space(family, m, L, B2m, scale):
-    # L = 1/10 and 1/2 converge below fourth order at the origin: the fit certifies them
+    # a non-integer L below 3/2 leaves the plain stencil an error of order 2L + 1 at the
+    # origin: the weighted stencil certifies it
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = run_verification(family, m, L, B2m, scale if family == 1 else -scale,
@@ -184,10 +188,36 @@ def test_verification_passes_over_the_input_space(family, m, L, B2m, scale):
 
 
 def test_half_integer_L_at_large_B2m_verifies():
-    # u ~ x^(3/2) at the origin puts h^2 log h into E(h); the fit removes it
+    # u ~ x^(3/2) at the origin would put h^2 log h into the plain stencil's E(h); the
+    # weighted stencil keeps order 2
     report = run_verification(1, 1, Fraction(1, 2), Fraction(166, 25), 1, rtol=1e-6)
     assert report.passed
     assert report.grid_points <= 2500
+
+
+# The input-space probe's misses left at lambda = +-1, each to pass when its ROADMAP
+# item lands. Item 5: a weak family-2 wall puts the cut inside the well, and E0 is
+# off by 6.7e-6 to 6.6e-4 under an estimate below 1e-6
+@pytest.mark.filterwarnings("ignore::curvedqes.TruncationWarning")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5: oracle_E0 fails")
+@pytest.mark.parametrize("L", [0, Fraction(1, 100), Fraction(3, 10), Fraction(5, 4),
+                               Fraction(3, 2), Fraction(5, 2), 7])
+def test_weak_wall_verifies(L):
+    report = run_verification(2, 1, L, 1e-4, -1, rtol=1e-6)
+    assert report.passed, [c for c in report.checks if not c.passed]
+
+
+# Item 4: the wavefunction's raw values underflow or overflow on normalizable states,
+# one config per NonNormalizable message
+@pytest.mark.filterwarnings("ignore::curvedqes.TruncationWarning")
+@pytest.mark.xfail(strict=True, raises=NonNormalizable, reason="ROADMAP item 4")
+@pytest.mark.parametrize(
+    "args",
+    [(1, 30, 100, 1e6, 1), (2, 30, 100, 1e4, -1), (1, 1, 100, 1e-4, 1), (2, 8, 0, 1e6, -1)],
+    ids=["tail does not decay", "norm is 0.0", "norm is inf", "vanishes on the grid"],
+)
+def test_normalizable_state_verifies(args):
+    assert run_verification(*args, rtol=1e-6).passed
 
 
 def _whole_scan_arc_cutoff(spec):

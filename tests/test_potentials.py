@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import warnings
 from fractions import Fraction as F
 
@@ -295,6 +296,34 @@ def test_run_sums_are_not_nan_where_lam_r2_rounds_past_the_domain_end():
     spec = _spec_with_runs(2, lam, (LONG_RUN, LONG_RUN), seed=5)
     with np.errstate(all="ignore"):
         assert not np.isnan(eval_potential(spec, r))
+
+
+@pytest.mark.parametrize("m", [1, 16])  # a short tail's per-term sum, and a long tail's runs
+def test_family2_is_inf_where_lam_r2_rounds_to_minus_one(m):
+    # f^2 <= 0 at the last radius below 1/sqrt(-lam): the wall's +inf, never a large
+    # negative value, -inf or NaN, and the other radii keep their values
+    lam = -84.6067685083648
+    r = np.array([0.05, 0.1087, np.nextafter(0.10871699658938425, 0.0), 0.10871699658938425])
+    assert lam * r[-1] * r[-1] < -1.0
+    spec = reduced_spec(2, m, 1, 1, lam)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(
+        divide="warn", over="warn", invalid="warn", under="ignore"
+    ):
+        warnings.simplefilter("always")
+        v = eval_potential(spec, r)
+    assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) <= 1
+    assert np.isposinf(v[-1]) and not np.any(np.isnan(v))
+    with np.errstate(all="ignore"):
+        assert eval_potential(spec, r[-1]) == math.inf
+        assert np.array_equal(v[:-1], eval_potential(spec, r[:-1]))
+
+
+def test_centrifugal_term_is_left_out_at_L0():
+    # 0 / r^2 is NaN where r^2 underflows, below about r = 1e-162; f^2 rounds to 1 there
+    spec = reduced_spec(1, 4, 0, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_potential(spec, 1e-170) == eval_potential(spec, 1e-100)
 
 
 def _horner(spec, r):

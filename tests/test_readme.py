@@ -44,5 +44,5 @@ def test_cli_block_runs_as_documented(capsys, tmp_path):
 
 def test_error_list_names_the_oracle_range_limits():
     bullet = README.read_text().split("- `InvalidParameter`:")[1].split("\n- ")[0]
-    # the messages of the two limits: verify.run_verification and oracle._tridiag_lowest
+    # the messages of the two limits: verify.run_verification and oracle._stencil
     assert "oracle matrix" in bullet and "w_minus_identity" in bullet
