@@ -32,17 +32,19 @@ Symmetric Eigenvalue Problem, ch. 4 and 10), falling back to bisection when
 the certificate fails. A warm-started pair certifies after one step.
 
 Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
-QUADPACK): each refinement round evaluates the wavefunction once, as one
-array over every open panel, against a relative error target, so small norms
-keep their digits. Node search scans for sign changes with array operations
-and polishes each bracketed root by Brent's method, ported here from
-scipy.optimize.brentq. Both end at a probed decay radius unless the caller,
-as run_verification does with r_cut, passes the end in. A verification's two
-states share their exponent series, and its node scan, residual grid and the
-first round of its norms, tails and overlap evaluate them together
-(susy.evaluate_forms) through the private helpers _find_nodes,
-_schrodinger_residuals and _norms_and_overlap: the same values as one state
-at a time.
+QUADPACK), one vector quadrature for many integrands: each refinement round
+evaluates them once, as one array over every open panel shared by all, and
+each meets its own error budget, relative to the norm so that small norms keep
+their digits. Node search scans the residual grid (_scan_grid) for sign
+changes with array operations and polishes each bracketed root by Brent's
+method, ported here from scipy.optimize.brentq. Both end at a probed decay
+radius unless the caller, as run_verification does with r_cut, passes the end
+in. A verification's two states share their exponent series, so each window
+evaluates them together (susy.evaluate_forms), the same values as one state
+at a time: one evaluation with derivatives on the residual grid gives both
+residuals and both node scans (_residuals_and_nodes), and one quadrature pass
+both norms and their overlap, plus one for both tails at lambda > 0
+(_integrals).
 
 Everything here is deliberately independent of the closed-form route: the
 matrix only sees eval_potential, and the quadrature/node utilities only see
@@ -151,7 +153,9 @@ def default_arc_cutoff(spec: PotentialSpec) -> float:
     non-finite or >= WALL_CUTOFF |lambda|. lambda < 0 scans the box less its ends and
     cuts at the box's end if that finds no wall. lambda > 0 scans
     (0, 2^j / sqrt(lambda)], j = 1..6, in turn, then warns with
-    TruncationWarning and cuts at 64 / sqrt(lambda).
+    TruncationWarning and cuts at 64 / sqrt(lambda). A scan that is NaN
+    everywhere, as where lambda B_k overflows and V is inf - inf, raises
+    InvalidParameter.
 
     The scan is sampled coarse to fine, not evaluated whole: every
     SCAN_STRIDE-th point, then the points within one stride of the coarse
@@ -172,6 +176,11 @@ def default_arc_cutoff(spec: PotentialSpec) -> float:
     for lo, hi in spans:
         xs = np.linspace(lo, hi, SCAN_POINTS)
         coarse = _potential_on_arc(spec, xs[::SCAN_STRIDE])
+        if np.all(np.isnan(coarse)):
+            raise InvalidParameter(
+                f"the potential is NaN over the whole wall scan at lambda={lam:g}: its "
+                "coefficients times lambda leave the double range"
+            )
         c = int(np.nanargmin(coarse)) * SCAN_STRIDE
         a = max(c - SCAN_STRIDE, 0)
         i0 = a + int(np.nanargmin(_potential_on_arc(spec, xs[a:c + SCAN_STRIDE + 1])))
@@ -588,46 +597,51 @@ def lowest_eigenvalues(
     )
 
 
+def _scan_grid(lam: float, r_max: float) -> np.ndarray:
+    """The 2000 geometric points from 1e-4 / sqrt|lambda| to r_max of the residual and node scans."""
+    return np.geomspace(1e-4 / math.sqrt(abs(lam)), r_max, 2000)
+
+
 def schrodinger_residual(
     spec: PotentialSpec,
     psi: WavefunctionForm,
     energy: float,
     x_max: float | None = None,
 ) -> float:
-    """Max scaled residual of the eigenvalue equation over a 2000-point geometric grid.
+    """Max scaled residual of the eigenvalue equation over the 2000-point _scan_grid.
 
     The residual |pi^2 psi + (V - E) psi| / (|lambda| + |E| |psi|), NaN if any
     point's is, uses analytic derivatives of the peak-normalized closed form.
-    The grid runs from 1e-4 / sqrt|lambda| to the radius of the arc cut x_max,
-    which defaults to default_arc_cutoff(spec). Raises NonNormalizable when
-    psi vanishes on the whole grid.
+    The grid ends at the radius of the arc cut x_max, which defaults to
+    default_arc_cutoff(spec). Raises NonNormalizable when psi vanishes on the
+    whole grid.
     """
-    r_max = None if x_max is None else _cut_radius(float(spec.lam), x_max)
-    return _schrodinger_residuals(spec, [(psi, energy)], r_max)[0]
+    x_cut = default_arc_cutoff(spec) if x_max is None else x_max
+    return _residuals_and_nodes(spec, [(psi, energy)], _cut_radius(float(spec.lam), x_cut))[0][0]
 
 
-def _schrodinger_residuals(spec: PotentialSpec, states, r_max: float | None = None) -> list:
-    """schrodinger_residual of each (psi, energy) in states, on one grid to r_max and one V(r).
+def _residuals_and_nodes(spec: PotentialSpec, states, r_max: float) -> tuple:
+    """(residuals, nodes): schrodinger_residual and find_nodes of each (psi, energy) in states.
 
-    The states' psi, psi' and psi'' are one joint evaluation (evaluate_forms).
+    One _scan_grid to r_max, one V(r) and one joint evaluation of the states'
+    psi, psi' and psi'' (evaluate_forms) serve both: each psi's values there
+    are the ones find_nodes brackets.
     """
     lam = float(spec.lam)
-    if r_max is None:
-        r_max = _cut_radius(lam, default_arc_cutoff(spec))
-    r = np.geomspace(1e-4 / math.sqrt(abs(lam)), r_max, 2000)
+    r = _scan_grid(lam, r_max)
     f2 = 1.0 + lam * r * r
     v = eval_potential(spec, r)
-    out = []
-    derivatives = evaluate_forms([psi for psi, _ in states], r, derivatives=True)
-    for (_, energy), (psi_v, dpsi, d2psi) in zip(states, derivatives):
+    evaluated = evaluate_forms([psi for psi, _ in states], r, derivatives=True)
+    residuals = []
+    for (_, energy), (psi_v, dpsi, d2psi) in zip(states, evaluated):
         peak = np.max(np.abs(psi_v))
         if peak == 0.0:
             raise NonNormalizable("wavefunction vanishes on the whole grid")
         psi_v, dpsi, d2psi = psi_v / peak, dpsi / peak, d2psi / peak
         kinetic = -f2 * d2psi - 2.0 * lam * r * dpsi - lam * (2.0 + lam * r * r) / (4.0 * f2) * psi_v
         res = np.abs(kinetic + (v - energy) * psi_v) / (abs(lam) + abs(energy) * np.abs(psi_v))
-        out.append(float(np.max(res)))
-    return out
+        residuals.append(float(np.max(res)))
+    return residuals, [_nodes(psi, r, values[0]) for (psi, _), values in zip(states, evaluated)]
 
 
 def _decay_radius(psi: WavefunctionForm) -> float:
@@ -685,66 +699,50 @@ START_PANELS = 16
 MAX_SPLITS = 2000
 
 
-def _panel_nodes(lo: np.ndarray, hi: np.ndarray):
-    """The 15 Kronrod nodes of each panel [lo_i, hi_i], panel by panel; the midpoints; the half-widths."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return (mid[:, None] + half[:, None] * _GK_NODES).ravel(), mid, half
+def _gauss_kronrod(fun, a: float, b: float, budget) -> np.ndarray:
+    """Integrals of the rows of a vectorised fun over [a, b] by adaptive Gauss-Kronrod 7/15 panels.
 
-
-def _start_panels(a: float, b: float):
-    """The START_PANELS equal panels of [a, b] that _gauss_kronrod's first round evaluates."""
-    edges = np.linspace(a, b, START_PANELS + 1)
-    return edges[:-1], edges[1:]
-
-
-def _first_nodes(a: float, b: float) -> np.ndarray:
-    """The nodes of _gauss_kronrod's first round over [a, b]."""
-    return _panel_nodes(*_start_panels(a, b))[0]
-
-
-def _gauss_kronrod(fun, a: float, b: float, epsrel: float, epsabs: float = 0.0,
-                   first: np.ndarray | None = None) -> float:
-    """Integral of a vectorised fun over [a, b] by adaptive Gauss-Kronrod 7/15 panels.
-
-    The START_PANELS equal panels are refined in rounds. Each round
-    evaluates fun once, on the 15 nodes of every open panel, and
-    estimates each panel's error as QUADPACK's qk15 does. A panel is closed
-    when its error fits its share of the budget max(epsabs, epsrel |I|),
-    in proportion to its width, or is at or below qk15's round-off floor,
-    50 eps times the integral of |fun| over the panel, which bisection cannot
-    lower; every other panel is bisected. Once
-    MAX_SPLITS bisections are spent the current estimate is returned.
-    A non-finite estimate is returned as soon as it appears.
-
-    first, when given, is fun on the first round's nodes (_first_nodes(a,
-    b)), evaluated by the caller together with other integrands over [a, b].
+    fun(r) gives one row per integrand (a 1-d array is one row), and
+    budget(totals) each row's error budget from the current estimates. The
+    START_PANELS equal panels are shared by every row and refined in rounds.
+    Each round evaluates fun once, on the 15 nodes of every open panel, and
+    estimates each row's error on each panel as QUADPACK's qk15 does. A panel
+    is closed when, in every row, its error fits its share of that row's
+    budget, in proportion to its width, or is at or below qk15's round-off
+    floor, 50 eps times the integral of the row's |fun| over the panel, which
+    bisection cannot lower; every other panel is bisected. Once MAX_SPLITS
+    bisections are spent the current estimates are returned, and so are they
+    as soon as one is not finite.
     """
-    lo, hi = _start_panels(a, b)
+    edges = np.linspace(a, b, START_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
     closed = 0.0
     splits = 0
     eps = np.finfo(float).eps
     while True:
-        nodes, mid, half = _panel_nodes(lo, hi)
-        fx = (fun(nodes) if first is None else first).reshape(-1, _GK_NODES.size)
-        first = None
-        kron = fx @ _GK_KRONROD
-        total = closed + float(np.sum(half * kron))
-        if not math.isfinite(total):
-            return total
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fx = np.reshape(fun((mid[:, None] + half[:, None] * _GK_NODES).ravel()),
+                        (-1, lo.size, _GK_NODES.size))
+        # an inf row (|psi|^2 past the double range) may hold inf - inf: its total is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            kron = fx @ _GK_KRONROD
+            totals = closed + kron @ half
+        if not np.all(np.isfinite(totals)):
+            return totals
         with np.errstate(divide="ignore", invalid="ignore"):
-            resasc = half * (np.abs(fx - 0.5 * kron[:, None]) @ _GK_KRONROD)
+            resasc = half * (np.abs(fx - 0.5 * kron[..., None]) @ _GK_KRONROD)
             err = np.abs(half * (kron - fx @ _GK_GAUSS))
             err = np.where((resasc != 0.0) & (err != 0.0),
                            resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
         floor = 50.0 * eps * half * (np.abs(fx) @ _GK_KRONROD)  # qk15's round-off floor
-        budget = max(epsabs, epsrel * abs(total))
-        # no bisection takes a panel's error below its floor: a panel there is closed
-        open_ = err > np.maximum(floor, budget * (hi - lo) / (b - a))
+        share = budget(totals)[:, None] * ((hi - lo) / (b - a))
+        # no bisection takes a panel's error below its floor: a row there is done
+        open_ = np.any(err > np.maximum(floor, share), axis=0)
         n_open = int(np.count_nonzero(open_))
         if n_open == 0 or splits + n_open > MAX_SPLITS:
-            return total
-        closed += float(np.sum(half[~open_] * kron[~open_]))
+            return totals
+        closed += kron[:, ~open_] @ half[~open_]
         splits += n_open
         lo, mid, hi = lo[open_], mid[open_], hi[open_]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
@@ -758,46 +756,52 @@ def quadrature_norm(psi: WavefunctionForm, r_max: float | None = None) -> float:
     [r_max, 2 r_max] exceeds TAIL_RATIO of the norm; the tail is integrated
     to an absolute error of a tenth of that bound, all its check needs.
     """
-    return _norms((psi,), _decay_radius(psi) if r_max is None else r_max)[0]
+    return _integrals((psi,), _decay_radius(psi) if r_max is None else r_max)[0]
 
 
-def _squared(values: np.ndarray) -> np.ndarray:
-    # past 1e154 |psi|^2 is inf, which the norm's check rejects
-    with np.errstate(over="ignore"):
-        return values ** 2
+def _integrals(forms, hi: float) -> list:
+    """The quadrature_norm to hi of each of forms (one, or a pair sharing lambda), and of a
+    pair their overlap after the norms.
 
-
-def _norms(forms, hi: float, values=None) -> list:
-    """quadrature_norm of each of forms, sharing lambda, to hi.
-
-    Each form's integral and its check, then its tail's, come before the next
-    form's, as one quadrature_norm call after another would run them. Every
-    integral over [0, hi] or [hi, 2 hi] opens on the same nodes, where the
-    forms are one joint evaluation (evaluate_forms); values, when given, are
-    the forms there over [0, hi].
+    One _gauss_kronrod pass integrates every |psi|^2, and a pair's raw product
+    psi_a psi_b, over [0, hi], each round one joint evaluation of the forms
+    (evaluate_forms). A norm's budget is NORM_EPSREL of it, the product's
+    max(OVERLAP_EPSABS sqrt(I_a I_b), OVERLAP_EPSREL |I|), the overlap's
+    targets in units of the norms. At lambda > 0 one more pass integrates
+    every |psi|^2 over [hi, 2 hi], each to a tenth of its tail bound.
     """
-    lam = float(forms[0].lam)
-    if values is None:
-        values = evaluate_forms(forms, _first_nodes(0.0, hi))
-    tails = None
-    out = []
-    for i, psi in enumerate(forms):
-        def squared(r, psi=psi):
-            return _squared(psi.value(r))
+    k = len(forms)
 
-        value = _gauss_kronrod(squared, 0.0, hi, NORM_EPSREL, first=_squared(values[i]))
+    def integrands(r):
+        values = evaluate_forms(forms, r)
+        # past 1e154 |psi|^2 is inf, which the norm's check rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = [p * p for p in values]
+            if k == 2:
+                rows.append(values[0] * values[1])
+        return np.array(rows)
+
+    def budget(totals):
+        out = NORM_EPSREL * np.abs(totals)
+        if k == 2:
+            scale = math.sqrt(abs(totals[0])) * math.sqrt(abs(totals[1]))
+            out[2] = max(OVERLAP_EPSABS * scale, OVERLAP_EPSREL * abs(totals[2]))
+        return out
+
+    totals = [float(t) for t in _gauss_kronrod(integrands, 0.0, hi, budget)]
+    norms = totals[:k]
+    for value in norms:
         if not math.isfinite(value) or value <= 0.0:
             raise NonNormalizable(f"squared norm evaluated to {value}")
-        if lam > 0:
-            if tails is None:
-                tails = evaluate_forms(forms, _first_nodes(hi, 2.0 * hi))
-            # the tail beyond the cutoff must be negligible, not just small
-            tail = _gauss_kronrod(squared, hi, 2.0 * hi, NORM_EPSREL, TAIL_RATIO / 10.0 * value,
-                                  _squared(tails[i]))
-            if tail > TAIL_RATIO * value:
-                raise NonNormalizable("tail integral does not decay")
-        out.append(value)
-    return out
+    if float(forms[0].lam) > 0:
+        # the tail beyond the cutoff must be negligible, not just small
+        bounds = TAIL_RATIO * np.array(norms)
+        tails = _gauss_kronrod(lambda r: integrands(r)[:k], hi, 2.0 * hi, lambda _: bounds / 10.0)
+        if np.any(tails > bounds):
+            raise NonNormalizable("tail integral does not decay")
+    if k == 2:
+        totals[2] /= math.sqrt(norms[0]) * math.sqrt(norms[1])
+    return totals
 
 
 def overlap(
@@ -814,34 +818,14 @@ def overlap(
     ends = (r_max, r_max) if r_max is not None else (_decay_radius(psi_a), _decay_radius(psi_b))
     if norms is None:
         norms = tuple(quadrature_norm(p, h) for p, h in zip((psi_a, psi_b), ends))
-    return _overlap(psi_a, psi_b, norms, max(ends))
-
-
-def _overlap(psi_a, psi_b, norms, hi: float, values=None) -> float:
-    """overlap over [0, hi]; values, when given, are (psi_a, psi_b) on the first round's nodes.
-
-    The pair is evaluated jointly (evaluate_forms), which takes one form at a
-    time where the two do not share an exponent series.
-    """
     scale = math.sqrt(norms[0]) * math.sqrt(norms[1])
 
     def product(r):
         a, b = evaluate_forms((psi_a, psi_b), r)
         return a * b / scale
 
-    first = None if values is None else values[0] * values[1] / scale
-    return _gauss_kronrod(product, 0.0, hi, OVERLAP_EPSREL, OVERLAP_EPSABS, first)
-
-
-def _norms_and_overlap(psi0: WavefunctionForm, psi1: WavefunctionForm, r_max: float) -> tuple:
-    """(quadrature_norm of psi0, of psi1, their overlap), every integral to r_max.
-
-    The three integrals over [0, r_max] open on the same nodes, where the
-    pair is one joint evaluation; the tails share another.
-    """
-    values = evaluate_forms((psi0, psi1), _first_nodes(0.0, r_max))
-    norms = _norms((psi0, psi1), r_max, values)
-    return (*norms, _overlap(psi0, psi1, norms, r_max, values))
+    return float(_gauss_kronrod(product, 0.0, max(ends),
+                                lambda t: np.maximum(OVERLAP_EPSABS, OVERLAP_EPSREL * np.abs(t)))[0])
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -916,27 +900,17 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
 
 
 def find_nodes(psi: WavefunctionForm, r_max: float | None = None) -> list:
-    """Interior zeros of psi, located by bisection after a 4001-point sign-change scan.
-
-    The scan runs from 1e-6 / sqrt|lambda| to r_max, by default _decay_radius(psi).
+    """Interior zeros of psi: the sign changes of its values on the _scan_grid, polished
+    by Brent's method. The grid ends at r_max, by default _decay_radius(psi).
     """
-    return _find_nodes((psi,), r_max)[0]
+    r = _scan_grid(float(psi.lam), _decay_radius(psi) if r_max is None else r_max)
+    return _nodes(psi, r, psi.value(r))
 
 
-def _find_nodes(forms, r_max: float | None = None) -> list:
-    """find_nodes of each of forms, sharing lambda, from one scan.
-
-    The scan's 4001 values are one joint evaluation (evaluate_forms); each
-    form's brackets are then polished on the form alone. Without r_max the
-    scan ends at the first form's _decay_radius.
-    """
-    hi = _decay_radius(forms[0]) if r_max is None else r_max
-    grid = np.linspace(1e-6 / math.sqrt(abs(float(forms[0].lam))), hi, 4001)
-    return [
-        [float(brentq(lambda r, psi=psi: float(psi.value(r)), grid[i], grid[j],
-                      xtol=1e-13, rtol=1e-15)) for i, j in zip(*_sign_changes(vals, 1e-13))]
-        for psi, vals in zip(forms, evaluate_forms(forms, grid))
-    ]
+def _nodes(psi: WavefunctionForm, r: np.ndarray, values: np.ndarray) -> list:
+    """Each bracket of a sign change of psi's values on the grid r, polished on psi alone."""
+    return [float(brentq(lambda x: float(psi.value(x)), r[i], r[j], xtol=1e-13, rtol=1e-15))
+            for i, j in zip(*_sign_changes(values, 1e-13))]
 
 
 def _sign_changes(values, floor: float) -> tuple:

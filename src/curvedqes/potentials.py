@@ -122,11 +122,10 @@ class PotentialSpec:
     @cached_property
     def _runs(self):
         """The float tail as runs (c, n) of equal coefficients, highest power of f^2 first,
-        once per spec for eval_potential; None where no run is LONG_RUN long."""
+        once per spec for eval_potential."""
         B = self._floats[4]
         coeffs = B[::-1] if self.family is Family.FAMILY1 else B
-        runs = tuple((c, len(tuple(run))) for c, run in groupby(coeffs))
-        return runs if any(n >= LONG_RUN for _, n in runs) else None
+        return tuple((c, len(tuple(run))) for c, run in groupby(coeffs))
 
 
 def eval_potential(spec: PotentialSpec, r):
@@ -138,11 +137,11 @@ def eval_potential(spec: PotentialSpec, r):
     stays bounded and only the one power f^(4m+2) left can underflow, where V
     is inf at the wall. A run of LONG_RUN or more equal coefficients (from
     m = 12 in a reduced spec, m = 11 in a family-2 partner) is one
-    closed-form step (_run_sum). Every other coefficient is one multiply and
-    one add, and a tail with no such run keeps that loop and its bits. A
-    shorter tail (m <= 2 and its partner) keeps one `**` per term: the golden
-    figures hold its values byte for byte, and Horner's rule rounds
-    differently. Only the spec's coefficients enter, however they are summed.
+    closed-form step, and every other coefficient one multiply and one add
+    (_run_sum). A shorter tail (m <= 2 and its partner) keeps one `**` per
+    term: the golden figures hold its values byte for byte, and Horner's rule
+    rounds differently. Only the spec's coefficients enter, however they are
+    summed.
 
     Where lam r^2 rounds to -1 or below, at the last radii of a lambda < 0
     domain, f^2 is not positive and V is +inf, the wall's value. At L = 0 the
@@ -162,20 +161,8 @@ def eval_potential(spec: PotentialSpec, r):
         for k, Bk in enumerate(B, start=1):
             v = v + lam * Bk * f2 ** k if fam1 else v - lam * Bk / f2 ** (k + 1)
     else:
-        runs = spec._runs
-        if runs is not None:
-            tail = _run_sum(runs, t, f2, fam1, len(B))
-            v += lam * tail if fam1 else -lam * tail
-        else:
-            coeffs = B[::-1] if fam1 else B  # highest power of f^2 first
-            h = coeffs[0] * f2 + coeffs[1]
-            for c in coeffs[2:]:
-                h *= f2
-                h += c
-            if fam1:
-                v += lam * f2 * h
-            else:
-                v -= lam * h / f2 ** (len(B) + 1)
+        tail = _run_sum(spec._runs, t, f2, fam1, len(B))
+        v += lam * tail if fam1 else -lam * tail
     if wall is not None:
         v = np.where(wall, np.inf, v)
     return float(v) if np.isscalar(r) or v.ndim == 0 else v
@@ -196,16 +183,18 @@ def _run_sum(runs, t, f2, fam1, terms):
     small. t is held off 0 by _RUN_FLOOR, and is > -1: eval_potential sets
     the radii where it rounds to -1 or below aside.
     """
-    u = np.maximum(t, _RUN_FLOOR) if fam1 else np.minimum(t, -_RUN_FLOOR)
-    g = np.log1p(u)
-    q = (-1.0 if fam1 else 1.0) / u
     h = np.zeros_like(f2)
+    g = None
     for c, n in runs:
         if n < LONG_RUN:
             for _ in range(n):
                 h *= f2
                 h += c
             continue
+        if g is None:  # log1p(t), once, where a tail has a long run
+            u = np.maximum(t, _RUN_FLOOR) if fam1 else np.minimum(t, -_RUN_FLOOR)
+            g = np.log1p(u)
+            q = (-1.0 if fam1 else 1.0) / u
         z = (-n if fam1 else n) * g
         E = np.exp(z)
         G = np.expm1(z)

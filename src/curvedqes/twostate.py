@@ -294,7 +294,8 @@ def general_two_state(family, m: int, L, B2m, lam) -> TwoStateSolution:
     """Complete order-m solution: spec, superpotentials, energies, eigenstates, node.
 
     Raises what validate_model raises, and InvalidParameter when a float-lane
-    quantity leaves the double range.
+    quantity leaves the double range, or an exact-lane E0, E1, delta_e, A or
+    tail coefficient lies beyond it.
     """
     fam = validate_model(family, m, L, B2m, lam)
     try:
@@ -337,6 +338,10 @@ def _two_state(fam: Family, m: int, L, B2m, lam) -> TwoStateSolution:
     delta = e1 - e0
     if is_exact(delta, pair.delta_e):
         consistent = delta == pair.delta_e
+        # exact values never overflow, but every consumer of the solution takes floats
+        for name, value in (("E0", e0), ("E1", e1), ("delta_e", pair.delta_e), ("A", spec.A),
+                            *((f"B_{k}", spec.B[k - 1]) for k in (1, m, 2 * m))):
+            require_finite(name, value)
     elif not math.isfinite(delta):
         raise OverflowError(f"E1 - E0 = {delta}")
     else:

@@ -19,9 +19,8 @@ import numpy as np
 from .errors import InvalidParameter
 from .oracle import (
     _cut_radius,
-    _find_nodes,
-    _norms_and_overlap,
-    _schrodinger_residuals,
+    _integrals,
+    _residuals_and_nodes,
     count_sign_changes,
     default_arc_cutoff,
     lowest_eigenvalues,
@@ -221,19 +220,17 @@ def run_verification(
     add("oracle_E0", rel0)
     add("oracle_E1", rel1)
 
-    # psi0 and psi1 share their exponent series: each grid below evaluates the pair
-    # jointly. One residual grid and one V(r) for both states
-    res = _schrodinger_residuals(sol.spec, [(sol.psi0, e0f), (sol.psi1, e1f)], r_cut)
+    # psi0 and psi1 share their exponent series: one joint evaluation on the residual grid
+    # gives both residuals and the node scan, and one quadrature pass every integral
+    states = [(sol.psi0, e0f), (sol.psi1, e1f)]
+    res, (nodes0, nodes1) = _residuals_and_nodes(sol.spec, states, r_cut)
     add("residual_psi0", res[0])
     add("residual_psi1", res[1])
-
-    nodes0, nodes1 = _find_nodes((sol.psi0, sol.psi1), r_max=r_cut)
     add("nodes_psi0", len(nodes0))
     add("nodes_psi1", abs(len(nodes1) - 1))
     add("node_location", abs(nodes1[0] - sol.r0) if len(nodes1) == 1 else math.inf)
 
-    # each norm is computed once and shared with the overlap
-    norm0, norm1, ortho = _norms_and_overlap(sol.psi0, sol.psi1, r_cut)
+    norm0, norm1, ortho = _integrals((sol.psi0, sol.psi1), r_cut)
     add("orthogonality", abs(ortho))
 
     bad = sum(count_sign_changes(est.eigenvectors[:, i]) != i for i in range(2))

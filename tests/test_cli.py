@@ -184,6 +184,20 @@ def test_solve_rejects_non_finite_input(capsys, flag, value, name):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "command, value, message",
+    [("solve", "1e308", "E0 must be finite as a float"),
+     ("sweep", "1e308", "E0 must be finite as a float"),
+     ("verify", "1e200", "the potential is NaN over the whole wall scan at lambda=1e+200")],
+)
+def test_values_past_the_double_range_exit_with_one_line(capsys, command, value, message):
+    # the CLI parses 1e308 as an exact Fraction: the exact lane's E0 leaves the double range;
+    # at 1e200 lambda B_k overflows in the wall scan
+    code, out, err = run_cli([command, "--family", "1", "--lambda", value, "--B", value], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"InvalidParameter: {message}") and err.count("\n") == 1
+
+
 def test_sweep_command(capsys):
     code, out, _ = run_cli(
         ["sweep", "--family", "1", "--lambda", "1", "--m-max", "2",

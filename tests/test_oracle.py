@@ -622,11 +622,11 @@ def _find_nodes_by_pair_loop(psi, grid):
 def test_find_nodes_matches_pair_loop(fam, lam, m):
     # the pair loop polishes with scipy.optimize.brentq: the roots must be its own
     sol = general_two_state(fam, m, 1, 4, lam)
-    # the scan starts at 1e-6 / sqrt|lambda|, which is 1e-6 here
-    window = (1e-6, 4.0) if lam > 0 else (1e-6, 1.0 - 1e-9)
-    grid = np.linspace(*window, 4001)
+    r_max = 4.0 if lam > 0 else 1.0 - 1e-9
+    grid = np.geomspace(1e-4, r_max, 2000)  # the scan starts at 1e-4 / sqrt|lambda|
+    assert np.array_equal(grid, oracle._scan_grid(lam, r_max))
     for psi in (sol.psi0, sol.psi1):
-        assert find_nodes(psi, r_max=window[1]) == _find_nodes_by_pair_loop(psi, grid)
+        assert find_nodes(psi, r_max=r_max) == _find_nodes_by_pair_loop(psi, grid)
 
 
 def test_find_nodes_several_roots_match_pair_loop():
@@ -634,8 +634,7 @@ def test_find_nodes_several_roots_match_pair_loop():
     psi = WavefunctionForm(1, 1, exp_finv=(-0.5,), prefactor=(-0.018, 0.27, -1.0, 1.0), lam=-1)
     nodes = find_nodes(psi)
     assert nodes == pytest.approx(np.sqrt([0.1, 0.3, 0.6]), abs=1e-12)
-    window = (1e-6, 1.0 - 1e-9)
-    assert nodes == _find_nodes_by_pair_loop(psi, np.linspace(*window, 4001))
+    assert nodes == _find_nodes_by_pair_loop(psi, oracle._scan_grid(-1.0, 1.0 - 1e-9))
 
 
 def test_count_sign_changes_synthetic_profile():
@@ -1010,17 +1009,26 @@ def test_brentq_bisects_where_the_step_denominator_is_zero(f, a, b):
      (2, 2, 0, 4, -1), (2, 30, 1, 4, -1)],
 )
 def test_joint_scan_and_integrals_equal_the_one_form_calls(config):
-    # the pair's shared scan and first rounds give each form's own nodes,
-    # norms (tails included for lambda > 0) and overlap, bit for bit
+    # the pair's one evaluation on the residual grid gives each form's own residual and
+    # nodes bit for bit; its one quadrature pass gives each norm and the overlap within
+    # its own budget of a one-form run to epsrel 1e-13 (tails included for lambda > 0)
     sol = general_two_state(*config)
     r_cut = oracle._cut_radius(float(sol.lam), oracle.default_arc_cutoff(sol.spec))
     pair = (sol.psi0, sol.psi1)
-    assert oracle._find_nodes(pair, r_max=r_cut) == [find_nodes(p, r_max=r_cut) for p in pair]
-    norm0, norm1, ortho = oracle._norms_and_overlap(*pair, r_cut)
-    assert (norm0, norm1) == (quadrature_norm(sol.psi0, r_cut), quadrature_norm(sol.psi1, r_cut))
-    assert ortho == overlap(*pair, (norm0, norm1), r_cut)
-    # the first round, evaluated by the caller, is the round the integral evaluates itself
-    squared = lambda r: sol.psi1.value(r) ** 2  # noqa: E731
-    nodes = oracle._first_nodes(0.0, r_cut)
-    assert oracle._gauss_kronrod(squared, 0.0, r_cut, oracle.NORM_EPSREL, first=squared(nodes)) \
-        == oracle._gauss_kronrod(squared, 0.0, r_cut, oracle.NORM_EPSREL) == norm1
+    energies = (float(sol.E0), float(sol.E1))
+    res, nodes = oracle._residuals_and_nodes(sol.spec, list(zip(pair, energies)), r_cut)
+    assert nodes == [find_nodes(p, r_max=r_cut) for p in pair]
+    x_cut = oracle.default_arc_cutoff(sol.spec)
+    assert res == [schrodinger_residual(sol.spec, p, e, x_cut) for p, e in zip(pair, energies)]
+    norm0, norm1, ortho = oracle._integrals(pair, r_cut)
+
+    def reference(fun):
+        return oracle._gauss_kronrod(fun, 0.0, r_cut, lambda t: 1e-13 * np.abs(t))[0]
+
+    for norm, psi in ((norm0, sol.psi0), (norm1, sol.psi1)):
+        assert abs(norm - reference(lambda r, psi=psi: psi.value(r) ** 2)) \
+            <= oracle.NORM_EPSREL * norm
+    product = reference(lambda r: sol.psi0.value(r) * sol.psi1.value(r))
+    scale = math.sqrt(norm0) * math.sqrt(norm1)
+    assert abs(ortho * scale - product) \
+        <= max(oracle.OVERLAP_EPSABS * scale, oracle.OVERLAP_EPSREL * abs(product))

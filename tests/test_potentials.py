@@ -326,33 +326,36 @@ def test_centrifugal_term_is_left_out_at_L0():
         assert eval_potential(spec, 1e-170) == eval_potential(spec, 1e-100)
 
 
-def _horner(spec, r):
-    """The potential with its tail summed one multiply and one add per term, highest power first."""
-    lam, L, A = float(spec.lam), float(spec.L), float(spec.A)
-    f2 = 1.0 + lam * r * r
-    v = L * (L + 1.0) / (r * r) + lam * A - lam * A / f2 + float(spec.shift)
-    B = [float(b) for b in spec.B]
-    fam1 = spec.family is Family.FAMILY1
-    coeffs = B[::-1] if fam1 else B
-    h = coeffs[0] * f2 + coeffs[1]
-    for c in coeffs[2:]:
-        h *= f2
-        h += c
-    return v + lam * f2 * h if fam1 else v - lam * h / f2 ** (len(B) + 1)
-
-
 @pytest.mark.parametrize("family", [1, 2])
-def test_tails_without_a_long_run_keep_horners_bits(family):
+def test_tails_without_a_long_run_match_a_50_digit_sum(family):
+    # m = 3 to 11 and tails of short runs: Horner's rule in _run_sum, one multiply and
+    # one add per term, each value within 1e-13 of the sum of its terms' absolute values
     lam = 1.0 if family == 1 else -1.0
-    r = np.geomspace(1e-3, 4.0 if family == 1 else 0.999, 500)
+    r = np.geomspace(1e-3, 3.0 if family == 1 else 0.9, 40)  # test_run_sums_match_a_50_digit_sum's
     specs = [reduced_spec(family, m, L, B2m, lam) for m in (3, 4, 8, 10)
              for L, B2m in ((0, 1), (F(1, 2), F(5, 2)))]
     specs += [partner_shift(s)[0] for s in specs]
     specs += [_spec_with_runs(family, lam, p, seed) for seed, p in
               enumerate([(1, 2, 3), (LONG_RUN - 1, LONG_RUN - 1), (2, 1, LONG_RUN - 1, LONG_RUN - 2)])]
     for spec in specs:
-        assert spec._runs is None
-        assert np.array_equal(eval_potential(spec, r), _horner(spec, r))
+        assert max(n for _, n in spec._runs) < LONG_RUN
+        v = eval_potential(spec, r)
+        with mpmath.workdps(50):
+            for x, got in zip(r, v):
+                terms = _mp_terms(spec, x)
+                err = abs(mpmath.mpf(got) - mpmath.fsum(terms))
+                assert err <= 1e-13 * mpmath.fsum(abs(t) for t in terms), (spec, x, got)
+
+
+def test_short_runs_warn_once_past_a_family2_wall():
+    # f^(4m+2) is subnormal at some radii and 0 at others: the tail's one factor
+    # f^-(4m+2) overflows with one warning, where a division per term warned twice
+    r = 1.0 - np.geomspace(0.5, 1e-15, 400)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(divide="warn", over="warn"):
+        warnings.simplefilter("always")
+        v = eval_potential(reduced_spec(2, 11, 1, 1, -1), r)
+    assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) <= 1
+    assert not np.any(np.isnan(v)) and np.isposinf(v[-1])
 
 
 def test_runs_are_grouped_once_per_spec(monkeypatch):

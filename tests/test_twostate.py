@@ -311,6 +311,18 @@ def test_first_step_rejects_non_finite_free_coefficients(fam, lam, m, bad):
             solve_first_step(fam, m, 1, spec.A, B, lam)
 
 
+@pytest.mark.parametrize("fam, m, B2m, lam", [
+    (1, 1, F(10**308), F(10**308)),  # E0 a 464-digit integer
+    (2, 1, F(10**308), -F(10**308)),
+    (2, 3, 1, -F(10**308)),
+    (1, 60, 1, F(10**306)),
+])
+def test_exact_lane_past_the_double_range_raises_a_user_error(fam, m, B2m, lam):
+    # exact arithmetic never overflows, but the solution's consumers take floats
+    with pytest.raises(InvalidParameter, match="E0 must be finite as a float"):
+        general_two_state(fam, m, 0, B2m, lam)
+
+
 def test_second_step_rejects_a_mismatched_first_step():
     spec = reduced_spec(1, 1, 1, 4, 1)
     first = solve_first_step(1, 1, 1, spec.A, spec.B, 1)

@@ -73,8 +73,9 @@ def test_perturbed_coefficient_breaks_riccati():
 
 def test_decay_radii_and_norms_computed_once(monkeypatch):
     # the radius of the oracle's wall cut ends every window: no decay-radius probe runs,
-    # and each state's norm is integrated once, both states in one joint _norms call
-    calls = {"_decay_radius": [], "_norms": [], "quadrature_norm": []}
+    # and one quadrature pass over [0, r_cut] integrates both norms and the overlap, with
+    # one more for both tails at lambda > 0
+    calls = {"_decay_radius": [], "_gauss_kronrod": [], "quadrature_norm": []}
 
     def counted(name):
         original = getattr(oracle, name)
@@ -87,10 +88,32 @@ def test_decay_radii_and_norms_computed_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(oracle, name, counted(name))
-    report = run_verification(1, 1, 1, 1, 1)
+    for config, starts in (((1, 1, 1, 1, 1), 2), ((2, 8, 0, 2, -1), 1)):
+        for found in calls.values():
+            found.clear()
+        report = run_verification(*config)
+        assert report.passed
+        assert calls["_decay_radius"] == [] and calls["quadrature_norm"] == []
+        r_cut = oracle._cut_radius(report.lam, report.x_max)
+        assert [args[1:3] for args in calls["_gauss_kronrod"]] \
+            == [(0.0, r_cut), (r_cut, 2.0 * r_cut)][:starts]
+
+
+def test_pair_is_evaluated_once_on_the_residual_grid(monkeypatch):
+    # the residual grid serves the node scan too: one evaluation of the pair with
+    # derivatives on its 2000 points, and no 4001-point scan
+    grids = []
+    original = susy.evaluate_forms
+
+    def counted(forms, r, derivatives=False):
+        grids.append((len(forms), np.size(r), derivatives))
+        return original(forms, r, derivatives)
+
+    monkeypatch.setattr(oracle, "evaluate_forms", counted)
+    report = run_verification(1, 4, 1, 2, 1, rtol=1e-6)
     assert report.passed
-    assert calls["_decay_radius"] == [] and calls["quadrature_norm"] == []
-    assert [len(args[0]) for args in calls["_norms"]] == [2]
+    assert [g for g in grids if g[2]] == [(2, 2000, True)]
+    assert all(size != 4001 for _, size, _ in grids)
 
 
 def test_arc_cutoff_computed_once(monkeypatch):
@@ -262,6 +285,13 @@ def test_oracle_matrix_out_of_range_raises_a_user_error(family, lam):
     # x_max ~ 1e-150: 1/h^2 squares past the double range in the eigensolver
     with pytest.raises(InvalidParameter, match="oracle matrix"):
         run_verification(family, 1, 0, 1, lam, rtol=1e-6)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_all_nan_wall_scan_raises_a_user_error():
+    # lambda B_k overflows to +-inf, so V is inf - inf at every point the wall scan samples
+    with pytest.raises(InvalidParameter, match=r"NaN over the whole wall scan at lambda=1e\+200"):
+        run_verification(1, 1, 0, 2e200, 1e200, rtol=1e-6)
 
 
 # family 1 from m = 20 and family 2 from m = 42: every window ends at the wall
