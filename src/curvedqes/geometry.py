@@ -49,7 +49,8 @@ class Deformation:
 
 def _check_radius(deformation: Deformation, r):
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= deformation.domain_max):
+    # every r must satisfy the bounds, so a NaN, which satisfies none, fails
+    if not np.all((arr > 0.0) & (arr < deformation.domain_max)):
         raise DomainError(
             f"radius outside the open domain (0, {deformation.domain_max}) "
             f"for lambda={deformation.lam}"
@@ -80,7 +81,7 @@ def arc_coordinate(deformation: Deformation, r):
 def radius_from_arc(deformation: Deformation, x):
     """Inverse of arc_coordinate."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= deformation.arc_max):
+    if not np.all((arr > 0.0) & (arr < deformation.arc_max)):
         raise DomainError(f"arc coordinate outside (0, {deformation.arc_max})")
     lam = deformation.lam
     if lam > 0:

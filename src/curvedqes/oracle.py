@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooCoarse, InvalidParameter, NonNormalizable, TruncationWarning
-from .geometry import Deformation, radius_from_arc
+from .geometry import Deformation, _check_radius, radius_from_arc
 from .potentials import PotentialSpec, eval_potential
 from .susy import WavefunctionForm, evaluate_forms
 
@@ -598,7 +598,11 @@ def lowest_eigenvalues(
 
 
 def _scan_grid(lam: float, r_max: float) -> np.ndarray:
-    """The 2000 geometric points from 1e-4 / sqrt|lambda| to r_max of the residual and node scans."""
+    """The 2000 geometric points from 1e-4 / sqrt|lambda| to r_max of the residual and node scans.
+
+    DomainError unless 0 < r_max < the radial domain's end.
+    """
+    _check_radius(Deformation(lam), r_max)
     return np.geomspace(1e-4 / math.sqrt(abs(lam)), r_max, 2000)
 
 
@@ -768,9 +772,12 @@ def _integrals(forms, hi: float) -> list:
     (evaluate_forms). A norm's budget is NORM_EPSREL of it, the product's
     max(OVERLAP_EPSABS sqrt(I_a I_b), OVERLAP_EPSREL |I|), the overlap's
     targets in units of the norms. At lambda > 0 one more pass integrates
-    every |psi|^2 over [hi, 2 hi], each to a tenth of its tail bound.
+    every |psi|^2 over [hi, 2 hi], each to a tenth of its tail bound. DomainError
+    unless 0 < hi < the radial domain's end.
     """
     k = len(forms)
+    lam = float(forms[0].lam)
+    _check_radius(Deformation(lam), hi)
 
     def integrands(r):
         values = evaluate_forms(forms, r)
@@ -793,7 +800,7 @@ def _integrals(forms, hi: float) -> list:
     for value in norms:
         if not math.isfinite(value) or value <= 0.0:
             raise NonNormalizable(f"squared norm evaluated to {value}")
-    if float(forms[0].lam) > 0:
+    if lam > 0:
         # the tail beyond the cutoff must be negligible, not just small
         bounds = TAIL_RATIO * np.array(norms)
         tails = _gauss_kronrod(lambda r: integrands(r)[:k], hi, 2.0 * hi, lambda _: bounds / 10.0)
@@ -804,28 +811,16 @@ def _integrals(forms, hi: float) -> list:
     return totals
 
 
-def overlap(
-    psi_a: WavefunctionForm,
-    psi_b: WavefunctionForm,
-    norms: tuple | None = None,
-    r_max: float | None = None,
-) -> float:
-    """Normalized inner product <a, b> / (||a|| ||b||).
+def overlap(psi_a: WavefunctionForm, psi_b: WavefunctionForm, r_max: float | None = None) -> float:
+    """Normalized inner product <a, b> / (||a|| ||b||): the pair row of _integrals.
 
-    norms, when given, are the squared norms of (psi_a, psi_b) to r_max. Every integral
-    ends at the radius r_max, by default each psi's _decay_radius (the product the larger).
+    Both norms and the raw product are integrated to the radius r_max in one pass, by
+    default to the larger _decay_radius of the two states, so each norm takes that one
+    window. At lambda > 0 each norm's tail past it is checked as quadrature_norm checks
+    it: NonNormalizable when it exceeds TAIL_RATIO of the norm.
     """
-    ends = (r_max, r_max) if r_max is not None else (_decay_radius(psi_a), _decay_radius(psi_b))
-    if norms is None:
-        norms = tuple(quadrature_norm(p, h) for p, h in zip((psi_a, psi_b), ends))
-    scale = math.sqrt(norms[0]) * math.sqrt(norms[1])
-
-    def product(r):
-        a, b = evaluate_forms((psi_a, psi_b), r)
-        return a * b / scale
-
-    return float(_gauss_kronrod(product, 0.0, max(ends),
-                                lambda t: np.maximum(OVERLAP_EPSABS, OVERLAP_EPSREL * np.abs(t)))[0])
+    hi = max(_decay_radius(psi_a), _decay_radius(psi_b)) if r_max is None else r_max
+    return _integrals((psi_a, psi_b), hi)[2]
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:

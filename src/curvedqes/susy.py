@@ -422,24 +422,17 @@ def wavefunction_from_superpotential(w: Superpotential) -> WavefunctionForm:
     return WavefunctionForm(a, b, tuple(c_list), tuple(d_list), (1,), lam)
 
 
-def _at_pole(w_plus_value, w_plus_magnitude):
-    """Where W+ vanishes against its term magnitudes: the poles of W-."""
-    return np.abs(w_plus_value) <= 1e-12 * np.maximum(w_plus_magnitude, 1e-30)
-
-
-def w_plus_poles(w_plus: Superpotential, r) -> np.ndarray:
-    """Mask of the points where W+ vanishes against its term magnitudes (poles of W-)."""
-    val, _, mag = w_plus._sums(r)
-    return _at_pole(val, mag)
-
-
 def w_minus_from_w_plus(w_plus: Superpotential, delta_e) -> Callable:
-    """The compatibility partner W-(r) = (f W+' - delta_e) / W+ as a callable."""
+    """The compatibility partner W-(r) = (f W+' - delta_e) / W+ as a callable.
+
+    Raises PoleAtNode where W+ vanishes against its term magnitudes
+    (|W+| <= 1e-12 of them): the poles of W-, at psi1's node.
+    """
 
     def w_minus(r):
         rr = np.asarray(r, dtype=float)
         val, der, mag = w_plus._sums(rr)
-        if np.any(_at_pole(val, mag)):
+        if np.any(np.abs(val) <= 1e-12 * np.maximum(mag, 1e-30)):
             raise PoleAtNode("W+ vanishes at the evaluation point (node of psi1)")
         f = np.sqrt(1.0 + float(w_plus.lam) * rr * rr)
         out = (f * der - float(delta_e)) / val

@@ -36,6 +36,16 @@ def test_deformation_factor_domain_errors():
         deformation_factor(neg, 1.5)
 
 
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_nan_is_outside_every_domain(lam):
+    # NaN satisfies no bound, so a check that each value lies inside rejects it
+    d = Deformation(lam)
+    for fun in (deformation_factor, arc_coordinate, radius_from_arc):
+        for value in (math.nan, [0.5, math.nan]):
+            with pytest.raises(DomainError):
+                fun(d, value)
+
+
 def test_domain_max():
     assert Deformation(1.0).domain_max == math.inf
     assert Deformation(-4.0).domain_max == 0.5

@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 import curvedqes
 from curvedqes import (
     Deformation,
+    DomainError,
     GridTooCoarse,
     NonNormalizable,
     TruncationWarning,
@@ -711,7 +712,6 @@ def test_overlap_closes_panels_at_their_round_off_floor(monkeypatch):
     # bisections, about 35000 points
     sol = general_two_state(1, 1, 2, 1, 1)
     r_cut = oracle._cut_radius(1.0, oracle.default_arc_cutoff(sol.spec))
-    norms = (quadrature_norm(sol.psi0, r_cut), quadrature_norm(sol.psi1, r_cut))
     points = []
     original = oracle._gauss_kronrod
 
@@ -723,8 +723,33 @@ def test_overlap_closes_panels_at_their_round_off_floor(monkeypatch):
         return original(fun_counted, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_gauss_kronrod", counted)
-    assert abs(overlap(sol.psi0, sol.psi1, norms, r_cut)) < 1e-15
+    assert abs(overlap(sol.psi0, sol.psi1, r_cut)) < 1e-15
     assert sum(points) <= 1000
+
+
+@pytest.mark.parametrize("config", [(1, 1, 2, 1, 1), (2, 8, Fraction(1, 2), 3, -1),
+                                    (1, 30, 0, 4, 1)])
+def test_overlap_is_the_pair_row_of_the_integrals(config):
+    sol = general_two_state(*config)
+    r_cut = oracle._cut_radius(float(sol.lam), oracle.default_arc_cutoff(sol.spec))
+    assert overlap(sol.psi0, sol.psi1, r_cut) == oracle._integrals((sol.psi0, sol.psi1), r_cut)[2]
+    # by default both norms and the product end at the larger decay radius
+    hi = max(oracle._decay_radius(sol.psi0), oracle._decay_radius(sol.psi1))
+    assert overlap(sol.psi0, sol.psi1) == oracle._integrals((sol.psi0, sol.psi1), hi)[2]
+
+
+# every window end must lie in the open radial domain (0, 1) of lambda = -1: a NaN, an
+# end at or past the domain's end, or one at or below 0 raises DomainError
+@pytest.mark.parametrize("r_max", [math.nan, 0.0, -1.0, 1.0, 2.0])
+@pytest.mark.parametrize("helper", [
+    lambda sol, r_max: find_nodes(sol.psi1, r_max=r_max),
+    lambda sol, r_max: quadrature_norm(sol.psi0, r_max=r_max),
+    lambda sol, r_max: overlap(sol.psi0, sol.psi1, r_max=r_max),
+], ids=["find_nodes", "quadrature_norm", "overlap"])
+def test_a_window_outside_the_domain_raises_domain_error(helper, r_max):
+    sol = general_two_state(2, 1, 0, 1, -1)
+    with pytest.raises(DomainError, match="outside the open domain"):
+        helper(sol, r_max)
 
 
 def _gaussian_end(ratio):

@@ -143,6 +143,8 @@ def test_eval_domain_errors():
         eval_potential(spec, 1.0)
     with pytest.raises(DomainError):
         eval_potential(spec, 0.0)
+    with pytest.raises(DomainError):
+        eval_potential(spec, math.nan)
 
 
 def test_json_round_trip():

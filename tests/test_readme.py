@@ -42,7 +42,15 @@ def test_cli_block_runs_as_documented(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"fig{i}.csv" for i in range(1, 5)]
 
 
+def _error_bullet(name):
+    return README.read_text().split(f"- `{name}`:")[1].split("\n- ")[0]
+
+
 def test_error_list_names_the_oracle_range_limits():
-    bullet = README.read_text().split("- `InvalidParameter`:")[1].split("\n- ")[0]
-    # the messages of the two limits: verify.run_verification and oracle._stencil
-    assert "oracle matrix" in bullet and "w_minus_identity" in bullet
+    # oracle._stencil's limit, the norm's at vanishing curvature, and the window of
+    # the oracle helpers
+    assert "oracle matrix" in _error_bullet("InvalidParameter")
+    assert "lambda = -1e-300" in _error_bullet("NonNormalizable")
+    window = _error_bullet("DomainError")
+    assert "NaN" in window and all(name in window for name in
+                                   ("find_nodes", "quadrature_norm", "overlap"))

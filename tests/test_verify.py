@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 from fractions import Fraction
 
@@ -7,7 +9,6 @@ import pytest
 from curvedqes import (
     InvalidParameter,
     NonNormalizable,
-    PoleAtNode,
     eval_potential,
     general_two_state,
     oracle,
@@ -17,7 +18,6 @@ from curvedqes import (
     susy,
     twostate,
     verify,
-    w_minus_from_w_plus,
 )
 
 
@@ -203,18 +203,16 @@ def test_gate_scale_is_no_looser_than_the_check():
         assert checks[name] <= estimate <= 1e-6
 
 
-def _w_minus_identity_by_loop(sol):
-    """Reference: the scalar loop that the vectorised w_minus_identity check replaces."""
-    r = verify._check_grid(sol)
-    wm = sol.pair.w_minus
-    wm_fun = w_minus_from_w_plus(sol.pair.w_plus, float(sol.pair.delta_e))
+def _w_minus_identity_by_loop(sol, r):
+    """Reference: the w_minus_identity check as a scalar loop over the check grid r."""
+    lam = float(sol.lam)
+    w_plus, de = sol.pair.w_plus, float(sol.pair.delta_e)
     vals = []
-    for ri in r[:: max(1, len(r) // 100)]:
-        try:
-            wm_i = wm.value(float(ri))
-            vals.append(abs(wm_fun(float(ri)) - wm_i) / (1.0 + abs(wm_i)))
-        except PoleAtNode:
-            continue
+    for ri in r:
+        ri = float(ri)
+        wm = sol.pair.w_minus.value(ri)
+        gap = abs(math.sqrt(1.0 + lam * ri * ri) * w_plus.derivative(ri) - (w_plus.value(ri) * wm + de))
+        vals.append(gap / (w_plus.magnitude(ri) * (math.sqrt(abs(lam)) + abs(wm))))
     return max(vals)
 
 
@@ -223,15 +221,17 @@ def _w_minus_identity_by_loop(sol):
 )
 def test_w_minus_identity_matches_scalar_loop(config):
     report = run_verification(*config)
+    sol = general_two_state(*config)
+    r = verify._check_grid(sol, oracle._cut_radius(float(sol.lam), report.x_max))
     value = next(c.value for c in report.checks if c.name == "w_minus_identity")
     # array and scalar evaluation may round differently in the last bits
-    assert value == pytest.approx(_w_minus_identity_by_loop(general_two_state(*config)), abs=1e-13)
+    assert value == pytest.approx(_w_minus_identity_by_loop(sol, r), abs=1e-13)
 
 
 def test_each_superpotential_is_sampled_once(monkeypatch):
     # W, W+ and W- take one pass each on the check grid, and every W check reads those
-    # samples: the pole mask and the W- identity take W+ and W+' from W+'s one pass
-    calls = {"_sums": 0, "validate_model": 0, "w_minus_from_w_plus": 0, "w_plus_poles": 0}
+    # samples: both generating-pair checks take W+, W+' and its magnitude from W+'s one pass
+    calls = {"_sums": 0, "validate_model": 0, "w_minus_from_w_plus": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -245,18 +245,18 @@ def test_each_superpotential_is_sampled_once(monkeypatch):
     validate_model = counted("validate_model", potentials.validate_model)
     for module in (potentials, twostate):
         monkeypatch.setattr(module, "validate_model", validate_model)
-    for name in ("w_minus_from_w_plus", "w_plus_poles"):
-        wrapper = counted(name, getattr(susy, name))
-        monkeypatch.setattr(susy, name, wrapper)
-        monkeypatch.setattr(verify, name, wrapper, raising=False)
+    wrapper = counted("w_minus_from_w_plus", susy.w_minus_from_w_plus)
+    monkeypatch.setattr(susy, "w_minus_from_w_plus", wrapper)
+    monkeypatch.setattr(verify, "w_minus_from_w_plus", wrapper, raising=False)
     report = run_verification(2, 8, 1, 3, -1, rtol=1e-6)
     assert report.passed
     # general_two_state validates the model and the partner spec validates itself
-    assert calls == {"_sums": 3, "validate_model": 2, "w_minus_from_w_plus": 0, "w_plus_poles": 0}
+    assert calls == {"_sums": 3, "validate_model": 2, "w_minus_from_w_plus": 0}
 
 
-# near a zero of W+, (2, 8, 1/2, 3, -1) and (2, 30, 0, 1.4678, -1), the identity reads
-# the cancellation of f W+' - delta_e: the public helper stays its reference
+# both generating-pair checks read one gap |f W+' - (W+ W- + delta_e)|, near a zero of
+# W+ too, as at (2, 8, 1/2, 3, -1) and (2, 30, 0, 1.4678, -1): the public samples of
+# W+ and W- give both bit for bit
 @pytest.mark.parametrize(
     "config", [(1, 1, 1, 1, 1), (2, 8, Fraction(1, 2), 3, -1), (2, 30, 0, 1.4678, -1)]
 )
@@ -265,17 +265,45 @@ def test_w_minus_identity_is_the_helpers_bit_for_bit(config):
     sol = general_two_state(*config)
     lam = float(sol.lam)
     r = verify._check_grid(sol, oracle._cut_radius(lam, report.x_max))
-    rs = r[:: len(r) // 100]
-    rs = rs[~susy.w_plus_poles(sol.pair.w_plus, rs)]
-    wm = sol.pair.w_minus.value(rs)
-    wm_from_wp = w_minus_from_w_plus(sol.pair.w_plus, float(sol.pair.delta_e))(rs)
-    want = (np.abs(wm_from_wp - wm) / (np.sqrt(abs(lam)) + np.abs(wm))).max()
-    assert next(c.value for c in report.checks if c.name == "w_minus_identity") == want
+    wp, wp_der, wp_mag = (sol.pair.w_plus.value(r), sol.pair.w_plus.derivative(r),
+                          sol.pair.w_plus.magnitude(r))
+    wm = sol.pair.w_minus.value(r)
+    lhs = np.sqrt(1.0 + lam * r * r) * wp_der
+    rhs = wp * wm + float(sol.pair.delta_e)
+    gap = np.abs(lhs - rhs)
+    values = {c.name: c.value for c in report.checks}
+    assert values["pair_identity"] == (gap / (abs(lam) + np.abs(lhs) + np.abs(rhs))).max()
+    assert values["w_minus_identity"] == (gap / (wp_mag * (math.sqrt(abs(lam)) + np.abs(wm)))).max()
 
 
-def test_w_minus_identity_without_a_sample_raises_a_user_error():
-    # at lambda = -1e-300 W+ is at its pole floor at every sample point
-    with pytest.raises(InvalidParameter, match="w_minus_identity"):
+# the configs where w_minus_identity, as (f W+' - delta_e) / W+ - W-, read the rounding
+# of f W+' - delta_e over |W+| near psi1's node: 1.34e-10 and 1.21e-10
+@pytest.mark.parametrize("config", [(2, 30, 0, 1.4678, -1), (2, 60, 0, 21.544, -1)])
+def test_w_minus_identity_passes_near_the_node_of_psi1(config):
+    report = run_verification(*config, rtol=1e-6)
+    assert len(report.checks) == 13
+    assert report.passed, [c for c in report.checks if not c.passed]
+
+
+# a pair whose delta_e is off by 1 part in 1e9 fails both generating-pair checks
+@pytest.mark.parametrize(
+    "config", [(1, 1, 1, 1, 1), (2, 8, Fraction(1, 2), 3, -1), (1, 60, 0, 2, 1),
+               (2, 30, 0, 1.4678, -1)]
+)
+def test_generating_pair_checks_catch_a_wrong_delta_e(monkeypatch, config):
+    def perturbed(*args, **kwargs):
+        sol = general_two_state(*args, **kwargs)
+        pair = dataclasses.replace(sol.pair, delta_e=float(sol.pair.delta_e) * (1 + 1e-9))
+        return dataclasses.replace(sol, pair=pair)
+
+    monkeypatch.setattr(verify, "general_two_state", perturbed)
+    values = {c.name: c.value for c in run_verification(*config, rtol=1e-6).checks}
+    assert values["pair_identity"] > 1e-10 and values["w_minus_identity"] > 1e-10
+
+
+def test_vanishing_curvature_raises_a_typed_error():
+    # at lambda = -1e-300 |psi|^2 leaves the double range over the window
+    with pytest.raises(NonNormalizable, match="squared norm evaluated to inf"):
         run_verification(2, 1, 0, 1, -1e-300, rtol=1e-6)
 
 
