@@ -47,13 +47,19 @@ _USER_ERRORS = (
 
 
 def _number(text: str):
-    """Exact scalar from the command line: int, then Fraction, then float."""
+    """Exact scalar from the command line: int, then Fraction, then float.
+
+    ValueError for text none of them reads, as for a zero denominator such as 1/0,
+    so that argparse reports a usage error.
+    """
     try:
         return int(text)
     except ValueError:
         pass
     try:
         return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
     except ValueError:
         return float(text)
 

@@ -23,7 +23,11 @@ is summed with running powers, lowest power first, not with one `**` per term,
 in place after its first term (_power_sums), and one pass gives a
 superpotential's W, W' and term magnitude (_sums); the excited state's
 prefactor past degree 2 is evaluated as the two terms it expands instead
-(WavefunctionForm). Forms that share a series are evaluated
+(WavefunctionForm), and so are the slopes of an exponent series that
+twostate records as (m, sqrt(B_2m)): S' and S'' take its sums in closed form, in
+log1p, exp and expm1 (_series_slopes), while the exponent values S, and every
+form without the record, stay O(m) running-power sums with their bits.
+Forms that share a series are evaluated
 together: evaluate_forms sums a solution's psi0 and psi1 series once per grid,
 on the forms' starts stacked as rows, each form's values bit for bit its own,
 and WavefunctionForm.value and derivatives are its one-form case (_pieces).
@@ -44,7 +48,7 @@ import numpy as np
 
 from .errors import NotConstrained, PoleAtNode, UnsupportedTerm
 from .exactmath import HALF, QUARTER, Scalar, exact_div, exact_sqrt, is_exact
-from .potentials import Family, PotentialSpec, _reduced_spec
+from .potentials import _RUN_FLOOR, Family, PotentialSpec, _reduced_spec
 
 MINUS = "minus"
 PLUS = "plus"
@@ -220,6 +224,9 @@ class WavefunctionForm:
     lam: Scalar = 1
 
     _bracket = None  # (l, h, n), not a field: set by twostate._raise_partner
+    # (m, s), not a field: set by twostate._two_state on forms whose series is exp_r2 =
+    # c0 C(m, j)/j (family 1) or exp_finv = c0/k (family 2), j, k = 1..m, c0 = -s/2
+    _series = None
 
     def __post_init__(self):
         object.__setattr__(self, "exp_r2", tuple(self.exp_r2))
@@ -247,12 +254,14 @@ class WavefunctionForm:
 
     @cached_property
     def _slopes(self):
-        """(j c_j, j(2j-1) c_j) of exp_r2 and prefactor[1:]; (k d_k, k(k+1) d_k) of exp_finv."""
-        _, _, _, cs, ds, ps = self._floats
-        return [
-            ([j * c for j, c in enumerate(v, 1)], [j * (a * j + b) * c for j, c in enumerate(v, 1)])
-            for v, a, b in ((cs, 2, -1), (ds, 1, 1), (ps[1:], 2, -1))
-        ]
+        """(j c_j, j(2j-1) c_j) of exp_r2; (k d_k, k(k+1) d_k) of exp_finv. Unused with _series."""
+        _, _, _, cs, ds, _ = self._floats
+        return _slope_cols(cs, 2, -1), _slope_cols(ds, 1, 1)
+
+    @cached_property
+    def _prefactor_slopes(self):
+        """(j c_j, j(2j-1) c_j) of prefactor[1:]."""
+        return _slope_cols(self._floats[5][1:], 2, -1)
 
     def _prefactor(self, r, r2, t, derivatives):
         """(P,), or with derivatives (P, P', P''), in r from _grid; t = lam r^2.
@@ -269,7 +278,7 @@ class WavefunctionForm:
             (P,) = _power_sums(u, [self._floats[5]])
             if not derivatives:
                 return (P,)
-            sp1, sp2 = _power_sums(u, self._slopes[2])
+            sp1, sp2 = _power_sums(u, self._prefactor_slopes)
             return P, 2.0 * abs(lam) * r * sp1, 2.0 * abs(lam) * sp2
         lh, l, h, n = self._bracket_floats
         g = np.log1p(t)
@@ -295,6 +304,11 @@ class WavefunctionForm:
             raise UnsupportedTerm("log derivative defined for constant prefactors only")
         shape, x = _grid(r)
         return _shaped(_pieces((self,), x, True)[1][0], shape)
+
+
+def _slope_cols(v, a, b):
+    """The columns (j v_j, j(a j + b) v_j), j = 1.., of a series' slopes."""
+    return [j * c for j, c in enumerate(v, 1)], [j * (a * j + b) * c for j, c in enumerate(v, 1)]
 
 
 def _grid(r):
@@ -336,13 +350,46 @@ def _pieces(forms, r, derivatives):
     if not derivatives:
         return prefactors, None, None, _rows(S, forms)
 
-    # each pair of columns shares its powers: t^(j-1) and f^(-2k-2)
-    st1, st2 = _power_sums(t, form._slopes[0])
-    sy1, sy2 = _power_sums(y, form._slopes[1], power=y * y)
+    if form._series is None:
+        # each pair of columns shares its powers: t^(j-1) and f^(-2k-2)
+        st1, st2 = _power_sums(t, form._slopes[0])
+        sy1, sy2 = _power_sums(y, form._slopes[1], power=y * y)
+    else:
+        st1, st2, sy1, sy2 = _series_slopes(*form._series, bool(exp_r2), t, f2, y)
     S1 = a / r + b * lam * r / f2 + 2.0 * lam * r * (st1 - sy1)
     S2 = -a / r2 + b * lam * (1.0 / f2 - 2.0 * lam * r2 / (f2 * f2))
     S2 = S2 + 2.0 * lam * (st2 - sy1 + 2.0 * lam * r2 * y * sy2)
     return prefactors, _rows(S1, forms), _rows(S2, forms), _rows(S, forms)
+
+
+def _series_slopes(m, s, fam1, t, f2, y):
+    """(st1, st2, sy1, sy2) of a recorded series in closed form, in t = lam r^2 and y = 1/f2.
+
+    _pieces sums them term by term otherwise. With c0 = -s/2, in family 1
+    st1 = sum_j j c_j t^(j-1) = c0 ((1+t)^m - 1)/t = c0 G/E and
+    st2 = sum_j j(2j-1) c_j t^(j-1) = c0 (2m (1+t)^(m-1) - ((1+t)^m - 1)/t)
+    = c0 (2m/f2 - G)/E, with E = (1+t)^-m and G = (1 - E)/t in (0, m], as
+    potentials._run_sum takes its steps: where (1+t)^m overflows E underflows,
+    never inf - inf, and 2m/f2 - G is at least half of 2m/f2. In family 2, with
+    y = e^h, h = -log1p(t) > 0 and y - 1 = expm1(h),
+    sy1 = c0 sum_{k<=m} y^(k+1) = c0 y^2 (y^m - 1)/(y - 1) and
+    sy2 = c0 sum_{k<=m} (k+1) y^(k+1) = c0 y (y^n (n - R)/(y - 1) - 1), with
+    n = m + 1 and R = (1 - y^-n)/(y - 1) in (0, n). t is held off 0 by
+    _RUN_FLOOR, as in _run_sum.
+    """
+    c0 = -0.5 * float(s)
+    if fam1:
+        u = np.maximum(t, _RUN_FLOOR)
+        z = -m * np.log1p(u)
+        E = np.exp(z)
+        G = -np.expm1(z) / u
+        return c0 * G / E, c0 * (2.0 * m / f2 - G) / E, 0.0, 0.0
+    h = -np.log1p(np.minimum(t, -_RUN_FLOOR))
+    d = np.expm1(h)
+    n = m + 1
+    sy1 = c0 * (y * y) * np.expm1(m * h) / d
+    sy2 = c0 * y * (np.exp(n * h) * (n + np.expm1(-n * h) / d) / d - 1.0)
+    return 0.0, 0.0, sy1, sy2
 
 
 def _rows(v, forms):
@@ -363,8 +410,8 @@ def evaluate_forms(forms, r, derivatives=False) -> list:
     """
     forms = tuple(forms)
     if len(forms) > 1:
-        series = (forms[0].lam, forms[0].exp_r2, forms[0].exp_finv)
-        if any((f.lam, f.exp_r2, f.exp_finv) != series for f in forms[1:]):
+        series = (forms[0].lam, forms[0].exp_r2, forms[0].exp_finv, forms[0]._series)
+        if any((f.lam, f.exp_r2, f.exp_finv, f._series) != series for f in forms[1:]):
             return [evaluate_forms((f,), r, derivatives)[0] for f in forms]
     shape, x = _grid(r)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):

@@ -7,6 +7,12 @@ W- identity, in W-'s units), eigenvalue comparison against the
 finite-difference oracle, pointwise Schrodinger residuals, node counts and
 node location, and quadrature orthogonality.  The report carries one entry
 per check with its threshold so failures are attributable.
+
+The check grid samples W+ and W- once each (Superpotential._sums, O(m) in the
+running power between W+'s two f exponents): the Riccati checks read
+W = (W+ - W-)/2 and W's slope (W+' - W-')/2 off those two samples, as the
+paper builds W, and W's own expansion is not sampled. The Schrodinger
+residuals read psi's exponent slopes in closed form (susy._series_slopes).
 """
 
 from __future__ import annotations
@@ -175,13 +181,16 @@ def run_verification(
     v = eval_potential(sol.spec, r)
     e0f, e1f = float(sol.E0), float(sol.E1)
 
-    # one pass each samples W, W+ and W- with their slopes: V1 = W^2 - f W', V2 = W^2 + f W', each
+    # one pass each samples W+ and W- with their slopes, and W+ with its term magnitude too;
+    # W = (W+ - W-)/2 and its slope are read off them: V1 = W^2 - f W', V2 = W^2 + f W', each
     # residual scaled by its terms' sizes: at L = 0 their 1/r^2 parts cancel near the origin.
     # With r = rho / sqrt|lambda|, V and E scale as |lambda| and W as sqrt|lambda|: the
     # floor of each scale is |lambda| (sqrt|lambda| for W-), the unit problem's 1
     scale = abs(float(sol.lam))
     f = np.sqrt(1.0 + float(sol.lam) * r * r)
-    w, dw, _ = sol.w._sums(r)
+    wp, wp_der, wp_mag = sol.pair.w_plus._sums(r)
+    wm, wm_der, _ = sol.pair.w_minus._sums(r)
+    w, dw = 0.5 * (wp - wm), 0.5 * (wp_der - wm_der)
     w2, fdw = w * w, f * dw
     size = scale + w2 + np.abs(fdw)
     res_v1 = np.abs(w2 - fdw + e0f - v) / (size + np.abs(v))
@@ -194,8 +203,6 @@ def run_verification(
 
     # one gap of f W+' = W+ W- + delta_e serves both pair checks; the W- identity divides
     # it by W+'s term magnitude, not by |W+|, which vanishes at psi1's node
-    wp, wp_der, wp_mag = sol.pair.w_plus._sums(r)
-    wm = sol.pair.w_minus._sums(r)[0]
     lhs = f * wp_der
     rhs = wp * wm + float(sol.pair.delta_e)
     gap = np.abs(lhs - rhs)

@@ -226,6 +226,24 @@ def test_sweep_json_matches_csv(capsys):
         assert [float(v) for v in line.split(",")] == [float(row[key]) for key in keys]
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [(["solve", "--family", "1", "--lambda", "1", "--B", "1/0"], "--B"),
+     (["solve", "--family", "1", "--lambda", "1", "--L", "3/0"], "--L"),
+     (["sweep", "--family", "1", "--lambda", "1", "--B-list", "1,2/0"], "--B-list"),
+     (["solve", "--family", "1", "--lambda", "-1/0"], "--lambda")],
+)
+def test_zero_denominator_is_a_usage_error(capsys, args, option):
+    # Fraction raises ZeroDivisionError on a zero denominator; the parser must see a ValueError,
+    # also where it tests whether a token after an option is a number: -1/0 is then not one,
+    # and --lambda is left without its value
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {option}: " in err and "Traceback" not in err
+
+
 def test_figures_rejects_format(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["figures", "--format", "json", "--out", str(tmp_path)])

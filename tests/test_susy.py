@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 from math import comb
 
@@ -26,7 +27,9 @@ from curvedqes import (
 )
 from curvedqes.cli import FIGURE_GRID_POINTS
 from curvedqes.exactmath import HALF, exact_div, exact_sqrt
+from curvedqes.oracle import _cut_radius, _scan_grid, default_arc_cutoff
 from curvedqes.susy import (
+    _pieces,
     _power_sums,
     evaluate_forms,
     potential_expand,
@@ -706,3 +709,61 @@ def test_forms_without_a_shared_series_are_evaluated_one_at_a_time():
     for forms in ((a, b), (a, c), (c, d, a)):
         for psi, got in zip(forms, evaluate_forms(forms, r, True)):
             assert np.array_equal(got, psi.derivatives(r), equal_nan=True)
+
+
+def _mp_series_slopes(x, psi):
+    """The terms of the series parts of S' and S'' at 50 digits, from psi's stored coefficients."""
+    lam = mpmath.mpf(float(psi.lam))
+    r2 = x * x
+    t, y = lam * r2, 1 / (1 + lam * r2)
+    s1, s2 = [], []
+    power = mpmath.mpf(1)  # t^(j-1)
+    for j, c in enumerate(psi.exp_r2, 1):
+        c = mpmath.mpf(float(c))
+        s1.append(2 * lam * x * j * c * power)
+        s2.append(2 * lam * j * (2 * j - 1) * c * power)
+        power *= t
+    power = y * y  # y^(k+1)
+    for k, d in enumerate(psi.exp_finv, 1):
+        d = mpmath.mpf(float(d))
+        s1.append(-2 * lam * x * k * d * power)
+        s2 += [-2 * lam * k * d * power, 4 * lam**2 * r2 * k * (k + 1) * d * power * y]
+        power *= y
+    return s1, s2
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 30, 60])
+def test_closed_form_slopes_match_a_50_digit_sum(fam, lam, m):
+    # a form built by general_two_state takes the series parts of S' and S'' in closed form
+    # from its recorded (m, sqrt(B_2m)); WavefunctionForm.derivatives combines them (_pieces).
+    # Each is compared with the stored coefficients' terms summed at 50 digits on the
+    # residual grid to the wall cut, relative to the sum of the terms' absolute values;
+    # grid points are taken to multiples of 2^-20, where r^2 and f^2 are exact in floats
+    worst, checked = 0.0, 0
+    for L in (0, F(1, 2), 25):
+        for B2m in (1e-4, 1, 1e6):
+            sol = general_two_state(fam, m, L, B2m, lam)
+            grid = _scan_grid(lam, _cut_radius(lam, default_arc_cutoff(sol.spec)))[::50]
+            r = np.floor(grid * 2.0**20) / 2.0**20
+            forms = (sol.psi0, sol.psi0_partner, sol.psi1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = [_pieces((psi,), r, True)[1:3] for psi in forms]
+                for psi in forms:
+                    psi.derivatives(r)
+            with mpmath.workdps(50):
+                for i, x in enumerate(r):
+                    xm = mpmath.mpf(x)
+                    f2 = 1 + lam * xm * xm
+                    s1, s2 = _mp_series_slopes(xm, sol.psi0)  # the three forms share the series
+                    for psi, (S1, S2) in zip(forms, got):
+                        a, b = mpmath.mpf(float(psi.r_power)), mpmath.mpf(float(psi.f_power))
+                        t1 = s1 + [a / xm, b * lam * xm / f2]
+                        t2 = s2 + [-a / xm**2, b * lam / f2, -2 * b * lam**2 * xm**2 / f2**2]
+                        for value, terms in ((S1[0][i], t1), (S2[0][i], t2)):
+                            err = abs(value - mpmath.fsum(terms)) / mpmath.fsum(map(abs, terms))
+                            worst = max(worst, float(err))
+                            checked += 1
+    assert checked == 9 * 40 * 3 * 2
+    assert worst <= 1e-13, worst

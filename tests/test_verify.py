@@ -229,8 +229,9 @@ def test_w_minus_identity_matches_scalar_loop(config):
 
 
 def test_each_superpotential_is_sampled_once(monkeypatch):
-    # W, W+ and W- take one pass each on the check grid, and every W check reads those
-    # samples: both generating-pair checks take W+, W+' and its magnitude from W+'s one pass
+    # W+ and W- take one pass each on the check grid, and every W check reads those
+    # samples: W and its slope are (W+ - W-)/2 and (W+' - W-')/2, and both generating-pair
+    # checks take W+, W+' and its magnitude from W+'s one pass
     calls = {"_sums": 0, "validate_model": 0, "w_minus_from_w_plus": 0}
 
     def counted(name, original):
@@ -251,7 +252,7 @@ def test_each_superpotential_is_sampled_once(monkeypatch):
     report = run_verification(2, 8, 1, 3, -1, rtol=1e-6)
     assert report.passed
     # general_two_state validates the model and the partner spec validates itself
-    assert calls == {"_sums": 3, "validate_model": 2, "w_minus_from_w_plus": 0}
+    assert calls == {"_sums": 2, "validate_model": 2, "w_minus_from_w_plus": 0}
 
 
 # both generating-pair checks read one gap |f W+' - (W+ W- + delta_e)|, near a zero of
