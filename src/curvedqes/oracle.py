@@ -22,14 +22,14 @@ Richardson-extrapolated values certify it. At every L the gate reads three
 levels N, N/2 and N/4, the last three grids solved: their observed order of
 convergence and a grid-convergence-index bound on the extrapolated value
 (Richardson and Gaunt, Phil. Trans. A 226 (1927) 299; Roache, J. Fluids Eng.
-116 (1994) 405). Each grid takes its start and its guess from the grids
-before it, and its potential samples from the first level or the grid before
-it. The first, with nothing solved to guess from, is bisected; every later
-grid is polished by inverse iteration, shifted to the values the grids before
-it predict and started from the previous grid's eigenvectors where it doubles
-that grid, and certified by one Sturm count and residual bounds (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4 and 10), falling back to bisection when
-the certificate fails. A warm-started pair certifies after one step.
+116 (1994) 405). Each grid takes its guess from the grids before it, and its
+potential samples from the first level or the grid before it. The first, with
+nothing solved to guess from, is bisected for its values alone; every later
+grid is polished by inverse iteration from a ramp, shifted to the values the
+grids before it predict, and certified by one Sturm count and residual bounds
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 10), falling back to
+bisection when the certificate fails. The returned level's matrix comes with
+the estimate, for Sturm counts (_sturm_count).
 
 Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
 QUADPACK), one vector quadrature for many integrands: each refinement round
@@ -112,6 +112,7 @@ class SpectrumEstimate:
     method: str  # how the level at grid_points was solved: "bisection" or "inverse_iteration"
     # one column per eigenvalue, one row per matrix row: N - 1, or N at a weighted L (_stencil)
     eigenvectors: np.ndarray = field(repr=False, compare=False)
+    matrix: tuple = field(repr=False, compare=False)  # (diag, off) of the level at grid_points
 
     def to_dict(self) -> dict:
         return {
@@ -218,22 +219,6 @@ def _interior_potential(spec: PotentialSpec, n: int, x_max: float, half=None) ->
     return v
 
 
-def _prolong(vecs: np.ndarray, origin: bool = False) -> np.ndarray:
-    """Grid vectors (one per column) on n intervals, moved onto the 2n-interval grid.
-
-    The shared points keep their values bit for bit; each new point is the
-    mean of its neighbours, with zero Dirichlet ends. With origin, the first
-    row is the origin's, a free end: the fine vectors start there too.
-    """
-    # one row per vector, the grid innermost: numpy loops over long axes, not over k
-    ends = np.zeros((vecs.shape[1], len(vecs) + 2))
-    ends[:, 1:-1] = vecs.T
-    fine = np.empty((vecs.shape[1], 2 * len(vecs) + 1))
-    fine[:, 1::2] = ends[:, 1:-1]
-    fine[:, ::2] = (ends[:, :-1] + ends[:, 1:]) / 2
-    return fine.T[1:] if origin else fine.T
-
-
 def _stencil(v: np.ndarray, h: float, a: float | None = None) -> tuple:
     """(diag, off, q, scale, edges, h): the matrix tridiag(off, diag, off) of the grid with
     step h and potential samples v at its interior points, and its Rayleigh quotient's terms.
@@ -277,7 +262,13 @@ def _stencil(v: np.ndarray, h: float, a: float | None = None) -> tuple:
     return kinetic + q, off, q, scale, edges, h
 
 
-def _polish(stencil: tuple, guess, start=None):
+def _sturm_count(diag, off, x: float) -> int:
+    """How many eigenvalues of tridiag(off, diag, off) are <= x: one Sturm count."""
+    # dstebz clamps -inf to its Gershgorin bound, and an infinite tolerance leaves nothing to refine
+    return int(dstebz(diag, off, 1, -math.inf, x, 0, 0, math.inf, "E")[0])
+
+
+def _polish(stencil: tuple, guess):
     """The lowest len(guess) eigenpairs of T = tridiag(off, diag, off) of a _stencil, or None.
 
     guess holds increasing estimates p_0 < ... < p_{k-1} of the lowest k
@@ -291,13 +282,10 @@ def _polish(stencil: tuple, guess, start=None):
     eigenvalues <= hi, so none lies at or below lo and the i-th interval
     holds the i-th. None is returned when any check fails.
 
-    start, an array of k columns, holds the vectors pair i starts from: the
-    half grid's eigenvectors, prolonged, make one step enough. Without it
-    every pair starts from a ramp. Each pair takes up to
-    POLISH_STEPS steps, shifted to p_i and orthogonalised against the earlier
-    vectors, and stops at the first whose residual is within the bound. A
-    poor start costs steps or a None, never a wrong pair: the checks above
-    decide.
+    Each pair starts from a ramp, takes up to POLISH_STEPS steps, shifted to
+    p_i and orthogonalised against the earlier vectors, and stops at the
+    first whose residual is within the bound. A poor guess costs steps or a
+    None, never a wrong pair: the checks above decide.
 
     E_i is the Rayleigh quotient in difference form, with z = scale x and its
     zero Dirichlet ends, sum edges_j (z_j - z_(j-1))^2 / h^2 + sum q_j x_j^2,
@@ -309,10 +297,8 @@ def _polish(stencil: tuple, guess, start=None):
     if not (np.all(np.isfinite(p)) and g > 0.0):
         return None
     lo, hi = float(p[0]) - g / 2.0, float(p[-1]) + g / 2.0
-    # one Sturm count at hi: dstebz clamps -inf to its Gershgorin bound, and an
-    # infinite tolerance leaves nothing to refine
     diag, off, q, scale, edges, h = stencil
-    if dstebz(diag, off, 1, -math.inf, hi, 0, 0, math.inf, "E")[0] != k:
+    if _sturm_count(diag, off, hi) != k:
         return None
     bound = POLISH_RESIDUAL * g
     vecs = np.empty((k, diag.size))  # one row per vector, returned transposed
@@ -321,14 +307,14 @@ def _polish(stencil: tuple, guess, start=None):
     for i in range(k):
         shifted = diag - p[i]
         # a ramp, not ones: ones is orthogonal to every odd mode of a symmetric well
-        x = np.linspace(1.0, 2.0, diag.size) if start is None else start[:, i]
+        x = np.linspace(1.0, 2.0, diag.size)
         for _ in range(POLISH_STEPS):
             x, info = dgtsv(off, shifted, off, x)[3:]
             if info != 0:
                 return None
             x -= (vecs[:i] @ x) @ vecs[:i]
             norm = np.linalg.norm(x)
-            # a zero start leaves nothing to normalise, a non-finite one nothing to certify
+            # a zero vector leaves nothing to normalise, a non-finite one nothing to certify
             if not 0.0 < norm < math.inf:
                 return None
             x /= norm
@@ -395,22 +381,26 @@ def _load_flapack():
 def eigh_tridiagonal(d, e, k: int):
     """The lowest k eigenvalues of tridiag(e, d, e) and their eigenvectors, one column each.
 
-    The eigenvalues by bisection (dstebz), the eigenvectors by inverse
+    The eigenvalues by bisection (_bisect), the eigenvectors by inverse
     iteration (dstein), sorted as scipy.linalg.eigh_tridiagonal(d, e,
     select="i", select_range=(0, k - 1)) sorts them: the same LAPACK calls
     give the same arrays, bit for bit. Raises np.linalg.LinAlgError on a
     nonzero LAPACK info.
     """
-    lapack = _flapack()
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz (eigh_tridiagonal) returned info={info}")
-    w = w[:m]
-    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    w, iblock, isplit = _bisect(d, e, k)
+    v, info = _flapack().dstein(d, e, w, iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstein (eigh_tridiagonal) returned info={info}")
     order = np.argsort(w)  # block order to matrix order
     return w[order], v[:, order]
+
+
+def _bisect(d, e, k: int) -> tuple:
+    """The lowest k eigenvalues of tridiag(e, d, e) by dstebz, in block order, and its blocks."""
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz (eigh_tridiagonal) returned info={info}")
+    return w[:m], iblock, isplit
 
 
 def dgtsv(*args):
@@ -423,18 +413,18 @@ def dstebz(*args):
     return _flapack().dstebz(*args)
 
 
-def _tridiag_lowest(v: np.ndarray, h: float, k: int, a=None, guess=None, start=None):
-    """Lowest k eigenvalues of the grid with samples v and step h, their eigenvectors, the method.
+def _tridiag_lowest(stencil: tuple, k: int, guess=None):
+    """Lowest k eigenvalues of the matrix of a _stencil, their eigenvectors, the method.
 
-    The matrix is _stencil(v, h, a)'s. With a guess it is polished (_polish,
-    from start when given); without one, or when the polish is not certified,
-    it is bisected.
+    With a guess it is polished (_polish), or bisected (eigh_tridiagonal) if the
+    polish is not certified; without one, bisected for its values alone (_bisect),
+    the same bits, and the eigenvectors are None.
     """
-    stencil = _stencil(v, h, a)
-    if guess is not None:
-        polished = _polish(stencil, guess, start)
-        if polished is not None:
-            return (*polished, "inverse_iteration")
+    if guess is None:
+        return np.sort(_bisect(*stencil[:2], k)[0]), None, "bisection"
+    polished = _polish(stencil, guess)
+    if polished is not None:
+        return (*polished, "inverse_iteration")
     return (*eigh_tridiagonal(*stencil[:2], k), "bisection")
 
 
@@ -506,16 +496,13 @@ def lowest_eigenvalues(
       call costs O(m) array passes whatever its size, so the ladder saves
       calls, not points: one for the first level and the coarser grids it
       nests, then at most one per grid;
-    * its start: the eigenvectors of the grid before it, prolonged
-      (_prolong), where it is that grid doubled, and a ramp where it is not
-      (625 after 312, 4001 after 2000);
     * its guess: the second-order prediction
       E(N') = E* - (E(N) - E(N/2)) / 3 (N/N')^2 from the last two grids
       solved, or the values of the one grid solved.
-    The first grid, with nothing solved to guess from, is bisected; every
-    later grid is polished (_polish) and bisected only where the polish is
-    not certified. Every grid returns its eigenvectors; `method` records how
-    the returned level was solved.
+    The first grid, with nothing solved to guess from, is bisected for its
+    values alone; every later grid is polished (_polish) and bisected only
+    where the polish is not certified. `method` records how the returned
+    level was solved, and `matrix` holds its (diag, off) (_sturm_count).
 
     Raises GridTooCoarse when rtol is given and an estimate still exceeds it
     at grid_points; warns with TruncationWarning when an eigenvector keeps
@@ -557,8 +544,8 @@ def lowest_eigenvalues(
             guess = w_last + (w_last - w_half) / 3.0 * (1.0 - (grids[i - 1] / n) ** 2)
         else:
             guess = solved[-1][0] if solved else None
-        start = _prolong(solved[-1][1], a is not None) if doubled else None
-        solved.append(_tridiag_lowest(v, x_cut / n, k, a, guess, start))
+        stencil = _stencil(v, x_cut / n, a)
+        solved.append(_tridiag_lowest(stencil, k, guess))
         if i < 2:
             continue
         w, w_half, w_quarter = solved[-1][0], solved[-2][0], solved[-3][0]
@@ -594,6 +581,7 @@ def lowest_eigenvalues(
         observed_order=tuple(None if math.isnan(v) else float(v) for v in order),
         method=method,
         eigenvectors=vecs,
+        matrix=stencil[:2],
     )
 
 

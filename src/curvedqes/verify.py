@@ -8,6 +8,11 @@ finite-difference oracle, pointwise Schrodinger residuals, node counts and
 node location, and quadrature orthogonality.  The report carries one entry
 per check with its threshold so failures are attributable.
 
+oracle_node_counts reads the paper's claim that psi0 and psi1 are the ground
+and first excited states: Sturm counts of the oracle's matrix T_N must find 0
+eigenvalues at or below E0 - (E1 - E0)/2 and 1 at or below (E0 + E1)/2. By the
+oscillation theorem they are T_N's eigenvector node counts, free of rounding.
+
 The check grid samples W+ and W- once each (Superpotential._sums, O(m) in the
 running power between W+'s two f exponents): the Riccati checks read
 W = (W+ - W-)/2 and W's slope (W+' - W-')/2 off those two samples, as the
@@ -27,7 +32,7 @@ from .oracle import (
     _cut_radius,
     _integrals,
     _residuals_and_nodes,
-    count_sign_changes,
+    _sturm_count,
     default_arc_cutoff,
     lowest_eigenvalues,
 )
@@ -229,8 +234,8 @@ def run_verification(
     norm0, norm1, ortho = _integrals((sol.psi0, sol.psi1), r_cut)
     add("orthogonality", abs(ortho))
 
-    bad = sum(count_sign_changes(est.eigenvectors[:, i]) != i for i in range(2))
-    add("oracle_node_counts", bad)
+    probes = (e0f - (e1f - e0f) / 2, (e0f + e1f) / 2)  # T_N holds i levels at or below probe i
+    add("oracle_node_counts", sum(_sturm_count(*est.matrix, x) != i for i, x in enumerate(probes)))
 
     return VerificationReport(
         config_id=f"family{int(sol.family)}-m{sol.m}-L{float(L):g}-B{float(B2m):g}-lam{float(lam):g}",

@@ -191,8 +191,7 @@ def test_odd_grid_points_are_solved_without_a_nested_start(grid, rtol):
 
 
 def test_odd_first_level_halves_to_a_ramp_start():
-    # 2002 starts the ladder at 1001, which is not nested with its half grid 500:
-    # it starts from a ramp, and 2002 from its prolonged vectors
+    # 2002 starts the ladder at 1001, which is not nested with its half grid 500
     spec, k = SPECS["family1"], 2
     est = lowest_eigenvalues(spec, k=k, grid_points=2002)
     assert est.grid_points == 2002 and est.method == "inverse_iteration"
@@ -208,7 +207,7 @@ def test_polish_matches_tight_bisection(name):
     guess = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
     a = 1.5 if name == "weighted" else None
     v = _fresh_potential(spec, n, x_max)
-    w, vecs, method = oracle._tridiag_lowest(v, x_max / n, k, a, guess)
+    w, vecs, method = oracle._tridiag_lowest(oracle._stencil(v, x_max / n, a), k, guess)
     assert method == "inverse_iteration"
     diag, off = _matrix(spec, n, x_max)
     ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True,
@@ -238,9 +237,9 @@ def test_polish_falls_back_to_bisection(pick):
         # the counts pass, but 3 steps leave a residual far above the bound
         "far_from_E1": [e[0], e[1] + (e[2] - e[1]) / 10],
     }[pick]
-    v = _fresh_potential(spec, n, x_max)
-    assert oracle._polish(oracle._stencil(v, x_max / n), guess) is None
-    w, vecs, method = oracle._tridiag_lowest(v, x_max / n, 2, guess=guess)
+    stencil = oracle._stencil(_fresh_potential(spec, n, x_max), x_max / n)
+    assert oracle._polish(stencil, guess) is None
+    w, vecs, method = oracle._tridiag_lowest(stencil, 2, guess)
     ref_w, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
     assert method == "bisection"
     assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
@@ -254,118 +253,46 @@ def test_polish_falls_back_to_bisection(pick):
     ids=["config0", "config1", "config2"],
 )
 def test_ladder_bisects_only_its_coarsest_grid(config, rows_bisected, monkeypatch):
-    rows = []
-    original = oracle.eigh_tridiagonal
+    rows = []  # the rows of every bisection, with or without its eigenvectors
+    with_vectors = []
+    bisect, eigh = oracle._bisect, oracle.eigh_tridiagonal
 
     def counted(d, e, k):
         rows.append(d.size)
-        return original(d, e, k)
+        return bisect(d, e, k)
 
-    monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
+    def recorded(d, e, k):
+        with_vectors.append(d.size)
+        return eigh(d, e, k)
+
+    monkeypatch.setattr(oracle, "_bisect", counted)
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", recorded)
     # with or without rtol: the ladder is the only solve path, and its first solve, the
-    # one with nothing solved to guess from, is its coarsest grid
+    # one with nothing solved to guess from, is its coarsest grid, solved for its values
+    # alone: no grid's vectors but the returned level's are read
     for rtol in (1e-6, None):
         rows.clear()
         est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=rtol)
-        assert rows == [rows_bisected]
+        assert rows == [rows_bisected] and with_vectors == []
         assert est.method == "inverse_iteration"
 
 
-# rtol=1e-10 steps the first two past their first level; at L = 1/2 a ramp start
-# needs a second step, a warm one does not
-@pytest.mark.parametrize(
-    "config, rtol",
-    [((1, 4, 0, 1, 1), 1e-10), ((2, 4, 0, 1, -1), 1e-10), ((1, 4, Fraction(1, 2), 1, 1), 1e-6)],
-    ids=["config0", "config1", "config2"],
-)
-def test_ladder_warm_starts_every_level_after_the_first(config, rtol, monkeypatch):
-    steps = Counter()  # inverse-iteration steps by interval count
-    polished = []  # (intervals, start) of every polish, in order
-    vectors = {}  # the eigenvectors each grid returned, by interval count
-    dgtsv, polish, bisect = oracle.dgtsv, oracle._polish, oracle.eigh_tridiagonal
-    origin = Fraction(config[2]).denominator != 1  # L = 1/2: the origin is a row too
-
-    def intervals(diag):
-        return diag.size + 1 - origin
-
-    def counted(dl, d, du, b, **kwargs):
-        steps[intervals(d)] += 1
-        return dgtsv(dl, d, du, b, **kwargs)
-
-    def recorded_polish(stencil, guess, start=None):
-        out = polish(stencil, guess, start)
-        polished.append((intervals(stencil[0]), start))
-        if out is not None:
-            vectors[intervals(stencil[0])] = out[1]
-        return out
-
-    def recorded_bisection(d, e, k):
-        out = bisect(d, e, k)
-        vectors[intervals(d)] = out[1]
-        return out
-
-    monkeypatch.setattr(oracle, "dgtsv", counted)
-    monkeypatch.setattr(oracle, "_polish", recorded_polish)
-    monkeypatch.setattr(oracle, "eigh_tridiagonal", recorded_bisection)
-    k = 2
-    est = lowest_eigenvalues(general_two_state(*config).spec, k=k, rtol=rtol)
-    assert est.method == "inverse_iteration"
-    ns = [n for n, _ in polished]
-    assert ns == sorted(set(ns)) and ns[-1] == est.grid_points
-    warm = 0
-    for n, start in polished:
-        if n % 2 == 0 and n // 2 in vectors:
-            # the half grid's eigenvectors, prolonged: one step per pair
-            assert np.array_equal(start, oracle._prolong(vectors[n // 2], origin))
-            assert steps[n] == k
-            warm += 1
-        else:
-            # no nested half grid (312 to 625, or nothing solved below): a ramp start
-            assert start is None and steps[n] <= 2 * k
-    assert warm >= 1
+def test_first_grid_values_are_the_bisections_bit_for_bit():
+    spec, n, k = SPECS["family1"], 312, 3
+    stencil = oracle._stencil(_fresh_potential(spec, n, 1.0), 1.0 / n)
+    w, vecs, method = oracle._tridiag_lowest(stencil, k)
+    assert vecs is None and method == "bisection"
+    assert np.array_equal(w, oracle.eigh_tridiagonal(*stencil[:2], k)[0])
 
 
-# a ramp start certifies the same N and method here, but the tail of psi1 swings back
-# to about +1.6e-11, 1.0e-9 of its peak: a spurious sign change above count_sign_changes'
-# relative floor
-@pytest.mark.parametrize("config", [(1, 1, Fraction(1, 2), 3, 1), (1, 2, Fraction(1, 2), 1, 1)])
-def test_warm_start_leaves_each_eigenvector_its_nodes(config):
-    est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=1e-6)
-    for i in range(2):
-        assert count_sign_changes(est.eigenvectors[:, i]) == i
-
-
-@pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
-def test_ladder_starts_from_the_nearest_solved_level(config, monkeypatch):
-    polished = []  # (intervals, start, vectors) of every polish, in order
-    original = oracle._polish
-
-    def recorded(stencil, guess, start=None):
-        out = original(stencil, guess, start)
-        polished.append((stencil[0].size + 1, start, out[1]))
-        return out
-
-    monkeypatch.setattr(oracle, "_polish", recorded)
-    # an rtol the first level misses and the next one certifies
-    est = lowest_eigenvalues(general_two_state(*config).spec, k=2, rtol=1e-10)
-    (n0, start0, vecs0), (n1, start1, vecs1), (n2, start2, _) = polished
-    # the first level's half grid, 625, is not nested with the bisected 312: a ramp
-    assert (n0, n1, n2) == (625, 1250, 2500) and est.grid_points == n2
-    assert start0 is None
-    # each step up prolongs the grid just solved: its points are kept bit for bit
-    assert np.array_equal(start1[1::2], vecs0) and np.array_equal(start2[1::2], vecs1)
-
-
-def test_prolonging_by_two_averages_neighbours():
-    spec, n = SPECS["family1"], 1250
-    diag, off = _matrix(spec, n, oracle.default_arc_cutoff(spec))
-    vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))[1]
-    fine = oracle._prolong(vecs)
-    assert fine.shape == (2 * n - 1, 2)
-    # the shared points keep their values: [1::2] gives the vectors back
-    assert np.array_equal(fine[1::2], vecs)
-    ends = np.vstack([np.zeros(2), vecs, np.zeros(2)])  # zero Dirichlet ends
-    assert np.array_equal(fine[::2], (ends[:-1] + ends[1:]) / 2)
+def test_sturm_count_finds_the_levels_below_each_probe():
+    # tridiag(-1, 2, -1) / h^2 on n intervals: eigenvalues 4 / h^2 sin^2(j pi / 2n), j < n
+    n = 500
+    h = 1.0 / n
+    diag, off = np.full(n - 1, 2.0 / h**2), np.full(n - 2, -1.0 / h**2)
+    levels = 4.0 / h**2 * np.sin(np.arange(1, n) * math.pi / (2 * n)) ** 2
+    probes = np.concatenate(([levels[0] / 2], (levels[:-1] + levels[1:]) / 2, [2 * levels[-1]]))
+    assert [oracle._sturm_count(diag, off, x) for x in probes] == list(range(n))
 
 
 @pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
@@ -419,9 +346,9 @@ def _count_solves(monkeypatch):
     calls = []
     original = oracle._tridiag_lowest
 
-    def counted(v, h, k, *args):
-        out = original(v, h, k, *args)
-        calls.append((v.size + 1, out[1].shape == (v.size, k)))  # (n, returned its vectors)
+    def counted(stencil, k, *args):
+        out = original(stencil, k, *args)
+        calls.append((stencil[0].size + 1, out[1] is not None))  # (n, returned its vectors)
         return out
 
     monkeypatch.setattr(oracle, "_tridiag_lowest", counted)
@@ -440,10 +367,9 @@ def test_rtol_stops_at_a_smaller_certified_grid(config, monkeypatch):
     sizes = [n for n, _ in calls]
     assert sizes == sorted(set(sizes))
     assert calls[0][0] == 312 and calls[-1][0] == est.grid_points
-    # every solve returns its eigenvectors: the certified grid nests on its half grid
-    # and starts from them
-    assert all(returned for _, returned in calls)
-    assert (est.grid_points // 2, True) in calls
+    # the first solve is bisected for its values alone; every later one is polished and
+    # returns its eigenvectors
+    assert [returned for _, returned in calls] == [False] + [True] * (len(calls) - 1)
 
 
 def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
@@ -453,8 +379,8 @@ def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
     est = lowest_eigenvalues(spec, k=4, rtol=1e-9)
     assert est.grid_points == 2500
     # coarsest first: 1250 and 625 are also the N/2 and N/4 runs of 2500, and no grid
-    # is solved again. Every solve, the bisected 312 too, returns its vectors
-    assert calls == [(312, True), (625, True), (1250, True), (2500, True)]
+    # is solved again. Every solve but the bisected 312 returns its vectors
+    assert calls == [(312, False), (625, True), (1250, True), (2500, True)]
     # the levels 2500 and 1250 agree with tight bisections of the same grids within eps ||T||_1
     fine = _tight_bisection(spec, 4, 2500, est.x_max)
     half = _tight_bisection(spec, 4, 1250, est.x_max)
@@ -869,9 +795,9 @@ def test_undefined_order_takes_the_plain_gate(monkeypatch):
     w = np.array(lowest_eigenvalues(spec, k=2, grid_points=1250).eigenvalues)
     original = oracle._tridiag_lowest
 
-    def flipped(v, h, k, *args):
-        out = original(v, h, k, *args)
-        return (w, *out[1:]) if v.size + 1 == 312 else out
+    def flipped(stencil, k, *args):
+        out = original(stencil, k, *args)
+        return (w, *out[1:]) if stencil[0].size + 1 == 312 else out
 
     monkeypatch.setattr(oracle, "_tridiag_lowest", flipped)
     est = lowest_eigenvalues(spec, k=2, grid_points=1250)

@@ -177,6 +177,41 @@ def test_report_shows_a_polish_fallback(monkeypatch):
     assert report.passed and report.grid_points == polished.grid_points
 
 
+# the ramp-started eigenvector of psi1 keeps a spurious sign change in its tail at
+# (2, 60, 0, 21.544, -1), as one did at the two L = 1/2 configs under an earlier ramp
+# start; oracle_node_counts counts T_N's levels, not the vectors' sign changes
+@pytest.mark.parametrize(
+    "config",
+    [(1, 1, Fraction(1, 2), 3, 1), (1, 2, Fraction(1, 2), 1, 1), (2, 60, 0, 21.544, -1)],
+    ids=["config0", "config1", "config2"],
+)
+def test_oracle_node_counts_reads_the_levels_not_the_vector_tails(config):
+    report = run_verification(*config, rtol=1e-6)
+    check = next(c for c in report.checks if c.name == "oracle_node_counts")
+    assert check.passed and check.value == 0
+
+
+def test_oracle_node_counts_fails_when_a_closed_form_energy_is_not_its_level(monkeypatch):
+    config = (2, 2, 0, 4, -1)
+    levels = oracle.lowest_eigenvalues(general_two_state(*config).spec, k=3, rtol=1e-6).eigenvalues
+    spread = levels[2] - levels[0]
+
+    def node_counts(**energies):
+        def shifted(*args):
+            return dataclasses.replace(general_two_state(*args), **energies)
+
+        monkeypatch.setattr(verify, "general_two_state", shifted)
+        report = run_verification(*config, rtol=1e-6)
+        return next(c for c in report.checks if c.name == "oracle_node_counts")
+
+    assert node_counts().value == 0
+    # E1 above the third level: the midpoint of E0 and E1 has two levels or more below it
+    check = node_counts(E1=levels[2] + 2 * spread)
+    assert check.value == 1 and not check.passed
+    # E0 and E1 one level up: a level below E0 - g/2, and two below the midpoint
+    assert node_counts(E0=levels[1], E1=levels[2]).value == 2
+
+
 def test_report_carries_the_certified_error_estimate():
     report = run_verification(2, 4, 0, 1, -1, rtol=1e-6)
     est = oracle.lowest_eigenvalues(general_two_state(2, 4, 0, 1, -1).spec, k=2, rtol=1e-6)
