@@ -18,10 +18,10 @@ Closed-form eigenfunctions take the shape
 kept unnormalized; quadrature norms live in the spectral oracle.
 wavefunction_from_superpotential integrates the ground state
 f^(-1/2) exp(-int W/f dr) of any W in the basis term by term; the two states
-of a family member are read off its generating pair in twostate. Every series
-is summed with running powers, lowest power first, not with one `**` per term,
-in place after its first term (_power_sums), and one pass gives a
-superpotential's W, W' and term magnitude (_sums); the excited state's
+of a family member are read off its generating pair in twostate. _sums takes
+a superpotential's W, W' and term magnitude in one pass, term by term. Every
+other series is summed with running powers, lowest power first, not with one
+`**` per term, in place after its first term (_power_sums); the excited state's
 prefactor past degree 2 is evaluated as the two terms it expands instead
 (WavefunctionForm), and so are the slopes of an exponent series that
 twostate records as (m, sqrt(B_2m)): S' and S'' take its sums in closed form, in
@@ -113,31 +113,23 @@ class Superpotential:
         )
 
     @cached_property
-    def _groups(self):
-        """Per r exponent p: (p, q0, c, |c|, q c), float coefficients of r^p f^q0 (f^2)^i."""
-        groups = []
-        for p in (-1, 1):
-            terms = [(t.f_exp, float(t.coeff)) for t in self.terms if t.r_exp == p]
-            if terms:
-                q0 = min(terms)[0]
-                cols = np.zeros((3, (max(terms)[0] - q0) // 2 + 1))
-                for q, c in terms:
-                    cols[:, (q - q0) // 2] += (c, abs(c), q * c)
-                groups.append((p, q0, *cols.tolist()))
-        return groups
+    def _floats(self):
+        """(c, p, q) of each term with a nonzero float c: 0 * inf never enters a sum."""
+        return tuple((c, t.r_exp, t.f_exp) for t in self.terms if (c := float(t.coeff)))
 
     def _sums(self, r):
-        """(W, W', sum of |terms|) from one pass: (r^p f^q)' = r^p f^q (p/r + q lam r/f^2)."""
+        """(W, W', sum of |terms|) term by term: (r^p f^q)' = r^p f^q (p/r + q lam r/f^2)."""
         r = np.asarray(r, dtype=float)
         lam = float(self.lam)
         f2 = 1.0 + lam * r * r
+        f = np.sqrt(f2)
         w = dw = mag = np.zeros_like(r)
-        for p, q0, *cols in self._groups:
-            base = (r if p == 1 else 1.0 / r) * np.sqrt(f2) ** q0
-            s, s_abs, s_q = _power_sums(f2, cols)
-            w = w + base * s
-            dw = dw + base * (p / r * s + lam * r / f2 * s_q)
-            mag = mag + base * s_abs
+        for c, p, q in self._floats:
+            # (f^2)^(q//2) f, not f ** q, which multiplies sqrt's rounding error by q
+            term = c * (r if p == 1 else 1.0 / r) * f2 ** (q // 2) * f
+            w = w + term
+            dw = dw + term * (p / r + q * lam * r / f2)
+            mag = mag + np.abs(term)
         return (float(w), float(dw), float(mag)) if w.ndim == 0 else (w, dw, mag)
 
     def value(self, r):

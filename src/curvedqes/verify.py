@@ -13,8 +13,8 @@ and first excited states: Sturm counts of the oracle's matrix T_N must find 0
 eigenvalues at or below E0 - (E1 - E0)/2 and 1 at or below (E0 + E1)/2. By the
 oscillation theorem they are T_N's eigenvector node counts, free of rounding.
 
-The check grid samples W+ and W- once each (Superpotential._sums, O(m) in the
-running power between W+'s two f exponents): the Riccati checks read
+The check grid samples W+ and W- once each (Superpotential._sums, two terms
+each at any m): the Riccati checks read
 W = (W+ - W-)/2 and W's slope (W+' - W-')/2 off those two samples, as the
 paper builds W, and W's own expansion is not sampled. The Schrodinger
 residuals read psi's exponent slopes in closed form (susy._series_slopes).

@@ -489,6 +489,29 @@ def test_series_sums_match_a_50_digit_reference(fam, L, B2m, lam, m):
     assert worst <= tol, worst
 
 
+@pytest.mark.parametrize("lam", [1, -1])
+@pytest.mark.parametrize("n", [60, 1000])
+def test_two_term_superpotential_matches_a_50_digit_reference(lam, n):
+    # W+'s shape, c f/r + c' f^q/r with q = +-(2n+1), far apart in f: each term is
+    # summed on its own, so W, W' and the magnitude keep a few ulp of the magnitude
+    w = Superpotential(((-5, -1, 1), (2, -1, (2 * n + 1) * lam)), lam)
+    worst, checked = 0.0, 0
+    with mpmath.workdps(50):
+        for x in _reference_points(float(lam)):
+            terms = _mp_terms(mpmath.mpf(x), w)
+            val, mag = sum(t[0] for t in terms), sum(abs(t[0]) for t in terms)
+            der = sum(t[1] + t[2] for t in terms)
+            dmag = sum(abs(t[1]) + abs(t[2]) for t in terms)
+            if not dmag < 1e300:  # past the double range
+                continue
+            checked += 1
+            got = w._sums(x)
+            worst = max(worst, abs(got[0] - val) / mag, abs(got[1] - der) / dmag,
+                        abs(got[2] - mag) / mag)
+    assert checked >= 10, checked
+    assert worst <= 1e-15, worst
+
+
 @pytest.mark.parametrize(
     "fam,L,B2m,lam", [(1, 1, 4, 1), (1, F(1, 2), 2, 0.25), (2, 1, 4, -1), (2, F(1, 2), 2, -3.0)]
 )

@@ -20,7 +20,20 @@ For each config the file records:
 * warnings: the warnings the first timed call raised, counted by the name
   of their category; no warning is silenced;
 * layers_self_ms: the self time of each span of perfbench/layers.py in one
-  further call, traced.
+  further call, traced;
+* estimate_ratio: oracle_E0 and oracle_E1, the relative errors of the
+  oracle's extrapolated E0 and E1 against the closed form, each over the
+  oracle's own error_estimate for it (absent on an error). Above 1, the
+  estimate did not bound the error.
+
+An error also records its message and the module of its type (error_module):
+every typed error of the library is from curvedqes.errors.
+
+The file's `probe` section is the input-space probe, outcomes only: both
+families at lambda = +-1, m in PROBE_ORDERS, L in PROBE_L and B_2m in
+PROBE_B, one untimed run_verification(rtol=1e-6) each, recorded as above
+without times or layers. The script prints its outcome counts, the configs
+with each warning category, and the largest estimate ratio.
 
 Once per file it records the throughput of general_two_state over the sweep
 workload's inputs (m = 1..60, both families, each L), one figure per lane
@@ -51,6 +64,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import itertools
 import json
 import platform
 import statistics
@@ -85,6 +99,11 @@ PAIRS = (  # (L, B_2m, |lambda|)
     (25, 1e6, 1),
     (100, 1e6, 1),
 )
+PROBE_ORDERS = (1, 8, 30, 60)
+PROBE_L = (0, Fraction(1, 100), Fraction(3, 10), Fraction(5, 4), Fraction(3, 2), Fraction(5, 2),
+           7, 25, 100)
+PROBE_B = (1e-4, 1e-2, 1e2, 1e4, 1e6)
+KEY = ("family", "m", "L", "B2m", "lambda")
 REPEATS = 5  # timed calls per config
 LANE_PASSES = 3  # passes over each general_two_state lane
 KERNEL_SHARE = 0.1  # reference-kernel time after each call, as a share of its time
@@ -111,10 +130,22 @@ def verify(family, m, L, B2m, lam):
 
 def outcome(report, error) -> dict:
     if error is not None:
-        return {"outcome": "error", "error": type(error).__name__, "grid_points": None}
+        return {"outcome": "error", "error": type(error).__name__,
+                "error_module": type(error).__module__, "message": str(error), "grid_points": None}
     failed = [c.name for c in report.checks if not c.passed]
+    values = {c.name: c.value for c in report.checks}
+    ratios = {name: values[name] / est if est > 0 else None
+              for name, est in zip(("oracle_E0", "oracle_E1"), report.oracle_error_estimate)}
     return {"outcome": "fail" if failed else "pass", "failed_checks": failed,
-            "grid_points": report.grid_points}
+            "grid_points": report.grid_points, "estimate_ratio": ratios}
+
+
+def config_row(family, m, L, B2m, lam) -> dict:
+    return dict(zip(KEY, (family, m, str(L), str(B2m), str(lam))))
+
+
+def warning_counts(caught) -> dict:
+    return dict(sorted(Counter(w.category.__name__ for w in caught).items()))
 
 
 def traced_layers(args) -> dict:
@@ -155,19 +186,50 @@ def run_configs() -> list:
                         elapsed, report, error = timed(speed, verify, *args)
                         times.append(elapsed)
                         if i == 0:
-                            counts = Counter(w.category.__name__ for w in caught)
+                            counts = warning_counts(caught)
                     layers = traced_layers(args)
                 scale = factor(speed)
-                row = {"family": family, "m": m, "L": str(L), "B2m": str(B2m),
-                       "lambda": str(args[-1]), "verify_ms": statistics.median(times) * scale * 1e3}
+                row = config_row(*args)
+                row["verify_ms"] = statistics.median(times) * scale * 1e3
                 row.update(outcome(report, error))
-                row["warnings"] = dict(sorted(counts.items()))
+                row["warnings"] = counts
                 row["layers_self_ms"] = {name: t * scale * 1e3 for name, t in layers.items()}
                 row["host_speed_factor"] = scale
                 rows.append(row)
-                print(json.dumps({k: row[k] for k in ("family", "m", "L", "B2m", "lambda", "outcome")}),
-                      file=sys.stderr, flush=True)
+                print(json.dumps({k: row[k] for k in (*KEY, "outcome")}), file=sys.stderr,
+                      flush=True)
     return rows
+
+
+def run_probe() -> list:
+    """One untimed run_verification per probe config: its outcome, warnings and estimate ratios."""
+    rows = []
+    for family, m, L, B2m in itertools.product((1, 2), PROBE_ORDERS, PROBE_L, PROBE_B):
+        args = (family, m, L, B2m, 1 if family == 1 else -1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                report, error = verify(*args), None
+            except Exception as exc:  # an outcome to record, never fatal
+                report, error = None, exc
+        row = config_row(*args)
+        row.update(outcome(report, error))
+        row["warnings"] = warning_counts(caught)
+        rows.append(row)
+    return rows
+
+
+def summary(name, rows) -> str:
+    """Outcome counts, the configs with each warning category, and the largest estimate ratio."""
+    outcomes = Counter(row["outcome"] for row in rows)
+    warned = Counter(category for row in rows for category in row["warnings"])
+    ratios = [(ratio, check, tuple(row[k] for k in KEY)) for row in rows
+              for check, ratio in row.get("estimate_ratio", {}).items() if ratio is not None]
+    above = sum(ratio > 1 for ratio, _, _ in ratios)
+    worst = max(ratios, default=None)
+    return (f"{name}: {dict(sorted(outcomes.items()))}, configs warned "
+            f"{dict(sorted(warned.items()))}, {above} of {len(ratios)} estimate ratios above 1, "
+            f"largest {worst}")
 
 
 def lane_throughput(lane) -> float:
@@ -237,12 +299,15 @@ def main(argv=None) -> int:
 
     verify(1, 4, 0, 1, 1)  # warm-up: imports and the LAPACK load
     rows = run_configs()
+    probe = run_probe()
     startup, startup_raw = startup_seconds()
     doc = {
         "env": environment(),
         "matrix": {"orders": ORDERS, "pairs": [[str(v) for v in p] for p in PAIRS],
                    "repeats": REPEATS, "rtol": VERIFY_RTOL},
         "configs": rows,
+        "probe": {"orders": PROBE_ORDERS, "L": [str(L) for L in PROBE_L],
+                  "B2m": [str(B) for B in PROBE_B], "rtol": VERIFY_RTOL, "configs": probe},
         "general_two_state_ops_per_s": {
             name: lane_throughput(lane) for name, lane in (("exact", EXACT_B), ("float", FLOAT_B))
         },
@@ -251,8 +316,8 @@ def main(argv=None) -> int:
         "untraced": untraced(),
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    passed = sum(row["outcome"] == "pass" for row in rows)
-    print(f"wrote {args.out}: {passed}/{len(rows)} configs pass", file=sys.stderr)
+    print(f"wrote {args.out}", summary("configs", rows), summary("probe", probe), sep="\n",
+          file=sys.stderr)
     return 0
 
 
