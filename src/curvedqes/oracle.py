@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, InvalidParameter, NonNormalizable, TruncationWarning
 from .geometry import Deformation, _check_radius, radius_from_arc
-from .potentials import PotentialSpec, eval_potential
+from .potentials import PotentialSpec, eval_potential, is_finite_real
 from .susy import WavefunctionForm, evaluate_forms
 
 WALL_CUTOFF = 1.0e6  # the wall, in units of |lambda|: V scales with |lambda|
@@ -517,8 +517,8 @@ def lowest_eigenvalues(
         raise InvalidParameter(f"k must be an integer >= 1, got {k!r}")
     if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 200:
         raise InvalidParameter(f"grid_points must be an integer >= 200, got {grid_points!r}")
-    if rtol is not None and not (math.isfinite(rtol) and rtol > 0):
-        raise InvalidParameter(f"rtol must be a finite number > 0, got {rtol}")
+    if rtol is not None and (isinstance(rtol, bool) or not is_finite_real(rtol) or rtol <= 0):
+        raise InvalidParameter(f"rtol must be a finite number > 0, got {rtol!r}")
     L = float(spec.L)
     # u ~ x^(L+1) at the origin leaves the plain stencil an error of order 2L + 1, under 4
     # here; the weight x^(2L+2) overflows the origin row at large L

@@ -47,13 +47,17 @@ class Family(IntEnum):
     FAMILY2 = 2
 
 
-def require_finite(name: str, value) -> None:
-    """Raise InvalidParameter unless value is finite as a float (a float() overflow is not)."""
+def is_finite_real(value) -> bool:
+    """True for a real number finite as a float (a float() overflow is not)."""
     try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int or Fraction beyond the double range
-        finite = False
-    if not finite:
+        return math.isfinite(value)
+    except (OverflowError, TypeError):  # beyond the double range; a str, None or complex
+        return False
+
+
+def require_finite(name: str, value) -> None:
+    """Raise InvalidParameter unless value is a real number finite as a float."""
+    if not is_finite_real(value):
         raise InvalidParameter(f"{name} must be finite as a float, got {reprlib.repr(value)}")
 
 
@@ -88,7 +92,10 @@ def validate_model(family, m, L, B2m, lam) -> Family:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Coefficient data for one potential; immutable, thread-safe, checked by validate_model."""
+    """Coefficient data for one potential; immutable, thread-safe, checked by validate_model.
+
+    Every spec's shift, and a base oscillator's L, A and lambda, must be finite reals.
+    """
 
     family: Family
     L: Scalar
@@ -101,9 +108,12 @@ class PotentialSpec:
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "B", tuple(self.B))
+        require_finite("shift", self.shift)
         if self.family is Family.BASE:
             if self.B or self.m is not None:
                 raise InvalidParameter("base oscillator takes no extension coefficients")
+            for name, value in (("L", self.L), ("A", self.A), ("lambda", self.lam)):
+                require_finite(name, value)
             if self.lam == 0:
                 raise DegenerateCurvature("lambda = 0 is not supported")
             return
@@ -257,9 +267,19 @@ def spec_to_dict(spec: PotentialSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> PotentialSpec:
-    """Inverse of spec_to_dict."""
+    """Inverse of spec_to_dict. InvalidParameter for a non-dict, a missing family, L, A or
+    lambda, or an unknown family; the spec then checks its values."""
+    if not isinstance(data, dict):
+        raise InvalidParameter(f"a spec must be a JSON object, got {reprlib.repr(data)}")
+    missing = [key for key in ("family", "L", "A", "lambda") if key not in data]
+    if missing:
+        raise InvalidParameter(f"spec is missing {', '.join(missing)}")
+    try:
+        family = Family(data["family"])
+    except ValueError:
+        raise InvalidParameter(f"unknown family {reprlib.repr(data['family'])}") from None
     return PotentialSpec(
-        family=Family(data["family"]),
+        family=family,
         m=data.get("m"),
         L=data["L"],
         A=data["A"],

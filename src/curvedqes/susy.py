@@ -20,17 +20,15 @@ wavefunction_from_superpotential integrates the ground state
 f^(-1/2) exp(-int W/f dr) of any W in the basis term by term; the two states
 of a family member are read off its generating pair in twostate. _sums takes
 a superpotential's W, W' and term magnitude in one pass, term by term. Every
-other series is summed with running powers, lowest power first, not with one
-`**` per term, in place after its first term (_power_sums); the excited state's
-prefactor past degree 2 is evaluated as the two terms it expands instead
-(WavefunctionForm), and so are the slopes of an exponent series that
-twostate records as (m, sqrt(B_2m)): S' and S'' take its sums in closed form, in
-log1p, exp and expm1 (_series_slopes), while the exponent values S, and every
-form without the record, stay O(m) running-power sums with their bits.
-Forms that share a series are evaluated
-together: evaluate_forms sums a solution's psi0 and psi1 series once per grid,
-on the forms' starts stacked as rows, each form's values bit for bit its own,
-and WavefunctionForm.value and derivatives are its one-form case (_pieces).
+form's exponent series S, and its slopes S' and S'', are summed from the
+stored coefficients by Horner's rule (_horner); a prefactor without a
+bracket keeps its lowest-power-first sum of c u**i, whose degree-2 bits the
+golden figures pin, and the excited state's prefactor past degree 2 is
+evaluated as the two terms it expands instead (WavefunctionForm). Forms that
+share a series are evaluated together: evaluate_forms sums a solution's psi0
+and psi1 series once per grid and adds it to each form's start, each form's
+values bit for bit its own, and WavefunctionForm.value and derivatives are
+its one-form case (_pieces).
 potentials.eval_potential sums a tail past m = 2 by Horner's rule, each run of
 LONG_RUN or more equal coefficients in one closed-form step, and keeps one
 `**` per term below, where the golden figures pin its bytes.
@@ -48,39 +46,28 @@ import numpy as np
 
 from .errors import NotConstrained, PoleAtNode, UnsupportedTerm
 from .exactmath import HALF, QUARTER, Scalar, exact_div, exact_sqrt, is_exact
-from .potentials import _RUN_FLOOR, Family, PotentialSpec, _reduced_spec
+from .potentials import Family, PotentialSpec, _reduced_spec
 
 MINUS = "minus"
 PLUS = "plus"
 
 
-def _power_sums(x, cols, acc=None, power=1.0):
-    """acc[k] + sum_i cols[k][i] * power * x^i for each column k, by running powers.
+def _horner(x, coeffs):
+    """sum_i coeffs[i] x^i by Horner's rule, from the highest nonzero coefficient down.
 
-    One multiply per degree, shared by the columns, lowest power first, no `**`.
-    x and x*x are exactly numpy's x**1 and x**2, so a series up to x**2 rounds as
-    its `c * x**i` terms did; Horner's rule would reorder the additions. A start
-    may stack several forms' starts as rows, (forms, len(x)): each row gets the
-    terms one start would, in the same order. After a sum's first term, and the
-    power's from degree 2 on, the sums run in place in arrays of their own, with
-    the same bits: the caller's power and starts are never written.
+    A zero top coefficient thus never meets an infinite x (0 * inf), and
+    empty or all-zero coefficients sum to 0.0. h = h * x + c, not in place,
+    keeps a numpy scalar x fast.
     """
-    acc = [0.0] * len(cols) if acc is None else list(acc)
-    owned = [False] * len(cols)
-    for i, row in enumerate(zip(*cols, strict=True)):
-        if i > 1:
-            power *= x
-        elif i:
-            power = power * x
-        for k, c in enumerate(row):
-            if not c:
-                continue
-            if owned[k]:
-                acc[k] += c * power
-            else:
-                acc[k] = acc[k] + c * power
-                owned[k] = True
-    return acc
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    if not n:
+        return 0.0
+    h = coeffs[n - 1]
+    for c in reversed(coeffs[: n - 1]):
+        h = h * x + c
+    return h
 
 
 @dataclass(frozen=True)
@@ -216,9 +203,6 @@ class WavefunctionForm:
     lam: Scalar = 1
 
     _bracket = None  # (l, h, n), not a field: set by twostate._raise_partner
-    # (m, s), not a field: set by twostate._two_state on forms whose series is exp_r2 =
-    # c0 C(m, j)/j (family 1) or exp_finv = c0/k (family 2), j, k = 1..m, c0 = -s/2
-    _series = None
 
     def __post_init__(self):
         object.__setattr__(self, "exp_r2", tuple(self.exp_r2))
@@ -246,7 +230,7 @@ class WavefunctionForm:
 
     @cached_property
     def _slopes(self):
-        """(j c_j, j(2j-1) c_j) of exp_r2; (k d_k, k(k+1) d_k) of exp_finv. Unused with _series."""
+        """(j c_j, j(2j-1) c_j) of exp_r2; (k d_k, k(k+1) d_k) of exp_finv."""
         _, _, _, cs, ds, _ = self._floats
         return _slope_cols(cs, 2, -1), _slope_cols(ds, 1, 1)
 
@@ -267,10 +251,14 @@ class WavefunctionForm:
         lam = self._floats[0]
         if self._bracket is None:
             u = abs(lam) * r2
-            (P,) = _power_sums(u, [self._floats[5]])
+            # lowest power first, as fig4.csv pins psi1's degree-2 prefactor
+            P = 0.0
+            for i, c in enumerate(self._floats[5]):
+                if c:
+                    P = P + c * u**i
             if not derivatives:
                 return (P,)
-            sp1, sp2 = _power_sums(u, self._prefactor_slopes)
+            sp1, sp2 = (_horner(u, col) for col in self._prefactor_slopes)
             return P, 2.0 * abs(lam) * r * sp1, 2.0 * abs(lam) * sp2
         lh, l, h, n = self._bracket_floats
         g = np.log1p(t)
@@ -319,12 +307,11 @@ def _pieces(forms, r, derivatives):
 
     prefactors holds each form's (P,), or with derivatives (P, P', P''), and
     S, S' and S'' one row per form (S' and S'' None without derivatives).
-    The series and their slopes are summed once. One form's a and b are
-    floats; several forms' are stacked into (forms, 1) columns, so each
-    form's start a log r + b/2 log f^2 gets the series' terms in the order
-    it alone would add them, and its S' and S'' add the shared sums to its
-    own a/r and b lam terms as it alone does: every value is bit for bit the
-    form's own.
+    The series, t H(t, c) + y H(y, d) by Horner's rule, and its slopes are
+    summed once from the stored coefficients. One form's a and b are floats;
+    several forms' are stacked into (forms, 1) columns, and each form's start
+    a log r + b/2 log f^2 and its own a/r and b lam terms of S' and S'' take
+    the shared sums as it alone does: every value is bit for bit the form's own.
     """
     form = forms[0]
     lam, a, b, exp_r2, exp_finv, _ = form._floats
@@ -335,53 +322,24 @@ def _pieces(forms, r, derivatives):
     t = lam * r2
     y = 1.0 / f2  # numpy's f2 ** -1
 
-    S = a * np.log(r) + 0.5 * b * np.log(f2)
-    (S,) = _power_sums(t, [exp_r2], [S], power=t)
-    (S,) = _power_sums(y, [exp_finv], [S], power=y)
+    series = sum(x * _horner(x, cs) for x, cs in ((t, exp_r2), (y, exp_finv)) if cs)
+    S = a * np.log(r) + 0.5 * b * np.log(f2) + series
     prefactors = [f._prefactor(r, r2, t, derivatives) for f in forms]
     if not derivatives:
         return prefactors, None, None, _rows(S, forms)
 
-    if form._series is None:
-        # each pair of columns shares its powers: t^(j-1) and f^(-2k-2)
-        st1, st2 = _power_sums(t, form._slopes[0])
-        sy1, sy2 = _power_sums(y, form._slopes[1], power=y * y)
-    else:
-        st1, st2, sy1, sy2 = _series_slopes(*form._series, bool(exp_r2), t, f2, y)
+    # sum_j j c_j t^(j-1) and sum_j j(2j-1) c_j t^(j-1); y^2 times the sums of k d_k and
+    # k(k+1) d_k in y^(k-1)
+    (c1, c2), (d1, d2) = form._slopes
+    st1, st2 = _horner(t, c1), _horner(t, c2)
+    sy1 = sy2 = 0.0
+    if exp_finv:
+        yy = y * y
+        sy1, sy2 = yy * _horner(y, d1), yy * _horner(y, d2)
     S1 = a / r + b * lam * r / f2 + 2.0 * lam * r * (st1 - sy1)
     S2 = -a / r2 + b * lam * (1.0 / f2 - 2.0 * lam * r2 / (f2 * f2))
     S2 = S2 + 2.0 * lam * (st2 - sy1 + 2.0 * lam * r2 * y * sy2)
     return prefactors, _rows(S1, forms), _rows(S2, forms), _rows(S, forms)
-
-
-def _series_slopes(m, s, fam1, t, f2, y):
-    """(st1, st2, sy1, sy2) of a recorded series in closed form, in t = lam r^2 and y = 1/f2.
-
-    _pieces sums them term by term otherwise. With c0 = -s/2, in family 1
-    st1 = sum_j j c_j t^(j-1) = c0 ((1+t)^m - 1)/t = c0 G/E and
-    st2 = sum_j j(2j-1) c_j t^(j-1) = c0 (2m (1+t)^(m-1) - ((1+t)^m - 1)/t)
-    = c0 (2m/f2 - G)/E, with E = (1+t)^-m and G = (1 - E)/t in (0, m], as
-    potentials._run_sum takes its steps: where (1+t)^m overflows E underflows,
-    never inf - inf, and 2m/f2 - G is at least half of 2m/f2. In family 2, with
-    y = e^h, h = -log1p(t) > 0 and y - 1 = expm1(h),
-    sy1 = c0 sum_{k<=m} y^(k+1) = c0 y^2 (y^m - 1)/(y - 1) and
-    sy2 = c0 sum_{k<=m} (k+1) y^(k+1) = c0 y (y^n (n - R)/(y - 1) - 1), with
-    n = m + 1 and R = (1 - y^-n)/(y - 1) in (0, n). t is held off 0 by
-    _RUN_FLOOR, as in _run_sum.
-    """
-    c0 = -0.5 * float(s)
-    if fam1:
-        u = np.maximum(t, _RUN_FLOOR)
-        z = -m * np.log1p(u)
-        E = np.exp(z)
-        G = -np.expm1(z) / u
-        return c0 * G / E, c0 * (2.0 * m / f2 - G) / E, 0.0, 0.0
-    h = -np.log1p(np.minimum(t, -_RUN_FLOOR))
-    d = np.expm1(h)
-    n = m + 1
-    sy1 = c0 * (y * y) * np.expm1(m * h) / d
-    sy2 = c0 * y * (np.exp(n * h) * (n + np.expm1(-n * h) / d) / d - 1.0)
-    return 0.0, 0.0, sy1, sy2
 
 
 def _rows(v, forms):
@@ -402,8 +360,8 @@ def evaluate_forms(forms, r, derivatives=False) -> list:
     """
     forms = tuple(forms)
     if len(forms) > 1:
-        series = (forms[0].lam, forms[0].exp_r2, forms[0].exp_finv, forms[0]._series)
-        if any((f.lam, f.exp_r2, f.exp_finv, f._series) != series for f in forms[1:]):
+        series = (forms[0].lam, forms[0].exp_r2, forms[0].exp_finv)
+        if any((f.lam, f.exp_r2, f.exp_finv) != series for f in forms[1:]):
             return [evaluate_forms((f,), r, derivatives)[0] for f in forms]
     shape, x = _grid(r)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):

@@ -17,10 +17,9 @@ Two routes produce the same closed-form data:
   energies, both wavefunctions, and the node of the excited state. The ground
   states of W and W' are read off in closed form, and the excited state is
   A+ applied to the partner ground state, which is W + W' = W+ times it. Each
-  exponent takes O(m) terms, and each form records the series' generating
-  data (m, sqrt(B_2m)), from which susy takes its slopes in closed form; the
-  excited state's prefactor is W+'s two terms, l + h (f^2)^n, kept also as
-  its degree-n expansion and evaluated past degree 2 from the two terms.
+  exponent takes O(m) terms, which susy sums with their slopes by Horner's
+  rule; the excited state's prefactor is W+'s two terms, l + h (f^2)^n, kept
+  also as its degree-n expansion and evaluated past degree 2 from the two terms.
 
 All formulas are arranged so int/Fraction inputs with a rational sqrt(B_2m)
 propagate exactly; the two routes can therefore be compared by equality.
@@ -358,8 +357,6 @@ def _two_state(fam: Family, m: int, L, B2m, lam) -> TwoStateSolution:
         for a, c in ((L + 1, eta), (L + 2, eta_prime))
     )
     psi1 = _raise_partner(pair.w_plus, psi0_partner)
-    for psi in (psi0, psi0_partner, psi1):  # the replace() that builds psi1 drops it
-        object.__setattr__(psi, "_series", (m, s))
     r0 = _node_radius(fam, m, L, s, lam)
     if not math.isfinite(r0):
         raise OverflowError(f"r0 = {r0}")

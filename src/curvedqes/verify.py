@@ -17,7 +17,8 @@ The check grid samples W+ and W- once each (Superpotential._sums, two terms
 each at any m): the Riccati checks read
 W = (W+ - W-)/2 and W's slope (W+' - W-')/2 off those two samples, as the
 paper builds W, and W's own expansion is not sampled. The Schrodinger
-residuals read psi's exponent slopes in closed form (susy._series_slopes).
+residuals read psi's exponent series and slopes as Horner sums of its stored
+coefficients (susy._horner).
 """
 
 from __future__ import annotations

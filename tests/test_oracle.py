@@ -91,8 +91,9 @@ def test_grid_validation():
 
 def test_rtol_must_be_finite_and_positive():
     # a NaN rtol would turn the GridTooCoarse gate off: rel > nan is never true
-    for rtol in (float("nan"), float("inf"), 0.0, -1e-6):
-        with pytest.raises(ValueError, match="rtol"):
+    # and rtol=True would be read as 1.0: a real number, not a bool, as k and grid_points
+    for rtol in (float("nan"), float("inf"), 0.0, -1e-6, "1e-6", True, 1 + 1j, 10**400):
+        with pytest.raises(InvalidParameter, match="rtol"):
             lowest_eigenvalues(BOX, k=1, rtol=rtol)
 
 

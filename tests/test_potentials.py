@@ -12,6 +12,7 @@ from curvedqes import (
     DegenerateCurvature,
     DomainError,
     Family,
+    InvalidParameter,
     PotentialSpec,
     SignMismatch,
     eval_potential,
@@ -135,6 +136,28 @@ def test_validation_rules():
         PotentialSpec(family=Family.FAMILY1, m=2, L=0, A=1, B=(1, 1), lam=1)
     with pytest.raises(DegenerateCurvature):
         PotentialSpec(family=Family.BASE, L=0, A=1, lam=0)
+    # a value that is not a real number is an InvalidParameter, not a TypeError
+    for L, B2m, lam in (("x", 1, 1), (1, None, 1), (1, 1, 1 + 1j)):
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            general_two_state(1, 1, L, B2m, lam)
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [({}, "missing family, L, A, lambda"), ([1], "JSON object"), ("spec", "JSON object"),
+     ({"family": 5, "L": 0, "A": 1, "lambda": 1}, "unknown family 5"),
+     ({"family": 0, "L": 0, "A": "x", "lambda": 1}, "A must be finite"),
+     ({"family": 0, "L": None, "A": 1, "lambda": 1}, "L must be finite"),
+     ({"family": 0, "L": 0, "A": 1, "lambda": 1e400}, "lambda must be finite"),
+     ({"family": 0, "L": 0, "A": 1, "lambda": 1, "shift": "nan"}, "shift must be finite"),
+     ({"family": 1, "m": 1, "L": 0, "A": 1, "lambda": 1, "B": [1, 1], "shift": float("nan")},
+      "shift must be finite")],
+)
+def test_spec_from_dict_rejects_malformed_input(data, match):
+    with pytest.raises(InvalidParameter, match=match):
+        spec_from_dict(data)
+    with pytest.raises(InvalidParameter, match=match):
+        spec_from_json(json.dumps(data))
 
 
 def test_eval_domain_errors():

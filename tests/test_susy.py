@@ -29,8 +29,8 @@ from curvedqes.cli import FIGURE_GRID_POINTS
 from curvedqes.exactmath import HALF, exact_div, exact_sqrt
 from curvedqes.oracle import _cut_radius, _scan_grid, default_arc_cutoff
 from curvedqes.susy import (
+    _horner,
     _pieces,
-    _power_sums,
     evaluate_forms,
     potential_expand,
     riccati_expand,
@@ -608,94 +608,30 @@ def test_short_prefactors_keep_the_expanded_sum_bit_for_bit(family, m, B2m):
     assert np.array_equal(psi.value(r), P * base.value(r))
 
 
-def _column_sums(x, cols, starts=None, power=1.0):
-    """Each column's running-power sum on its own, its zero coefficients skipped."""
-    out = []
-    for k, col in enumerate(cols):
-        acc, p = (0.0 if starts is None else starts[k]), power
-        for i, c in enumerate(col):
-            if i:
-                p = p * x
-            if c:
-                acc = acc + c * p
-        out.append(acc)
-    return out
-
-
 @pytest.mark.parametrize(
-    "cols",
-    [
-        ((),),
-        ((), ()),
-        ((0.0, 0.0),),
-        ((1.5,),),
-        ((0.25, -3.0, 7.5),),
-        ((0.0, 2.0, 0.0, -3.0), (0.0, 6.0, 0.0, -21.0)),
-        ((1.0, 0.0, 2.0), (0.0, 3.0, 0.0)),
-        (tuple(1.0 + np.arange(61) / 7), tuple(-2.0 - np.arange(61) / 3)),
-    ],
+    "coeffs",
+    [(), (0.0, 0.0), (1.5,), (0.25, -3.0, 7.5), (1.0, 1.0, 0.0), (1.0, 2.0, 0.0, 0.0),
+     (0.0, 2.0, 0.0, -3.0), (1.0, 0.0, 0.0), tuple(1.0 + np.arange(61) / 7)],
 )
-@pytest.mark.parametrize("power", [1.0, "x"])
-def test_power_sums_sharing_powers_equal_the_per_column_sums_bit_for_bit(cols, power):
-    x = np.array([-1.7, -0.3, 0.0, 1e-200, 0.5, 0.999, 1.0, 2.5, 1e150, 1e200])
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = x if power == "x" else power
-        got = _power_sums(x, cols, power=p)
-        want = _column_sums(x, cols, power=p)
-    assert len(got) == len(cols)
-    for g, w in zip(got, want):
-        assert np.array_equal(np.broadcast_to(g, x.shape), np.broadcast_to(w, x.shape),
-                              equal_nan=True)
-
-
-@pytest.mark.parametrize(
-    "cols",
-    [((1.0, 1.0, 0.0),), ((1.0, 2.0, 0.0), (3.0, -4.0, 0.0)), ((1.0, 0.0, 0.0), (0.0, 0.0, 2.0))],
-)
-def test_a_zero_coefficient_never_meets_an_infinite_power(cols):
-    # x^2 is inf at |x| = 1e200: a zero coefficient there is skipped, so no 0 * inf
-    x = np.array([1e200, -1e200])
+def test_horner_sums_from_the_highest_nonzero_coefficient(coeffs):
+    # x^2 is inf at |x| = 1e200: zero top coefficients are never summed, so no 0 * inf,
+    # and the sum is within Horner's bound of the exact one, 2n ulp of sum |c_i x^i|
+    x = np.array([-1e200, -1.7, -0.3, 0.0, 1e-200, 0.5, 0.999, 1.0, 2.5, 1e200])
     with np.errstate(over="ignore"):
-        got = _power_sums(x, cols)
-        scalar = [_power_sums(xi, cols) for xi in x]
-        starts = _power_sums(x, cols[:1], [np.ones((3, 2))])
-        want = _column_sums(x, cols)
-    for g, w in zip(got, want):
-        assert not np.any(np.isnan(g))
-        assert np.array_equal(np.broadcast_to(g, x.shape), np.broadcast_to(w, x.shape))
-    assert not any(np.isnan(v) for point in scalar for v in point)
-    assert not np.any(np.isnan(starts))
-
-
-@pytest.mark.parametrize("col", [(), (0.5,), (0.0, -1.25, 0.0, 3.0), tuple(np.linspace(-1.0, 1.0, 60))])
-def test_stacked_starts_each_get_the_terms_of_one_start(col):
-    x = np.linspace(-1.5, 2.0, 301)
-    starts = np.array([np.sin(x), np.cos(x) * 1e10, np.zeros_like(x)])
-    (got,) = _power_sums(x, [col], [starts], power=x)
-    assert got.shape == starts.shape
-    for row, start in zip(got, starts):
-        assert np.array_equal(row, _column_sums(x, [col], [start], power=x)[0])
-
-
-@pytest.mark.parametrize(
-    "x",
-    [np.linspace(-1.5, 2.0, 301), np.array(0.7), np.float64(-0.3), 1.25],
-    ids=["array", "0-d", "numpy-scalar", "float"],
-)
-def test_power_sums_write_no_caller_array(x):
-    # the sums run in place after their first term, in arrays of their own
-    n = np.shape(x)
-    cols = [(0.0, 2.0, -1.0, 0.5, 3.0), (1.5, 0.0, 0.25, -4.0, 0.0), (0.0, 0.0, 0.0, 0.0, 7.0)]
-    power = np.full(n, 0.75) if n else np.array(0.75)
-    starts = [np.full(n, 2.0), np.stack([np.full(n, -1.0), np.full(n, 3.0)]), np.full(n, 0.5)]
-    kept = [a.copy() for a in (power, *starts)]
-    got = _power_sums(x, cols, starts, power=power)
-    for a, before in zip((power, *starts), kept):
-        assert np.array_equal(a, before)
-    for g, w in zip(got, _column_sums(x, cols, starts, power=power)):
-        assert np.array_equal(g, w) and np.shape(g) == np.shape(w)
-    for g, w in zip(_power_sums(x, cols), _column_sums(x, cols)):
-        assert np.array_equal(g, w) and np.shape(g) == np.shape(w)
+        got = np.broadcast_to(_horner(x, coeffs), x.shape)
+        scalars = [_horner(v, coeffs) for v in (*x, *map(np.array, x), *map(float, x))]
+    assert not np.any(np.isnan(got))
+    assert np.array_equal(np.tile(got, 3), scalars)
+    assert all(np.ndim(v) == 0 for v in scalars)
+    if not any(coeffs):
+        assert np.all(got == 0.0)
+    for v, g in zip(x, got):
+        terms = [F(c) * F(v) ** i for i, c in enumerate(coeffs)]
+        mag = sum(map(abs, terms))
+        if mag < 1e300:
+            assert abs(F(g) - sum(terms)) <= 2 * len(coeffs) * F(2) ** -53 * mag, v
+        else:
+            assert g == (math.inf if sum(terms) > 0 else -math.inf), v
 
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
@@ -757,10 +693,9 @@ def _mp_series_slopes(x, psi):
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 30, 60])
-def test_closed_form_slopes_match_a_50_digit_sum(fam, lam, m):
-    # a form built by general_two_state takes the series parts of S' and S'' in closed form
-    # from its recorded (m, sqrt(B_2m)); WavefunctionForm.derivatives combines them (_pieces).
-    # Each is compared with the stored coefficients' terms summed at 50 digits on the
+def test_series_slopes_match_a_50_digit_sum(fam, lam, m):
+    # the series parts of S' and S'' are Horner sums of the form's stored coefficients'
+    # slope columns; WavefunctionForm.derivatives combines them (_pieces). Each is compared with the stored coefficients' terms summed at 50 digits on the
     # residual grid to the wall cut, relative to the sum of the terms' absolute values;
     # grid points are taken to multiples of 2^-20, where r^2 and f^2 are exact in floats
     worst, checked = 0.0, 0

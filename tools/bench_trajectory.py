@@ -27,13 +27,16 @@ For each config the file records:
   estimate did not bound the error.
 
 An error also records its message and the module of its type (error_module):
-every typed error of the library is from curvedqes.errors.
+every typed error of the library is from curvedqes.errors. Each section
+records as `check_max` the largest value of every check over its configs
+that return a report (NaN values left out), so the check values that moved
+between two files can be read from them.
 
 The file's `probe` section is the input-space probe, outcomes only: both
 families at lambda = +-1, m in PROBE_ORDERS, L in PROBE_L and B_2m in
 PROBE_B, one untimed run_verification(rtol=1e-6) each, recorded as above
 without times or layers. The script prints its outcome counts, the configs
-with each warning category, and the largest estimate ratio.
+with each warning category, the largest estimate ratio and check_max.
 
 Once per file it records the throughput of general_two_state over the sweep
 workload's inputs (m = 1..60, both families, each L), one figure per lane
@@ -66,6 +69,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import itertools
 import json
+import math
 import platform
 import statistics
 import subprocess
@@ -140,6 +144,15 @@ def outcome(report, error) -> dict:
             "grid_points": report.grid_points, "estimate_ratio": ratios}
 
 
+def fold_checks(check_max: dict, report) -> None:
+    """Raise check_max to each check value of report (None on an error); NaN is left out."""
+    if report is None:
+        return
+    for c in report.checks:
+        if not math.isnan(c.value):
+            check_max[c.name] = max(check_max.get(c.name, c.value), c.value)
+
+
 def config_row(family, m, L, B2m, lam) -> dict:
     return dict(zip(KEY, (family, m, str(L), str(B2m), str(lam))))
 
@@ -173,8 +186,9 @@ def factor(speed: HostSpeed) -> float:
     return REFERENCE_CHUNK_S / statistics.median(speed.chunks)
 
 
-def run_configs() -> list:
-    rows = []
+def run_configs() -> tuple:
+    """(rows, check_max) of the config matrix."""
+    rows, check_max = [], {}
     for family in (1, 2):
         for m in ORDERS:
             for L, B2m, alam in PAIRS:
@@ -196,14 +210,16 @@ def run_configs() -> list:
                 row["layers_self_ms"] = {name: t * scale * 1e3 for name, t in layers.items()}
                 row["host_speed_factor"] = scale
                 rows.append(row)
+                fold_checks(check_max, report)
                 print(json.dumps({k: row[k] for k in (*KEY, "outcome")}), file=sys.stderr,
                       flush=True)
-    return rows
+    return rows, check_max
 
 
-def run_probe() -> list:
-    """One untimed run_verification per probe config: its outcome, warnings and estimate ratios."""
-    rows = []
+def run_probe() -> tuple:
+    """(rows, check_max): one untimed run_verification per probe config, its outcome,
+    warnings and estimate ratios."""
+    rows, check_max = [], {}
     for family, m, L, B2m in itertools.product((1, 2), PROBE_ORDERS, PROBE_L, PROBE_B):
         args = (family, m, L, B2m, 1 if family == 1 else -1)
         with warnings.catch_warnings(record=True) as caught:
@@ -216,11 +232,13 @@ def run_probe() -> list:
         row.update(outcome(report, error))
         row["warnings"] = warning_counts(caught)
         rows.append(row)
-    return rows
+        fold_checks(check_max, report)
+    return rows, check_max
 
 
-def summary(name, rows) -> str:
-    """Outcome counts, the configs with each warning category, and the largest estimate ratio."""
+def summary(name, rows, check_max) -> str:
+    """Outcome counts, the configs with each warning category, the largest estimate ratio
+    and the largest value of each check."""
     outcomes = Counter(row["outcome"] for row in rows)
     warned = Counter(category for row in rows for category in row["warnings"])
     ratios = [(ratio, check, tuple(row[k] for k in KEY)) for row in rows
@@ -229,7 +247,8 @@ def summary(name, rows) -> str:
     worst = max(ratios, default=None)
     return (f"{name}: {dict(sorted(outcomes.items()))}, configs warned "
             f"{dict(sorted(warned.items()))}, {above} of {len(ratios)} estimate ratios above 1, "
-            f"largest {worst}")
+            f"largest {worst}, check_max "
+            + ", ".join(f"{check} {value:.3g}" for check, value in check_max.items()))
 
 
 def lane_throughput(lane) -> float:
@@ -298,16 +317,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     verify(1, 4, 0, 1, 1)  # warm-up: imports and the LAPACK load
-    rows = run_configs()
-    probe = run_probe()
+    rows, check_max = run_configs()
+    probe, probe_check_max = run_probe()
     startup, startup_raw = startup_seconds()
     doc = {
         "env": environment(),
         "matrix": {"orders": ORDERS, "pairs": [[str(v) for v in p] for p in PAIRS],
                    "repeats": REPEATS, "rtol": VERIFY_RTOL},
         "configs": rows,
+        "check_max": check_max,
         "probe": {"orders": PROBE_ORDERS, "L": [str(L) for L in PROBE_L],
-                  "B2m": [str(B) for B in PROBE_B], "rtol": VERIFY_RTOL, "configs": probe},
+                  "B2m": [str(B) for B in PROBE_B], "rtol": VERIFY_RTOL, "configs": probe,
+                  "check_max": probe_check_max},
         "general_two_state_ops_per_s": {
             name: lane_throughput(lane) for name, lane in (("exact", EXACT_B), ("float", FLOAT_B))
         },
@@ -316,8 +337,8 @@ def main(argv=None) -> int:
         "untraced": untraced(),
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}", summary("configs", rows), summary("probe", probe), sep="\n",
-          file=sys.stderr)
+    print(f"wrote {args.out}", summary("configs", rows, check_max),
+          summary("probe", probe, probe_check_max), sep="\n", file=sys.stderr)
     return 0
 
 
