@@ -161,8 +161,10 @@ def cmd_spectrum(args) -> int:
     if args.format == "json":
         _emit(json.dumps(est.to_dict(), indent=2), args.out)
         return 0
-    lines = ["level,eigenvalue,richardson_error"]
-    for i, (ev, err) in enumerate(zip(est.eigenvalues, est.richardson_error)):
+    # the Richardson-extrapolated values, the ones --tol certifies, with their relative
+    # error estimates
+    lines = ["level,extrapolated,error_estimate"]
+    for i, (ev, err) in enumerate(zip(est.extrapolated, est.error_estimate)):
         lines.append(f"{i},{_fmt(ev)},{_fmt(err)}")
     _emit("\n".join(lines), args.out)
     return 0

@@ -63,13 +63,14 @@ import importlib.machinery
 import importlib.util
 import math
 import pathlib
+import reprlib
 import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooCoarse, InvalidParameter, NonNormalizable, TruncationWarning
+from .errors import DomainError, GridTooCoarse, InvalidParameter, NonNormalizable, TruncationWarning
 from .geometry import Deformation, _check_radius, radius_from_arc
 from .potentials import PotentialSpec, eval_potential, is_finite_real
 from .susy import WavefunctionForm, evaluate_forms
@@ -78,7 +79,7 @@ WALL_CUTOFF = 1.0e6  # the wall, in units of |lambda|: V scales with |lambda|
 BOX_MARGIN = 1.0 - 1e-7  # the share of a box (lambda < 0) the wall scan, or a wall-less cut, spans
 SCAN_POINTS = 20001  # points of each span default_arc_cutoff scans for the wall
 SCAN_STRIDE = 100  # its coarse pass samples every SCAN_STRIDE-th of them
-LADDER_FLOOR = 1000  # the grid ladder starts at its smallest level at or above this
+LADDER_FLOOR = 250  # the grid ladder starts at its smallest level at or above this
 # LAPACK's dstebz counts eigenvalues with the squared off-diagonal entries: a
 # matrix entry must square inside the double range
 ENTRY_MAX = math.sqrt(np.finfo(float).max)
@@ -144,6 +145,19 @@ def _cut_radius(lam: float, x_cut: float) -> float:
     """Radius of the arc cut x_cut; BOX_MARGIN of the box's radius if x_cut is the box's end."""
     defo = Deformation(lam)
     return BOX_MARGIN * defo.domain_max if x_cut >= defo.arc_max else radius_from_arc(defo, x_cut)
+
+
+def _check_arc_cut(lam: float, x_cut: float) -> None:
+    """DomainError unless a grid cut at the arc coordinate x_cut lies in the domain: at
+    most the box's end at lambda < 0, at a radius inside the double range at lambda > 0."""
+    defo = Deformation(lam)
+    if lam < 0:
+        inside = x_cut <= defo.arc_max
+    else:
+        with np.errstate(over="ignore"):  # sinh past the double range: the cut is outside
+            inside = math.isfinite(radius_from_arc(defo, x_cut))
+    if not inside:
+        raise DomainError(f"arc cut x_max={x_cut!r} outside the arc domain at lambda={lam:g}")
 
 
 def default_arc_cutoff(spec: PotentialSpec) -> float:
@@ -481,18 +495,21 @@ def lowest_eigenvalues(
     error of each extrapolated value, and `observed_order` is the order the
     three levels show (_error_estimate).
 
+    The grid spans the arc cut x_max, by default default_arc_cutoff(spec).
     The solver walks one chain of grids, coarsest first: grid_points >> j
     for j = J + 2 down to 0, where J halvings reach the smallest level
-    >= LADDER_FLOOR. Each grid is the one before it doubled, or doubled plus
-    one, and is solved once. The last three grids solved are a level's N,
+    >= LADDER_FLOOR (312 at the default grid_points, whose chain is 78, 156,
+    312, 625, ..., 20000). Each grid is the one before it doubled, or doubled
+    plus one, and is solved once. The last three grids solved are a level's N,
     N/2 and N/4. Without rtol the solver visits every level and returns at
     N = grid_points. With rtol, grid_points is the largest grid it may use:
     it stops at the first level whose `error_estimate` is <= rtol for every
     eigenvalue. Each grid takes what it needs from the grids before it:
     * its potential samples (_interior_potential): the first level is
       sampled first, a coarser grid nested in it takes every stride-th of
-      its samples, a grid twice the one before it evaluates only its new
-      points, and any other grid is sampled afresh. A _potential_on_arc
+      its samples (156 and 78 in 312), a grid twice the one before it
+      evaluates only its new points (1250 after 625), and any other grid is
+      sampled afresh (625, which is not twice 312). A _potential_on_arc
       call's fixed cost dominates, each run of LONG_RUN equal terms one
       step: 28-54 us on 625 points, 32-67 us on 1250 (2-core Xeon, m <= 60),
       flat from m = 8. So the ladder saves calls, not points: one for the
@@ -509,16 +526,21 @@ def lowest_eigenvalues(
     tail, where count_sign_changes can read a spurious node (2 for psi1 at
     (2, 60, 0, 21.544, -1)): count a level's nodes by T_N's Sturm counts.
 
-    Raises GridTooCoarse when rtol is given and an estimate still exceeds it
-    at grid_points; warns with TruncationWarning when an eigenvector keeps
+    Raises InvalidParameter unless a given rtol or x_max is a real number,
+    not a bool, finite and > 0; DomainError when x_max lies past the box's
+    end (lambda < 0) or where the radius leaves the double range (lambda > 0);
+    GridTooCoarse when rtol is given and an estimate still exceeds it at
+    grid_points; warns with TruncationWarning when an eigenvector keeps
     non-negligible mass near the grid cut.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InvalidParameter(f"k must be an integer >= 1, got {k!r}")
     if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 200:
         raise InvalidParameter(f"grid_points must be an integer >= 200, got {grid_points!r}")
-    if rtol is not None and (isinstance(rtol, bool) or not is_finite_real(rtol) or rtol <= 0):
-        raise InvalidParameter(f"rtol must be a finite number > 0, got {rtol!r}")
+    for name, value in (("rtol", rtol), ("x_max", x_max)):
+        bad = isinstance(value, bool) or not is_finite_real(value) or value <= 0
+        if value is not None and bad:
+            raise InvalidParameter(f"{name} must be a finite number > 0, got {reprlib.repr(value)}")
     L = float(spec.L)
     # u ~ x^(L+1) at the origin leaves the plain stencil an error of order 2L + 1, under 4
     # here; the weight x^(2L+2) overflows the origin row at large L
@@ -530,7 +552,11 @@ def lowest_eigenvalues(
         raise InvalidParameter(
             f"k must be < {grids[0]}, the coarsest grid's intervals at grid_points={grid_points}"
         )
-    x_cut = float(x_max) if x_max is not None else default_arc_cutoff(spec)
+    if x_max is None:
+        x_cut = default_arc_cutoff(spec)
+    else:
+        x_cut = float(x_max)
+        _check_arc_cut(float(spec.lam), x_cut)
     first = grids[2]
     top = _interior_potential(spec, first, x_cut)
     solved = []  # (eigenvalues, eigenvectors, method) of each grid, in chain order

@@ -268,7 +268,8 @@ def spec_to_dict(spec: PotentialSpec) -> dict:
 
 def spec_from_dict(data: dict) -> PotentialSpec:
     """Inverse of spec_to_dict. InvalidParameter for a non-dict, a missing family, L, A or
-    lambda, or an unknown family; the spec then checks its values."""
+    lambda, an unknown family, a B that is not a list, or an A or B_k that is not a finite
+    real number; the spec then checks its other values."""
     if not isinstance(data, dict):
         raise InvalidParameter(f"a spec must be a JSON object, got {reprlib.repr(data)}")
     missing = [key for key in ("family", "L", "A", "lambda") if key not in data]
@@ -278,13 +279,20 @@ def spec_from_dict(data: dict) -> PotentialSpec:
         family = Family(data["family"])
     except ValueError:
         raise InvalidParameter(f"unknown family {reprlib.repr(data['family'])}") from None
+    B = data.get("B", [])
+    if not isinstance(B, (list, tuple)):
+        raise InvalidParameter(f"B must be a list of numbers, got {reprlib.repr(B)}")
+    # the spec checks only a QES spec's B_2m: eval_potential reads A and every B_k as floats
+    require_finite("A", data["A"])
+    for k, value in enumerate(B, start=1):
+        require_finite(f"B_{k}", value)
     return PotentialSpec(
         family=family,
         m=data.get("m"),
         L=data["L"],
         A=data["A"],
         lam=data["lambda"],
-        B=tuple(data.get("B", ())),
+        B=tuple(B),
         shift=data.get("shift", 0),
     )
 

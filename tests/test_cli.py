@@ -142,7 +142,7 @@ def test_spectrum_command(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "level,eigenvalue,richardson_error"
+    assert lines[0] == "level,extrapolated,error_estimate"
     e0 = float(lines[1].split(",")[1])
     assert abs(e0 + 15.5) < 1e-4
 

@@ -97,6 +97,34 @@ def test_rtol_must_be_finite_and_positive():
             lowest_eigenvalues(BOX, k=1, rtol=rtol)
 
 
+def test_x_max_must_be_finite_and_positive():
+    # the rule rtol follows: x_max=True would be read as 1.0, and 'a' fail in float()
+    for x_max in (float("nan"), float("inf"), 0.0, -1.0, "a", True, 1 + 1j, 10**400):
+        with pytest.raises(InvalidParameter, match="x_max"):
+            lowest_eigenvalues(BOX, k=1, x_max=x_max)
+
+
+@pytest.mark.parametrize(
+    "config, x_max",
+    [((1, 1, 0, 1, 1), 1e300), ((1, 1, 0, 1, 1), 800.0), ((2, 1, 0, 1, -1), 1e300),
+     ((2, 1, 0, 1, -1), math.nextafter(math.pi / 2, 4.0))],
+    ids=["sinh-overflow", "radius-overflow", "past-box", "just-past-box"],
+)
+def test_x_max_outside_the_arc_domain_raises_without_a_warning(config, x_max):
+    # past the box's end at lambda < 0; at lambda > 0 where sinh, and so the radius,
+    # leaves the double range, which would otherwise warn of an overflow first
+    spec = general_two_state(*config).spec
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="x_max"):
+            lowest_eigenvalues(spec, k=1, grid_points=400, x_max=x_max)
+
+
+def test_x_max_at_the_box_end_is_the_default_cut():
+    est = lowest_eigenvalues(BOX, k=1, grid_points=400, x_max=math.pi / 2)
+    assert est == lowest_eigenvalues(BOX, k=1, grid_points=400)
+
+
 def _fresh_potential(spec, n, x_max):
     """The potential at the interior points of an n-interval arc grid, in one call."""
     r = radius_from_arc(Deformation(float(spec.lam)), x_max / n * np.arange(1, n))
@@ -255,11 +283,11 @@ def test_polish_falls_back_to_bisection(pick):
     assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
 
 
-# the coarsest grid is the first level's N/4 run, 1250 // 2 // 2 = 312 intervals, at
-# every L: 311 interior rows, or 312 where L = 1/2 takes the origin as a row too
+# the coarsest grid is the first level's N/4 run, 312 // 2 // 2 = 78 intervals, at
+# every L: 77 interior rows, or 78 where L = 1/2 takes the origin as a row too
 @pytest.mark.parametrize(
     "config, rows_bisected",
-    [((1, 4, 0, 1, 1), 311), ((2, 4, 0, 1, -1), 311), ((1, 4, Fraction(1, 2), 1, 1), 312)],
+    [((1, 4, 0, 1, 1), 77), ((2, 4, 0, 1, -1), 77), ((1, 4, Fraction(1, 2), 1, 1), 78)],
     ids=["config0", "config1", "config2"],
 )
 def test_ladder_bisects_only_its_coarsest_grid(config, rows_bisected, monkeypatch):
@@ -318,24 +346,26 @@ def test_ladder_evaluates_each_potential_sample_once(config, monkeypatch):
 
     monkeypatch.setattr(oracle, "_potential_on_arc", counted)
     est = lowest_eigenvalues(spec, k=2, x_max=x_max, rtol=1e-6)
-    # every level is nested in the finest one solved, the certified level, except the
-    # first level's N/4 run: 312 intervals, not nested with 625, keep 311 samples of their own
-    assert sum(points) == est.grid_points - 1 + 311
+    # the first level, 312, certifies, and its N/2 and N/4 runs, 156 and 78, are nested in
+    # it: one sample per interior point of the certified level
+    assert est.grid_points == 312
+    assert sum(points) == est.grid_points - 1
 
 
 # A _potential_on_arc call has a fixed cost its size barely moves (a run of LONG_RUN
 # or more equal coefficients is one closed-form step; 28-54 us on 625 points and
 # 32-67 us on 1250 for m from 1 to 60 on a 2-core Xeon), so the ladder counts calls:
-# one for the first level and the coarser grids it nests (625 in 1250; 500 and 250
-# in 1000), then one for each other grid. A grid twice the one before it
-# evaluates only its new points (2500). L = 1/2, on the weighted stencil, walks the
-# same chain from the same samples
+# one for the first level and the coarser grids it nests (156 and 78 in 312; 125 in
+# 250), then one for each other grid: 625, not twice 312, and 62, not a quarter of
+# 250, are sampled afresh. A grid twice the one before it evaluates only its new
+# points (1250). L = 1/2, on the weighted stencil, walks the same chain from the
+# same samples
 @pytest.mark.parametrize(
     "config, grid_points, sizes",
     [
-        ((1, 4, 0, 1, 1), 20000, [1249, 311, 1250, 2500, 5000, 10000]),
-        ((1, 4, Fraction(1, 2), 1, 1), 20000, [1249, 311, 1250, 2500, 5000, 10000]),
-        ((1, 4, 0, 1, 1), 4001, [999, 1000, 4000]),
+        ((1, 4, 0, 1, 1), 20000, [311, 624, 625, 1250, 2500, 5000, 10000]),
+        ((1, 4, Fraction(1, 2), 1, 1), 20000, [311, 624, 625, 1250, 2500, 5000, 10000]),
+        ((1, 4, 0, 1, 1), 4001, [249, 61, 250, 500, 1000, 4000]),
     ],
     ids=["default", "weighted", "odd"],
 )
@@ -378,21 +408,22 @@ def test_rtol_stops_at_a_smaller_certified_grid(config, monkeypatch):
     # run, and the last the certified grid
     sizes = [n for n, _ in calls]
     assert sizes == sorted(set(sizes))
-    assert calls[0][0] == 312 and calls[-1][0] == est.grid_points
+    assert calls[0][0] == 78 and calls[-1][0] == est.grid_points
     # the first solve is bisected for its values alone; every later one is polished and
     # returns its eigenvectors
     assert [returned for _, returned in calls] == [False] + [True] * (len(calls) - 1)
 
 
 def test_ladder_reuses_the_previous_level_as_half_grid(monkeypatch):
-    # four levels at rtol=1e-9 need 2500 points, one step up from the first level
+    # four levels at rtol=1e-9 need 2500 points, three steps up from the first level
     calls = _count_solves(monkeypatch)
     spec = general_two_state(2, 2, 1, 1, -1).spec
     est = lowest_eigenvalues(spec, k=4, rtol=1e-9)
     assert est.grid_points == 2500
     # coarsest first: 1250 and 625 are also the N/2 and N/4 runs of 2500, and no grid
-    # is solved again. Every solve but the bisected 312 returns its vectors
-    assert calls == [(312, False), (625, True), (1250, True), (2500, True)]
+    # is solved again. Every solve but the bisected 78 returns its vectors
+    assert calls == [(78, False), (156, True), (312, True), (625, True), (1250, True),
+                     (2500, True)]
     # the levels 2500 and 1250 agree with tight bisections of the same grids within eps ||T||_1
     fine = _tight_bisection(spec, 4, 2500, est.x_max)
     half = _tight_bisection(spec, 4, 1250, est.x_max)
@@ -769,6 +800,32 @@ def test_certified_estimate_bounds_the_closed_form_error(family, m):
             assert np.all((error <= estimate) | (error < 1e-9)), (L, B, error, estimate)
 
 
+@pytest.mark.parametrize("family", [1, 2])
+@pytest.mark.parametrize("m", [1, 8, 30, 60])
+def test_every_certifying_level_bounds_the_closed_form_error(family, m):
+    # each level of the default ladder from its first, 312, to 5000 whose estimate
+    # certifies rtol = 1e-6 bounds its extrapolated value's error, with no floor; the
+    # rtol ladder returns the smallest such level. Past 5000 the estimates near the
+    # eigensolver's rounding, which they do not bound
+    lam = 1 if family == 1 else -1
+    levels = [20000 >> j for j in range(6, 1, -1)]
+    assert levels == [312, 625, 1250, 2500, 5000]
+    for L in (0, Fraction(1, 2), 1):
+        for B in (1, Fraction(9, 4)):
+            sol = general_two_state(family, m, L, B, lam)
+            exact = np.array([float(sol.E0), float(sol.E1)])
+            certifying = []
+            for n in levels:
+                est = lowest_eigenvalues(sol.spec, k=2, grid_points=n)
+                estimate = np.array(est.error_estimate)
+                if np.all(estimate <= 1e-6):
+                    certifying.append(n)
+                    error = np.abs(np.array(est.extrapolated) - exact) / np.abs(exact)
+                    assert np.all(error <= estimate), (L, B, n, error, estimate)
+            certified = lowest_eigenvalues(sol.spec, k=2, rtol=1e-6).grid_points
+            assert certifying[0] == certified, (L, B, certifying)
+
+
 @pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
 def test_estimate_is_tight_at_the_first_level(config):
     # X converges at fourth order here, so the bound is ~15x its error. The 312-interval
@@ -800,7 +857,7 @@ def test_error_estimate_falls_back_to_the_plain_gate():
 
 
 def test_undefined_order_takes_the_plain_gate(monkeypatch):
-    # the first level's N/4 run made to return E(1250): the differences
+    # the 312-interval grid, the N/4 run of N = 1250, made to return E(1250): the differences
     # E(N) - E(N/2) and E(N/2) - E(N/4) then differ in sign, so the order is
     # undefined at N = 1250 and the gate there reads the plain value's estimate
     spec = general_two_state(1, 4, 0, 1, 1).spec
@@ -816,10 +873,12 @@ def test_undefined_order_takes_the_plain_gate(monkeypatch):
     assert est.observed_order == (None, None)
     plain = np.array(est.richardson_error) / 3.0 / np.abs(est.extrapolated)
     assert np.array_equal(est.error_estimate, plain)
-    # the plain estimate misses rtol at 1250, where the unpatched gate certifies
+    # patched, the ladder climbs to 2500, the first level none of whose three grids is
+    # 312: the plain estimate misses rtol at 625 and 1250. Unpatched, the gate certifies
+    # at the first level, 312
     assert lowest_eigenvalues(spec, k=2, rtol=1e-6).grid_points == 2500
     monkeypatch.undo()
-    assert lowest_eigenvalues(spec, k=2, rtol=1e-6).grid_points == 1250
+    assert lowest_eigenvalues(spec, k=2, rtol=1e-6).grid_points == 312
 
 
 def _run(*args):

@@ -151,7 +151,12 @@ def test_validation_rules():
      ({"family": 0, "L": 0, "A": 1, "lambda": 1e400}, "lambda must be finite"),
      ({"family": 0, "L": 0, "A": 1, "lambda": 1, "shift": "nan"}, "shift must be finite"),
      ({"family": 1, "m": 1, "L": 0, "A": 1, "lambda": 1, "B": [1, 1], "shift": float("nan")},
-      "shift must be finite")],
+      "shift must be finite"),
+     # a QES spec's A and tail B_1..B_{2m-1}, which eval_potential would read as floats
+     ({"family": 1, "m": 1, "L": 0, "A": "x", "lambda": 1, "B": ["y", 1]}, "A must be finite"),
+     ({"family": 1, "m": 1, "L": 0, "A": 1, "lambda": 1, "B": ["y", 1]}, "B_1 must be finite"),
+     ({"family": 2, "m": 1, "L": 0, "A": 1, "lambda": -1, "B": [None, 1]}, "B_1 must be finite"),
+     ({"family": 1, "m": 1, "L": 0, "A": 1, "lambda": 1, "B": 5}, "B must be a list")],
 )
 def test_spec_from_dict_rejects_malformed_input(data, match):
     with pytest.raises(InvalidParameter, match=match):

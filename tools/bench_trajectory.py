@@ -30,13 +30,16 @@ An error also records its message and the module of its type (error_module):
 every typed error of the library is from curvedqes.errors. Each section
 records as `check_max` the largest value of every check over its configs
 that return a report (NaN values left out), so the check values that moved
-between two files can be read from them.
+between two files can be read from them, and as `grid_points_counts` how
+many of those configs certified each N, so a change that moves the ladder
+shows in one line.
 
 The file's `probe` section is the input-space probe, outcomes only: both
 families at lambda = +-1, m in PROBE_ORDERS, L in PROBE_L and B_2m in
 PROBE_B, one untimed run_verification(rtol=1e-6) each, recorded as above
 without times or layers. The script prints its outcome counts, the configs
-with each warning category, the largest estimate ratio and check_max.
+with each warning category, the largest estimate ratio, the count of
+configs per certified N and check_max.
 
 Once per file it records the throughput of general_two_state over the sweep
 workload's inputs (m = 1..60, both families, each L), one figure per lane
@@ -236,9 +239,15 @@ def run_probe() -> tuple:
     return rows, check_max
 
 
+def grid_counts(rows) -> dict:
+    """How many rows certified each N, smallest N first; rows that raised have none."""
+    counts = Counter(row["grid_points"] for row in rows if row["grid_points"] is not None)
+    return {str(n): counts[n] for n in sorted(counts)}
+
+
 def summary(name, rows, check_max) -> str:
-    """Outcome counts, the configs with each warning category, the largest estimate ratio
-    and the largest value of each check."""
+    """Outcome counts, the configs with each warning category, the largest estimate ratio,
+    the count of configs per certified N and the largest value of each check."""
     outcomes = Counter(row["outcome"] for row in rows)
     warned = Counter(category for row in rows for category in row["warnings"])
     ratios = [(ratio, check, tuple(row[k] for k in KEY)) for row in rows
@@ -247,7 +256,7 @@ def summary(name, rows, check_max) -> str:
     worst = max(ratios, default=None)
     return (f"{name}: {dict(sorted(outcomes.items()))}, configs warned "
             f"{dict(sorted(warned.items()))}, {above} of {len(ratios)} estimate ratios above 1, "
-            f"largest {worst}, check_max "
+            f"largest {worst}, configs per certified N {grid_counts(rows)}, check_max "
             + ", ".join(f"{check} {value:.3g}" for check, value in check_max.items()))
 
 
@@ -326,9 +335,10 @@ def main(argv=None) -> int:
                    "repeats": REPEATS, "rtol": VERIFY_RTOL},
         "configs": rows,
         "check_max": check_max,
+        "grid_points_counts": grid_counts(rows),
         "probe": {"orders": PROBE_ORDERS, "L": [str(L) for L in PROBE_L],
                   "B2m": [str(B) for B in PROBE_B], "rtol": VERIFY_RTOL, "configs": probe,
-                  "check_max": probe_check_max},
+                  "check_max": probe_check_max, "grid_points_counts": grid_counts(probe)},
         "general_two_state_ops_per_s": {
             name: lane_throughput(lane) for name, lane in (("exact", EXACT_B), ("float", FLOAT_B))
         },
