@@ -50,7 +50,7 @@ class Deformation:
 def _check_radius(deformation: Deformation, r):
     arr = np.asarray(r, dtype=float)
     # every r must satisfy the bounds, so a NaN, which satisfies none, fails
-    if not np.all((arr > 0.0) & (arr < deformation.domain_max)):
+    if not ((arr > 0.0) & (arr < deformation.domain_max)).all():
         raise DomainError(
             f"radius outside the open domain (0, {deformation.domain_max}) "
             f"for lambda={deformation.lam}"
@@ -81,7 +81,7 @@ def arc_coordinate(deformation: Deformation, r):
 def radius_from_arc(deformation: Deformation, x):
     """Inverse of arc_coordinate."""
     arr = np.asarray(x, dtype=float)
-    if not np.all((arr > 0.0) & (arr < deformation.arc_max)):
+    if not ((arr > 0.0) & (arr < deformation.arc_max)).all():
         raise DomainError(f"arc coordinate outside (0, {deformation.arc_max})")
     lam = deformation.lam
     if lam > 0:

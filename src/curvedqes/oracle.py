@@ -13,7 +13,10 @@ u = x^(L+1) v with the weight x^(2L+2) and a free origin row (_stencil; Pryce,
 Numerical Solution of Sturm-Liouville Problems, 1993, on singular endpoints).
 The grid is cut where the potential wall exceeds WALL_CUTOFF |lambda|; past
 that point the eigenfunctions carry essentially no mass, while keeping the
-wall out of the matrix preserves the eigensolver's absolute accuracy. Every
+wall out of the matrix preserves the eigensolver's absolute accuracy. The
+wall scan (default_arc_cutoff) reads a 20001-point scan per span but computes
+only the points it reads: 201 coarse ones in one potential call, and with a
+wall one more call of at most 201, the same cut as the whole scan. Every
 check of a verification runs on (0, r_cut], r_cut the radius of that cut. The
 solver climbs a ladder of levels (halvings of the largest grid) as one chain
 of grids, coarsest first, each the one before it doubled or doubled plus one:
@@ -79,7 +82,7 @@ WALL_CUTOFF = 1.0e6  # the wall, in units of |lambda|: V scales with |lambda|
 BOX_MARGIN = 1.0 - 1e-7  # the share of a box (lambda < 0) the wall scan, or a wall-less cut, spans
 SCAN_POINTS = 20001  # points of each span default_arc_cutoff scans for the wall
 SCAN_STRIDE = 100  # its coarse pass samples every SCAN_STRIDE-th of them
-LADDER_FLOOR = 250  # the grid ladder starts at its smallest level at or above this
+LADDER_FLOOR = 250  # the grid ladder starts at its smallest level at or above this, or 16 k
 # LAPACK's dstebz counts eigenvalues with the squared off-diagonal entries: a
 # matrix entry must square inside the double range
 ENTRY_MAX = math.sqrt(np.finfo(float).max)
@@ -92,11 +95,14 @@ POLISH_RESIDUAL = 1e-6  # largest accepted ||T x - E x||, as a fraction of the g
 # Roache's for an order that is not observed: the levels show the order of E,
 # not of the extrapolated value. The stencil's order is 2: orders in ORDER_RANGE
 # around it are trusted, and others, as on a grid not yet asymptotic, take the
-# plain value's estimate. The floor, the closed-form check's own, only keeps a
-# zero value from dividing.
+# plain value's estimate. The scale floor, the closed-form check's own, only
+# keeps a zero value from dividing. No estimate is below ESTIMATE_FLOOR, 4 ulps
+# of the value: where three levels agree to the last bits, the differences are
+# rounding, and an estimate of 0 would claim an exact value.
 SAFETY_FACTOR = 3.0
 ORDER_RANGE = (1.0, 3.0)
 SCALE_FLOOR = 1e-30
+ESTIMATE_FLOOR = 4 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -160,6 +166,16 @@ def _check_arc_cut(lam: float, x_cut: float) -> None:
         raise DomainError(f"arc cut x_max={x_cut!r} outside the arc domain at lambda={lam:g}")
 
 
+def _scan_points(lo: float, hi: float, start: int, stop: int, stride: int = 1) -> np.ndarray:
+    """np.linspace(lo, hi, SCAN_POINTS)[start:stop:stride], computed as np.linspace computes
+    it, point i as i * ((hi - lo) / (SCAN_POINTS - 1)) + lo and the last as hi, bit for bit."""
+    i = np.arange(start, stop, stride, dtype=float)
+    xs = i * ((hi - lo) / (SCAN_POINTS - 1)) + lo
+    if i.size and i[-1] == SCAN_POINTS - 1:
+        xs[-1] = hi
+    return xs
+
+
 def default_arc_cutoff(spec: PotentialSpec) -> float:
     """Arc coordinate where the potential wall passes WALL_CUTOFF |lambda|, or the full box.
 
@@ -172,12 +188,21 @@ def default_arc_cutoff(spec: PotentialSpec) -> float:
     everywhere, as where lambda B_k overflows and V is inf - inf, raises
     InvalidParameter.
 
-    The scan is sampled coarse to fine, not evaluated whole: every
-    SCAN_STRIDE-th point, then the points within one stride of the coarse
-    minimum, then the stride just before the first coarse point past the
-    minimum that reaches the wall. This gives the whole scan's point, the
-    same float, provided no feature of the potential between its minimum and
-    the wall is narrower than one stride.
+    The scan is sampled coarse to fine, not evaluated whole, and only the
+    points it reads are computed, each as np.linspace computes it
+    (_scan_points). The coarse pass takes every SCAN_STRIDE-th point, 201 of
+    them, in one _potential_on_arc call. If no coarse point at or after the
+    coarse minimum reaches the wall, the span has none and that one call is
+    all it takes. Otherwise a second call evaluates the stride just before
+    the first coarse point past the minimum that reaches the wall, 99
+    points, and the cut is the first of them that does, or that coarse
+    point. Only where that coarse point lies within one stride of the coarse
+    minimum can the whole scan's minimum move the cut; there the second call
+    evaluates instead the points within one stride of the coarse minimum, up
+    to 201, which hold both that minimum and the stride before the wall. So
+    a span costs one call, or two and at most 402 points with a wall. This
+    gives the whole scan's point, the same float, provided no feature of the
+    potential between its minimum and the wall is narrower than one stride.
     """
     lam = float(spec.lam)
     if lam < 0:
@@ -189,24 +214,44 @@ def default_arc_cutoff(spec: PotentialSpec) -> float:
         cut = 64.0 / sl
         spans = [(2.0 ** j / sl * 1e-6, 2.0 ** j / sl) for j in range(1, 7)]
     for lo, hi in spans:
-        xs = np.linspace(lo, hi, SCAN_POINTS)
-        coarse = _potential_on_arc(spec, xs[::SCAN_STRIDE])
-        if np.all(np.isnan(coarse)):
+        coarse_x = _scan_points(lo, hi, 0, SCAN_POINTS, SCAN_STRIDE)
+        coarse = _potential_on_arc(spec, coarse_x)
+        if np.isnan(coarse).all():
             raise InvalidParameter(
                 f"the potential is NaN over the whole wall scan at lambda={lam:g}: its "
                 "coefficients times lambda leave the double range"
             )
-        c = int(np.nanargmin(coarse)) * SCAN_STRIDE
-        a = max(c - SCAN_STRIDE, 0)
-        i0 = a + int(np.nanargmin(_potential_on_arc(spec, xs[a:c + SCAN_STRIDE + 1])))
-        first = -(-i0 // SCAN_STRIDE)  # the first coarse point at or after the minimum
-        walled = _walled(coarse[first:], lam)
-        if np.any(walled):
-            wall = (first + int(np.argmax(walled))) * SCAN_STRIDE
-            a = max(i0, wall - SCAN_STRIDE + 1)
-            # the points before the walled coarse one; the coarse one if none of them
-            fine = np.append(_walled(_potential_on_arc(spec, xs[a:wall]), lam), True)
-            return float(xs[a + int(np.argmax(fine))])
+        cc = int(np.nanargmin(coarse))
+        walled = _walled(coarse, lam)
+        # the whole scan's minimum i0 lies in (c - SCAN_STRIDE, c + SCAN_STRIDE], c = cc *
+        # SCAN_STRIDE (at c - SCAN_STRIDE, coarse point cc - 1 would be a minimum before
+        # cc), so its wall search starts at coarse point cc or cc + 1
+        if not walled[cc:].any():
+            continue
+        wall = cc + int(walled[cc:].argmax())
+        if wall > cc + 1:
+            # coarse points cc and cc + 1 are not walled, and the stride before the wall
+            # lies past i0: the cut is the same wherever i0 is
+            a = wall * SCAN_STRIDE - SCAN_STRIDE + 1
+            xs = _scan_points(lo, hi, a, wall * SCAN_STRIDE)
+            v = _potential_on_arc(spec, xs)
+        else:
+            # i0 decides where the search starts: the points within one stride of c hold
+            # it and the stride before the wall, which ends at c + SCAN_STRIDE or before
+            c = cc * SCAN_STRIDE
+            a = max(c - SCAN_STRIDE, 0)
+            xs = _scan_points(lo, hi, a, min(c + SCAN_STRIDE + 1, SCAN_POINTS))
+            v = _potential_on_arc(spec, xs)
+            i0 = a + int(np.nanargmin(v))
+            first = -(-i0 // SCAN_STRIDE)  # the first coarse point at or after the minimum
+            if not walled[first:].any():
+                continue
+            wall = first + int(walled[first:].argmax())
+            start = max(i0, wall * SCAN_STRIDE - SCAN_STRIDE + 1) - a
+            xs, v = xs[start:wall * SCAN_STRIDE - a], v[start:wall * SCAN_STRIDE - a]
+        # the first walled point of the stride before the walled coarse one; that one if none
+        fine = _walled(v, lam)
+        return float(xs[int(fine.argmax())] if fine.any() else coarse_x[wall])
     if lam > 0:
         warnings.warn(
             "potential never reached the wall cutoff; weakly confining tails may "
@@ -307,8 +352,8 @@ def _polish(stencil: tuple, guess):
     """
     p = np.asarray(guess, dtype=float)
     k = p.size
-    g = float(np.min(np.diff(p))) if k > 1 else max(1.0, abs(float(p[0])))
-    if not (np.all(np.isfinite(p)) and g > 0.0):
+    g = float((p[1:] - p[:-1]).min()) if k > 1 else max(1.0, abs(float(p[0])))
+    if not (np.isfinite(p).all() and g > 0.0):
         return None
     lo, hi = float(p[0]) - g / 2.0, float(p[-1]) + g / 2.0
     diag, off, q, scale, edges, h = stencil
@@ -318,36 +363,37 @@ def _polish(stencil: tuple, guess):
     vecs = np.empty((k, diag.size))  # one row per vector, returned transposed
     w = np.empty(k)
     res = np.empty(k)
+    # a ramp, not ones: ones is orthogonal to every odd mode of a symmetric well
+    ramp = np.linspace(1.0, 2.0, diag.size)
     for i in range(k):
         shifted = diag - p[i]
-        # a ramp, not ones: ones is orthogonal to every odd mode of a symmetric well
-        x = np.linspace(1.0, 2.0, diag.size)
+        x = ramp  # dgtsv solves into a copy
         for _ in range(POLISH_STEPS):
             x, info = dgtsv(off, shifted, off, x)[3:]
             if info != 0:
                 return None
             x -= (vecs[:i] @ x) @ vecs[:i]
-            norm = np.linalg.norm(x)
+            norm = math.sqrt(x @ x)
             # a zero vector leaves nothing to normalise, a non-finite one nothing to certify
             if not 0.0 < norm < math.inf:
                 return None
             x /= norm
             z = x * scale
-            dz = np.diff(z)
+            dz = z[1:] - z[:-1]
             kinetic = (edges[1:-1] * dz) @ dz + edges[0] * z[0] ** 2 + edges[-1] * z[-1] ** 2
             w[i] = kinetic / (h * h) + (q * x) @ x
             tx = (diag - w[i]) * x
             tx[:-1] += off * x[1:]
             tx[1:] += off * x[:-1]
-            res[i] = np.linalg.norm(tx)
+            res[i] = math.sqrt(tx @ tx)
             if res[i] <= bound:
                 break
         vecs[i] = x
     ok = (
-        np.all(res <= bound)
-        and np.all(w - res > lo)
-        and np.all(w + res <= hi)
-        and np.all(np.diff(w) > res[:-1] + res[1:])
+        (res <= bound).all()
+        and (w - res > lo).all()
+        and (w + res <= hi).all()
+        and (w[1:] - w[:-1] > res[:-1] + res[1:]).all()
     )
     return (w, vecs.T) if ok else None
 
@@ -463,8 +509,8 @@ def _error_estimate(w, w_half, w_quarter, x, x_half):
     least as fast as E. Elsewhere (a zero difference, differences of opposite
     sign, an order out of range) it is the plain value's estimate |d| / 3,
     which assumes the stencil's order 2. Each is relative to max(|x|,
-    SCALE_FLOOR), the scale of the closed-form check. The order is returned as
-    NaN where it is undefined.
+    SCALE_FLOOR), the scale of the closed-form check, and at least
+    ESTIMATE_FLOOR. The order is returned as NaN where it is undefined.
     """
     d, d_half = w - w_half, w_half - w_quarter
     with np.errstate(all="ignore"):  # zero differences, opposite signs, 2^p past the range
@@ -472,7 +518,8 @@ def _error_estimate(w, w_half, w_quarter, x, x_half):
         gci = SAFETY_FACTOR * np.abs(x - x_half) / (2.0 ** order - 1.0)
     trusted = (order >= ORDER_RANGE[0]) & (order <= ORDER_RANGE[1])  # False for NaN
     error = np.where(trusted, gci, np.abs(d) / 3.0)
-    return error / np.maximum(np.abs(x), SCALE_FLOOR), np.where(np.isfinite(order), order, np.nan)
+    relative = np.maximum(error / np.maximum(np.abs(x), SCALE_FLOOR), ESTIMATE_FLOOR)
+    return relative, np.where(np.isfinite(order), order, np.nan)
 
 
 def lowest_eigenvalues(
@@ -498,11 +545,12 @@ def lowest_eigenvalues(
     The grid spans the arc cut x_max, by default default_arc_cutoff(spec).
     The solver walks one chain of grids, coarsest first: grid_points >> j
     for j = J + 2 down to 0, where J halvings reach the smallest level
-    >= LADDER_FLOOR (312 at the default grid_points, whose chain is 78, 156,
-    312, 625, ..., 20000). Each grid is the one before it doubled, or doubled
-    plus one, and is solved once. The last three grids solved are a level's N,
-    N/2 and N/4. Without rtol the solver visits every level and returns at
-    N = grid_points. With rtol, grid_points is the largest grid it may use:
+    >= max(LADDER_FLOOR, 16 k) (312 at the default grid_points and k <= 19,
+    whose chain is 78, 156, 312, 625, ..., 20000; 2500 at k = 100, so that
+    the coarsest grid, 625, keeps 4 k intervals). Each grid is the one before
+    it doubled, or doubled plus one, and is solved once. The last three grids
+    solved are a level's N, N/2 and N/4. Without rtol the solver visits every
+    level and returns at N = grid_points. With rtol, grid_points is the largest grid it may use:
     it stops at the first level whose `error_estimate` is <= rtol for every
     eigenvalue. Each grid takes what it needs from the grids before it:
     * its potential samples (_interior_potential): the first level is
@@ -527,8 +575,9 @@ def lowest_eigenvalues(
     (2, 60, 0, 21.544, -1)): count a level's nodes by T_N's Sturm counts.
 
     Raises InvalidParameter unless a given rtol or x_max is a real number,
-    not a bool, finite and > 0; DomainError when x_max lies past the box's
-    end (lambda < 0) or where the radius leaves the double range (lambda > 0);
+    not a bool, finite and > 0, and unless k is below the coarsest grid's
+    intervals (grid_points >> 2 at most); DomainError when x_max lies past
+    the box's end (lambda < 0) or where the radius leaves the double range (lambda > 0);
     GridTooCoarse when rtol is given and an estimate still exceeds it at
     grid_points; warns with TruncationWarning when an eigenvector keeps
     non-negligible mass near the grid cut.
@@ -545,8 +594,9 @@ def lowest_eigenvalues(
     # u ~ x^(L+1) at the origin leaves the plain stencil an error of order 2L + 1, under 4
     # here; the weight x^(2L+2) overflows the origin row at large L
     a = L + 1.0 if L < 1.5 and not L.is_integer() else None
-    # J, the first level's halvings: the largest j with grid_points >> j >= LADDER_FLOOR, or 0
-    J = max(0, (grid_points // LADDER_FLOOR).bit_length() - 1)
+    # J, the first level's halvings: the largest j with grid_points >> j >= max(LADDER_FLOOR,
+    # 16 k), or 0, so that the coarsest grid keeps 4 k intervals where grid_points allows
+    J = max(0, (grid_points // max(LADDER_FLOOR, 16 * k)).bit_length() - 1)
     grids = [grid_points >> j for j in range(J + 2, -1, -1)]
     if k >= grids[0]:
         raise InvalidParameter(
@@ -583,7 +633,7 @@ def lowest_eigenvalues(
         extrapolated = _extrapolate(w, w_half, n)
         previous = _extrapolate(w_half, w_quarter, n // 2)
         error, order = _error_estimate(w, w_half, w_quarter, extrapolated, previous)
-        if rtol is not None and np.all(error <= rtol):
+        if rtol is not None and (error <= rtol).all():
             break
     else:
         if rtol is not None:
@@ -595,7 +645,7 @@ def lowest_eigenvalues(
     if x_cut < Deformation(float(spec.lam)).arc_max * (1.0 - 1e-12):  # the cut leaves domain out
         edge = max(3, n // 100)
         for i in range(vecs.shape[1]):
-            mass = float(np.sum(vecs[-edge:, i] ** 2))
+            mass = float((vecs[-edge:, i] ** 2).sum())
             if mass > 1e-12:
                 warnings.warn(
                     f"eigenvector {i} keeps mass {mass:.2e} near the grid cut",
@@ -657,13 +707,13 @@ def _residuals_and_nodes(spec: PotentialSpec, states, r_max: float) -> tuple:
     evaluated = evaluate_forms([psi for psi, _ in states], r, derivatives=True)
     residuals = []
     for (_, energy), (psi_v, dpsi, d2psi) in zip(states, evaluated):
-        peak = np.max(np.abs(psi_v))
+        peak = np.abs(psi_v).max()
         if peak == 0.0:
             raise NonNormalizable("wavefunction vanishes on the whole grid")
         psi_v, dpsi, d2psi = psi_v / peak, dpsi / peak, d2psi / peak
         kinetic = -f2 * d2psi - 2.0 * lam * r * dpsi - lam * (2.0 + lam * r * r) / (4.0 * f2) * psi_v
         res = np.abs(kinetic + (v - energy) * psi_v) / (abs(lam) + abs(energy) * np.abs(psi_v))
-        residuals.append(float(np.max(res)))
+        residuals.append(float(res.max()))
     return residuals, [_nodes(psi, r, values[0]) for (psi, _), values in zip(states, evaluated)]
 
 
@@ -745,13 +795,13 @@ def _gauss_kronrod(fun, a: float, b: float, budget) -> np.ndarray:
     while True:
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        fx = np.reshape(fun((mid[:, None] + half[:, None] * _GK_NODES).ravel()),
-                        (-1, lo.size, _GK_NODES.size))
+        fx = fun((mid[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(
+            -1, lo.size, _GK_NODES.size)
         # an inf row (|psi|^2 past the double range) may hold inf - inf: its total is not finite
         with np.errstate(over="ignore", invalid="ignore"):
             kron = fx @ _GK_KRONROD
             totals = closed + kron @ half
-        if not np.all(np.isfinite(totals)):
+        if not np.isfinite(totals).all():
             return totals
         with np.errstate(divide="ignore", invalid="ignore"):
             resasc = half * (np.abs(fx - 0.5 * kron[..., None]) @ _GK_KRONROD)
@@ -761,7 +811,7 @@ def _gauss_kronrod(fun, a: float, b: float, budget) -> np.ndarray:
         floor = 50.0 * eps * half * (np.abs(fx) @ _GK_KRONROD)  # qk15's round-off floor
         share = budget(totals)[:, None] * ((hi - lo) / (b - a))
         # no bisection takes a panel's error below its floor: a row there is done
-        open_ = np.any(err > np.maximum(floor, share), axis=0)
+        open_ = (err > np.maximum(floor, share)).any(axis=0)
         n_open = int(np.count_nonzero(open_))
         if n_open == 0 or splits + n_open > MAX_SPLITS:
             return totals
@@ -823,7 +873,7 @@ def _integrals(forms, hi: float) -> list:
         # the tail beyond the cutoff must be negligible, not just small
         bounds = TAIL_RATIO * np.array(norms)
         tails = _gauss_kronrod(lambda r: integrands(r)[:k], hi, 2.0 * hi, lambda _: bounds / 10.0)
-        if np.any(tails > bounds):
+        if (tails > bounds).any():
             raise NonNormalizable("tail integral does not decay")
     if k == 2:
         totals[2] /= math.sqrt(norms[0]) * math.sqrt(norms[1])
@@ -930,7 +980,8 @@ def _nodes(psi: WavefunctionForm, r: np.ndarray, values: np.ndarray) -> list:
 def _sign_changes(values, floor: float) -> tuple:
     """(i, j) of each sign change of a sampled profile, past entries <= floor times its peak."""
     arr = np.asarray(values, dtype=float)
-    idx = np.flatnonzero(np.abs(arr) > floor * np.max(np.abs(arr)))
+    mag = np.abs(arr)
+    idx = np.flatnonzero(mag > floor * mag.max())
     signs = np.sign(arr[idx])
     at = np.flatnonzero(signs[:-1] != signs[1:])
     return idx[at], idx[at + 1]

@@ -161,7 +161,7 @@ def eval_potential(spec: PotentialSpec, r):
     lam, L, A, shift, B = spec._floats
     arr = _check_radius(Deformation(lam), r)
     t = lam * arr * arr
-    wall = t <= -1.0 if lam < 0 and np.any(t <= -1.0) else None
+    wall = t <= -1.0 if lam < 0 and (t <= -1.0).any() else None
     if wall is not None:
         t = np.where(wall, 0.0, t)  # V is set there below; 0 keeps the sums finite
     f2 = 1.0 + t

@@ -147,6 +147,17 @@ def test_spectrum_command(capsys):
     assert abs(e0 + 15.5) < 1e-4
 
 
+def test_spectrum_command_takes_k_100(capsys):
+    # the ladder starts where its coarsest grid keeps 4 k intervals: 625 at k = 100
+    code, out, _ = run_cli(
+        ["spectrum", "--family", "1", "--m", "1", "--L", "1", "--lambda", "1", "--B", "1",
+         "--k", "100"],
+        capsys,
+    )
+    assert code == 0
+    assert len(out.strip().splitlines()) == 101
+
+
 def test_spectrum_grid_too_coarse_exit_code(capsys):
     # the estimate of E1 = -1/4 at 2000 points is ~1.2e-8, above --tol
     code, _, err = run_cli(

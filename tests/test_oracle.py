@@ -397,6 +397,18 @@ def _count_solves(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("k, coarsest", [(15, 78), (20, 156), (100, 625)])
+def test_the_coarsest_grid_keeps_4k_intervals(k, coarsest, monkeypatch):
+    # the first level is the smallest at or above max(LADDER_FLOOR, 16 k): 312 up to
+    # k = 19, the default ladder's, then 625, and 2500 at k = 100. BOX's levels are 4 n^2
+    calls = _count_solves(monkeypatch)
+    est = lowest_eigenvalues(BOX, k=k, rtol=1e-6)
+    assert calls[0][0] == coarsest
+    n = np.arange(1, k + 1)
+    error = np.abs(np.array(est.extrapolated) / (4.0 * n * n) - 1.0)
+    assert np.all(error <= np.array(est.error_estimate)) and max(est.error_estimate) <= 1e-6
+
+
 @pytest.mark.parametrize("config", [(1, 4, 0, 1, 1), (2, 4, 0, 1, -1)])
 def test_rtol_stops_at_a_smaller_certified_grid(config, monkeypatch):
     calls = _count_solves(monkeypatch)
@@ -484,6 +496,46 @@ def test_default_arc_cutoff_is_pinned_on_every_branch(branch):
         x_cut = oracle.default_arc_cutoff(spec)
     assert x_cut.hex() == hex_value
     assert sum(issubclass(w.category, TruncationWarning) for w in caught) == n_warnings
+
+
+# the spans each branch's scan reads, and whether the last of them holds the wall
+ARC_SCAN_SPANS = {
+    "lam<0, full box": (1, False),
+    "lam<0, wall": (1, True),
+    "lam>0, first span": (1, True),
+    "lam>0, second span": (2, True),
+    "lam>0, third span": (3, True),
+    "lam>0, fallback": (6, False),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(ARC_CUTOFFS))
+def test_default_arc_cutoff_evaluates_only_the_points_it_reads(branch, monkeypatch):
+    # each span's coarse pass is one call on every 100th point of its 20001-point scan; a
+    # span with a wall takes one more, of at most 201 consecutive scan points. Every point
+    # is the np.linspace point, bit for bit, and no array of the whole scan is built
+    spec = ARC_CUTOFFS[branch][0]
+    spans, wall = ARC_SCAN_SPANS[branch]
+    calls = []
+    original = oracle._potential_on_arc
+
+    def counted(spec, x):
+        calls.append(x)
+        return original(spec, x)
+
+    monkeypatch.setattr(oracle, "_potential_on_arc", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        oracle.default_arc_cutoff(spec)
+    assert len(calls) == spans + wall
+    assert max(x.size for x in calls) == 201
+    for x in calls[:spans]:
+        assert np.array_equal(x, np.linspace(x[0], x[-1], oracle.SCAN_POINTS)[::oracle.SCAN_STRIDE])
+    if wall:
+        coarse, fine = calls[spans - 1], calls[-1]
+        xs = np.linspace(coarse[0], coarse[-1], oracle.SCAN_POINTS)
+        start = int(np.searchsorted(xs, fine[0]))
+        assert np.array_equal(fine, xs[start:start + fine.size])
 
 
 def test_weakly_confining_potential_warns_but_solves():
@@ -853,7 +905,20 @@ def test_error_estimate_falls_back_to_the_plain_gate():
     plain = np.abs(w - w_half) / 3.0 / np.abs(x)
     assert order[0] == pytest.approx(2.0) and error[0] != plain[0]
     assert np.all(np.isnan(order[[1, 2, 4]])) and order[3] == pytest.approx(6.0)
-    assert np.array_equal(error[1:], plain[1:])
+    # the zero difference's plain estimate, 0, is floored at 4 ulps: no estimate claims exactness
+    assert np.array_equal(error[1:], np.maximum(plain[1:], oracle.ESTIMATE_FLOOR))
+    assert plain[2] == 0.0 and error[2] == oracle.ESTIMATE_FLOOR
+
+
+def test_no_estimate_claims_exactness():
+    # at N = 20000 the three levels of E0 agree to rounding: its estimate read 0.0
+    # against an error of 8.9e-16, and is now the floor, 4 ulps of the value
+    report = run_verification(2, 1, 0, Fraction(9, 4), -1)
+    assert report.grid_points == 20000
+    assert report.oracle_error_estimate[0] == oracle.ESTIMATE_FLOOR
+    assert min(report.oracle_error_estimate) >= oracle.ESTIMATE_FLOOR > 0.0
+    checks = {c.name: c.value for c in report.checks}
+    assert checks["oracle_E0"] <= report.oracle_error_estimate[0]
 
 
 def test_undefined_order_takes_the_plain_gate(monkeypatch):

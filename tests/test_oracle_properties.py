@@ -245,6 +245,26 @@ def test_arc_cutoff_is_the_whole_scans_at_the_extremes(args):
     _assert_cutoff_is_the_whole_scans(reduced_spec(*args))
 
 
+@pytest.mark.parametrize("args, near", [
+    ((1, 8, 0, 1, 1), False), ((2, 1, 0, 1, -1), False),
+    ((1, 1, 0, 10**300, 1), True), ((2, 1, Fraction(1, 2), 10**6, -1), True),
+])
+def test_arc_cutoff_is_the_whole_scans_on_both_branches(args, near, monkeypatch):
+    # where the wall lies within one stride of the coarse minimum (near), the whole scan's
+    # minimum can move the cut: the second call takes the 101 or 201 points around the
+    # coarse minimum. Elsewhere it takes the 99 points before the walled coarse point
+    sizes = []
+    original = oracle._potential_on_arc
+
+    def counted(spec, x):
+        sizes.append(x.size)
+        return original(spec, x)
+
+    monkeypatch.setattr(oracle, "_potential_on_arc", counted)
+    _assert_cutoff_is_the_whole_scans(reduced_spec(*args))
+    assert len(sizes) >= 2 and (sizes[-1] > oracle.SCAN_STRIDE - 1) == near
+
+
 @pytest.mark.parametrize("args", [(2, 60, 0, 1, -1), (2, 12, 0, 1.0, Fraction(-1, 4))])
 def test_arc_cutoff_raises_no_runtime_warning(args):
     # near the family-2 wall f^2 ** (k + 1) underflows to 0; the inf it gives is wall

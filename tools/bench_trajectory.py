@@ -17,6 +17,8 @@ For each config the file records:
 * outcome: "pass", "fail" with the failing checks, or "error" with the type
   of the exception raised;
 * grid_points: the N the oracle certified (null on an error);
+* x_max: the arc cut of the oracle's grid, the wall scan's, as float.hex
+  (null on an error), so that a cut that moves by one bit shows;
 * warnings: the warnings the first timed call raised, counted by the name
   of their category; no warning is silenced;
 * layers_self_ms: the self time of each span of perfbench/layers.py in one
@@ -138,13 +140,15 @@ def verify(family, m, L, B2m, lam):
 def outcome(report, error) -> dict:
     if error is not None:
         return {"outcome": "error", "error": type(error).__name__,
-                "error_module": type(error).__module__, "message": str(error), "grid_points": None}
+                "error_module": type(error).__module__, "message": str(error), "grid_points": None,
+                "x_max": None}
     failed = [c.name for c in report.checks if not c.passed]
     values = {c.name: c.value for c in report.checks}
     ratios = {name: values[name] / est if est > 0 else None
               for name, est in zip(("oracle_E0", "oracle_E1"), report.oracle_error_estimate)}
     return {"outcome": "fail" if failed else "pass", "failed_checks": failed,
-            "grid_points": report.grid_points, "estimate_ratio": ratios}
+            "grid_points": report.grid_points, "x_max": report.x_max.hex(),
+            "estimate_ratio": ratios}
 
 
 def fold_checks(check_max: dict, report) -> None:
