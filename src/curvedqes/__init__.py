@@ -17,7 +17,6 @@ from .errors import (
     PoleAtNode,
     SignMismatch,
     TruncationWarning,
-    UnsupportedOrder,
     UnsupportedTerm,
 )
 from .geometry import (

@@ -28,10 +28,6 @@ class InvalidOrder(ValueError):
     """Extension order m outside the supported range."""
 
 
-class UnsupportedOrder(InvalidOrder):
-    """The explicit step systems only cover m = 1 and m = 2."""
-
-
 class NotConstrained(ValueError):
     """Potential coefficients are not in the reduced (compatible) QES form."""
 

@@ -372,7 +372,8 @@ def _polish(stencil: tuple, guess):
             x, info = dgtsv(off, shifted, off, x)[3:]
             if info != 0:
                 return None
-            x -= (vecs[:i] @ x) @ vecs[:i]
+            if i:  # the first pair has no earlier vector to project out
+                x -= (vecs[:i] @ x) @ vecs[:i]
             norm = math.sqrt(x @ x)
             # a zero vector leaves nothing to normalise, a non-finite one nothing to certify
             if not 0.0 < norm < math.inf:

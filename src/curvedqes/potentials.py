@@ -31,7 +31,7 @@ from .errors import DegenerateCurvature, InvalidOrder, InvalidParameter, SignMis
 from .exactmath import QUARTER, Scalar, canonical, exact_div, exact_sqrt
 from .geometry import Deformation, _check_radius
 
-MAX_ORDER = 60  # binomial growth bound for the prefactor expansion
+MAX_ORDER = 60  # the range of orders that the tests and the benchmark cover
 # longest potential tail summed one `**` per term (m <= 2): the golden figures pin it
 SHORT_TAIL = 4
 # shortest run of equal tail coefficients summed in one closed-form step: Horner's rule costs

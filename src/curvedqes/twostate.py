@@ -2,7 +2,7 @@
 
 Two routes produce the same closed-form data:
 
-* the explicit step systems for orders m = 1, 2: a superpotential ansatz is
+* the explicit step systems, for every order m >= 1: a superpotential ansatz is
   matched against the potential through the Riccati equation, solved by one
   elimination in the exact {r^-2, f^2n} basis of susy.riccati_expand and
   susy.potential_expand, which fixes the ansatz parameters and the
@@ -33,12 +33,13 @@ one product of a coefficient of W+ with an int.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .errors import InvalidParameter, InvariantError, UnsupportedOrder
+from .errors import InvalidParameter, InvariantError
 from .exactmath import HALF, Scalar, canonical, exact_div, exact_sqrt, is_exact, scale_div
 from .potentials import (
     Family,
@@ -63,12 +64,11 @@ from .susy import (
 
 @dataclass(frozen=True)
 class AnsatzParams:
-    """Superpotential ansatz parameters; sigma is None for order 1."""
+    """Superpotential ansatz parameters: the tail holds c_1 .. c_m."""
 
     xi: Scalar
     eta: Scalar
-    zeta: Scalar
-    sigma: Scalar | None = None
+    tail: tuple
 
 
 @dataclass(frozen=True)
@@ -94,17 +94,11 @@ class CdsiStepResult:
 
 
 def _ansatz(family: Family, p: AnsatzParams, lam) -> Superpotential:
-    """The step ansatz xi f/r + eta r/f + zeta r f^q1 (+ sigma r f^q2) of the family."""
-    exps = (1, 3) if family is Family.FAMILY1 else (-3, -5)
-    terms = [(p.xi, -1, 1), (p.eta, 1, -1), (p.zeta, 1, exps[0])]
-    if p.sigma is not None:
-        terms.append((p.sigma, 1, exps[1]))
-    return Superpotential(tuple(terms), lam)
-
-
-def _step_order(m) -> None:
-    if m not in (1, 2):
-        raise UnsupportedOrder(f"explicit step systems cover m in (1, 2), got m={m}")
+    """The step ansatz xi f/r + eta r/f + sum_j c_j r f^(q_j), with W's tail powers q_j:
+    2j - 1 in family 1 and -(2j + 1) in family 2."""
+    m = len(p.tail)
+    qs = range(1, 2 * m, 2) if family is Family.FAMILY1 else range(-3, -2 * m - 2, -2)
+    return Superpotential(((p.xi, -1, 1), (p.eta, 1, -1)) + tuple(zip(p.tail, (1,) * m, qs)), lam)
 
 
 def solve_first_step(family, m: int, L, A, B: Sequence, lam) -> CdsiStepResult:
@@ -112,13 +106,15 @@ def solve_first_step(family, m: int, L, A, B: Sequence, lam) -> CdsiStepResult:
 
     The constraint residuals vanish exactly when (A, B) satisfies the
     first-step conditions of the chosen family. Raises what validate_model
-    raises, and InvalidParameter for a non-finite A or B_1..B_{2m-1}.
+    raises, and InvalidParameter for a B that is not a list of 2m numbers or a
+    non-finite A or B_1..B_{2m-1}.
     """
-    _step_order(m)
+    if not isinstance(B, (list, tuple)):
+        raise InvalidParameter(f"B must be a list of numbers, got {reprlib.repr(B)}")
     B = tuple(B)
+    fam = validate_model(family, m, L, B[-1] if B else None, lam)
     if len(B) != 2 * m:
         raise InvalidParameter(f"expected {2 * m} tail coefficients, got {len(B)}")
-    fam = validate_model(family, m, L, B[-1], lam)
     require_finite("A", A)
     for k, b in enumerate(B[:-1], start=1):
         require_finite(f"B_{k}", b)
@@ -128,18 +124,16 @@ def solve_first_step(family, m: int, L, A, B: Sequence, lam) -> CdsiStepResult:
 
 def solve_second_step(family, m: int, first: CdsiStepResult) -> CdsiStepResult:
     """Repeat the match on the partner potential; constraints change."""
-    _step_order(m)
-    if first.step != 1 or family != first.family or m != first.m:
+    same = isinstance(first, CdsiStepResult) and (first.family, first.m) == (family, m)
+    if not same or first.step != 1:
         raise InvalidParameter("second step must continue the matching first step")
     fam, L, A, B, lam = first.family, first.L, first.A, first.B, first.lam
     params, e0, cons = _match(fam, m, L, A, B, lam, first.params)
     return CdsiStepResult(fam, m, 2, L, A, B, lam, params, e0, cons)
 
 
-def compatibility(family, m: int, L, B2m, lam) -> PotentialSpec:
-    """Reduced spec on which both step constraint sets hold simultaneously."""
-    _step_order(m)
-    return reduced_spec(family, m, L, B2m, lam)
+# the reduced spec is the one on which both step constraint sets hold simultaneously
+compatibility = reduced_spec
 
 
 def _match(fam: Family, m: int, L, A, B: tuple, lam, first: AnsatzParams | None = None):
@@ -148,13 +142,16 @@ def _match(fam: Family, m: int, L, A, B: tuple, lam, first: AnsatzParams | None 
     Step 1 matches W^2 - f W' = V - E0. Step 2 (first = step 1's parameters)
     matches the partner W1^2 + f W1' = V - E0(step 1) + 2 f W1', so its target
     is V + 2 f W1' and its E0 is the first excited energy of V. lam sets only
-    the scale: the system is solved at lam = +-1, and the tail coefficients and
-    E0 are multiplied by |lam| at the end. The target is built with A = 0, as
-    A enters it only as lam A (1 - f^-2). The r^-2 key fixes xi = -L - step
-    and the B_2m key the outermost tail coefficient, sqrt(B_2m); each inner one
-    enters the key of the next lower B_k linearly and is solved there,
-    outermost first. E0 is read off f^0 + f^-2, and each constraint is the
-    given A or (m = 2) B1 minus the value the match needs at its key.
+    the scale: the system is solved at lam = +-1, and eta, the tail and E0 are
+    multiplied by |lam| at the end. The target is built with A = 0, as A
+    enters it only as lam A (1 - f^-2). The r^-2 key fixes xi = -L - step and
+    the B_2m key the outermost tail coefficient, sqrt(B_2m); each inner one,
+    and then eta, enters the key of the next lower B_k linearly and is solved
+    there, outermost first. E0 is read off f^0 + f^-2, and each constraint is
+    the given A or B_1 .. B_{m-1} minus the value the match needs at its key.
+
+    Each of the 2m probes re-expands the whole ansatz, O(m^2) products, so both steps cost
+    O(m^3): in the exact lane about 36 ms at m = 8, 0.2 s at 16, 1.3 s at 30 and 10 s at 60.
     """
     step, scale, unit = (1 if first is None else 2), abs(lam), (1 if lam > 0 else -1)
     target = potential_expand(PotentialSpec(family=fam, m=m, L=L, A=0, B=B, lam=unit))
@@ -165,29 +162,29 @@ def _match(fam: Family, m: int, L, A, B: tuple, lam, first: AnsatzParams | None 
         for key in plus.keys() | minus.keys():  # 2 f W1' = (W1^2 + f W1') - (W1^2 - f W1')
             target[key] = target.get(key, 0) + (plus.get(key, 0) - minus.get(key, 0))
 
-    def expand(tail):
-        return riccati_expand(_ansatz(fam, AnsatzParams(-L - step, *tail), unit), MINUS)
+    def expand(c):  # c = [eta, c_1 .. c_m]
+        return riccati_expand(_ansatz(fam, AnsatzParams(-L - step, c[0], c[1:]), unit), MINUS)
 
     outer = exact_sqrt(B[-1])
-    tail = [0] * m + [outer]  # eta, zeta(, sigma)
+    coeffs = [0] * m + [outer]  # eta, c_1 .. c_m
     for i in reversed(range(m)):
-        # tail[i] enters its key linearly, next to terms of the order of outer^2:
+        # coeffs[i] enters its key linearly, next to terms of the order of outer^2:
         # probing it at outer rather than 1 keeps the float-lane slope from cancelling
         key = keys[m - 1 + i]
-        at0, at1 = (expand(tail[:i] + [u] + tail[i + 1:]).get(key, 0) for u in (0, outer))
-        tail[i] = outer * exact_div(target[key] - at0, at1 - at0)
-    a = expand(tail)
+        at0, at1 = (expand(coeffs[:i] + [u] + coeffs[i + 1:]).get(key, 0) for u in (0, outer))
+        coeffs[i] = outer * exact_div(target[key] - at0, at1 - at0)
+    a = expand(coeffs)
     e0 = (target[0] + target[-1]) - (a.get(0, 0) + a.get(-1, 0))
-    cons = [("A", A - exact_div(a.get(-1, 0) - target[-1], -unit))]  # A enters f^-2 as -lam A
-    if m == 2:  # at |lam| = 1, B1 enters its key as B1 in both families
-        cons.append(("B1", target[keys[0]] - a.get(keys[0], 0)))
-    params = _rescale(AnsatzParams(-L - step, *tail), lambda v: scale * v)
+    # A enters f^-2 as -lam A; at |lam| = 1, each B_k enters its key as B_k in both families
+    cons = [("A", A - exact_div(a.get(-1, 0) - target[-1], -unit))]
+    cons += [(f"B{k}", target[key] - a.get(key, 0)) for k, key in enumerate(keys[:m - 1], 1)]
+    params = _rescale(AnsatzParams(-L - step, coeffs[0], coeffs[1:]), lambda v: scale * v)
     return params, scale * e0, tuple(cons)
 
 
 def _rescale(p: AnsatzParams, op) -> AnsatzParams:
-    """p with every tail coefficient (all but xi) mapped through op."""
-    return AnsatzParams(p.xi, *(v if v is None else op(v) for v in (p.eta, p.zeta, p.sigma)))
+    """p with eta and every tail coefficient mapped through op."""
+    return AnsatzParams(p.xi, op(p.eta), tuple(map(op, p.tail)))
 
 
 # ---------------------------------------------------------------------------

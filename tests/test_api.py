@@ -26,7 +26,6 @@ PUBLIC = [
     "Term",
     "TruncationWarning",
     "TwoStateSolution",
-    "UnsupportedOrder",
     "UnsupportedTerm",
     "VerificationReport",
     "WavefunctionForm",

@@ -17,7 +17,6 @@ from curvedqes import (
     InvalidParameter,
     InvariantError,
     SignMismatch,
-    UnsupportedOrder,
     compatibility,
     eval_potential,
     riccati_apply,
@@ -41,15 +40,15 @@ def first_step_consistent_inputs(family, m, L, B_free, lam):
     cons = dict(probe.constraints)
     A = -cons["A"]
     B = list(B_free)
-    if m == 2:
-        B[0] = B_free[0] - cons["B1"]
+    for k in range(1, m):  # each constraint is the given B_k minus the value the match needs
+        B[k - 1] = B_free[k - 1] - cons[f"B{k}"]
     return A, tuple(B)
 
 
 def test_first_step_family1_m1_parameters():
     step = solve_first_step(1, 1, 2, F(3, 4), (-10, 1), 1)
     assert step.params.xi == -3
-    assert step.params.zeta == 1
+    assert step.params.tail[0] == 1
     # eta/lambda = B1/(2 sqrt(B2)) + sqrt(B2)/2 + L + 2
     assert step.params.eta == -5 + F(1, 2) + 4
 
@@ -65,9 +64,9 @@ def test_first_step_family2_m2_parameters():
     B = spec.B
     step = solve_first_step(2, 2, 1, spec.A, B, -1)
     assert step.params.xi == -2
-    assert step.params.sigma == 2  # |lam| sqrt(B4)
-    # zeta = |lam| (B3 + B4) / (2 sqrt(B4))
-    assert step.params.zeta == F(B[2] + B[3], 4)
+    assert step.params.tail[1] == 2  # |lam| sqrt(B4)
+    # tail[0] = |lam| (B3 + B4) / (2 sqrt(B4))
+    assert step.params.tail[0] == F(B[2] + B[3], 4)
     assert step.max_constraint_residual() == 0
 
 
@@ -78,14 +77,14 @@ def test_second_step_eta_shifts():
         s2 = solve_second_step(fam, 1, s1)
         assert s2.params.eta - s1.params.eta == shift_m1 * abs(lam)
         assert s2.params.xi == s1.params.xi - 1
-        assert s2.params.zeta == s1.params.zeta
+        assert s2.params.tail[0] == s1.params.tail[0]
 
     for fam, lam in ((1, 1), (2, -1)):
         spec = reduced_spec(fam, 2, 0, 9, lam)
         s1 = solve_first_step(fam, 2, 0, spec.A, spec.B, lam)
         s2 = solve_second_step(fam, 2, s1)
         assert s2.params.eta - s1.params.eta == 5 * abs(lam)
-        assert s2.params.sigma == s1.params.sigma
+        assert s2.params.tail[1] == s1.params.tail[1]
 
 
 def test_family2_m1_second_step_energy_term():
@@ -98,11 +97,11 @@ def test_family2_m1_second_step_energy_term():
 
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
 def test_riccati_system_vanishes_on_step_solutions(fam, lam, m):
     for L in (0, 1, 3):
         for B2m in SQUARES:
-            B_free = (2,) * (2 * m - 1) + (B2m,) if m == 2 else (-3, B2m)
+            B_free = (-3,) + (2,) * (2 * m - 2) + (B2m,)
             A, B = first_step_consistent_inputs(fam, m, L, B_free, lam)
             step = solve_first_step(fam, m, L, A, B, lam)
             res = riccati_system_residuals(fam, m, step.params, L, A, B, step.ground_energy, lam)
@@ -111,7 +110,7 @@ def test_riccati_system_vanishes_on_step_solutions(fam, lam, m):
 
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
 def test_constraint_closure_on_compatible_specs(fam, lam, m):
     for L in (0, 1, 2, 3):
         for B2m in SQUARES:
@@ -137,7 +136,7 @@ def test_compatibility_matches_general_coefficients():
 
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
 def test_general_reduces_to_step_construction(fam, lam, m):
     for L in (0, 1, 2, 3):
         for B2m in SQUARES:
@@ -275,8 +274,9 @@ def test_float_parameter_lane():
 
 
 def test_order_validation():
-    with pytest.raises(UnsupportedOrder):
-        solve_first_step(1, 3, 0, 1, (1,) * 6, 1)
+    for m in (0, 61):
+        with pytest.raises(InvalidOrder):
+            solve_first_step(1, m, 0, 1, (1,) * (2 * m), 1)
     with pytest.raises(InvalidOrder):
         general_two_state(1, 0, 0, 1, 1)
     with pytest.raises(InvalidOrder):
@@ -298,10 +298,12 @@ NON_FINITE = (float("inf"), float("-inf"), float("nan"), 10**400)
 
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_first_step_rejects_non_finite_free_coefficients(fam, lam, m, bad):
     spec = reduced_spec(fam, m, 1, 4, lam)
+    with pytest.raises(InvalidParameter, match="B must be a list of numbers"):
+        solve_first_step(fam, m, 1, spec.A, bad, lam)
     with pytest.raises(InvalidParameter, match="A must be finite"):
         solve_first_step(fam, m, 1, bad, spec.B, lam)
     for k in range(1, 2 * m):  # B_2m goes through validate_model's own check
@@ -327,7 +329,7 @@ def test_second_step_rejects_a_mismatched_first_step():
     spec = reduced_spec(1, 1, 1, 4, 1)
     first = solve_first_step(1, 1, 1, spec.A, spec.B, 1)
     second = solve_second_step(1, 1, first)
-    for args in ((2, 1, first), (1, 2, first), (1, 1, second)):
+    for args in ((2, 1, first), (1, 2, first), (1, 1, second), (1, 1, "x"), (1, 1, spec)):
         with pytest.raises(InvalidParameter, match="matching first step"):
             solve_second_step(*args)
 
@@ -441,9 +443,23 @@ def test_energy_gap_invariant_survives_optimize_flag():
 
 
 # Off the constraint surface at L = 1/2, A = 11/5, per (family, m): B, then for step 1 and
-# step 2 the constraints, (xi, eta, zeta, sigma) and the ground energy at |lam| = 1. The
-# constraints do not depend on lam; every parameter but xi and the energy scale with |lam|.
+# step 2 the constraints, (xi, eta, tail[0], tail[1], ...) and the ground energy at |lam| = 1
+# (None: m = 1 has no tail[1]). The constraints do not depend on lam; every parameter but xi
+# and the energy scale with |lam|.
+OFF_SURFACE_B3 = (F(5, 7), F(2, 3), F(-1, 2), F(3, 4), F(-4, 5), 9)
 OFF_SURFACE = {
+    (1, 3): (OFF_SURFACE_B3, (
+        ((F(-472599419341, 14762250000), F(13572486953, 2296350000), F(4260391, 291600)),
+         (F(-3, 2), F(652529, 121500), F(3187, 2700), F(41, 30), 3), F(5040600023, 164025000)),
+        ((F(-2567801795341, 14762250000), F(16994898953, 2296350000), F(6165511, 291600)),
+         (F(-5, 2), F(1503029, 121500), F(3187, 2700), F(41, 30), 3), F(17120529623, 164025000)),
+    )),
+    (2, 3): (OFF_SURFACE_B3, (
+        ((F(-15254854771, 14762250000), F(13572486953, 2296350000), F(4260391, 291600)),
+         (F(-3, 2), F(531029, 121500), F(3187, 2700), F(41, 30), 3), F(5122612523, 164025000)),
+        ((F(-1200410566771, 14762250000), F(16994898953, 2296350000), F(6165511, 291600)),
+         (F(-5, 2), F(1381529, 121500), F(3187, 2700), F(41, 30), 3), F(17858642123, 164025000)),
+    )),
     (1, 2): ((F(5, 7), F(2, 3), F(-1, 2), 9), (
         ((F(-91521269, 3732480), F(568511, 36288)), (F(-3, 2), F(4055, 864), F(17, 12), 3),
          F(147247, 5184)),
@@ -468,17 +484,21 @@ OFF_SURFACE = {
 
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (1, F(1, 3)), (2, -1), (2, F(-2, 5))])
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_step_values_off_the_constraint_surface(fam, lam, m):
     B, expected = OFF_SURFACE[fam, m]
     s1 = solve_first_step(fam, m, F(1, 2), F(11, 5), B, lam)
     s2 = solve_second_step(fam, m, s1)
-    for step, (cons, (xi, eta, zeta, sigma), e0) in zip((s1, s2), expected):
-        assert step.constraints == tuple(zip(("A", "B1"), cons))
+    for step, (cons, (xi, eta, *tail), e0) in zip((s1, s2), expected):
+        assert step.constraints == tuple(zip(("A", "B1", "B2"), cons))
         p = step.params
-        assert (p.xi, p.eta, p.zeta) == (xi, abs(lam) * eta, abs(lam) * zeta)
-        assert p.sigma == (None if sigma is None else abs(lam) * sigma)
+        assert (p.xi, p.eta) == (xi, abs(lam) * eta)
+        assert p.tail == tuple(abs(lam) * c for c in tail if c is not None)
         assert step.ground_energy == abs(lam) * e0
+    # step 1 solves every other key of its system; B_k's residual is -|lam| times its constraint
+    res = riccati_system_residuals(fam, m, s1.params, F(1, 2), F(11, 5), B, s1.ground_energy, lam)
+    assert {key for key, v in res.items() if v} <= {"E0", *("A", "B1", "B2")[:m]}
+    assert [res[f"B{k}"] for k in range(1, m)] == [-abs(lam) * v for v in expected[0][0][1:]]
 
 
 def _derivative_magnitude(w, r):
