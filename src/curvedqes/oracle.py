@@ -38,16 +38,15 @@ Norms and overlaps use adaptive Gauss-Kronrod 7/15 panels (the pair inside
 QUADPACK), one vector quadrature for many integrands: each refinement round
 evaluates them once, as one array over every open panel shared by all, and
 each meets its own error budget, relative to the norm so that small norms keep
-their digits. Node search scans the residual grid (_scan_grid) for sign
-changes with array operations and polishes each bracketed root by Brent's
-method, ported here from scipy.optimize.brentq. Both end at a probed decay
-radius unless the caller, as run_verification does with r_cut, passes the end
-in. A verification's two states share their exponent series, so each window
-evaluates them together (susy.evaluate_forms), the same values as one state
-at a time: one evaluation with derivatives on the residual grid gives both
-residuals and both node scans (_residuals_and_nodes), and one quadrature pass
-both norms and their overlap, plus one for both tails at lambda > 0
-(_integrals).
+their digits. Node search scans the grid of every pointwise check (_scan_grid)
+for sign changes with array operations and polishes each bracketed root by
+Brent's method, ported here from scipy.optimize.brentq. Both end at a probed
+decay radius unless the caller, as run_verification does with r_cut, passes
+the end in. A verification's two states share their exponent series, so each
+window evaluates them together (susy.evaluate_forms): one evaluation with
+derivatives on the caller's grid and V(r) gives both residuals and both node
+scans (_residuals_and_nodes), and one quadrature pass both norms and their
+overlap, plus one for both tails at lambda > 0 (_integrals).
 
 Everything here is deliberately independent of the closed-form route: the
 matrix only sees eval_potential, and the quadrature/node utilities only see
@@ -164,6 +163,36 @@ def _check_arc_cut(lam: float, x_cut: float) -> None:
             inside = math.isfinite(radius_from_arc(defo, x_cut))
     if not inside:
         raise DomainError(f"arc cut x_max={x_cut!r} outside the arc domain at lambda={lam:g}")
+
+
+def _positive(name: str, value) -> float:
+    """float(value); InvalidParameter unless value is a real number, not a bool, finite and > 0."""
+    if isinstance(value, bool) or not is_finite_real(value) or value <= 0:
+        raise InvalidParameter(f"{name} must be a finite number > 0, got {reprlib.repr(value)}")
+    return float(value)
+
+
+def _real(name: str, value) -> float:
+    """float(value); InvalidParameter unless value is a real number in the double range, not a
+    bool. NaN and inf pass: a radius window end leaves its range to _check_radius."""
+    try:
+        math.isfinite(value)  # TypeError for a str, None or complex; OverflowError past the range
+        real = not isinstance(value, bool)
+    except (OverflowError, TypeError):
+        real = False
+    if not real:
+        raise InvalidParameter(f"{name} must be a real number, got {reprlib.repr(value)}")
+    return float(value)
+
+
+def _arc_cut(spec: PotentialSpec, x_max) -> float:
+    """The arc cut of a window: default_arc_cutoff(spec), or a given x_max, which must be
+    _positive and in the arc domain (_check_arc_cut)."""
+    if x_max is None:
+        return default_arc_cutoff(spec)
+    x_cut = _positive("x_max", x_max)
+    _check_arc_cut(float(spec.lam), x_cut)
+    return x_cut
 
 
 def _scan_points(lo: float, hi: float, start: int, stop: int, stride: int = 1) -> np.ndarray:
@@ -587,10 +616,8 @@ def lowest_eigenvalues(
         raise InvalidParameter(f"k must be an integer >= 1, got {k!r}")
     if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 200:
         raise InvalidParameter(f"grid_points must be an integer >= 200, got {grid_points!r}")
-    for name, value in (("rtol", rtol), ("x_max", x_max)):
-        bad = isinstance(value, bool) or not is_finite_real(value) or value <= 0
-        if value is not None and bad:
-            raise InvalidParameter(f"{name} must be a finite number > 0, got {reprlib.repr(value)}")
+    if rtol is not None:
+        _positive("rtol", rtol)
     L = float(spec.L)
     # u ~ x^(L+1) at the origin leaves the plain stencil an error of order 2L + 1, under 4
     # here; the weight x^(2L+2) overflows the origin row at large L
@@ -603,11 +630,7 @@ def lowest_eigenvalues(
         raise InvalidParameter(
             f"k must be < {grids[0]}, the coarsest grid's intervals at grid_points={grid_points}"
         )
-    if x_max is None:
-        x_cut = default_arc_cutoff(spec)
-    else:
-        x_cut = float(x_max)
-        _check_arc_cut(float(spec.lam), x_cut)
+    x_cut = _arc_cut(spec, x_max)
     first = grids[2]
     top = _interior_potential(spec, first, x_cut)
     solved = []  # (eigenvalues, eigenvectors, method) of each grid, in chain order
@@ -668,7 +691,7 @@ def lowest_eigenvalues(
 
 
 def _scan_grid(lam: float, r_max: float) -> np.ndarray:
-    """The 2000 geometric points from 1e-4 / sqrt|lambda| to r_max of the residual and node scans.
+    """The 2000 geometric points from 1e-4 / sqrt|lambda| to r_max of every pointwise check.
 
     DomainError unless 0 < r_max < the radial domain's end.
     """
@@ -688,23 +711,21 @@ def schrodinger_residual(
     point's is, uses analytic derivatives of the peak-normalized closed form.
     The grid ends at the radius of the arc cut x_max, which defaults to
     default_arc_cutoff(spec). Raises NonNormalizable when psi vanishes on the
-    whole grid.
-    """
-    x_cut = default_arc_cutoff(spec) if x_max is None else x_max
-    return _residuals_and_nodes(spec, [(psi, energy)], _cut_radius(float(spec.lam), x_cut))[0][0]
-
-
-def _residuals_and_nodes(spec: PotentialSpec, states, r_max: float) -> tuple:
-    """(residuals, nodes): schrodinger_residual and find_nodes of each (psi, energy) in states.
-
-    One _scan_grid to r_max, one V(r) and one joint evaluation of the states'
-    psi, psi' and psi'' (evaluate_forms) serve both: each psi's values there
-    are the ones find_nodes brackets.
+    whole grid, and for a given x_max what lowest_eigenvalues raises for it.
     """
     lam = float(spec.lam)
-    r = _scan_grid(lam, r_max)
+    r = _scan_grid(lam, _cut_radius(lam, _arc_cut(spec, x_max)))
+    return _residuals_and_nodes(lam, [(psi, energy)], r, eval_potential(spec, r))[0][0]
+
+
+def _residuals_and_nodes(lam: float, states, r: np.ndarray, v: np.ndarray) -> tuple:
+    """(residuals, nodes): schrodinger_residual and find_nodes of each (psi, energy) in states.
+
+    The caller's grid r and potential samples v on it, and one joint evaluation
+    of the states' psi, psi' and psi'' (evaluate_forms), serve both: each psi's
+    values there are the ones find_nodes brackets.
+    """
     f2 = 1.0 + lam * r * r
-    v = eval_potential(spec, r)
     evaluated = evaluate_forms([psi for psi, _ in states], r, derivatives=True)
     residuals = []
     for (_, energy), (psi_v, dpsi, d2psi) in zip(states, evaluated):
@@ -829,8 +850,10 @@ def quadrature_norm(psi: WavefunctionForm, r_max: float | None = None) -> float:
     For lambda > 0, NonNormalizable is raised when the tail over
     [r_max, 2 r_max] exceeds TAIL_RATIO of the norm; the tail is integrated
     to an absolute error of a tenth of that bound, all its check needs.
+    InvalidParameter unless a given r_max is a real number (_real), DomainError
+    unless it lies in the open radial domain.
     """
-    return _integrals((psi,), _decay_radius(psi) if r_max is None else r_max)[0]
+    return _integrals((psi,), _decay_radius(psi) if r_max is None else _real("r_max", r_max))[0]
 
 
 def _integrals(forms, hi: float) -> list:
@@ -887,9 +910,10 @@ def overlap(psi_a: WavefunctionForm, psi_b: WavefunctionForm, r_max: float | Non
     Both norms and the raw product are integrated to the radius r_max in one pass, by
     default to the larger _decay_radius of the two states, so each norm takes that one
     window. At lambda > 0 each norm's tail past it is checked as quadrature_norm checks
-    it: NonNormalizable when it exceeds TAIL_RATIO of the norm.
+    it: NonNormalizable when it exceeds TAIL_RATIO of the norm. A given r_max is checked
+    as quadrature_norm checks it.
     """
-    hi = max(_decay_radius(psi_a), _decay_radius(psi_b)) if r_max is None else r_max
+    hi = max(_decay_radius(psi_a), _decay_radius(psi_b)) if r_max is None else _real("r_max", r_max)
     return _integrals((psi_a, psi_b), hi)[2]
 
 
@@ -966,9 +990,10 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
 
 def find_nodes(psi: WavefunctionForm, r_max: float | None = None) -> list:
     """Interior zeros of psi: the sign changes of its values on the _scan_grid, polished
-    by Brent's method. The grid ends at r_max, by default _decay_radius(psi).
+    by Brent's method. The grid ends at r_max, by default _decay_radius(psi); a given
+    r_max is checked as quadrature_norm checks it.
     """
-    r = _scan_grid(float(psi.lam), _decay_radius(psi) if r_max is None else r_max)
+    r = _scan_grid(float(psi.lam), _decay_radius(psi) if r_max is None else _real("r_max", r_max))
     return _nodes(psi, r, psi.value(r))
 
 

@@ -409,5 +409,5 @@ def _node_radius(family: Family, m: int, L, s, lam) -> float:
 
 
 def node_location(sol: TwoStateSolution) -> float:
-    """Closed-form node of the first excited state, inside the open domain."""
-    return _node_radius(sol.family, sol.m, sol.L, exact_sqrt(sol.B2m), sol.lam)
+    """Closed-form node of the first excited state, inside the open domain: sol.r0."""
+    return sol.r0

@@ -13,12 +13,12 @@ and first excited states: Sturm counts of the oracle's matrix T_N must find 0
 eigenvalues at or below E0 - (E1 - E0)/2 and 1 at or below (E0 + E1)/2. By the
 oscillation theorem they are T_N's eigenvector node counts, free of rounding.
 
-The check grid samples W+ and W- once each (Superpotential._sums, two terms
-each at any m): the Riccati checks read
-W = (W+ - W-)/2 and W's slope (W+' - W-')/2 off those two samples, as the
-paper builds W, and W's own expansion is not sampled. The Schrodinger
-residuals read psi's exponent series and slopes as Horner sums of its stored
-coefficients (susy._horner).
+Every pointwise check reads one grid (oracle._scan_grid) and one V(r) on it.
+W+ and W- are sampled there once each (Superpotential._sums, two terms each
+at any m): the Riccati checks read W = (W+ - W-)/2 and W's slope
+(W+' - W-')/2 off those samples, as the paper builds W, and W's own expansion
+is not sampled. The Schrodinger residuals read psi's exponent series and
+slopes as Horner sums of its stored coefficients (susy._horner).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .oracle import (
     _cut_radius,
     _integrals,
     _residuals_and_nodes,
+    _scan_grid,
     _sturm_count,
     default_arc_cutoff,
     lowest_eigenvalues,
@@ -146,7 +147,8 @@ class VerificationReport:
 
 
 def _check_grid(sol: TwoStateSolution, r_max: float | None = None) -> np.ndarray:
-    """1000 geometric points from 1e-3 / sqrt|lambda| to r_max, default the wall cut's radius."""
+    """1000 geometric points from 1e-3 / sqrt|lambda| to r_max, default the wall cut's radius:
+    acceptance criterion 5's grid, kept because its test imports it; no verification samples it."""
     lam = float(sol.lam)
     if r_max is None:
         r_max = _cut_radius(lam, default_arc_cutoff(sol.spec))
@@ -183,7 +185,7 @@ def run_verification(
         tol = TOLERANCES[name]
         checks.append(CheckResult(name, float(value), float(tol), float(value) <= tol))
 
-    r = _check_grid(sol, r_cut)
+    r = _scan_grid(float(sol.lam), r_cut)
     v = eval_potential(sol.spec, r)
     e0f, e1f = float(sol.E0), float(sol.E1)
 
@@ -222,10 +224,10 @@ def run_verification(
     add("oracle_E0", rel0)
     add("oracle_E1", rel1)
 
-    # psi0 and psi1 share their exponent series: one joint evaluation on the residual grid
-    # gives both residuals and the node scan, and one quadrature pass every integral
+    # psi0 and psi1 share their exponent series: one joint evaluation on the grid gives
+    # both residuals and the node scan, and one quadrature pass every integral
     states = [(sol.psi0, e0f), (sol.psi1, e1f)]
-    res, (nodes0, nodes1) = _residuals_and_nodes(sol.spec, states, r_cut)
+    res, (nodes0, nodes1) = _residuals_and_nodes(float(sol.lam), states, r, v)
     add("residual_psi0", res[0])
     add("residual_psi1", res[1])
     add("nodes_psi0", len(nodes0))

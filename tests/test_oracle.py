@@ -98,10 +98,23 @@ def test_rtol_must_be_finite_and_positive():
 
 
 def test_x_max_must_be_finite_and_positive():
-    # the rule rtol follows: x_max=True would be read as 1.0, and 'a' fail in float()
-    for x_max in (float("nan"), float("inf"), 0.0, -1.0, "a", True, 1 + 1j, 10**400):
-        with pytest.raises(InvalidParameter, match="x_max"):
-            lowest_eigenvalues(BOX, k=1, x_max=x_max)
+    # the rule rtol follows: x_max=True would be read as 1.0, and 'a' fail in float();
+    # schrodinger_residual's x_max follows it too. A radius window end r_max must be a
+    # real number, not a bool: r_max=True would be read as 1.0 (find_nodes returned [])
+    sol = general_two_state(1, 1, 0, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x_max in (float("nan"), float("inf"), 0.0, -1.0, "a", True, 1 + 1j, 10**400):
+            with pytest.raises(InvalidParameter, match="x_max"):
+                lowest_eigenvalues(BOX, k=1, x_max=x_max)
+            with pytest.raises(InvalidParameter, match="x_max"):
+                schrodinger_residual(sol.spec, sol.psi0, float(sol.E0), x_max=x_max)
+        for r_max in ("a", True, 1 + 1j, 10**400):
+            for helper in (lambda: find_nodes(sol.psi1, r_max=r_max),
+                           lambda: quadrature_norm(sol.psi0, r_max=r_max),
+                           lambda: overlap(sol.psi0, sol.psi1, r_max=r_max)):
+                with pytest.raises(InvalidParameter, match="r_max"):
+                    helper()
 
 
 @pytest.mark.parametrize(
@@ -113,11 +126,14 @@ def test_x_max_must_be_finite_and_positive():
 def test_x_max_outside_the_arc_domain_raises_without_a_warning(config, x_max):
     # past the box's end at lambda < 0; at lambda > 0 where sinh, and so the radius,
     # leaves the double range, which would otherwise warn of an overflow first
-    spec = general_two_state(*config).spec
+    # schrodinger_residual's x_max is checked as lowest_eigenvalues' is
+    sol = general_two_state(*config)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="x_max"):
-            lowest_eigenvalues(spec, k=1, grid_points=400, x_max=x_max)
+            lowest_eigenvalues(sol.spec, k=1, grid_points=400, x_max=x_max)
+        with pytest.raises(DomainError, match="x_max"):
+            schrodinger_residual(sol.spec, sol.psi0, float(sol.E0), x_max=x_max)
 
 
 def test_x_max_at_the_box_end_is_the_default_cut():
@@ -760,8 +776,9 @@ def test_overlap_is_the_pair_row_of_the_integrals(config):
 
 
 # every window end must lie in the open radial domain (0, 1) of lambda = -1: a NaN, an
-# end at or past the domain's end, or one at or below 0 raises DomainError
-@pytest.mark.parametrize("r_max", [math.nan, 0.0, -1.0, 1.0, 2.0])
+# end at or past the domain's end (inf included), or one at or below 0 raises DomainError,
+# and no warning comes first
+@pytest.mark.parametrize("r_max", [math.nan, 0.0, -1.0, 1.0, 2.0, math.inf, 1e300])
 @pytest.mark.parametrize("helper", [
     lambda sol, r_max: find_nodes(sol.psi1, r_max=r_max),
     lambda sol, r_max: quadrature_norm(sol.psi0, r_max=r_max),
@@ -769,8 +786,10 @@ def test_overlap_is_the_pair_row_of_the_integrals(config):
 ], ids=["find_nodes", "quadrature_norm", "overlap"])
 def test_a_window_outside_the_domain_raises_domain_error(helper, r_max):
     sol = general_two_state(2, 1, 0, 1, -1)
-    with pytest.raises(DomainError, match="outside the open domain"):
-        helper(sol, r_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="outside the open domain"):
+            helper(sol, r_max)
 
 
 def _gaussian_end(ratio):
@@ -1096,14 +1115,18 @@ def test_brentq_bisects_where_the_step_denominator_is_zero(f, a, b):
      (2, 2, 0, 4, -1), (2, 30, 1, 4, -1)],
 )
 def test_joint_scan_and_integrals_equal_the_one_form_calls(config):
-    # the pair's one evaluation on the residual grid gives each form's own residual and
-    # nodes bit for bit; its one quadrature pass gives each norm and the overlap within
-    # its own budget of a one-form run to epsrel 1e-13 (tails included for lambda > 0)
+    # the pair's one evaluation on the residual grid, with the caller's V(r), gives each
+    # form's own residual and nodes bit for bit; its one quadrature pass gives each norm and
+    # the overlap within its own budget of a one-form run to epsrel 1e-13 (tails included
+    # for lambda > 0)
     sol = general_two_state(*config)
-    r_cut = oracle._cut_radius(float(sol.lam), oracle.default_arc_cutoff(sol.spec))
+    lam = float(sol.lam)
+    r_cut = oracle._cut_radius(lam, oracle.default_arc_cutoff(sol.spec))
     pair = (sol.psi0, sol.psi1)
     energies = (float(sol.E0), float(sol.E1))
-    res, nodes = oracle._residuals_and_nodes(sol.spec, list(zip(pair, energies)), r_cut)
+    r = oracle._scan_grid(lam, r_cut)
+    res, nodes = oracle._residuals_and_nodes(lam, list(zip(pair, energies)), r,
+                                             eval_potential(sol.spec, r))
     assert nodes == [find_nodes(p, r_max=r_cut) for p in pair]
     x_cut = oracle.default_arc_cutoff(sol.spec)
     assert res == [schrodinger_residual(sol.spec, p, e, x_cut) for p, e in zip(pair, energies)]

@@ -30,6 +30,8 @@ from curvedqes import (
     solve_second_step,
     wavefunction_from_superpotential,
 )
+from curvedqes.exactmath import exact_sqrt
+from curvedqes.twostate import _node_radius
 
 SQUARES = (1, 4, 9)
 
@@ -112,11 +114,15 @@ def test_riccati_system_vanishes_on_step_solutions(fam, lam, m):
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
 def test_constraint_closure_on_compatible_specs(fam, lam, m):
+    # both steps constrain A and B_1..B_{m-1}, each to 0: a dropped constraint would close too
+    names = ("A",) + tuple(f"B{k}" for k in range(1, m))
     for L in (0, 1, 2, 3):
         for B2m in SQUARES:
             spec = compatibility(fam, m, L, B2m, lam)
             s1 = solve_first_step(fam, m, L, spec.A, spec.B, lam)
             s2 = solve_second_step(fam, m, s1)
+            assert tuple(name for name, _ in s1.constraints) == names
+            assert tuple(name for name, _ in s2.constraints) == names
             assert s1.max_constraint_residual() == 0
             assert s2.max_constraint_residual() == 0
 
@@ -209,6 +215,15 @@ def test_node_location_matches_bisection(fam, lam, m):
     assert len(nodes) == 1
     assert abs(nodes[0] - node_location(sol)) < 1e-10
     assert sol.r0 == node_location(sol)
+
+
+@pytest.mark.parametrize("config", [(1, 1, 1, 1, 1), (2, 3, F(1, 2), 2.25, -1),
+                                    (1, 30, 0, 1e-4, 0.3), (2, 60, 25, 1e6, -1e3)])
+def test_node_location_is_the_solutions_r0(config):
+    # general_two_state stores the closed-form node as r0; node_location returns it
+    sol = general_two_state(*config)
+    assert node_location(sol) == sol.r0 == _node_radius(sol.family, sol.m, sol.L,
+                                                        exact_sqrt(sol.B2m), sol.lam)
 
 
 def test_node_inside_domain():

@@ -132,21 +132,66 @@ def test_arc_cutoff_computed_once(monkeypatch):
 
 @pytest.mark.parametrize("config", [(1, 1, 1, 1, 1), (2, 8, 0, 2, -1)])
 def test_residual_grid_and_potential_computed_once(monkeypatch, config):
-    sizes = []
-    original = oracle.eval_potential
+    # outside the oracle's ladder and wall scan, V is sampled on the one 2000-point grid
+    # only: once for the spec, whose samples the residuals share, once for the partner
+    calls = {}
+    for module in (oracle, verify):
+        def counted(spec, r, name=module.__name__, original=module.eval_potential):
+            calls.setdefault(name, []).append((spec, np.size(r)))
+            return original(spec, r)
 
-    def counted(spec, r):
-        sizes.append(np.size(r))
-        return original(spec, r)
-
-    monkeypatch.setattr(oracle, "eval_potential", counted)
+        monkeypatch.setattr(module, "eval_potential", counted)
     report = run_verification(*config, rtol=1e-6)
-    assert sizes.count(2000) == 1  # one residual grid for psi0 and psi1
-    # the shared grid gives schrodinger_residual's values bit for bit
     sol = general_two_state(*config)
+    partner = susy.partner_shift(sol.spec)[0]
+    assert calls[verify.__name__] == [(sol.spec, 2000), (partner, 2000)]
+    assert all(size != 2000 for _, size in calls[oracle.__name__])
+    # the shared grid gives schrodinger_residual's values bit for bit
     checks = {c.name: c.value for c in report.checks}
     for name, psi, e in (("residual_psi0", sol.psi0, sol.E0), ("residual_psi1", sol.psi1, sol.E1)):
         assert checks[name] == oracle.schrodinger_residual(sol.spec, psi, float(e), x_max=report.x_max)
+
+
+@pytest.mark.parametrize("config", [(1, 4, 1, 2, 1), (2, 8, Fraction(1, 2), 3, -1)])
+def test_every_pointwise_check_reads_one_grid(monkeypatch, config):
+    # the W passes, the potentials and the joint evaluation with derivatives all sample one
+    # array, the residual grid to the wall cut's radius; the spec's V is sampled on it once,
+    # and no 1000-point array is evaluated anywhere
+    pointwise, sizes, spec_samples = [], [], []
+    sums = susy.Superpotential._sums
+
+    def counted_sums(self, r):
+        pointwise.append(r)
+        return sums(self, r)
+
+    def counted_forms(forms, r, derivatives=False):
+        sizes.append(np.size(r))
+        if derivatives:
+            pointwise.append(r)
+        return susy.evaluate_forms(forms, r, derivatives)
+
+    monkeypatch.setattr(susy.Superpotential, "_sums", counted_sums)
+    monkeypatch.setattr(oracle, "evaluate_forms", counted_forms)
+    sol = general_two_state(*config)
+    for module in (oracle, verify):
+        def counted(spec, r, original=module.eval_potential, module=module):
+            sizes.append(np.size(r))
+            if module is verify:
+                pointwise.append(r)
+            if spec == sol.spec:
+                spec_samples.append(r)
+            return original(spec, r)
+
+        monkeypatch.setattr(module, "eval_potential", counted)
+    report = run_verification(*config, rtol=1e-6)
+    lam = float(sol.lam)
+    grid = oracle._scan_grid(lam, oracle._cut_radius(lam, report.x_max))
+    # W+ and W-, V and the partner's V, the pair with derivatives
+    assert len(pointwise) == 5
+    assert all(r is pointwise[0] for r in pointwise)
+    assert np.array_equal(pointwise[0], grid)
+    assert sum(r is pointwise[0] for r in spec_samples) == 1
+    assert 1000 not in sizes
 
 
 def test_report_records_the_certified_grid():
@@ -239,7 +284,7 @@ def test_gate_scale_is_no_looser_than_the_check():
 
 
 def _w_minus_identity_by_loop(sol, r):
-    """Reference: the w_minus_identity check as a scalar loop over the check grid r."""
+    """Reference: the w_minus_identity check as a scalar loop over the grid r."""
     lam = float(sol.lam)
     w_plus, de = sol.pair.w_plus, float(sol.pair.delta_e)
     vals = []
@@ -257,14 +302,15 @@ def _w_minus_identity_by_loop(sol, r):
 def test_w_minus_identity_matches_scalar_loop(config):
     report = run_verification(*config)
     sol = general_two_state(*config)
-    r = verify._check_grid(sol, oracle._cut_radius(float(sol.lam), report.x_max))
+    lam = float(sol.lam)
+    r = oracle._scan_grid(lam, oracle._cut_radius(lam, report.x_max))
     value = next(c.value for c in report.checks if c.name == "w_minus_identity")
     # array and scalar evaluation may round differently in the last bits
     assert value == pytest.approx(_w_minus_identity_by_loop(sol, r), abs=1e-13)
 
 
 def test_each_superpotential_is_sampled_once(monkeypatch):
-    # W+ and W- take one pass each on the check grid, and every W check reads those
+    # W+ and W- take one pass each on the verification's grid, and every W check reads those
     # samples: W and its slope are (W+ - W-)/2 and (W+' - W-')/2, and both generating-pair
     # checks take W+, W+' and its magnitude from W+'s one pass
     calls = {"_sums": 0, "validate_model": 0, "w_minus_from_w_plus": 0}
@@ -300,7 +346,7 @@ def test_w_minus_identity_is_the_helpers_bit_for_bit(config):
     report = run_verification(*config, rtol=1e-6)
     sol = general_two_state(*config)
     lam = float(sol.lam)
-    r = verify._check_grid(sol, oracle._cut_radius(lam, report.x_max))
+    r = oracle._scan_grid(lam, oracle._cut_radius(lam, report.x_max))
     wp, wp_der, wp_mag = (sol.pair.w_plus.value(r), sol.pair.w_plus.derivative(r),
                           sol.pair.w_plus.magnitude(r))
     wm = sol.pair.w_minus.value(r)
