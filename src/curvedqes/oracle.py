@@ -44,9 +44,9 @@ Brent's method, ported here from scipy.optimize.brentq. Both end at a probed
 decay radius unless the caller, as run_verification does with r_cut, passes
 the end in. A verification's two states share their exponent series, so each
 window evaluates them together (susy.evaluate_forms): one evaluation with
-derivatives on the caller's grid and V(r) gives both residuals and both node
-scans (_residuals_and_nodes), and one quadrature pass both norms and their
-overlap, plus one for both tails at lambda > 0 (_integrals).
+derivatives on the caller's grid and V(r) gives both residuals and the values
+both node scans bracket (_residuals), and one quadrature pass both norms and
+their overlap, plus one for both tails at lambda > 0 (_integrals).
 
 Everything here is deliberately independent of the closed-form route: the
 matrix only sees eval_potential, and the quadrature/node utilities only see
@@ -169,19 +169,6 @@ def _positive(name: str, value) -> float:
     """float(value); InvalidParameter unless value is a real number, not a bool, finite and > 0."""
     if isinstance(value, bool) or not is_finite_real(value) or value <= 0:
         raise InvalidParameter(f"{name} must be a finite number > 0, got {reprlib.repr(value)}")
-    return float(value)
-
-
-def _real(name: str, value) -> float:
-    """float(value); InvalidParameter unless value is a real number in the double range, not a
-    bool. NaN and inf pass: a radius window end leaves its range to _check_radius."""
-    try:
-        math.isfinite(value)  # TypeError for a str, None or complex; OverflowError past the range
-        real = not isinstance(value, bool)
-    except (OverflowError, TypeError):
-        real = False
-    if not real:
-        raise InvalidParameter(f"{name} must be a real number, got {reprlib.repr(value)}")
     return float(value)
 
 
@@ -715,15 +702,15 @@ def schrodinger_residual(
     """
     lam = float(spec.lam)
     r = _scan_grid(lam, _cut_radius(lam, _arc_cut(spec, x_max)))
-    return _residuals_and_nodes(lam, [(psi, energy)], r, eval_potential(spec, r))[0][0]
+    return _residuals(lam, [(psi, energy)], r, eval_potential(spec, r))[0][0]
 
 
-def _residuals_and_nodes(lam: float, states, r: np.ndarray, v: np.ndarray) -> tuple:
-    """(residuals, nodes): schrodinger_residual and find_nodes of each (psi, energy) in states.
+def _residuals(lam: float, states, r: np.ndarray, v: np.ndarray) -> tuple:
+    """(residuals, values): schrodinger_residual of each (psi, energy) in states, and each
+    psi's values on the grid, the ones find_nodes brackets (_nodes).
 
     The caller's grid r and potential samples v on it, and one joint evaluation
-    of the states' psi, psi' and psi'' (evaluate_forms), serve both: each psi's
-    values there are the ones find_nodes brackets.
+    of the states' psi, psi' and psi'' (evaluate_forms), serve every residual.
     """
     f2 = 1.0 + lam * r * r
     evaluated = evaluate_forms([psi for psi, _ in states], r, derivatives=True)
@@ -736,7 +723,7 @@ def _residuals_and_nodes(lam: float, states, r: np.ndarray, v: np.ndarray) -> tu
         kinetic = -f2 * d2psi - 2.0 * lam * r * dpsi - lam * (2.0 + lam * r * r) / (4.0 * f2) * psi_v
         res = np.abs(kinetic + (v - energy) * psi_v) / (abs(lam) + abs(energy) * np.abs(psi_v))
         residuals.append(float(res.max()))
-    return residuals, [_nodes(psi, r, values[0]) for (psi, _), values in zip(states, evaluated)]
+    return residuals, [values[0] for values in evaluated]
 
 
 def _decay_radius(psi: WavefunctionForm) -> float:
@@ -850,10 +837,10 @@ def quadrature_norm(psi: WavefunctionForm, r_max: float | None = None) -> float:
     For lambda > 0, NonNormalizable is raised when the tail over
     [r_max, 2 r_max] exceeds TAIL_RATIO of the norm; the tail is integrated
     to an absolute error of a tenth of that bound, all its check needs.
-    InvalidParameter unless a given r_max is a real number (_real), DomainError
-    unless it lies in the open radial domain.
+    A given r_max must be _positive (InvalidParameter) and below the radial
+    domain's end (DomainError).
     """
-    return _integrals((psi,), _decay_radius(psi) if r_max is None else _real("r_max", r_max))[0]
+    return _integrals((psi,), _decay_radius(psi) if r_max is None else _positive("r_max", r_max))[0]
 
 
 def _integrals(forms, hi: float) -> list:
@@ -911,9 +898,14 @@ def overlap(psi_a: WavefunctionForm, psi_b: WavefunctionForm, r_max: float | Non
     default to the larger _decay_radius of the two states, so each norm takes that one
     window. At lambda > 0 each norm's tail past it is checked as quadrature_norm checks
     it: NonNormalizable when it exceeds TAIL_RATIO of the norm. A given r_max is checked
-    as quadrature_norm checks it.
+    as quadrature_norm checks it. InvalidParameter unless both states share lambda: each
+    is defined on its own curvature's domain.
     """
-    hi = max(_decay_radius(psi_a), _decay_radius(psi_b)) if r_max is None else _real("r_max", r_max)
+    if float(psi_a.lam) != float(psi_b.lam):
+        raise InvalidParameter(
+            f"overlap needs two states of one lambda, got {psi_a.lam} and {psi_b.lam}")
+    hi = (max(_decay_radius(psi_a), _decay_radius(psi_b)) if r_max is None
+          else _positive("r_max", r_max))
     return _integrals((psi_a, psi_b), hi)[2]
 
 
@@ -993,7 +985,7 @@ def find_nodes(psi: WavefunctionForm, r_max: float | None = None) -> list:
     by Brent's method. The grid ends at r_max, by default _decay_radius(psi); a given
     r_max is checked as quadrature_norm checks it.
     """
-    r = _scan_grid(float(psi.lam), _decay_radius(psi) if r_max is None else _real("r_max", r_max))
+    r = _scan_grid(float(psi.lam), _decay_radius(psi) if r_max is None else _positive("r_max", r_max))
     return _nodes(psi, r, psi.value(r))
 
 

@@ -32,7 +32,8 @@ import numpy as np
 from .oracle import (
     _cut_radius,
     _integrals,
-    _residuals_and_nodes,
+    _nodes,
+    _residuals,
     _scan_grid,
     _sturm_count,
     default_arc_cutoff,
@@ -224,10 +225,11 @@ def run_verification(
     add("oracle_E0", rel0)
     add("oracle_E1", rel1)
 
-    # psi0 and psi1 share their exponent series: one joint evaluation on the grid gives
-    # both residuals and the node scan, and one quadrature pass every integral
+    # psi0 and psi1 share their exponent series: one joint evaluation on the grid gives both
+    # residuals and the values the node scans bracket, and one quadrature pass every integral
     states = [(sol.psi0, e0f), (sol.psi1, e1f)]
-    res, (nodes0, nodes1) = _residuals_and_nodes(float(sol.lam), states, r, v)
+    res, (values0, values1) = _residuals(float(sol.lam), states, r, v)
+    nodes0, nodes1 = _nodes(sol.psi0, r, values0), _nodes(sol.psi1, r, values1)
     add("residual_psi0", res[0])
     add("residual_psi1", res[1])
     add("nodes_psi0", len(nodes0))

@@ -99,8 +99,8 @@ def test_rtol_must_be_finite_and_positive():
 
 def test_x_max_must_be_finite_and_positive():
     # the rule rtol follows: x_max=True would be read as 1.0, and 'a' fail in float();
-    # schrodinger_residual's x_max follows it too. A radius window end r_max must be a
-    # real number, not a bool: r_max=True would be read as 1.0 (find_nodes returned [])
+    # schrodinger_residual's x_max follows it too, and so does a radius window end r_max:
+    # r_max=True would be read as 1.0 (find_nodes returned [])
     sol = general_two_state(1, 1, 0, 1, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -109,7 +109,7 @@ def test_x_max_must_be_finite_and_positive():
                 lowest_eigenvalues(BOX, k=1, x_max=x_max)
             with pytest.raises(InvalidParameter, match="x_max"):
                 schrodinger_residual(sol.spec, sol.psi0, float(sol.E0), x_max=x_max)
-        for r_max in ("a", True, 1 + 1j, 10**400):
+        for r_max in (float("nan"), float("inf"), 0.0, -1.0, "a", True, 1 + 1j, 10**400):
             for helper in (lambda: find_nodes(sol.psi1, r_max=r_max),
                            lambda: quadrature_norm(sol.psi0, r_max=r_max),
                            lambda: overlap(sol.psi0, sol.psi1, r_max=r_max)):
@@ -628,6 +628,16 @@ def test_schrodinger_residual_of_closed_forms(fam, m, lam):
     assert schrodinger_residual(sol.spec, sol.psi1, float(sol.E1)) < 1e-9
 
 
+def test_schrodinger_residual_scans_no_nodes(monkeypatch):
+    # psi1 has one node, which the residual does not need: no Brent polish, and the value
+    # the joint residual-and-node scan gave, bit for bit
+    calls, polish = [], oracle.brentq
+    monkeypatch.setattr(oracle, "brentq", lambda *args, **kw: calls.append(args) or polish(*args, **kw))
+    sol = general_two_state(2, 60, 0, 4, -1)
+    assert schrodinger_residual(sol.spec, sol.psi1, float(sol.E1)).hex() == "0x1.091037dda5742p-34"
+    assert calls == []
+
+
 def test_schrodinger_residual_detects_wrong_energy():
     sol = general_two_state(1, 1, 1, 1, 1)
     assert schrodinger_residual(sol.spec, sol.psi0, float(sol.E0) + 1.0) > 1e-6
@@ -775,9 +785,9 @@ def test_overlap_is_the_pair_row_of_the_integrals(config):
     assert overlap(sol.psi0, sol.psi1) == oracle._integrals((sol.psi0, sol.psi1), hi)[2]
 
 
-# every window end must lie in the open radial domain (0, 1) of lambda = -1: a NaN, an
-# end at or past the domain's end (inf included), or one at or below 0 raises DomainError,
-# and no warning comes first
+# every window end must lie in the open radial domain (0, 1) of lambda = -1: an end at or
+# past the domain's end raises DomainError, and a NaN, inf, 0 or negative one, which is not
+# finite and > 0, InvalidParameter as x_max does; no warning comes first
 @pytest.mark.parametrize("r_max", [math.nan, 0.0, -1.0, 1.0, 2.0, math.inf, 1e300])
 @pytest.mark.parametrize("helper", [
     lambda sol, r_max: find_nodes(sol.psi1, r_max=r_max),
@@ -786,10 +796,24 @@ def test_overlap_is_the_pair_row_of_the_integrals(config):
 ], ids=["find_nodes", "quadrature_norm", "overlap"])
 def test_a_window_outside_the_domain_raises_domain_error(helper, r_max):
     sol = general_two_state(2, 1, 0, 1, -1)
+    error, match = ((DomainError, "outside the open domain") if 0.0 < r_max < math.inf
+                    else (InvalidParameter, "r_max"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="outside the open domain"):
+        with pytest.raises(error, match=match):
             helper(sol, r_max)
+
+
+@pytest.mark.parametrize("lams", [(-1, -4), (-4, -1), (1, 4)])
+def test_overlap_of_two_curvatures_raises_invalid_parameter(lams):
+    # each state lives on its own curvature's domain: at lambda -1 against -4 the second was
+    # evaluated past its domain (NonNormalizable), swapped the window left the first's
+    # (DomainError), and at 1 against 4 it returned 0.662
+    a, b = (general_two_state(1 if lam > 0 else 2, 1, 0, 1, lam).psi0 for lam in lams)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match="one lambda"):
+            overlap(a, b)
 
 
 def _gaussian_end(ratio):
@@ -1125,9 +1149,9 @@ def test_joint_scan_and_integrals_equal_the_one_form_calls(config):
     pair = (sol.psi0, sol.psi1)
     energies = (float(sol.E0), float(sol.E1))
     r = oracle._scan_grid(lam, r_cut)
-    res, nodes = oracle._residuals_and_nodes(lam, list(zip(pair, energies)), r,
-                                             eval_potential(sol.spec, r))
-    assert nodes == [find_nodes(p, r_max=r_cut) for p in pair]
+    res, values = oracle._residuals(lam, list(zip(pair, energies)), r, eval_potential(sol.spec, r))
+    assert [oracle._nodes(p, r, v) for p, v in zip(pair, values)] \
+        == [find_nodes(p, r_max=r_cut) for p in pair]
     x_cut = oracle.default_arc_cutoff(sol.spec)
     assert res == [schrodinger_residual(sol.spec, p, e, x_cut) for p, e in zip(pair, energies)]
     norm0, norm1, ortho = oracle._integrals(pair, r_cut)
