@@ -154,13 +154,18 @@ def riccati_expand(w: Superpotential, sign: str) -> dict:
     """
     if sign not in (MINUS, PLUS):
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    lam, pm = w.lam, (1 if sign == PLUS else -1)
+    out = _add_products({}, w.terms, w.terms, w.lam, 1 if sign == PLUS else -1)
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _add_products(out: dict, ts, us, lam, pm=0) -> dict:
+    """Add sum t u over t in ts and u in us, and pm f u' over u in us (none at pm = 0),
+    to out in riccati_expand's basis; return out. Zero coefficients are kept."""
     prods = [((t.r_exp + u.r_exp) // 2, (t.f_exp + u.f_exp) // 2, t.coeff * u.coeff)
-             for t in w.terms for u in w.terms]
-    for t in w.terms:  # f d/dr [c r^p f^q] = c p r^(p-1) f^(q+1) + c q lam r^(p+1) f^(q-1)
+             for t in ts for u in us]
+    for t in us if pm else ():  # f d/dr [c r^p f^q] = c p r^(p-1) f^(q+1) + c q lam r^(p+1) f^(q-1)
         prods.append(((t.r_exp - 1) // 2, (t.f_exp + 1) // 2, pm * t.r_exp * t.coeff))
         prods.append(((t.r_exp + 1) // 2, (t.f_exp - 1) // 2, pm * t.f_exp * lam * t.coeff))
-    out: dict = {}
     for a, n, c in prods:
         if a == 1:
             parts = [(n + 1, exact_div(c, lam)), (n, -exact_div(c, lam))]
@@ -171,7 +176,7 @@ def riccati_expand(w: Superpotential, sign: str) -> dict:
             parts += [(i, -c * lam) for i in range(n, 0)]
         for key, v in parts:
             out[key] = out.get(key, 0) + v
-    return {key: c for key, c in out.items() if c != 0}
+    return out
 
 
 def potential_expand(spec: PotentialSpec) -> dict:

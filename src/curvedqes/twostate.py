@@ -3,13 +3,13 @@
 Two routes produce the same closed-form data:
 
 * the explicit step systems, for every order m >= 1: a superpotential ansatz is
-  matched against the potential through the Riccati equation, solved by one
-  elimination in the exact {r^-2, f^2n} basis of susy.riccati_expand and
-  susy.potential_expand, which fixes the ansatz parameters and the
-  ground-state energy and leaves constraint conditions among the potential
-  coefficients; repeating the match on the partner gives a second constraint
-  set, and compatibility of the two sets pins the coefficients down to the
-  reduced QES form;
+  matched against the potential through the Riccati equation in the exact
+  {r^-2, f^2n} basis of susy.riccati_expand and susy.potential_expand, its
+  coefficients solved outermost first on one running expansion in O(m^2)
+  products, which fixes the ansatz parameters and the ground-state energy and
+  leaves constraint conditions among the potential coefficients; repeating the
+  match on the partner gives a second constraint set, and compatibility of the
+  two sets pins the coefficients down to the reduced QES form;
 
 * the generating-function route, valid for every order m >= 1: a pair
   (W+, W-) satisfying f W+' = W+ W- + (E1 - E0) yields both superpotentials
@@ -52,11 +52,11 @@ from .potentials import (
 )
 from .susy import (
     MINUS,
-    PLUS,
     GeneratingPair,
     Superpotential,
     Term,
     WavefunctionForm,
+    _add_products,
     potential_expand,
     riccati_expand,
 )
@@ -104,10 +104,10 @@ def _ansatz(family: Family, p: AnsatzParams, lam) -> Superpotential:
 def solve_first_step(family, m: int, L, A, B: Sequence, lam) -> CdsiStepResult:
     """Match the order-m ansatz against V(r) - E0; return parameters and constraints.
 
-    The constraint residuals vanish exactly when (A, B) satisfies the
-    first-step conditions of the chosen family. Raises what validate_model
-    raises, and InvalidParameter for a B that is not a list of 2m numbers or a
-    non-finite A or B_1..B_{2m-1}.
+    The constraint residuals vanish exactly when (A, B) satisfies the first-step
+    conditions of the chosen family. Raises what validate_model raises, and
+    InvalidParameter for a B that is not a list of 2m numbers, a non-finite A or
+    B_1..B_{2m-1}, or a float-lane E0, parameter or constraint that is not finite.
     """
     if not isinstance(B, (list, tuple)):
         raise InvalidParameter(f"B must be a list of numbers, got {reprlib.repr(B)}")
@@ -139,47 +139,47 @@ compatibility = reduced_spec
 def _match(fam: Family, m: int, L, A, B: tuple, lam, first: AnsatzParams | None = None):
     """Solve one step system in riccati_expand's basis; return (params, E0, constraints).
 
-    Step 1 matches W^2 - f W' = V - E0. Step 2 (first = step 1's parameters)
-    matches the partner W1^2 + f W1' = V - E0(step 1) + 2 f W1', so its target
-    is V + 2 f W1' and its E0 is the first excited energy of V. lam sets only
-    the scale: the system is solved at lam = +-1, and eta, the tail and E0 are
-    multiplied by |lam| at the end. The target is built with A = 0, as A
-    enters it only as lam A (1 - f^-2). The r^-2 key fixes xi = -L - step and
-    the B_2m key the outermost tail coefficient, sqrt(B_2m); each inner one,
-    and then eta, enters the key of the next lower B_k linearly and is solved
-    there, outermost first. E0 is read off f^0 + f^-2, and each constraint is
-    the given A or B_1 .. B_{m-1} minus the value the match needs at its key.
+    Step 1 matches W^2 - f W' = V - E0. Step 2 (first = step 1's parameters) matches the
+    partner W1^2 + f W1' = V - E0(step 1) + 2 f W1', so its target is V + 2 f W1' and its
+    E0 is the first excited energy of V. lam sets only the scale: the system is solved at
+    lam = +-1, and eta, the tail and E0 are multiplied by |lam| at the end. The target is
+    built with A = 0, as A enters it only as lam A (1 - f^-2). The r^-2 key fixes
+    xi = -L - step and the B_2m key the outermost tail coefficient, sqrt(B_2m); each inner
+    one, and then eta, enters the key of the next lower B_k linearly and is solved there,
+    outermost first. E0 is read off f^0 + f^-2, and each constraint is the given A or
+    B_1 .. B_{m-1} minus the value the match needs at its key.
 
-    Each of the 2m probes re-expands the whole ansatz, O(m^2) products, so both steps cost
-    O(m^3): in the exact lane about 36 ms at m = 8, 0.2 s at 16, 1.3 s at 30 and 10 s at 60.
+    W^2 - f W' is expanded as it is solved, from xi's term on: a solved term c u adds
+    c (2 W_solved u - f u') + c^2 u^2, so each slope is a sum of O(m) products and both
+    steps cost O(m^2). A non-finite float-lane E0, parameter or constraint raises
+    InvalidParameter.
     """
     step, scale, unit = (1 if first is None else 2), abs(lam), (1 if lam > 0 else -1)
     target = potential_expand(PotentialSpec(family=fam, m=m, L=L, A=0, B=B, lam=unit))
     keys = list(target)[3:]  # the basis keys of B_1..B_2m
     if first is not None:
         w1 = _ansatz(fam, _rescale(first, lambda v: exact_div(v, scale)), unit)
-        plus, minus = riccati_expand(w1, PLUS), riccati_expand(w1, MINUS)
-        for key in plus.keys() | minus.keys():  # 2 f W1' = (W1^2 + f W1') - (W1^2 - f W1')
-            target[key] = target.get(key, 0) + (plus.get(key, 0) - minus.get(key, 0))
-
-    def expand(c):  # c = [eta, c_1 .. c_m]
-        return riccati_expand(_ansatz(fam, AnsatzParams(-L - step, c[0], c[1:]), unit), MINUS)
-
-    outer = exact_sqrt(B[-1])
-    coeffs = [0] * m + [outer]  # eta, c_1 .. c_m
-    for i in reversed(range(m)):
-        # coeffs[i] enters its key linearly, next to terms of the order of outer^2:
-        # probing it at outer rather than 1 keeps the float-lane slope from cancelling
-        key = keys[m - 1 + i]
-        at0, at1 = (expand(coeffs[:i] + [u] + coeffs[i + 1:]).get(key, 0) for u in (0, outer))
-        coeffs[i] = outer * exact_div(target[key] - at0, at1 - at0)
-    a = expand(coeffs)
-    e0 = (target[0] + target[-1]) - (a.get(0, 0) + a.get(-1, 0))
+        _add_products(target, (), w1.terms, unit, 2)
+    xi, *units = _ansatz(fam, AnsatzParams(-L - step, 1, (1,) * m), unit).terms
+    run = _add_products({}, [xi], [xi], unit, -1)
+    twice, coeffs = [replace(xi, coeff=2 * xi.coeff)], []  # coeffs: c_m .. c_1, eta
+    for key, u in zip(reversed(keys[m - 1:]), reversed(units)):
+        slopes = _add_products({}, twice, [u], unit, -1)  # 2 W_solved u - f u' at c = 1
+        c = exact_div(target[key] - run.get(key, 0), slopes[key]) if coeffs else exact_sqrt(B[-1])
+        _add_products(run, [replace(u, coeff=c * c)], [u], unit)
+        run.update((k, run.get(k, 0) + c * v) for k, v in slopes.items())
+        twice.append(replace(u, coeff=2 * c))
+        coeffs.append(c)
+    e0 = scale * ((target[0] + target[-1]) - (run.get(0, 0) + run.get(-1, 0)))
     # A enters f^-2 as -lam A; at |lam| = 1, each B_k enters its key as B_k in both families
-    cons = [("A", A - exact_div(a.get(-1, 0) - target[-1], -unit))]
-    cons += [(f"B{k}", target[key] - a.get(key, 0)) for k, key in enumerate(keys[:m - 1], 1)]
-    params = _rescale(AnsatzParams(-L - step, coeffs[0], coeffs[1:]), lambda v: scale * v)
-    return params, scale * e0, tuple(cons)
+    cons = [("A", A - exact_div(run.get(-1, 0) - target[-1], -unit))]
+    cons += [(f"B{k}", target[key] - run.get(key, 0)) for k, key in enumerate(keys[:m - 1], 1)]
+    params = _rescale(AnsatzParams(-L - step, coeffs[-1], coeffs[-2::-1]), lambda v: scale * v)
+    tail = ((f"c_{j}", c) for j, c in enumerate(params.tail, 1))
+    for name, value in (("E0", e0), ("eta", params.eta), *tail, *cons):
+        if not is_exact(value):
+            require_finite(name, value)
+    return params, e0, tuple(cons)
 
 
 def _rescale(p: AnsatzParams, op) -> AnsatzParams:

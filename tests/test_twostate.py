@@ -31,9 +31,12 @@ from curvedqes import (
     wavefunction_from_superpotential,
 )
 from curvedqes.exactmath import exact_sqrt
+from curvedqes.potentials import MAX_ORDER
 from curvedqes.twostate import _node_radius
 
 SQUARES = (1, 4, 9)
+# (L, B_2m) of the compatible specs both routes solve: whole numbers, and one fractional point
+STEP_CONFIGS = [(L, B2m) for L in (0, 1, 2, 3) for B2m in SQUARES] + [(F(1, 2), F(9, 4))]
 
 
 def first_step_consistent_inputs(family, m, L, B_free, lam):
@@ -112,19 +115,19 @@ def test_riccati_system_vanishes_on_step_solutions(fam, lam, m):
 
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, MAX_ORDER])
 def test_constraint_closure_on_compatible_specs(fam, lam, m):
     # both steps constrain A and B_1..B_{m-1}, each to 0: a dropped constraint would close too
     names = ("A",) + tuple(f"B{k}" for k in range(1, m))
-    for L in (0, 1, 2, 3):
-        for B2m in SQUARES:
-            spec = compatibility(fam, m, L, B2m, lam)
-            s1 = solve_first_step(fam, m, L, spec.A, spec.B, lam)
-            s2 = solve_second_step(fam, m, s1)
-            assert tuple(name for name, _ in s1.constraints) == names
-            assert tuple(name for name, _ in s2.constraints) == names
-            assert s1.max_constraint_residual() == 0
-            assert s2.max_constraint_residual() == 0
+    for L, B2m in STEP_CONFIGS:
+        spec = compatibility(fam, m, L, B2m, lam)
+        s1 = solve_first_step(fam, m, L, spec.A, spec.B, lam)
+        s2 = solve_second_step(fam, m, s1)
+        assert tuple(name for name, _ in s1.constraints) == names
+        assert tuple(name for name, _ in s2.constraints) == names
+        assert s1.max_constraint_residual() == 0
+        assert s2.max_constraint_residual() == 0
+        assert all(v == 0 for _, v in s1.constraints + s2.constraints)
 
 
 def test_compatibility_examples():
@@ -142,27 +145,83 @@ def test_compatibility_matches_general_coefficients():
 
 
 @pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, MAX_ORDER])
 def test_general_reduces_to_step_construction(fam, lam, m):
-    for L in (0, 1, 2, 3):
-        for B2m in SQUARES:
-            sol = general_two_state(fam, m, L, B2m, lam)
-            spec = compatibility(fam, m, L, B2m, lam)
-            assert sol.spec.A == spec.A and sol.spec.B == spec.B
+    for L, B2m in STEP_CONFIGS:
+        sol = general_two_state(fam, m, L, B2m, lam)
+        spec = compatibility(fam, m, L, B2m, lam)
+        assert sol.spec.A == spec.A and sol.spec.B == spec.B
 
-            s1 = solve_first_step(fam, m, L, spec.A, spec.B, lam)
-            s2 = solve_second_step(fam, m, s1)
-            assert sol.E0 == s1.ground_energy
-            assert sol.E1 == s2.ground_energy
+        s1 = solve_first_step(fam, m, L, spec.A, spec.B, lam)
+        s2 = solve_second_step(fam, m, s1)
+        assert sol.E0 == s1.ground_energy
+        assert sol.E1 == s2.ground_energy
 
-            # ansatz parameters are the coefficients of the general W
-            w1 = s1.superpotential()
-            assert w1.terms == sol.w.terms
-            w2 = s2.superpotential()
-            assert w2.terms == sol.w_prime.terms
+        # ansatz parameters are the coefficients of the general W
+        w1 = s1.superpotential()
+        assert w1.terms == sol.w.terms
+        w2 = s2.superpotential()
+        assert w2.terms == sol.w_prime.terms
 
-            psi_step = wavefunction_from_superpotential(w1)
-            assert psi_step == sol.psi0
+        psi_step = wavefunction_from_superpotential(w1)
+        assert psi_step == sol.psi0
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 1), (1, 0.37), (2, -1), (2, -2.5)])
+@pytest.mark.parametrize("m", [1, 8, 30, MAX_ORDER])
+def test_float_lane_steps_match_the_general_solution(fam, lam, m):
+    # sqrt(2) is irrational, so both routes run in floats and agree to rounding
+    sol = general_two_state(fam, m, 1 / 2, 2.0, lam)
+    spec = sol.spec
+    s1 = solve_first_step(fam, m, spec.L, spec.A, spec.B, lam)
+    s2 = solve_second_step(fam, m, s1)
+    pairs = [(s1.ground_energy, sol.E0), (s2.ground_energy, sol.E1)]
+    for w, ref in ((s1.superpotential(), sol.w), (s2.superpotential(), sol.w_prime)):
+        assert [(t.r_exp, t.f_exp) for t in w.terms] == [(t.r_exp, t.f_exp) for t in ref.terms]
+        pairs += [(t.coeff, u.coeff) for t, u in zip(w.terms, ref.terms)]
+    for value, expected in pairs:
+        assert math.isclose(value, expected, rel_tol=1e-13), (value, expected)
+    scale = max(abs(b) for b in spec.B)
+    for name, value in s1.constraints + s2.constraints:
+        assert abs(value) <= 1e-12 * scale, (name, value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    (1, 2, 0, 1.0, [1.0, 1.0, 1.0, 1e-320], 1),  # c_1 ~ B_3 / (2 sqrt(B_4)) = 5e159 squares to inf
+    (1, 1, 0, 1e308, [1e308, 1.0], 1),  # eta ~ B_1 / (2 sqrt(B_2)) = 5e307 squares to inf
+])
+def test_step_solvers_raise_for_a_float_lane_value_that_is_not_finite(args):
+    fam, m, L, _, B, lam = args
+    sol = general_two_state(fam, m, L, B[-1], lam)
+    assert math.isfinite(sol.E0) and math.isfinite(sol.E1)
+    with pytest.raises(InvalidParameter, match="must be finite as a float"):
+        solve_first_step(*args)
+
+
+@pytest.mark.parametrize("fam,lam", [(1, 1), (2, -1)])
+def test_step_systems_form_a_quadratic_number_of_products(monkeypatch, fam, lam):
+    # each coefficient is solved from O(m) products with the terms already solved,
+    # so doubling m about quadruples the count; re-expanding the ansatz per coefficient
+    # (O(m^3)) gives a ratio rising toward 8
+    from curvedqes import twostate
+
+    real, count = twostate._add_products, [0]
+
+    def counted(out, ts, us, unit, pm=0):  # pm f u' adds two basis products per u
+        count[0] += len(ts) * len(us) + (2 * len(us) if pm else 0)
+        return real(out, ts, us, unit, pm)
+
+    monkeypatch.setattr(twostate, "_add_products", counted)
+    counts = []
+    for m in (16, 32):
+        spec = compatibility(fam, m, F(1, 2), F(9, 4), lam)
+        count[0] = 0
+        s1 = solve_first_step(fam, m, F(1, 2), spec.A, spec.B, lam)
+        assert s1.max_constraint_residual() == 0
+        assert solve_second_step(fam, m, s1).max_constraint_residual() == 0
+        counts.append(count[0])
+    assert counts[1] <= 4.5 * counts[0], counts
 
 
 def test_eta_consistency_on_compatible_specs():
